@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .covering import (CoveringDatum, FiberChart, RamificationChart,
@@ -111,7 +112,7 @@ def _rational_roots(poly):
     coeffs = [c.rational_value() for c in poly]
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -136,12 +137,6 @@ def _rational_roots(poly):
                     if len(ints) <= 1:
                         return roots
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -174,7 +169,7 @@ def _deflate(ints, root):
     quot = list(reversed(quot))[:-1]
     den = 1
     for c in quot:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     return [int(c * den) for c in quot]
 
 
@@ -274,11 +269,6 @@ class CurveFunction:
             num = num + _peval_series(f, list(self.Q), x_series) * y_series
         d = _peval_series(f, list(self.den), x_series)
         return num / d
-
-    def conjugate(self):
-        f = self.curve.field
-        return CurveFunction(self.curve, self.P,
-                             tuple(-c for c in self.Q), self.den)
 
     def pole_bound_at_infinity(self):
         degP = len(self.P) - 1 if self.P else -1
@@ -428,7 +418,7 @@ def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
         work = list(norm)
         n = f.cyclotomic_order
         for a in range(2, n + 1):
-            if _gcd(a, n) == 1 and n > 1:
+            if gcd(a, n) == 1 and n > 1:
                 work = _pmul(f, work, [c.galois(a) for c in norm])
         if not all(c.is_rational() for c in work):
             raise BuilderError("Galois norm is not rational")

@@ -29,7 +29,7 @@ CONVENTIONS = {
 def analyze_datum(datum, action=None):
     """Full analysis pipeline; returns (report dict, identities_ok)."""
     report = {"conventions": CONVENTIONS}
-    vrep = covering.validate(datum)
+    vrep = datum.validation
     report["validation"] = vrep.to_json()
     if not vrep.ok:
         raise InputError(

@@ -18,7 +18,8 @@ the section to vanish identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import SchemaError, ValidationFailed
@@ -69,6 +70,58 @@ class CoveringDatum:
         """deg(R - R_red) = (2g-2) - n."""
         return (2 * self.genus - 2) - self.n_ramification
 
+    @cached_property
+    def validation(self):
+        """The report of ``validate``, computed once per datum."""
+        return validate(self)
+
+    @cached_property
+    def multiplication_table(self):
+        """The multiplication map on the lexicographic basis, built once.
+
+        This is the only place where chart products f_i f_j and fiber
+        products r_i r_j are formed.
+        """
+        fld = self.field
+        g = self.genus
+        pairs = [(i, j) for i in range(g) for j in range(i, g)]
+        charts, residues = [], []
+        for c in self.charts:
+            w = c.window()
+            inv_alpha = c.alpha_pullback.inverse()
+            products = [(c.forms[i] * c.forms[j]).truncate(w)
+                        for i, j in pairs]
+            charts.append(Matrix(fld, [[s.coefficient(e) for s in products]
+                                       for e in range(w)]))
+            # 1/alpha starts at u^-v, so only the terms of f_i f_j below u^v
+            # reach the residue
+            v = c.alpha_pullback.valuation
+            residues.append([(s.truncate(v) * inv_alpha).residue()
+                             for s in products])
+        fiber = [[r[i] * r[j] for i, j in pairs] for r in self.fiber.ratios]
+        fiber_sum = [sum(col, fld.zero()) for col in zip(*fiber)]
+        return MultiplicationTable(tuple(charts), Matrix(fld, residues),
+                                   Matrix(fld, fiber),
+                                   Matrix(fld, [fiber_sum]))
+
+
+@dataclass(frozen=True)
+class MultiplicationTable:
+    """The multiplication map on the basis eta_i . eta_j, i <= j, in lex order.
+
+    Column p of every matrix belongs to the p-th pair (i, j).  ``charts``
+    holds one matrix per chart: row e is the coefficient of u^e in f_i f_j,
+    for e below the chart window.  Row c of ``residues`` is the residue of
+    f_i f_j over the alpha pullback of chart c; row k of ``fiber`` is the
+    value r_i r_j at fiber point k; the single row of ``fiber_sum`` sums the
+    fiber.  Every slot is linear in the tensor, so the image of a tensor is
+    the product of one of these matrices with its lex coordinates.
+    """
+    charts: tuple
+    residues: Matrix
+    fiber: Matrix
+    fiber_sum: Matrix
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -78,16 +131,13 @@ class Finding:
     hard: bool = True  # certificate-level findings are recorded, not fatal
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    findings: list = dc_field(default_factory=list)
-    chart_windows: list = dc_field(default_factory=list)
-    coefficient_budget: int = 0
-    independence_bound: int = 0
-    quadric_bound: int = 0
-
-    def add(self, name, passed, detail="", hard=True):
-        self.findings.append(Finding(name, passed, detail, hard))
+    findings: tuple
+    chart_windows: tuple
+    coefficient_budget: int
+    independence_bound: int
+    quadric_bound: int
 
     @property
     def ok(self):
@@ -121,14 +171,17 @@ def validate(datum):
     rules, the rank-g independence certificate, the quadratic-differential
     precision certificate, and trace consistency on the fiber.
     """
-    report = ValidationReport()
-    g, d, n = datum.genus, datum.degree, datum.n_ramification
+    findings = []
+    g, d = datum.genus, datum.degree
+
+    def add(name, passed, detail, hard=True):
+        findings.append(Finding(name, passed, detail, hard))
 
     # (1) Riemann-Hurwitz: sum of (n_j - 1) must equal 2g - 2
     rh = sum(c.index - 1 for c in datum.charts)
-    report.add("riemann_hurwitz", rh == 2 * g - 2,
-               f"sum(n_j - 1) = {rh}, expected 2g-2 = {2 * g - 2}")
-    report.add("genus_bound", g >= 3, f"genus {g} (need >= 3)")
+    add("riemann_hurwitz", rh == 2 * g - 2,
+        f"sum(n_j - 1) = {rh}, expected 2g-2 = {2 * g - 2}")
+    add("genus_bound", g >= 3, f"genus {g} (need >= 3)")
 
     # (2) chart valuation rules
     for j, c in enumerate(datum.charts):
@@ -150,21 +203,17 @@ def validate(datum):
         if len(c.forms) != g:
             ok = False
             msgs.append(f"{len(c.forms)} form expansions, expected g = {g}")
-        report.add(f"chart_valuations[{j}]", ok, "; ".join(msgs) or "ok")
+        add(f"chart_valuations[{j}]", ok, "; ".join(msgs) or "ok")
 
     # fiber shape
     shape_ok = len(datum.fiber.ratios) == d and \
         all(len(r) == g for r in datum.fiber.ratios)
-    report.add("fiber_shape", shape_ok,
-               f"{len(datum.fiber.ratios)} rows of "
-               f"{[len(r) for r in datum.fiber.ratios]} entries; expected {d} x {g}")
+    add("fiber_shape", shape_ok,
+        f"{len(datum.fiber.ratios)} rows of "
+        f"{[len(r) for r in datum.fiber.ratios]} entries; expected {d} x {g}")
 
     windows = [c.window() for c in datum.charts]
-    report.chart_windows = windows
     budget = sum(windows) + d
-    report.coefficient_budget = budget
-    report.independence_bound = 2 * g - 2
-    report.quadric_bound = 4 * g - 3
 
     # (3) independence certificate: a nonzero holomorphic 1-form has exactly
     # 2g-2 zeros, so with budget > 2g-2 a rank defect would be a genuine
@@ -179,19 +228,19 @@ def validate(datum):
                 row.append(datum.fiber.ratios[k][i])
             rows.append(row)
         rank = Matrix(datum.field, rows).rank() if rows else 0
-        report.add("independence_certificate",
-                   budget > 2 * g - 2 and rank == g,
-                   f"rank {rank} of g x {budget} coefficient matrix "
-                   f"(budget {budget}, bound {2 * g - 2})")
+        add("independence_certificate",
+            budget > 2 * g - 2 and rank == g,
+            f"rank {rank} of g x {budget} coefficient matrix "
+            f"(budget {budget}, bound {2 * g - 2})")
     else:
-        report.add("independence_certificate", False, "fiber shape invalid")
+        add("independence_certificate", False, "fiber shape invalid")
 
     # (4) quadric-precision certificate: sections of the squared canonical
     # bundle have degree 4g-4; budget >= 4g-3 makes their kernel computation
     # exact.  Recorded as a certificate level: operations that need it
     # refuse under-resolved input with InsufficientPrecision.
-    report.add("quadric_precision", budget >= 4 * g - 3,
-               f"budget {budget}, bound {4 * g - 3}", hard=False)
+    add("quadric_precision", budget >= 4 * g - 3,
+        f"budget {budget}, bound {4 * g - 3}", hard=False)
 
     # (5) trace consistency
     if shape_ok:
@@ -217,15 +266,17 @@ def validate(datum):
                 if not col_ones:
                     ok = False
                     msg += "; alpha column of ratios is not all ones"
-        report.add("trace_consistency", ok, msg)
+        add("trace_consistency", ok, msg)
     else:
-        report.add("trace_consistency", False, "fiber shape invalid")
+        add("trace_consistency", False, "fiber shape invalid")
 
-    return report
+    return ValidationReport(tuple(findings), tuple(windows), budget,
+                            2 * g - 2, 4 * g - 3)
 
 
 def require_valid(datum):
-    report = validate(datum)
+    """The cached validation report of a datum; raises unless it passes."""
+    report = datum.validation
     if not report.ok:
         names = ", ".join(f.name for f in report.failures())
         raise ValidationFailed(f"datum failed validation: {names}")
@@ -315,6 +366,9 @@ def datum_from_json(obj):
     fobj2 = _expect(obj, "fiber", dict, "")
     labels = tuple(_expect(fobj2, "labels", list, "/fiber"))
     ratios_raw = _expect(fobj2, "ratios", list, "/fiber")
+    for k, row in enumerate(ratios_raw):
+        if not isinstance(row, list):
+            raise SchemaError(f"/fiber/ratios/{k}", "expected list")
     ratios = tuple(
         tuple(_parse_scalar(fld, s, f"/fiber/ratios/{k}/{i}")
               for i, s in enumerate(row))

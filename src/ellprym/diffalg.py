@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import require_valid, validate
+from .covering import require_valid
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
 from .scalars import Matrix
@@ -119,21 +119,15 @@ class SymSquareElement:
         return isinstance(other, SymSquareElement) and \
             self.coeffs == other.coeffs
 
-    def transform(self, basis_matrix_inv):
-        """Coefficients over a new basis u = eta . C, given C^-1.
+    def transform(self, A):
+        """The tensor with coefficient array A . Phi . A^T.
 
-        If phi = eta Phi eta^T in the old basis, the new coefficient array is
-        C^-1-free: Phi_new = C^T Phi C ... expressed for coordinates of the
-        tensor this is Cinv applied on both sides of the coordinate array.
+        If A maps coordinates over eta to coordinates over a new basis
+        u = eta . C (so A = C^-1), the result is the same tensor written over
+        u.  With A the matrix of a linear map on forms it is the image tensor.
         """
-        A = basis_matrix_inv
-        n = self.size
-        # Phi_new = A * Phi * A^T where A = C^-1 acts on coordinates
-        tmp = [[sum((A.rows[i][k] * self.coeffs[k][j] for k in range(n)),
-                    self.field.zero()) for j in range(n)] for i in range(n)]
-        new = [[sum((tmp[i][k] * A.rows[j][k] for k in range(n)),
-                    self.field.zero()) for j in range(n)] for i in range(n)]
-        return SymSquareElement(self.field, new)
+        arr = A.matmul(Matrix(self.field, self.coeffs)).matmul(A.transpose())
+        return SymSquareElement(self.field, arr.rows)
 
     def __repr__(self):
         return "SymSquare(" + "; ".join(
@@ -222,7 +216,6 @@ def _solve_alpha_coords(datum):
     system with a unique solution once the independence certificate holds.
     """
     field = datum.field
-    g = datum.genus
     rows, rhs = [], []
     for row in datum.fiber.ratios:
         rows.append(list(row))
@@ -259,34 +252,14 @@ def multiply(datum, phi):
 
     Per chart the expansion of the product differential; per fiber point the
     value divided by the square of the base pullback, which is the double
-    sum of phi_ij times the two ratio values.
+    sum of phi_ij times the two ratio values.  Both are read off the datum's
+    multiplication table.
     """
-    field = datum.field
-    g = datum.genus
-    charts = []
-    for c in datum.charts:
-        acc = TruncatedSeries.zero(field, c.window())
-        for i in range(g):
-            row = phi.coeffs[i]
-            for j in range(i, g):
-                coef = row[j] if i == j else row[j] * 2
-                if coef.is_zero():
-                    continue
-                term = (c.forms[i] * c.forms[j]).scale(coef)
-                acc = acc + term
-        charts.append(acc)
-    fiber = []
-    for row in datum.fiber.ratios:
-        acc = field.zero()
-        for i in range(g):
-            if row[i].is_zero():
-                continue
-            for j in range(g):
-                coef = phi.coeffs[i][j]
-                if not coef.is_zero() and not row[j].is_zero():
-                    acc = acc + coef * row[i] * row[j]
-        fiber.append(acc)
-    return QuadDifferentialData(tuple(charts), tuple(fiber))
+    table = datum.multiplication_table
+    lex = phi.lex_coords()
+    charts = tuple(TruncatedSeries(datum.field, 0, m.mul_vec(lex), m.nrows)
+                   for m in table.charts)
+    return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(lex)))
 
 
 @dataclass(frozen=True)
@@ -305,29 +278,14 @@ def multiply_matrix(datum):
     Columns follow the lexicographic tensor basis; rows are the certified
     chart coefficients followed by the fiber values.
     """
-    field = datum.field
-    g = datum.genus
-    windows = [c.window() for c in datum.charts]
-    cols = []
-    for (i, j) in lex_pairs(g):
-        data = multiply(datum, SymSquareElement.basis_element(field, g, i, j))
-        col = []
-        for w, s in zip(windows, data.charts):
-            col.extend(s.coefficients_in(0, w))
-        col.extend(data.fiber)
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(len(cols))]
-            for r in range(len(cols[0]))]
-    return Matrix(field, rows)
+    table = datum.multiplication_table
+    rows = [row for m in table.charts for row in m.rows] + table.fiber.rows
+    return Matrix(datum.field, rows)
 
 
 def quadric_kernel(datum):
     """Exact kernel of the multiplication map, certified by the zero-counting bound."""
-    report = validate(datum)
-    if not report.ok:
-        raise ValidationFailed(
-            "datum failed validation: " +
-            ", ".join(f.name for f in report.failures()))
+    report = require_valid(datum)
     g = datum.genus
     if not report.quadric_certified:
         raise InsufficientPrecision(

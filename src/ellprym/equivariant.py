@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .diffalg import SymSquareElement, lex_pairs
 from .errors import FieldError, IdentityViolated, InputError
 from .geometry import canonical_frame, evaluate_at_qminus
-from .prym import nu
 from .scalars import Matrix
 from .series import TruncatedSeries, transform_quadratic
 
@@ -329,9 +328,8 @@ def run_battery(datum, action, split, quadrics, kernel_report,
 
     # (5) kernel = nontrivial-character part of the trace-zero square
     minus_eigen = sym_dec.minus
-    want = _eigen_sym_minus_coords(datum, split, action, relabeled)
     kernel_rows = [list(v) for v in kernel_report.basis_minus_coords]
-    eigen_rows = [list(v) for v in want]
+    eigen_rows = [list(v) for v in minus_eigen.bases[1] + minus_eigen.bases[2]]
     joint = Matrix(field, kernel_rows + eigen_rows)
     same_space = (len(kernel_rows) == 4 and len(eigen_rows) == 4 and
                   Matrix(field, kernel_rows).rank() == 4 and
@@ -371,38 +369,11 @@ def _character_components(G, action, field, relabeled):
         power = Matrix.identity(field, G.size)
         for k in range(N):
             # (g^k)* G has coefficient array (M^k) G (M^k)^T
-            transported = SymSquareElement(
-                field, power.matmul(Matrix(field, G.coeffs))
-                .matmul(power.transpose()).rows)
             weight = (zeta ** ((-c * k) % N))
-            acc = acc + transported.scale(weight)
+            acc = acc + G.transform(power).scale(weight)
             power = power.matmul(M)
         comps.append(acc.scale(inv_N))
     return comps
-
-
-def _eigen_sym_minus_coords(datum, split, action, relabeled):
-    """Lexicographic minus-square coordinates of the nontrivial character part."""
-    field = datum.field
-    g = datum.genus
-    frame = canonical_frame(datum, split)
-    M = action.matrix
-    if relabeled:
-        M = M.matmul(M)
-    conj = frame.change_inv.matmul(M).matmul(frame.change)
-    minus_mat = Matrix(field, [[conj.rows[i][j] for j in range(1, g)]
-                               for i in range(1, g)])
-    sym = sym_square_matrix(minus_mat, field)
-    zeta = field.root_of_unity(action.order)
-    vectors = []
-    for c in (1, 2):
-        ev = zeta ** c
-        n = sym.nrows
-        shifted = Matrix(field, [[sym.rows[i][j] -
-                                  (ev if i == j else field.zero())
-                                  for j in range(n)] for i in range(n)])
-        vectors.extend(shifted.kernel_basis())
-    return [tuple(v) for v in vectors]
 
 
 def _known_point_functionals(datum):
@@ -450,7 +421,7 @@ def transported_multiply(datum, action, quad_data):
     the data of the pulled-back tensor.
     """
     charts = []
-    for j, (target, rho) in enumerate(action.chart_moves):
+    for target, rho in action.chart_moves:
         charts.append(transform_quadratic(quad_data.charts[target], rho))
     fiber = tuple(quad_data.fiber[action.fiber_permutation[k]]
                   for k in range(len(quad_data.fiber)))
@@ -459,7 +430,4 @@ def transported_multiply(datum, action, quad_data):
 
 def pullback_tensor(action, phi):
     """(generator)* phi: coefficient array M Phi M^T."""
-    M = action.matrix
-    field = phi.field
-    arr = M.matmul(Matrix(field, phi.coeffs)).matmul(M.transpose())
-    return SymSquareElement(field, arr.rows)
+    return phi.transform(action.matrix)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diffalg import SymSquareElement, lex_pairs, multiply
+from .diffalg import SymSquareElement, multiply
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
-from .prym import _inverse, codifferential, nu
+from .prym import codifferential, nu
 from .scalars import Matrix
 
 
@@ -48,7 +48,7 @@ def canonical_frame(datum, split):
     g = datum.genus
     cols = [list(split.alpha_coords)] + [list(v) for v in split.minus_basis]
     C = Matrix(datum.field, [[cols[a][i] for a in range(g)] for i in range(g)])
-    return CanonicalFrame(C, _inverse(C))
+    return CanonicalFrame(C, C.inverse())
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
     resolved.
     """
     field = datum.field
-    g, n = datum.genus, datum.n_ramification
+    g = datum.genus
     h0 = quadrics.dimension
     excess = datum.reduced_branch_excess()
     identities = []
@@ -253,13 +253,9 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
 
     # (c) exact-sequence count via the residue-only map on the full
     # symmetric square (its rank equals the rank on all quadratic
-    # differentials because the multiplication map is surjective)
-    rows = []
-    for (i, j) in lex_pairs(g):
-        phi = SymSquareElement.basis_element(field, g, i, j)
-        cov = codifferential(datum, split, phi, check_minus=False)
-        rows.append(list(cov.gammas))
-    residue_rank = Matrix(field, rows).rank()
+    # differentials because the multiplication map is surjective); the
+    # residue rows of the multiplication table are that map
+    residue_rank = datum.multiplication_table.residues.rank()
     dim_ker_residue = (3 * g - 3) - residue_rank
     rhs = h0 + dim_ker_residue - g
     identities.append(LedgerIdentity(

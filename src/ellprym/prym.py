@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diffalg import SymSquareElement, multiply
+from .diffalg import SymSquareElement
 from .errors import IdentityViolated, NotInMinusSpace
 from .scalars import Matrix
 
@@ -55,31 +55,15 @@ def minus_sym_element(datum, split, a, b):
         datum.field, split.minus_basis[a], split.minus_basis[b])
 
 
-def in_minus_sym(datum, split, phi):
+def in_minus_sym(split, phi):
     """Exact membership test for the symmetric square of the trace-zero space.
 
-    In coordinates adapted to (alpha, minus basis) the tensor must have a
-    vanishing alpha row and column.
+    A symmetric array Phi lies in that square exactly when its image lies in
+    the kernel of tau, that is when Phi . tau = 0.  In coordinates adapted
+    to (alpha, minus basis) this is a vanishing alpha row and column.
     """
-    field = datum.field
-    g = datum.genus
-    C = Matrix(field, [[split.alpha_coords[i]] + [split.minus_basis[a][i]
-                                                  for a in range(g - 1)]
-                       for i in range(g)])
-    Cinv = _inverse(C)
-    adapted = phi.transform(Cinv)
-    return all(adapted.coeffs[0][j].is_zero() for j in range(g)), adapted
-
-
-def _inverse(M):
-    n = M.nrows
-    aug = Matrix(M.field, [list(M.rows[i]) +
-                           list(Matrix.identity(M.field, n).rows[i])
-                           for i in range(n)])
-    red, pivots = aug.rref()
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return Matrix(M.field, [row[n:] for row in red.rows])
+    image = Matrix(phi.field, phi.coeffs).mul_vec(list(split.tau))
+    return all(x.is_zero() for x in image)
 
 
 def codifferential(datum, split, phi, check_minus=True):
@@ -90,28 +74,18 @@ def codifferential(datum, split, phi, check_minus=True):
     internally, e.g. for the residue-only map on all quadratic
     differentials) is obtained with check_minus=False.
     """
-    if check_minus:
-        ok, _ = in_minus_sym(datum, split, phi)
-        if not ok:
-            raise NotInMinusSpace(
-                "tensor has a component along the pullback form")
-    data = multiply(datum, phi)
-    gammas = []
-    for c, s in zip(datum.charts, data.charts):
-        quotient = s / c.alpha_pullback
-        gammas.append(quotient.residue())
-    gamma_s = datum.field.zero()
-    for v in data.fiber:
-        gamma_s = gamma_s + v
-    return Covector(tuple(gammas), gamma_s)
+    if check_minus and not in_minus_sym(split, phi):
+        raise NotInMinusSpace(
+            "tensor has a component along the pullback form")
+    table = datum.multiplication_table
+    lex = phi.lex_coords()
+    return Covector(tuple(table.residues.mul_vec(lex)),
+                    table.fiber_sum.mul_vec(lex)[0])
 
 
 def nu(datum, split, beta):
     """The fiber sum: the s-slot of the covector, defined for any tensor."""
-    acc = datum.field.zero()
-    for v in multiply(datum, beta).fiber:
-        acc = acc + v
-    return acc
+    return datum.multiplication_table.fiber_sum.mul_vec(beta.lex_coords())[0]
 
 
 @dataclass(frozen=True)

@@ -461,9 +461,6 @@ class Matrix:
         z = field.zero()
         return cls(field, [[z] * ncols for _ in range(nrows)])
 
-    def copy(self):
-        return Matrix(self.field, [list(r) for r in self.rows])
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)])
@@ -535,6 +532,16 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
+    def inverse(self):
+        """Exact inverse of a square matrix, by rref of [M | I]."""
+        n = self.nrows
+        ident = Matrix.identity(self.field, n)
+        red, pivots = Matrix(self.field, [list(r) + i for r, i in
+                                          zip(self.rows, ident.rows)]).rref()
+        if pivots != list(range(n)):
+            raise ValueError("matrix not invertible")
+        return Matrix(self.field, [row[n:] for row in red.rows])
+
     def kernel_basis(self):
         """Basis of the right kernel, reduced column echelon convention.
 
@@ -578,19 +585,3 @@ class Matrix:
         return "Matrix([" + ",\n        ".join(
             "[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
 
-
-def vector_is_zero(vec):
-    return all(x.is_zero() for x in vec)
-
-
-def field_arithmetic(a, b, op):
-    """Dispatch basic field operations by name; inv/neg ignore ``b``."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")

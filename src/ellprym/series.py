@@ -345,17 +345,6 @@ def _pow(s, n):
     return out
 
 
-def series_arith(a, b, op):
-    """Dispatch basic series arithmetic by name."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def newton_solve(coeffs_in_y, seed, target_prec):
     """Series solution of F(z, y) = 0 by Newton iteration.
 

@@ -71,6 +71,20 @@ def test_analyze_corrupt_datum(tmp_path, capsys):
     assert "riemann_hurwitz" in capsys.readouterr().err
 
 
+def test_analyze_fiber_row_not_a_list_exits_2(tmp_path, capsys):
+    spec_path = _write_spec(tmp_path / "spec.json",
+                            spec_to_json(pirola_spec(precision=10)))
+    datum_path = tmp_path / "datum.json"
+    assert main(["build", spec_path, "--out", str(datum_path)]) == 0
+    obj = json.loads(datum_path.read_text())
+    obj["fiber"]["ratios"][1] = 5
+    datum_path.write_text(json.dumps(obj))
+    code = main(["analyze", str(datum_path)])
+    assert code == 2
+    assert "SchemaError: /fiber/ratios/1: expected list" in \
+        capsys.readouterr().err
+
+
 def test_analyze_under_truncated_is_precision_error(tmp_path, capsys):
     spec_path = _write_spec(tmp_path / "spec.json",
                             spec_to_json(pirola_spec(precision=3)))

@@ -24,13 +24,12 @@ def _random_unit_substitution(field, rng, prec):
 
 
 def _random_invertible(field, rng, size):
-    from ellprym.prym import _inverse
     while True:
         rows = [[rng.randint(-2, 2) for _ in range(size)]
                 for _ in range(size)]
         M = Matrix(field, rows)
         try:
-            _inverse(M)
+            M.inverse()
             return M
         except ValueError:
             continue

@@ -7,8 +7,7 @@ from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             NonDivisibleValuation, NotAnNthPower,
                             SingularJacobian, ValuationError)
 from ellprym.scalars import FieldSpec
-from ellprym.series import (TruncatedSeries, newton_solve, series_arith,
-                            transform_form)
+from ellprym.series import TruncatedSeries, newton_solve, transform_form
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -19,24 +18,24 @@ def S(start, coeffs, prec=None, field=Q):
 
 
 def test_product_of_binomials():
-    out = series_arith(S(0, [1, 1], 10), S(0, [1, -1], 10), "mul")
+    out = S(0, [1, 1], 10) * S(0, [1, -1], 10)
     assert out == S(0, [1, 0, -1], 10)
 
 
 def test_laurent_quotient():
-    out = series_arith(S(2, [1], 10), S(3, [1], 10), "div")
+    out = S(2, [1], 10) / S(3, [1], 10)
     assert out.valuation == -1
     assert out.coefficient(-1) == Q.one()
 
 
 def test_geometric_series():
-    out = series_arith(S(0, [1], 8), S(0, [1, -1], 8), "div")
+    out = S(0, [1], 8) / S(0, [1, -1], 8)
     assert out == S(0, [1] * 8, 8)
 
 
 def test_division_by_zero_series():
     with pytest.raises(DivisionByZeroSeries):
-        series_arith(S(0, [1], 5), TruncatedSeries.zero(Q, 5), "div")
+        S(0, [1], 5) / TruncatedSeries.zero(Q, 5)
 
 
 def test_precision_propagation_rules():
