@@ -291,10 +291,19 @@ def _expect(obj, key, kind, pointer):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{pointer}/{key}", "missing required member")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is a subclass of int, but true is not a genus
+    if kind is not None and (not isinstance(val, kind) or
+                             kind is int and isinstance(val, bool)):
         raise SchemaError(f"{pointer}/{key}",
                           f"expected {getattr(kind, '__name__', kind)}")
     return val
+
+
+def _expect_strings(obj, key, count, pointer):
+    vals = _expect(obj, key, list, pointer)
+    if len(vals) != count or not all(isinstance(v, str) for v in vals):
+        raise SchemaError(f"{pointer}/{key}", f"expected {count} strings")
+    return tuple(vals)
 
 
 def _parse_scalar(field, text, pointer):
@@ -347,9 +356,10 @@ def datum_from_json(obj):
         raise SchemaError("/field/cyclotomic_order", str(exc)) from None
     genus = _expect(obj, "genus", int, "")
     degree = _expect(obj, "degree", int, "")
-    names = tuple(_expect(obj, "basis_names", list, ""))
+    names = _expect_strings(obj, "basis_names", genus, "")
     hint = obj.get("alpha_index_hint")
-    if hint is not None and not isinstance(hint, int):
+    if hint is not None and (not isinstance(hint, int) or
+                             isinstance(hint, bool)):
         raise SchemaError("/alpha_index_hint", "expected int or null")
     charts_raw = _expect(obj, "charts", list, "")
     charts = []
@@ -364,7 +374,7 @@ def datum_from_json(obj):
                       for i, s in enumerate(forms_raw))
         charts.append(RamificationChart(label, index, alpha, forms))
     fobj2 = _expect(obj, "fiber", dict, "")
-    labels = tuple(_expect(fobj2, "labels", list, "/fiber"))
+    labels = _expect_strings(fobj2, "labels", degree, "/fiber")
     ratios_raw = _expect(fobj2, "ratios", list, "/fiber")
     for k, row in enumerate(ratios_raw):
         if not isinstance(row, list):

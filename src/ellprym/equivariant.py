@@ -300,8 +300,8 @@ def run_battery(datum, action, split, quadrics, kernel_report,
     if quadrics.dimension == 1:
         G = quadrics.basis[0]
         gram = Matrix(field, G.coeffs)
-        rank = gram.rank()
         vertex = gram.kernel_basis()
+        rank = gram.ncols - len(vertex)
         off_curve = True
         if len(vertex) == 1:
             for pt in _known_point_functionals(datum):
@@ -316,9 +316,10 @@ def run_battery(datum, action, split, quadrics, kernel_report,
         adapted = G.transform(frame.change_inv)
         block = Matrix(field, [[adapted.coeffs[i][j] for j in range(1, g)]
                                for i in range(1, g)])
+        block_rank = block.rank()
         checks.append(BatteryCheck(
-            "hyperplane_restriction_rank_one", block.rank() == 1,
-            f"restricted gram rank {block.rank()} "
+            "hyperplane_restriction_rank_one", block_rank == 1,
+            f"restricted gram rank {block_rank} "
             "(double line: tangent hyperplane, collinear ramification)"))
     else:
         checks.append(BatteryCheck(
@@ -330,15 +331,15 @@ def run_battery(datum, action, split, quadrics, kernel_report,
     minus_eigen = sym_dec.minus
     kernel_rows = [list(v) for v in kernel_report.basis_minus_coords]
     eigen_rows = [list(v) for v in minus_eigen.bases[1] + minus_eigen.bases[2]]
-    joint = Matrix(field, kernel_rows + eigen_rows)
+    joint_rank = Matrix(field, kernel_rows + eigen_rows).rank()
     same_space = (len(kernel_rows) == 4 and len(eigen_rows) == 4 and
                   Matrix(field, kernel_rows).rank() == 4 and
                   Matrix(field, eigen_rows).rank() == 4 and
-                  joint.rank() == 4)
+                  joint_rank == 4)
     checks.append(BatteryCheck(
         "kernel_is_nontrivial_character_part", same_space,
         f"kernel dim {len(kernel_rows)}, eigen dims "
-        f"{minus_eigen.dims[1]}+{minus_eigen.dims[2]}, joint rank {joint.rank()}"))
+        f"{minus_eigen.dims[1]}+{minus_eigen.dims[2]}, joint rank {joint_rank}"))
 
     # (6) fiber sums vanish identically on the kernel (finite certificate)
     vanish = all(x.is_zero() for x in criterion_report.nu_on_basis) and \

@@ -133,7 +133,7 @@ def kernel_E(datum, split):
     gam = cmat.gamma_matrix(datum.field)
     # kernel of the map tensor -> covector: vectors in row-index space
     kernel = gam.transpose().kernel_basis()
-    rank = gam.rank()
+    rank = gam.nrows - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
     if len(kernel) != expected:
         raise IdentityViolated(

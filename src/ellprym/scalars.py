@@ -16,6 +16,12 @@ from .errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 
+# Longest numerator or denominator, in decimal digits, that a scalar string
+# may denote; longer ones are refused before they are built.  It stays below
+# Python's 4300-digit limit on int <-> str conversion, so every accepted
+# scalar can be written back out.
+MAX_COEFFICIENT_DIGITS = 4000
+
 
 # ---------------------------------------------------------------------------
 # rational polynomial helpers (dense, low-to-high coefficient lists)
@@ -409,6 +415,10 @@ class Scalar:
                 coef_part, z_part = term, ""
             coef_part = coef_part.strip()
             z_part = z_part.strip()
+            if _digit_bound(coef_part) > MAX_COEFFICIENT_DIGITS:
+                raise ParseError(
+                    coef_part, f"coefficient longer than "
+                    f"{MAX_COEFFICIENT_DIGITS} digits")
             try:
                 coef = Fraction(coef_part)
             except (ValueError, ZeroDivisionError):
@@ -433,6 +443,24 @@ class Scalar:
 
     def __repr__(self):
         return self.to_string()
+
+
+def _digit_bound(text):
+    """Upper bound on the digits of the numerator and of the denominator that
+    Fraction(text) would build, read from the text alone: "m.de<x>" denotes
+    md * 10^(x - len(d)), and "a/b" has at most as many digits as it shows."""
+    if "/" in text:
+        return max(sum(ch.isdigit() for ch in part)
+                   for part in text.split("/"))
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    if not exponent:
+        return digits
+    try:
+        shift = int(exponent) - len(mantissa.partition(".")[2])
+    except ValueError:
+        return digits   # not a number; Fraction refuses it
+    return digits + abs(shift)
 
 
 # ---------------------------------------------------------------------------

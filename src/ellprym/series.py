@@ -10,9 +10,19 @@ certified windows.
 Representation: ``coeffs[0]`` is the coefficient at exponent ``valuation``
 and is nonzero unless the series is the tracked-precision zero series, in
 which case ``coeffs`` is empty and ``valuation == prec``.
+
+Algorithms: composition is Brent-Kung baby-step/giant-step (Brent & Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978);
+reversion, n-th roots and ``newton_solve`` are Newton iterations whose rounds
+work only at the precision they make correct, plus one guard coefficient.
+Result windows are fixed by the inputs' windows alone, never by the
+evaluation scheme.  Reversions, roots and Newton solutions are checked
+exactly at their full window before they are returned.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
                      NonDivisibleValuation, NotAnNthPower, SingularJacobian,
@@ -207,7 +217,16 @@ class TruncatedSeries:
         return self.coefficient(-1)
 
     def compose(self, inner):
-        """self(inner) for an inner series with valuation >= 1."""
+        """self(inner) for an inner series with valuation >= 1.
+
+        The nonnegative part z^lo * q(z) is evaluated as q(inner) by Brent-Kung
+        baby-step/giant-step: about 2*sqrt(m) series products for the m terms
+        of q that reach the window, where Horner needs m.  It is then
+        multiplied by inner^lo; negative powers go through the reciprocal of
+        inner.  The result window is min(vg * self.prec,
+        inner.prec + (self.valuation - 1) * vg) for vg = inner.valuation,
+        the same as for a term-by-term Horner evaluation.
+        """
         self._check_field(inner)
         if inner.is_zero() or inner.valuation < 1:
             raise ValuationError("composition requires inner valuation >= 1")
@@ -217,21 +236,20 @@ class TruncatedSeries:
         prec = min(vg * self.prec, inner.prec + (self.valuation - 1) * vg)
         work = prec - min(0, self.valuation - 1) * vg + 1
         zero = TruncatedSeries.zero(self.field, work)
-        inner_w = inner
-        acc = zero
-        # nonnegative powers by Horner from the top
-        for e in range(self.prec - 1, max(self.valuation, 0) - 1, -1):
-            acc = acc * inner_w
-            c = self.coefficient(e)
-            if not c.is_zero():
-                acc = acc.add_constant(c)
-        if self.valuation > 0:
-            for _ in range(self.valuation):
-                acc = acc * inner_w
-        result = acc
+        # only the terms with e*vg < prec reach the window, and q(inner) is
+        # needed below z^(prec - lo*vg)
+        lo = max(self.valuation, 0)
+        q = self.coefficients_in(lo, min(self.prec, -(-prec // vg)))
+        if q:
+            width = prec - lo * vg
+            result = _baby_giant(q, inner.truncate(width), width)
+            for _ in range(lo):
+                result = result * inner
+        else:
+            result = zero
         # negative powers via the reciprocal of inner
         if self.valuation < 0:
-            inv = inner_w.inverse()
+            inv = inner.inverse()
             power = inv
             neg = zero
             for e in range(-1, self.valuation - 1, -1):
@@ -261,12 +279,14 @@ class TruncatedSeries:
         rel = self.relative_precision()
         v = self.valuation // n
         unit = self.shift(-self.valuation).scale(self.coeffs[0].inverse())
-        # Newton iteration for u with u^n = unit, u(0) = 1
-        u = TruncatedSeries(self.field, 0, [self.field.one()], rel)
+        # Newton iteration for u with u^n = unit, u(0) = 1; each round works
+        # one coefficient past the ones it makes correct
+        u = TruncatedSeries(self.field, 0, [self.field.one()], 1)
         known = 1
         n_scalar = self.field.scalar(n)
         while known < rel:
             known = min(2 * known, rel)
+            u = _rewindow(u, min(known + 1, rel))
             power = _pow(u, n - 1)
             f = power * u - unit
             u = u - f / (power.scale(n_scalar))
@@ -278,20 +298,32 @@ class TruncatedSeries:
         return root.truncate(v + rel)
 
     def reversion(self):
-        """Compositional inverse g with self(g) = z, for valuation exactly 1."""
+        """Compositional inverse g with self(g) = z, for valuation exactly 1.
+
+        Newton iteration g <- g - (self(g) - z) / self'(g) on a top-down
+        precision schedule: the target t = self.prec, then ceil(t/2), ...
+        down to 2, run upwards.  Each round at most doubles the correct window
+        of the one before, composes only the part of self that reaches it, and
+        the last round lands on t exactly.  The result window is self.prec,
+        and self(g) = z is checked at full width before g is returned.
+        """
         if self.valuation != 1:
             raise ValuationError(
                 f"reversion requires valuation 1, got {self.valuation}")
         rel = self.relative_precision()
         ident = TruncatedSeries.identity(self.field, rel + 1)
         g = ident.scale(self.coeffs[0].inverse()).truncate(2)
-        known = 2
-        while known < rel + 1:
-            known = min(2 * known, rel + 1)
+        schedule = [rel + 1]
+        while schedule[-1] > 2:
+            schedule.append(-(-schedule[-1] // 2))
+        deriv = self.derivative()
+        schedule.reverse()
+        for good, known in zip(schedule, schedule[1:]):
+            # g is correct below z^good, so err = O(z^good) and the quotient
+            # err / self'(g) needs self'(g) below z^(known - good) only
             g = TruncatedSeries(self.field, g.valuation, g.coeffs, known)
-            err = self.truncate(min(self.prec, known)).compose(g) - \
-                ident.truncate(known)
-            dg = self.derivative().compose(g)
+            err = self.truncate(known).compose(g) - ident.truncate(known)
+            dg = deriv.truncate(known - good).compose(g)
             g = (g - err / dg).truncate(known)
         g = g.truncate(rel + 1 if rel + 1 <= g.prec else g.prec)
         check = self.compose(g)
@@ -335,6 +367,41 @@ class TruncatedSeries:
         return " + ".join(terms) + f" + O(z^{self.prec})"
 
 
+def _baby_giant(coeffs, inner, width):
+    """sum coeffs[e] * inner^e below z^width, for inner of valuation >= 1.
+
+    Brent-Kung: with k = ceil(sqrt(m)), form the baby powers inner^0..inner^(k-1),
+    take each block of k coefficients as a linear combination of them, and
+    combine the blocks by Horner in inner^k.
+    """
+    field = inner.field
+    k = math.isqrt(len(coeffs) - 1) + 1
+    powers = [TruncatedSeries(field, 0, [field.one()], width)]
+    while len(powers) < min(k, len(coeffs)):
+        powers.append((powers[-1] * inner).truncate(width))
+    blocks = []
+    for start in range(0, len(coeffs), k):
+        block = TruncatedSeries.zero(field, width)
+        for c, p in zip(coeffs[start:start + k], powers):
+            if not c.is_zero():
+                block = block + p.scale(c)
+        blocks.append(block)
+    acc = blocks.pop()
+    if blocks:
+        giant = (powers[-1] * inner).truncate(width)
+        while blocks:
+            acc = (acc * giant).truncate(width) + blocks.pop()
+    return acc
+
+
+def _rewindow(s, prec):
+    """s cut to the window prec, or extended to it with zero coefficients."""
+    if prec <= s.prec:
+        return s.truncate(prec)
+    return TruncatedSeries(s.field, s.valuation if s.coeffs else prec,
+                           s.coeffs, prec)
+
+
 def _pow(s, n):
     if n == 0:
         return TruncatedSeries(s.field, 0, [s.field.one()],
@@ -356,12 +423,7 @@ def newton_solve(coeffs_in_y, seed, target_prec):
     field = seed.field
     work = target_prec + 1
 
-    def lift(s, prec):
-        return TruncatedSeries(s.field, s.valuation if s.coeffs else prec,
-                               s.coeffs, prec)
-
-    cs = [lift(c, max(c.prec, work)) if c.prec < work else c
-          for c in coeffs_in_y]
+    cs = [_rewindow(c, work) if c.prec < work else c for c in coeffs_in_y]
 
     def f_at(y):
         acc = TruncatedSeries.zero(field, y.prec + max(0, y.valuation) + 1)
@@ -382,12 +444,14 @@ def newton_solve(coeffs_in_y, seed, target_prec):
         raise SingularJacobian(
             "dF/dy at the seed is not a unit; Newton cannot start")
 
-    y = lift(seed, work)
+    y = _rewindow(seed, work)
     known = max(1, seed.prec - seed.valuation)
+    # each round works one coefficient past the ones it makes correct
     while known < target_prec:
         known = min(2 * known, target_prec)
+        y = _rewindow(y, known + 1)
         correction = f_at(y) / fprime_at(y)
-        y = (y - correction).truncate(work)
+        y = (y - correction).truncate(known + 1)
     y = y.truncate(target_prec)
     if not f_at(y).truncate(target_prec).is_zero():
         raise AssertionError("Newton result fails the equation to target precision")

@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
@@ -65,6 +68,7 @@ def test_analyze_corrupt_datum(tmp_path, capsys):
     assert main(["build", spec_path, "--out", str(datum_path)]) == 0
     obj = json.loads(datum_path.read_text())
     obj["genus"] = 5   # breaks Riemann-Hurwitz
+    obj["basis_names"].append("eta5")   # one name per basis form
     datum_path.write_text(json.dumps(obj))
     code = main(["analyze", str(datum_path)])
     assert code == 2
@@ -156,3 +160,69 @@ def test_demo_json_battery(tmp_path):
     report = json.loads(out.read_text())
     battery = report["equivariant"]["battery"]
     assert battery["ok"] and len(battery["checks"]) == 7
+
+
+@pytest.fixture(scope="module")
+def pirola_datum_obj(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pirola")
+    spec_path = _write_spec(tmp / "spec.json",
+                            spec_to_json(pirola_spec(precision=10)))
+    datum_path = tmp / "datum.json"
+    assert main(["build", spec_path, "--out", str(datum_path)]) == 0
+    return json.loads(datum_path.read_text())
+
+
+def _analyze_edited(tmp_path, obj, edit):
+    obj = copy.deepcopy(obj)
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return main(["analyze", str(path)])
+
+
+def test_analyze_oversized_scalar_exits_2(tmp_path, capsys, pirola_datum_obj):
+    def edit(obj):
+        obj["fiber"]["ratios"][1][0] = "1e999999"
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError: /fiber/ratios/1/0" in err
+    assert "longer than 4000 digits" in err
+
+
+@pytest.mark.parametrize("path", [
+    ("genus",), ("degree",), ("field", "cyclotomic_order"),
+    ("charts", 0, "index"), ("charts", 0, "alpha_pullback", "valuation"),
+    ("charts", 0, "forms", 1, "prec")])
+def test_analyze_bool_for_int_exits_2(tmp_path, capsys, pirola_datum_obj,
+                                      path):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = True
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    pointer = "/" + "/".join(str(k) for k in path)
+    assert f"SchemaError: {pointer}: expected int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [["x"], ["x", "y", "z", 4]],
+                         ids=["short", "not-str"])
+def test_analyze_basis_names_not_genus_strings_exits_2(tmp_path, capsys,
+                                                       pirola_datum_obj,
+                                                       names):
+    def edit(obj):
+        obj["basis_names"] = names
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert "SchemaError: /basis_names: expected 4 strings" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [["P0", "P1"], ["P0", "P1", 2]],
+                         ids=["short", "not-str"])
+def test_analyze_fiber_labels_not_degree_strings_exits_2(tmp_path, capsys,
+                                                         pirola_datum_obj,
+                                                         labels):
+    def edit(obj):
+        obj["fiber"]["labels"] = labels
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert "SchemaError: /fiber/labels: expected 3 strings" in \
+        capsys.readouterr().err

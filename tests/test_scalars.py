@@ -165,3 +165,16 @@ def test_rank_nullity_randomized():
         assert M.rank() + len(kernel) == cols
         for v in kernel:
             assert all(x.is_zero() for x in M.mul_vec(v))
+
+
+def test_from_string_refuses_oversized_coefficients():
+    # refused from the text: 10^99999999 is never built
+    for text in ("1e999999", "1e99999999", "1e-4001", "7" * 4001,
+                 "1/" + "3" * 4001, "2.5e4000"):
+        with pytest.raises(ParseError, match="longer than 4000 digits"):
+            Scalar.from_string(FieldSpec(1), text)
+    with pytest.raises(ParseError):
+        Scalar.from_string(FieldSpec(3), "1 + 1e5000*z")
+    for text in ("1e3999", "9" * 4000, "1/" + "3" * 4000, "2.5e3998"):
+        s = Scalar.from_string(FieldSpec(1), text)
+        assert Scalar.from_string(FieldSpec(1), s.to_string()) == s

@@ -6,7 +6,7 @@ import pytest
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             NonDivisibleValuation, NotAnNthPower,
                             SingularJacobian, ValuationError)
-from ellprym.scalars import FieldSpec
+from ellprym.scalars import FieldSpec, Scalar
 from ellprym.series import TruncatedSeries, newton_solve, transform_form
 
 Q = FieldSpec(1)
@@ -212,3 +212,155 @@ def test_series_json_round_trip():
     f = TruncatedSeries.from_coefficients(
         Q3, -2, [Q3.zeta(), Q3.one(), Q3.scalar(F(5, 7))], 4)
     assert TruncatedSeries.from_json(Q3, f.to_json()) == f
+
+
+# -- oracles for compose, reversion and newton_solve ------------------------------
+
+def horner_compose(outer, inner):
+    """Reference: outer(inner) by Horner over the whole outer window."""
+    vg = inner.valuation
+    prec = min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg)
+    work = prec - min(0, outer.valuation - 1) * vg + 1
+    acc = zero = TruncatedSeries.zero(outer.field, work)
+    for e in range(outer.prec - 1, max(outer.valuation, 0) - 1, -1):
+        acc = acc * inner
+        if not outer.coefficient(e).is_zero():
+            acc = acc.add_constant(outer.coefficient(e))
+    for _ in range(max(outer.valuation, 0)):
+        acc = acc * inner
+    if outer.valuation < 0:
+        inv = power = inner.inverse()
+        neg = zero
+        for e in range(-1, outer.valuation - 1, -1):
+            if not outer.coefficient(e).is_zero():
+                neg = neg + power.scale(outer.coefficient(e))
+            power = power * inv
+        acc = acc + neg
+    return acc.truncate(min(prec, acc.prec))
+
+
+def random_scalar(rng, field, sparse=0.0):
+    if rng.random() < sparse:
+        return field.zero()
+    return Scalar(field, [F(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(field.degree)])
+
+
+def random_series(rng, field, valuation, length, prec, sparse=0.0):
+    lead = random_scalar(rng, field)
+    while lead.is_zero():
+        lead = random_scalar(rng, field)
+    rest = [random_scalar(rng, field, sparse) for _ in range(length - 1)]
+    return TruncatedSeries(field, valuation, [lead] + rest, prec)
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_compose_matches_horner_reference(field):
+    rng = random.Random(20261018 + field.degree)
+    for v_outer in (-3, -1, 0, 1, 3):
+        for v_inner in (1, 2):
+            for _ in range(4):
+                n_out = rng.randint(1, 12)
+                outer = random_series(rng, field, v_outer, n_out,
+                                      v_outer + n_out + rng.randint(0, 3),
+                                      sparse=0.3)
+                n_in = rng.randint(1, 10)
+                inner = random_series(rng, field, v_inner, n_in,
+                                      v_inner + n_in + rng.randint(0, 3),
+                                      sparse=0.3)
+                expect = horner_compose(outer, inner)
+                got = outer.compose(inner)
+                assert got == expect, (outer, inner)
+                assert got.prec == expect.prec
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_compose_monomial_inner_matches_reference(field):
+    """The chart moves of a cyclic action substitute u -> zeta*u."""
+    rng = random.Random(7)
+    rho = TruncatedSeries.monomial(field, 1, field.zeta(), 20)
+    for v_outer in (-2, 0, 2):
+        outer = random_series(rng, field, v_outer, 15, v_outer + 15)
+        got = outer.compose(rho)
+        assert got == horner_compose(outer, rho)
+        power = field.one()
+        for e in range(0, got.prec):
+            assert got.coefficient(e) == outer.coefficient(e) * power
+            power = power * field.zeta()
+
+
+def test_compose_zero_and_short_outer_match_reference():
+    inner = S(1, [2, 1, 1], 6)
+    for outer in (TruncatedSeries.zero(Q, 4), TruncatedSeries.zero(Q, 0),
+                  S(0, [5], 1), S(-2, [1], 1), S(-2, [1, 0], 0),
+                  S(2, [1, 0, 0, 0], 30)):
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+def _assert_agrees_on(narrow, wide):
+    assert wide.prec >= narrow.prec
+    assert wide.truncate(narrow.prec) == narrow
+
+
+def test_compose_window_sound():
+    rng = random.Random(31)
+    for v_outer in (-2, 0, 1):
+        outer = random_series(rng, Q3, v_outer, 14, v_outer + 14)
+        inner = random_series(rng, Q3, 1, 14, 15)
+        wide = outer.compose(inner)
+        for cut_out, cut_in in ((v_outer + 4, 15), (v_outer + 14, 5),
+                                (v_outer + 7, 9)):
+            narrow = outer.truncate(cut_out).compose(inner.truncate(cut_in))
+            _assert_agrees_on(narrow, wide)
+
+
+def test_reversion_window_sound():
+    rng = random.Random(32)
+    for field in (Q, Q3):
+        f = random_series(rng, field, 1, 20, 21)
+        wide = f.reversion()
+        assert wide.prec == 21
+        for cut in (2, 3, 5, 8, 13):
+            narrow = f.truncate(cut).reversion()
+            assert narrow.prec == cut
+            _assert_agrees_on(narrow, wide)
+
+
+def test_newton_window_sound():
+    """y^3 - y - u(z) = 0 near y = 1, u(0) = 0 (dF/dy = 2 at the seed)."""
+    rng = random.Random(33)
+    big = 30
+    u = random_series(rng, Q, 1, 20, big)
+    coeffs = [-u, S(0, [-1], big),
+              TruncatedSeries.zero(Q, big), S(0, [1], big)]
+    wide = newton_solve(coeffs, S(0, [1], 1), 24)
+    assert wide.prec == 24
+    for target in (1, 2, 3, 7, 12, 17):
+        narrow = newton_solve([c.truncate(target + 1) for c in coeffs],
+                              S(0, [1], 1), target)
+        assert narrow.prec == target
+        _assert_agrees_on(narrow, wide)
+
+
+def test_compose_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def poly(s):
+        return sympy.Poly(sum(
+            (sympy.Rational(c.rational_value().numerator,
+                            c.rational_value().denominator) *
+             z ** (s.valuation + k) for k, c in enumerate(s.coeffs)),
+            sympy.Integer(0)), z)
+
+    rng = random.Random(34)
+    for v_outer in (0, 1, 2):
+        for v_inner in (1, 2):
+            outer = random_series(rng, Q, v_outer, 9, v_outer + 9, sparse=0.2)
+            inner = random_series(rng, Q, v_inner, 7, v_inner + 7, sparse=0.2)
+            got = outer.compose(inner)
+            exact = poly(outer).compose(poly(inner))
+            for e in range(got.prec):
+                want = exact.coeff_monomial(z ** e)
+                assert got.coefficient(e).rational_value() == \
+                    F(int(want.p), int(want.q))
