@@ -23,69 +23,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .covering import (CoveringDatum, FiberChart, RamificationChart,
-                       require_valid)
+                       _expect, _optional, _parse_scalar, require_valid)
 from .equivariant import CyclicAction
-from .errors import (BuilderError, DivisionByZero, FieldTooSmall,
-                     InputError, NotAnNthPower, PointOutsideField,
-                     PrecisionUnreachable, SchemaError, UnsupportedOrder,
-                     UnsupportedRamification)
-from .scalars import FieldSpec, Matrix, Scalar
+from .errors import (BuilderError, DimensionMismatch, DivisionByZero,
+                     FieldError, FieldTooSmall, InputError, NotAnNthPower,
+                     PointOutsideField, PrecisionUnreachable, SchemaError,
+                     UnsupportedOrder, UnsupportedRamification)
+from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
+                      psub, ptrim, rational_nth_root)
 from .series import TruncatedSeries, newton_solve
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 
 
 # ---------------------------------------------------------------------------
-# polynomials over the scalar field (dense, low-to-high)
+# polynomial helpers the scalar layer does not provide
 # ---------------------------------------------------------------------------
-
-def _ptrim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _pzero(poly):
-    return not _ptrim(poly)
-
-
-def _padd(f, a, b):
-    out = [f.zero()] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pmul(f, a, b):
-    if _pzero(a) or _pzero(b):
-        return []
-    out = [f.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return _ptrim(out)
-
-
-def _pscale(a, s):
-    return [c * s for c in a]
-
-
-def _peval(f, poly, value):
-    acc = f.zero()
-    for c in reversed(poly):
-        acc = acc * value + c
-    return acc
-
 
 def _peval_series(f, poly, series):
     acc = TruncatedSeries.zero(f, series.prec + abs(series.valuation) + 1)
@@ -96,52 +53,34 @@ def _peval_series(f, poly, series):
     return acc
 
 
-def _pdiv_linear(f, poly, root):
-    """Synthetic division by (x - root); returns (quotient, remainder)."""
-    quot = []
-    acc = f.zero()
-    for c in reversed(poly):
-        quot.append(acc)
-        acc = acc * root + c
-    quot = list(reversed(quot))[:-1]  # drop the seeding zero above the lead
-    return _ptrim(quot), acc
-
-
 def _rational_roots(poly):
-    """All rational roots (with multiplicity) of a rational-coefficient polynomial."""
-    coeffs = [c.rational_value() for c in poly]
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
+    """All rational roots, with multiplicity, of a polynomial over Q.
+
+    Candidates p/q follow the rational root theorem on the coefficients with
+    denominators cleared: p runs over the divisors of the constant term, q
+    over those of the leading coefficient, +p/q before -p/q.
+    """
+    work = ptrim([c.rational_value() for c in poly])
     roots = []
-    # factor out x^m
-    m = 0
-    while ints[m] == 0:
-        m += 1
-    if m:
-        roots.extend([Fraction(0)] * m)
-        ints = ints[m:]
-    if len(ints) <= 1:
+    while work and not work[0]:     # factor out x^m
+        roots.append(Fraction(0))
+        work.pop(0)
+    if len(work) <= 1:
         return roots
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
+    den = lcm(*(c.denominator for c in work))
+    ps, qs = (_divisors(abs(int(c * den))) for c in (work[0], work[-1]))
+    for p in ps:
+        for q in qs:
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                while _eval_int_poly(ints, cand) == 0:
+                while not peval(work, cand):
                     roots.append(cand)
-                    ints = _deflate(ints, cand)
-                    if len(ints) <= 1:
+                    work = pdivmod(work, [-cand, Fraction(1)])[0]
+                    if len(work) <= 1:
                         return roots
     return roots
 
 
 def _divisors(n):
-    if n == 0:
-        return [1]
     out = set()
     d = 1
     while d * d <= n:
@@ -150,27 +89,6 @@ def _divisors(n):
             out.add(n // d)
         d += 1
     return sorted(out)
-
-
-def _eval_int_poly(ints, x):
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(ints, root):
-    fracs = [Fraction(c) for c in ints]
-    quot = []
-    acc = Fraction(0)
-    for c in reversed(fracs):
-        quot.append(acc)
-        acc = acc * root + c
-    quot = list(reversed(quot))[:-1]
-    den = 1
-    for c in quot:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in quot]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +139,7 @@ class EllipticCurve:
     def contains(self, pt):
         if pt is INFINITY:
             return True
-        return pt.y * pt.y == _peval(self.field, self.rhs(), pt.x)
+        return pt.y * pt.y == peval(self.rhs(), pt.x)
 
     def is_two_torsion(self, pt):
         return pt is not INFINITY and pt.y.is_zero()
@@ -244,9 +162,9 @@ class CurveFunction:
     @classmethod
     def make(cls, curve, P, Q=(), den=None):
         f = curve.field
-        P = tuple(_ptrim([f.scalar(c) for c in P]))
-        Q = tuple(_ptrim([f.scalar(c) for c in Q]))
-        den = tuple(_ptrim([f.scalar(c) for c in den])) if den else (f.one(),)
+        P = tuple(ptrim([f.scalar(c) for c in P]))
+        Q = tuple(ptrim([f.scalar(c) for c in Q]))
+        den = tuple(ptrim([f.scalar(c) for c in den])) if den else (f.one(),)
         if not den:
             raise DivisionByZero("zero denominator polynomial")
         return cls(curve, P, Q, den)
@@ -255,11 +173,10 @@ class CurveFunction:
         return not self.P and not self.Q
 
     def evaluate(self, pt):
-        f = self.curve.field
-        d = _peval(f, list(self.den), pt.x)
+        d = peval(self.den, pt.x)
         if d.is_zero():
             raise DivisionByZero(f"denominator vanishes at {pt}")
-        num = _peval(f, list(self.P), pt.x) + pt.y * _peval(f, list(self.Q), pt.x)
+        num = peval(self.P, pt.x) + pt.y * peval(self.Q, pt.x)
         return num / d
 
     def series_from_xy(self, x_series, y_series):
@@ -379,13 +296,12 @@ def divisor_of(curve, fn):
                 del div[place]
 
     # numerator part: norm polynomial P^2 - rhs * Q^2
-    norm = _psub_poly(f, _pmul(f, list(fn.P), list(fn.P)),
-                      _pmul(f, curve.rhs(), _pmul(f, list(fn.Q), list(fn.Q))))
+    norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
     _collect_affine(curve, CurveFunction(curve, fn.P, fn.Q, (f.one(),)),
                     norm, add, outside, sign=+1)
     # denominator part
     if len(fn.den) > 1:
-        den_norm = _pmul(f, list(fn.den), list(fn.den))
+        den_norm = pmul(fn.den, fn.den)
         _collect_affine(curve,
                         CurveFunction(curve, fn.den, (), (f.one(),)),
                         den_norm, add, outside, sign=-1)
@@ -401,45 +317,33 @@ def divisor_of(curve, fn):
     return div
 
 
-def _psub_poly(f, a, b):
-    return _padd(f, a, _pscale(b, f.scalar(-1)))
-
-
 def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
     """Resolve affine divisor points of a polynomial curve function."""
     f = curve.field
-    if _pzero(norm):
+    if not norm:
         raise BuilderError("norm polynomial vanished; function is degenerate")
-    rational = all(c.is_rational() for c in norm)
-    if rational:
-        work = list(norm)
-    else:
+    work = norm
+    if not all(c.is_rational() for c in norm):
         # multiply the Galois conjugates to reach rational coefficients
-        work = list(norm)
         n = f.cyclotomic_order
         for a in range(2, n + 1):
-            if gcd(a, n) == 1 and n > 1:
-                work = _pmul(f, work, [c.galois(a) for c in norm])
+            if gcd(a, n) == 1:
+                work = pmul(work, [c.galois(a) for c in norm])
         if not all(c.is_rational() for c in work):
             raise BuilderError("Galois norm is not rational")
-    roots = {}
-    for r in _rational_roots(work):
-        roots[r] = roots.get(r, 0) + 1
-    leftover_degree = len(_ptrim(list(norm))) - 1
-    for x0, _ in sorted(roots.items()):
+    leftover_degree = len(norm) - 1
+    for x0 in sorted(set(_rational_roots(work))):
         x0s = f.scalar(x0)
-        if not _peval(f, list(norm), x0s).is_zero():
-            continue  # root of a conjugate factor only
-        mult = 0
-        probe = list(norm)
+        mult, probe = 0, norm
         while True:
-            quot, rem = _pdiv_linear(f, probe, x0s)
-            if not rem.is_zero():
+            probe, rem = pdivmod(probe, [-x0s, f.one()])
+            if rem:
                 break
-            probe = quot
             mult += 1
+        if not mult:
+            continue  # root of a conjugate factor only
         leftover_degree -= mult
-        fx = _peval(f, curve.rhs(), x0s)
+        fx = peval(curve.rhs(), x0s)
         if fx.is_zero():
             pt = Point(x0s, f.zero())
             v = valuation_at(numerator_fn, pt, hint=2 * mult + 6)
@@ -462,18 +366,16 @@ def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
             raise BuilderError(
                 f"valuations at x = {x0} inconsistent with norm multiplicity")
     if leftover_degree > 0:
-        tail = _ptrim(list(norm))
         outside.append(
             "unresolved factor of degree "
             f"{leftover_degree} in norm polynomial "
-            f"[{', '.join(c.to_string() for c in tail)}]")
+            f"[{', '.join(c.to_string() for c in norm)}]")
 
 
 def _rational_sqrt_in_field(value):
     """Square root of a rational field element, if rational; else None."""
     if not value.is_rational():
         return None
-    from .scalars import rational_nth_root
     r = rational_nth_root(value.rational_value(), 2)
     return None if r is None else value.field.scalar(r)
 
@@ -499,7 +401,7 @@ def riemann_roch_basis(curve, divisor):
             continue
         line = [-place.x, f.one()]
         for _ in range(mult):
-            clear = _pmul(f, clear, line)
+            clear = pmul(clear, line)
         # subtract div((x - x0)^mult) from the requirement
         conj = place if curve.is_two_torsion(place) else Point(place.x, -place.y)
         if curve.is_two_torsion(place):
@@ -535,14 +437,13 @@ def riemann_roch_basis(curve, divisor):
             if coef.is_zero():
                 continue
             if mono.Q:
-                Q = _padd(f, Q, _pscale(list(mono.Q), coef))
+                Q = padd(Q, [c * coef for c in mono.Q])
             else:
-                P = _padd(f, P, _pscale(list(mono.P), coef))
+                P = padd(P, [c * coef for c in mono.P])
         basis.append(CurveFunction.make(curve, P, Q,
                                         clear if len(clear) > 1 else None))
     expected = deg if deg >= 1 else (1 if not divisor else None)
     if expected is not None and len(basis) != expected:
-        from .errors import DimensionMismatch
         raise DimensionMismatch(
             f"Riemann-Roch space has dimension {len(basis)}, expected {expected}")
     return basis
@@ -767,12 +668,11 @@ def _resolve_base_point(spec, divisor):
         raise InputError("base point must be a Point or the string 'auto'")
     if not (curve.A.is_rational() and curve.B.is_rational()):
         raise InputError("automatic base point search needs rational A, B")
-    from .scalars import rational_nth_root
     candidates = [Fraction(0)]
     for m in range(1, 51):
         candidates.extend([Fraction(m), Fraction(-m)])
     for xq in candidates:
-        fx = _peval(curve.field, curve.rhs(), curve.field.scalar(xq))
+        fx = peval(curve.rhs(), curve.field.scalar(xq))
         y0 = _rational_sqrt_in_field(fx)
         if y0 is None:
             continue
@@ -879,45 +779,35 @@ def spec_to_json(spec):
 def spec_from_json(obj):
     if not isinstance(obj, dict):
         raise SchemaError("", "cover spec must be an object")
-    if "N" not in obj:
-        raise SchemaError("/N", "missing required member")
-    N = obj["N"]
-    if not isinstance(N, int):
-        raise SchemaError("/N", "expected int")
-    forder = obj.get("field", {}).get("cyclotomic_order")
+    N = _expect(obj, "N", int, "")
+    fobj = _optional(obj, "field", dict, "") or {}
+    forder = _optional(fobj, "cyclotomic_order", int, "/field")
     if forder is None:
         forder = N if N > 2 else 1
     try:
         field = FieldSpec(forder)
-    except Exception as exc:
+    except FieldError as exc:
         raise SchemaError("/field/cyclotomic_order", str(exc)) from None
 
-    def scal(text, ptr):
-        try:
-            return field.from_string(text)
-        except Exception as exc:
-            raise SchemaError(ptr, str(exc)) from None
+    def scalar(o, key, ptr):
+        return _parse_scalar(field, _expect(o, key, str, ptr), f"{ptr}/{key}")
 
-    eobj = obj.get("E")
-    if not isinstance(eobj, dict) or "A" not in eobj or "B" not in eobj:
-        raise SchemaError("/E", "expected object with A and B")
-    curve = EllipticCurve(field, scal(eobj["A"], "/E/A"), scal(eobj["B"], "/E/B"))
-    hobj = obj.get("h")
-    if not isinstance(hobj, dict):
-        raise SchemaError("/h", "expected object with P and Q")
-    P = [scal(s, f"/h/P/{i}") for i, s in enumerate(hobj.get("P", []))]
-    Q = [scal(s, f"/h/Q/{i}") for i, s in enumerate(hobj.get("Q", []))]
+    eobj = _expect(obj, "E", dict, "")
+    curve = EllipticCurve(field, scalar(eobj, "A", "/E"),
+                          scalar(eobj, "B", "/E"))
+    hobj = _expect(obj, "h", dict, "")
+    P, Q = ([_parse_scalar(field, s, f"/h/{key}/{i}")
+             for i, s in enumerate(_optional(hobj, key, list, "/h") or [])]
+            for key in ("P", "Q"))
     h = CurveFunction.make(curve, P, Q)
     cobj = obj.get("c", "auto")
     if cobj == "auto":
         c = "auto"
-    elif isinstance(cobj, dict) and "x" in cobj and "y" in cobj:
-        c = curve.point(scal(cobj["x"], "/c/x"), scal(cobj["y"], "/c/y"))
+    elif isinstance(cobj, dict):
+        c = curve.point(scalar(cobj, "x", "/c"), scalar(cobj, "y", "/c"))
     else:
         raise SchemaError("/c", 'expected {"x", "y"} or "auto"')
-    prec = obj.get("precision")
-    if prec is not None and not isinstance(prec, int):
-        raise SchemaError("/precision", "expected int or null")
+    prec = _optional(obj, "precision", int, "")
     return CyclicCoverSpec(curve, h, N, c, prec)
 
 

@@ -93,6 +93,14 @@ def analyze_datum(datum, action=None):
     return report
 
 
+def _write(text, out):
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _dump(report, json_mode, out=None):
     if json_mode:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -100,11 +108,7 @@ def _dump(report, json_mode, out=None):
         lines = []
         _render_text(report, lines)
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _render_text(report, lines, prefix=""):
@@ -120,24 +124,12 @@ def _render_text(report, lines, prefix=""):
 
 
 def cmd_build(args):
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: spec is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec = builder.spec_from_json(obj)
-        if args.precision is not None:
-            spec = builder.CyclicCoverSpec(spec.curve, spec.h, spec.order,
-                                           spec.base_point, args.precision)
-        result = builder.build_cover(spec)
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        spec = builder.spec_from_json(json.load(fh))
+    if args.precision is not None:
+        spec = builder.CyclicCoverSpec(spec.curve, spec.h, spec.order,
+                                       spec.base_point, args.precision)
+    result = builder.build_cover(spec)
     covering.save(result.datum, args.out)
     if args.action_out:
         with open(args.action_out, "w", encoding="utf-8") as fh:
@@ -150,41 +142,19 @@ def cmd_build(args):
 
 
 def cmd_analyze(args):
-    try:
-        datum = covering.load(args.datum)
-        action = None
-        if args.action:
-            with open(args.action, "r", encoding="utf-8") as fh:
-                action = equivariant.CyclicAction.from_json(
-                    datum.field, json.load(fh))
-        report = analyze_datum(datum, action)
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IdentityError as exc:
-        print(f"identity violation: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 3
-    _dump(report, args.json, args.out)
+    datum = covering.load(args.datum)
+    action = None
+    if args.action:
+        with open(args.action, "r", encoding="utf-8") as fh:
+            action = equivariant.CyclicAction.from_json(datum, json.load(fh))
+    _dump(analyze_datum(datum, action), args.json, args.out)
     return 0
 
 
 def cmd_demo(args):
     precision = args.precision if args.precision is not None else 40
-    try:
-        result = builder.build_cover(builder.pirola_spec(precision))
-        datum, action = result.datum, result.action
-        report = analyze_datum(datum, action)
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except IdentityError as exc:
-        print(f"identity violation: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 3
+    result = builder.build_cover(builder.pirola_spec(precision))
+    report = analyze_datum(result.datum, result.action)
     battery = report["equivariant"]["battery"]
     if not battery["ok"]:
         battery["failure_note"] = (
@@ -193,17 +163,18 @@ def cmd_demo(args):
     if args.json:
         _dump(report, True, args.out)
     else:
-        print("degree-3 Galois cover demo "
-              f"(genus 4, window {precision} coefficients/chart)")
-        print(f"base point {result.base_point}, "
-              f"dim Ker (base-fixed codifferential) = "
-              f"{report['kernel_E']['dim_dual']}, "
-              f"h0(quadrics) = {report['quadrics']['h0']}")
-        for check in battery["checks"]:
-            print(f"{'PASS' if check['passed'] else 'FAIL'}  "
-                  f"{check['name']}: {check['detail']}")
+        lines = ["degree-3 Galois cover demo "
+                 f"(genus 4, window {precision} coefficients/chart)",
+                 f"base point {result.base_point}, "
+                 f"dim Ker (base-fixed codifferential) = "
+                 f"{report['kernel_E']['dim_dual']}, "
+                 f"h0(quadrics) = {report['quadrics']['h0']}"]
+        lines += [f"{'PASS' if check['passed'] else 'FAIL'}  "
+                  f"{check['name']}: {check['detail']}"
+                  for check in battery["checks"]]
         if not battery["ok"]:
-            print(f"note: {battery['failure_note']}")
+            lines.append(f"note: {battery['failure_note']}")
+        _write("\n".join(lines) + "\n", args.out)
     return 0 if battery["ok"] else 3
 
 
@@ -248,7 +219,16 @@ def main(argv=None):
     p_demo.set_defaults(func=cmd_demo, json=False)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except IdentityError as exc:
+        print(f"identity violation: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

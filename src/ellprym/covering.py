@@ -299,6 +299,11 @@ def _expect(obj, key, kind, pointer):
     return val
 
 
+def _optional(obj, key, kind, pointer):
+    """Like _expect, but a missing or null member gives None."""
+    return None if obj.get(key) is None else _expect(obj, key, kind, pointer)
+
+
 def _expect_strings(obj, key, count, pointer):
     vals = _expect(obj, key, list, pointer)
     if len(vals) != count or not all(isinstance(v, str) for v in vals):
@@ -357,10 +362,7 @@ def datum_from_json(obj):
     genus = _expect(obj, "genus", int, "")
     degree = _expect(obj, "degree", int, "")
     names = _expect_strings(obj, "basis_names", genus, "")
-    hint = obj.get("alpha_index_hint")
-    if hint is not None and (not isinstance(hint, int) or
-                             isinstance(hint, bool)):
-        raise SchemaError("/alpha_index_hint", "expected int or null")
+    hint = _optional(obj, "alpha_index_hint", int, "")
     charts_raw = _expect(obj, "charts", list, "")
     charts = []
     for j, cobj in enumerate(charts_raw):

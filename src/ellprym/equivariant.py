@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .covering import _expect, _parse_scalar, _parse_series
 from .diffalg import SymSquareElement, lex_pairs
-from .errors import FieldError, IdentityViolated, InputError
+from .errors import FieldError, IdentityViolated, InputError, SchemaError
 from .geometry import canonical_frame, evaluate_at_qminus
 from .scalars import Matrix
 from .series import TruncatedSeries, transform_quadratic
@@ -46,14 +47,40 @@ class CyclicAction:
         }
 
     @classmethod
-    def from_json(cls, field, obj):
-        order = obj["order"]
-        matrix = Matrix(field, [[field.from_string(s) for s in row]
-                                for row in obj["matrix"]])
-        moves = tuple((c["target"], TruncatedSeries.from_json(field, c["reparam"]))
-                      for c in obj["charts"])
-        perm = tuple(obj["fiber_permutation"])
-        return cls(order, matrix, moves, perm)
+    def from_json(cls, datum, obj):
+        """Parse an action, checking its shape against the datum it acts on:
+        a g x g matrix, one move per chart with a target chart index, and a
+        permutation of the fiber."""
+        field, g, n = datum.field, datum.genus, len(datum.charts)
+        order = _expect(obj, "order", int, "")
+        if order < 2:
+            raise SchemaError("/order", "expected int >= 2")
+        rows = _expect(obj, "matrix", list, "")
+        if len(rows) != g or not all(
+                isinstance(row, list) and len(row) == g for row in rows):
+            raise SchemaError("/matrix", f"expected {g} x {g} strings")
+        matrix = Matrix(field, [[_parse_scalar(field, s, f"/matrix/{i}/{j}")
+                                 for j, s in enumerate(row)]
+                                for i, row in enumerate(rows)])
+        charts = _expect(obj, "charts", list, "")
+        if len(charts) != n:
+            raise SchemaError("/charts", f"expected {n} chart moves")
+        moves = []
+        for j, move in enumerate(charts):
+            ptr = f"/charts/{j}"
+            target = _expect(move, "target", int, ptr)
+            if not 0 <= target < n:
+                raise SchemaError(f"{ptr}/target",
+                                  f"expected a chart index below {n}")
+            moves.append((target, _parse_series(
+                field, _expect(move, "reparam", dict, ptr), f"{ptr}/reparam")))
+        perm = _expect(obj, "fiber_permutation", list, "")
+        if not all(type(k) is int for k in perm) or \
+                sorted(perm) != list(range(datum.degree)):
+            raise SchemaError(
+                "/fiber_permutation",
+                f"expected a permutation of 0..{datum.degree - 1}")
+        return cls(order, matrix, tuple(moves), tuple(perm))
 
 
 def validate_action(datum, action):

@@ -3,6 +3,9 @@
 Elements are represented on the power basis 1, z, ..., z^(phi(N)-1) with
 z = zeta_N, reduced modulo the N-th cyclotomic polynomial.  All coefficients
 are arbitrary-precision rationals, so equality is decidable and exact.
+The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are
+the package's only polynomial code: the field uses them over Fraction and
+the builder over Scalar.
 
 The linear algebra is deterministic: Gaussian elimination with the pivot
 always taken as the first nonzero entry in column order.  Magnitude-based
@@ -24,42 +27,67 @@ MAX_COEFFICIENT_DIGITS = 4000
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (dense, low-to-high coefficient lists)
+# polynomial helpers (dense, low-to-high coefficient lists)
+#
+# Coefficients may be of any exact type with + - * / whose elements are
+# falsy exactly when zero, such as Fraction and Scalar.  Zero is taken from
+# the inputs, so no bare int 0 enters a list of Scalars.
 # ---------------------------------------------------------------------------
 
-def _ptrim(p):
-    while p and p[-1] == 0:
+def ptrim(p):
+    """Drop trailing zero coefficients of p in place; returns p."""
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+def padd(a, b):
+    out = list(a)
+    for i, c in enumerate(b):
+        if i < len(out):
+            out[i] = out[i] + c
+        else:
+            out.append(c)
+    return ptrim(out)
+
+
+def psub(a, b):
+    return padd(a, [-c for c in b])
+
+
+def pmul(a, b):
+    if not a or not b:
+        return []
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return _ptrim(out)
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return ptrim(out)
 
 
-def _pdivmod(a, b):
-    """Exact division with remainder of rational polynomials (b monic-safe)."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def peval(p, x):
+    """Value of p at x, by Horner's rule."""
+    acc = x - x
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def pdivmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b; b is trimmed and nonzero."""
+    r = ptrim(list(a))
     lead = b[-1]
-    while len(a) >= len(b) and _ptrim(list(a)):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] -= coef * bi
-        a.pop()
-    return _ptrim(q), _ptrim(a)
+    q = [lead - lead] * (len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        coef = q[shift] = r[-1] / lead
+        for i in range(len(b) - 1):
+            r[shift + i] -= coef * b[i]
+        r.pop()
+        ptrim(r)
+    return q, r
 
 
 def _cyclotomic(n):
@@ -67,33 +95,21 @@ def _cyclotomic(n):
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod(poly, _cyclotomic(d))
+            poly, r = pdivmod(poly, _cyclotomic(d))
             if r:
                 raise AssertionError("cyclotomic recursion produced a remainder")
-            poly = q
     return poly
 
 
 def _pxgcd(a, b):
-    """Extended gcd for rational polynomials: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
+    """Half extended gcd of nonzero trimmed a, b: (g, s) with s*a = g mod b."""
+    r0, r1 = a, b
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _ptrim(list(r1)):
-        q, r = _pdivmod(r0, r1)
+    while r1:
+        q, r = pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    return r0, s0, t0
-
-
-def _psub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
+        s0, s1 = s1, psub(s0, pmul(q, s1))
+    return r0, s0
 
 
 def integer_nth_root(n, k):
@@ -243,7 +259,7 @@ class Scalar:
             shift = i - deg
             for j in range(deg):
                 c[shift + j] -= coef * mod[j]
-        return _ptrim(c[:deg] if len(c) > deg else c)
+        return ptrim(c[:deg] if len(c) > deg else c)
 
     # -- coercion -------------------------------------------------------------
 
@@ -290,15 +306,14 @@ class Scalar:
         if all(y == 0 for y in b[1:]):
             q = b[0]
             return Scalar(self.field, [q * x for x in a])
-        prod = _pmul(list(a), list(b))
-        return Scalar(self.field, self._reduce(self.field, prod))
+        return Scalar(self.field, self._reduce(self.field, pmul(a, b)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        g, s, _ = _pxgcd(_ptrim(list(self.coeffs)), list(self.field.minimal_polynomial))
+        g, s = _pxgcd(ptrim(list(self.coeffs)), self.field.minimal_polynomial)
         if len(g) != 1:
             raise AssertionError("cyclotomic polynomial not coprime to element")
         inv = [c / g[0] for c in s]
@@ -356,10 +371,7 @@ class Scalar:
     def galois(self, a):
         """Image under the Galois automorphism z -> z^a (gcd(a, N) = 1)."""
         za = self.field.zeta() ** (a % max(self.field.cyclotomic_order, 1))
-        out = self.field.zero()
-        for c in reversed(self.coeffs):
-            out = out * za + self.field.scalar(c)
-        return out
+        return peval([self.field.scalar(c) for c in self.coeffs], za)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

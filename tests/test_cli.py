@@ -163,13 +163,20 @@ def test_demo_json_battery(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def pirola_datum_obj(tmp_path_factory):
+def pirola_built(tmp_path_factory):
+    """Paths of a built pirola datum and its deck action."""
     tmp = tmp_path_factory.mktemp("pirola")
     spec_path = _write_spec(tmp / "spec.json",
                             spec_to_json(pirola_spec(precision=10)))
-    datum_path = tmp / "datum.json"
-    assert main(["build", spec_path, "--out", str(datum_path)]) == 0
-    return json.loads(datum_path.read_text())
+    datum_path, action_path = tmp / "datum.json", tmp / "action.json"
+    assert main(["build", spec_path, "--out", str(datum_path),
+                 "--action-out", str(action_path)]) == 0
+    return datum_path, action_path
+
+
+@pytest.fixture(scope="module")
+def pirola_datum_obj(pirola_built):
+    return json.loads(pirola_built[0].read_text())
 
 
 def _analyze_edited(tmp_path, obj, edit):
@@ -226,3 +233,93 @@ def test_analyze_fiber_labels_not_degree_strings_exits_2(tmp_path, capsys,
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
     assert "SchemaError: /fiber/labels: expected 3 strings" in \
         capsys.readouterr().err
+
+
+def test_analyze_action_not_json_exits_2(tmp_path, capsys, pirola_built):
+    action = tmp_path / "action.json"
+    action.write_text("not json")
+    code = main(["analyze", str(pirola_built[0]), "--action", str(action)])
+    assert code == 2
+    assert "error: JSONDecodeError" in capsys.readouterr().err
+
+
+def test_build_spec_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    code = main(["build", str(spec), "--out", str(tmp_path / "d.json")])
+    assert code == 2
+    assert "error: UnicodeDecodeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "build", "demo"])
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, pirola_built,
+                                          command):
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {"analyze": ["analyze", str(pirola_built[0]), "--json"],
+            "build": ["build", _write_spec(tmp_path / "spec.json",
+                                           spec_to_json(pirola_spec(10)))],
+            "demo": ["demo-pirola", "--precision", "12", "--json"]}[command]
+    assert main(argv + ["--out", out]) == 2
+    assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
+def test_demo_text_out_writes_file(tmp_path, capsys):
+    out = tmp_path / "demo.txt"
+    assert main(["demo-pirola", "--precision", "12", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text.startswith("degree-3 Galois cover demo")
+    assert text.count("PASS") == 7
+
+
+def _pop(key):
+    return lambda obj: obj.pop(key)
+
+
+def _set(key, value):
+    return lambda obj: obj.update({key: value})
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_pop("charts"), "/charts: missing required member"),
+    (_set("order", 0), "/order: expected int >= 2"),
+    (_set("order", True), "/order: expected int"),
+    (lambda obj: obj.update(matrix=obj["matrix"][:2]),
+     "/matrix: expected 4 x 4 strings"),
+    (lambda obj: obj["matrix"][1].__setitem__(2, 1),
+     "/matrix/1/2: scalar must be a string"),
+    (_set("charts", []), "/charts: expected 3 chart moves"),
+    (lambda obj: obj["charts"][0].update(target=9),
+     "/charts/0/target: expected a chart index below 3"),
+    (_set("fiber_permutation", [0]),
+     "/fiber_permutation: expected a permutation of 0..2"),
+    (_set("fiber_permutation", [1, True, 0]),
+     "/fiber_permutation: expected a permutation of 0..2"),
+], ids=["missing-member", "order-0", "order-bool", "matrix-rows",
+        "matrix-entry", "no-charts", "target-range", "perm-short",
+        "perm-bool"])
+def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
+                                          edit, message):
+    datum_path, action_path = pirola_built
+    obj = json.loads(action_path.read_text())
+    edit(obj)
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(obj))
+    assert main(["analyze", str(datum_path), "--action", str(action)]) == 2
+    assert f"SchemaError: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set("N", True), "/N: expected int"),
+    (_set("precision", True), "/precision: expected int"),
+    (lambda obj: obj["field"].update(cyclotomic_order=True),
+     "/field/cyclotomic_order: expected int"),
+    (_set("field", []), "/field: expected dict"),
+    (_set("h", {"P": 5}), "/h/P: expected list"),
+], ids=["N-bool", "precision-bool", "order-bool", "field-list", "h-P-int"])
+def test_build_malformed_spec_exits_2(tmp_path, capsys, edit, message):
+    obj = spec_to_json(pirola_spec(precision=10))
+    edit(obj)
+    spec_path = _write_spec(tmp_path / "spec.json", obj)
+    assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
+    assert f"SchemaError: {message}" in capsys.readouterr().err

@@ -16,7 +16,7 @@ def test_action_validates(all_bundles):
 
 def test_action_round_trip(pirola):
     obj = pirola.action.to_json()
-    back = CyclicAction.from_json(pirola.datum.field, obj)
+    back = CyclicAction.from_json(pirola.datum, obj)
     assert back.matrix == pirola.action.matrix
     assert back.fiber_permutation == pirola.action.fiber_permutation
     assert validate_action(pirola.datum, back)

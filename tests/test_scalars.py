@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from ellprym.builder import _rational_roots
 from ellprym.errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
 from ellprym.scalars import (FieldSpec, Matrix, Scalar, integer_nth_root,
+                             padd, pdivmod, peval, pmul, psub, ptrim,
                              rational_nth_root)
 
 Q = FieldSpec(1)
@@ -178,3 +181,86 @@ def test_from_string_refuses_oversized_coefficients():
     for text in ("1e3999", "9" * 4000, "1/" + "3" * 4000, "2.5e3998"):
         s = Scalar.from_string(FieldSpec(1), text)
         assert Scalar.from_string(FieldSpec(1), s.to_string()) == s
+
+
+# -- polynomial helpers -------------------------------------------------------
+
+def _random_coefficient(rng, field):
+    """A Fraction over Q (the helpers are coefficient-generic), a Scalar
+    otherwise; about one in four is zero."""
+    parts = [F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.75
+             else F(0) for _ in range(field.degree)]
+    return parts[0] if field is Q else field.from_coefficients(parts)
+
+
+def _random_polys(seed, field, count=40, max_degree=7):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = [_random_coefficient(rng, field)
+             for _ in range(rng.randint(0, max_degree + 1))]
+        b = ptrim([_random_coefficient(rng, field)
+                   for _ in range(rng.randint(1, 5))])
+        x = _random_coefficient(rng, field)
+        yield a, b, x
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_pdivmod_identity(field):
+    for a, b, _ in _random_polys(11, field):
+        if not b:
+            continue
+        q, r = pdivmod(a, b)
+        assert padd(pmul(q, b), r) == ptrim(list(a))
+        assert len(r) < len(b)
+        assert q == ptrim(list(q)) and r == ptrim(list(r))
+        assert psub(padd(a, b), b) == ptrim(list(a))
+
+
+def _sympy_poly(sympy, poly, x, z):
+    def scalar(c):
+        parts = [c] if isinstance(c, F) else c.coeffs
+        return sum(sympy.Rational(p.numerator, p.denominator) * z ** k
+                   for k, p in enumerate(parts))
+    return sympy.sympify(sum(scalar(c) * x ** i for i, c in enumerate(poly)))
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_pmul_peval_match_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+
+    def reduced(expr):
+        return sympy.rem(sympy.expand(expr), z ** 2 + z + 1, z) \
+            if field is Q3 else sympy.expand(expr)
+
+    def same(expr, poly):
+        assert sympy.expand(reduced(expr) - _sympy_poly(sympy, poly, x, z)) \
+            == 0
+
+    for a, b, value in _random_polys(12, field):
+        sa, sb = _sympy_poly(sympy, a, x, z), _sympy_poly(sympy, b, x, z)
+        same(sa * sb, pmul(a, b))
+        same(sa.subs(x, _sympy_poly(sympy, [value], x, z)),
+             [peval(a, value)])
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(13)
+    for trial in range(40):
+        poly = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 5)):
+            root = F(rng.randint(-6, 6), rng.randint(1, 6))
+            # a non-monic factor (q x - p) moves the root's denominator
+            # into the leading coefficient
+            k = rng.randint(1, 3)
+            poly = pmul(poly, [-root * k, F(k)])
+        if trial % 3 == 0:
+            poly = pmul(poly, [F(rng.choice([2, 3, 5])), F(0), F(-1)]
+                        if trial % 2 else [F(1), F(0), F(1)])
+        found = _rational_roots([Q.scalar(c) for c in poly])
+        expected = {r: m for r, m in sympy.roots(
+            sympy.Poly(list(reversed(poly)), x)).items() if r.is_rational}
+        assert Counter(sympy.Rational(r.numerator, r.denominator)
+                       for r in found) == expected

@@ -1,6 +1,7 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ellprym
@@ -32,3 +33,41 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line}: {name}"
                   for line, name in _unused_imports(tree)]
     assert found == []
+
+
+def _private_definitions(tree):
+    """Module-level ``_name`` functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_no_dead_private_definitions():
+    """A private definition must be used somewhere in the package besides
+    its own body; one that only tests call is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    total = Counter(ref for tree in trees.values()
+                    for ref in _references(tree))
+    dead = [f"{name}: {defn}"
+            for name, tree in trees.items()
+            for defn, node in _private_definitions(tree)
+            if total[defn] == Counter(_references(node))[defn]]
+    assert dead == []
