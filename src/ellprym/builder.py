@@ -26,8 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .covering import (CoveringDatum, FiberChart, RamificationChart,
-                       _expect, _optional, _parse_scalar, require_valid)
+from .covering import (MAX_WINDOW, CoveringDatum, FiberChart,
+                       RamificationChart, _expect, _optional, _parse_scalar,
+                       require_valid)
 from .equivariant import CyclicAction
 from .errors import (BuilderError, DimensionMismatch, DivisionByZero,
                      FieldError, FieldTooSmall, InputError, NotAnNthPower,
@@ -589,6 +590,9 @@ def build_cover(spec):
         default_chart_window(genus, r, N)
     if window < 1:
         raise PrecisionUnreachable("requested window is empty")
+    if window > MAX_WINDOW:
+        raise PrecisionUnreachable(
+            f"requested window {window} is above the limit {MAX_WINDOW}")
 
     charts = []
     for place, v in ram:
@@ -808,6 +812,8 @@ def spec_from_json(obj):
     else:
         raise SchemaError("/c", 'expected {"x", "y"} or "auto"')
     prec = _optional(obj, "precision", int, "")
+    if prec is not None and prec > MAX_WINDOW:
+        raise SchemaError("/precision", f"expected at most {MAX_WINDOW}")
     return CyclicCoverSpec(curve, h, N, c, prec)
 
 

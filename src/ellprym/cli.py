@@ -40,9 +40,8 @@ def analyze_datum(datum, action=None):
     quad = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
     crit = prym.kernel_full(datum, split, ke)
-    frame = geometry.canonical_frame(datum, split)
-    fp = geometry.functpoint_check(datum, split, frame, quad)
-    hg = geometry.halfgeo_criterion(datum, split, frame, quad, crit)
+    fp = geometry.functpoint_check(datum, split, quad)
+    hg = geometry.halfgeo_criterion(datum, split, quad, crit)
     ledger = geometry.dimension_ledger(datum, split, quad, ke)
 
     g, n = datum.genus, datum.n_ramification
@@ -78,7 +77,7 @@ def analyze_datum(datum, action=None):
         if not equivariant.action_fixes_alpha(split, action):
             raise IdentityError("action does not fix the pullback form line")
         eig = equivariant.eigenspaces(action, datum.field)
-        s2 = equivariant.sym2_eigenspaces(datum, split, action)
+        s2 = equivariant.sym2_eigenspaces(split, eig)
         report["equivariant"] = {
             "order": action.order,
             "eigendims": list(eig.dims),
@@ -87,8 +86,8 @@ def analyze_datum(datum, action=None):
             "generator_relabeled": eig.relabeled,
         }
         if datum.genus == 4 and action.order == 3 and datum.degree == 3:
-            battery = equivariant.run_battery(datum, action, split, quad,
-                                              ke, crit)
+            battery = equivariant.run_battery(datum, action, split, eig, s2,
+                                              quad, ke, crit)
             report["equivariant"]["battery"] = battery.to_json()
     return report
 

@@ -51,18 +51,6 @@ class SymSquareElement:
         return cls(field, [[z] * size for _ in range(size)])
 
     @classmethod
-    def basis_element(cls, field, size, i, j):
-        """The lexicographic basis tensor eta_i . eta_j (i <= j)."""
-        elem = cls.zero(field, size)
-        if i == j:
-            elem.coeffs[i][i] = field.one()
-        else:
-            half = field.scalar(1) / field.scalar(2)
-            elem.coeffs[i][j] = half
-            elem.coeffs[j][i] = half
-        return elem
-
-    @classmethod
     def symmetric_product(cls, field, u, v):
         """u . v = (u (x) v + v (x) u) / 2 for coordinate vectors u, v."""
         size = len(u)
@@ -154,10 +142,19 @@ class TraceSplit:
     point; ``minus_basis`` spans its kernel (the trace-zero forms) and
     ``alpha_coords`` locates the pulled-back base form, which spans a
     complement because its trace equals the covering degree.
+
+    ``change`` has the adapted basis, the pullback form and then the
+    trace-zero basis, as columns; ``change_inv`` maps form coordinates to
+    adapted ones.  In adapted coordinates the distinguished point is
+    (1:0:...:0), the distinguished hyperplane is the zero locus of the zeroth
+    coordinate, and the symmetric square of the trace-zero space is the lower
+    (g-1) x (g-1) block of a tensor.
     """
     tau: tuple
     minus_basis: tuple
     alpha_coords: tuple
+    change: Matrix
+    change_inv: Matrix
 
     @property
     def genus(self):
@@ -171,9 +168,28 @@ class TraceSplit:
             acc = term if acc is None else acc + term
         return acc
 
+    def adapted(self, phi):
+        """The tensor phi written over the adapted basis."""
+        return phi.transform(self.change_inv)
+
+    def minus_coords(self, phi):
+        """Lexicographic coordinates, over the symmetric square of the
+        trace-zero basis, of the lower adapted block of phi."""
+        block = [row[1:] for row in self.adapted(phi).coeffs[1:]]
+        return SymSquareElement(phi.field, block).lex_coords()
+
+    def minus_tensor(self, coords):
+        """The tensor with these coordinates over the symmetric square of
+        the trace-zero basis; inverse of minus_coords on that square."""
+        field = self.change.field
+        lower = Matrix(field, [row[1:] for row in self.change.rows])
+        return SymSquareElement.from_lex(
+            field, self.genus - 1, coords).transform(lower)
+
 
 def trace_split(datum):
-    """Compute the trace vector, the trace-zero basis and the alpha coordinates."""
+    """Compute the trace vector, the trace-zero basis, the alpha coordinates
+    and the adapted change of basis with its inverse."""
     require_valid(datum)
     field = datum.field
     g, d = datum.genus, datum.degree
@@ -200,12 +216,16 @@ def trace_split(datum):
         raise IdentityViolated(
             f"trace of the pullback form is {tr_alpha}, expected degree {d}")
 
-    # the splitting is direct: alpha together with the minus basis spans
-    span = Matrix(field, [list(alpha)] + [list(v) for v in minus])
-    if span.rank() != g:
-        raise IdentityViolated("pullback form lies in the trace-zero space")
-
-    return TraceSplit(tuple(tau), tuple(tuple(v) for v in minus), tuple(alpha))
+    # the adapted basis is invertible exactly when the splitting is direct
+    cols = [alpha] + minus
+    change = Matrix(field, [[v[i] for v in cols] for i in range(g)])
+    try:
+        change_inv = change.inverse()
+    except ValueError:
+        raise IdentityViolated(
+            "pullback form lies in the trace-zero space") from None
+    return TraceSplit(tuple(tau), tuple(tuple(v) for v in minus),
+                      tuple(alpha), change, change_inv)
 
 
 def _solve_alpha_coords(datum):

@@ -7,8 +7,9 @@ validated against the datum before use.
 
 Character labeling convention: for order 3 the generator is normalized (by
 replacing it with its square if necessary) so that the eigenspace of the
-designated primitive root has the larger dimension.  Reports note when the
-relabeling fired.
+designated primitive root has the larger dimension.  `eigenspaces` decides
+this once and returns the generator it used, which the symmetric squares and
+the battery take from it.  Reports note when the relabeling fired.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from .covering import _expect, _parse_scalar, _parse_series
 from .diffalg import SymSquareElement, lex_pairs
 from .errors import FieldError, IdentityViolated, InputError, SchemaError
-from .geometry import canonical_frame, evaluate_at_qminus
+from .geometry import evaluate_at_qminus
 from .scalars import Matrix
 from .series import TruncatedSeries, transform_quadratic
 
@@ -130,58 +131,54 @@ def action_fixes_alpha(split, action):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Character-indexed eigenspaces; exponent c labels eigenvalue zeta^c."""
+    """Character-indexed eigenspaces of ``generator``; exponent c labels
+    eigenvalue zeta^c."""
     order: int
     dims: tuple
     bases: tuple        # per exponent, a tuple of coordinate vectors
     relabeled: bool     # True when the generator was replaced by its square
-
-    def dim(self, exponent):
-        return self.dims[exponent % self.order]
+    generator: Matrix   # the matrix decomposed
 
 
-def eigenspaces(action, field, normalize=True):
-    """Simultaneous eigenspace decomposition of the generator matrix.
+def eigenspaces(action, field):
+    """Eigenspace decomposition of the generator matrix on forms.
 
     For order 3 the labeling is normalized so that exponent 1 carries the
-    larger nontrivial eigenspace (replace the generator by its square when
-    needed); the flag records whether that happened.
+    larger nontrivial eigenspace: when it does not, the generator is
+    replaced by its square.  This is the one place that decides; the result
+    carries the generator it decomposed and the flag, and the symmetric
+    squares and the battery use that generator.
     """
     if not field.contains_root_of_unity(action.order):
         raise FieldError(
             f"field lacks a primitive {action.order}-th root of unity")
     M = action.matrix
-    dec = _decompose(M, field, action.order)
-    relabeled = False
-    if normalize and action.order == 3 and dec[1][0] < dec[2][0]:
-        M2 = M.matmul(M)
-        dec = _decompose(M2, field, action.order)
-        relabeled = True
-    dims = tuple(d for d, _ in dec)
-    bases = tuple(tuple(tuple(v) for v in b) for _, b in dec)
-    g = M.nrows
-    if sum(dims) != g:
+    dec = _decompose(M, action.order, False)
+    if action.order == 3 and dec.dims[1] < dec.dims[2]:
+        dec = _decompose(M.matmul(M), action.order, True)
+    if sum(dec.dims) != M.nrows:
         raise IdentityViolated(
-            f"eigenspace dimensions {dims} do not sum to {g}")
-    return EigenDecomposition(action.order, dims, bases, relabeled)
+            f"eigenspace dimensions {dec.dims} do not sum to {M.nrows}")
+    return dec
 
 
-def _decompose(M, field, order):
+def _decompose(M, order, relabeled):
+    field = M.field
     zeta = field.root_of_unity(order)
-    out = []
-    n = M.nrows
+    bases = []
     for c in range(order):
         ev = zeta ** c
-        shifted = Matrix(field,
-                         [[M.rows[i][j] - (ev if i == j else field.zero())
-                           for j in range(n)] for i in range(n)])
-        basis = shifted.kernel_basis()
-        out.append((len(basis), basis))
-    return out
+        shifted = Matrix(field, [[x - ev if i == j else x
+                                  for j, x in enumerate(row)]
+                                 for i, row in enumerate(M.rows)])
+        bases.append(tuple(tuple(v) for v in shifted.kernel_basis()))
+    return EigenDecomposition(order, tuple(len(b) for b in bases),
+                              tuple(bases), relabeled, M)
 
 
-def sym_square_matrix(M, field):
+def sym_square_matrix(M):
     """Induced action on the lexicographic symmetric-square basis."""
+    field = M.field
     n = M.nrows
     pairs = lex_pairs(n)
     index = {p: k for k, p in enumerate(pairs)}
@@ -207,34 +204,24 @@ class SymSquareEigen:
     minus: EigenDecomposition
 
 
-def sym2_eigenspaces(datum, split, action, normalize=True):
-    """Eigen-decomposition of the induced action on both symmetric squares."""
-    field = datum.field
-    M = action.matrix
-    relabel = False
-    if normalize and action.order == 3:
-        h0 = eigenspaces(action, field, normalize=False)
-        if h0.dims[1] < h0.dims[2]:
-            M = M.matmul(M)
-            relabel = True
-    full_mat = sym_square_matrix(M, field)
-    full = _decompose(full_mat, field, action.order)
+def sym2_eigenspaces(split, eig):
+    """Eigen-decomposition of the induced action on both symmetric squares.
+
+    ``eig`` is the decomposition from `eigenspaces`; its generator, squared
+    there when relabeled, is the one induced here, so the labels agree.
+    """
+    M = eig.generator
+    full = _decompose(sym_square_matrix(M), eig.order, eig.relabeled)
     # restriction to the trace-zero square: conjugate the generator into the
-    # adapted frame and take the lower block
-    frame = canonical_frame(datum, split)
-    conj = frame.change_inv.matmul(M).matmul(frame.change)
-    g = datum.genus
-    for i in range(1, g):
+    # adapted frame of the split and take the lower block
+    conj = split.change_inv.matmul(M).matmul(split.change)
+    for i in range(1, split.genus):
         if not conj.rows[0][i].is_zero() or not conj.rows[i][0].is_zero():
             raise IdentityViolated(
                 "action does not preserve the trace splitting")
-    minus_mat = Matrix(field, [[conj.rows[i][j] for j in range(1, g)]
-                               for i in range(1, g)])
-    minus = _decompose(sym_square_matrix(minus_mat, field), field, action.order)
-    mk = lambda dec: EigenDecomposition(
-        action.order, tuple(d for d, _ in dec),
-        tuple(tuple(tuple(v) for v in b) for _, b in dec), relabel)
-    return SymSquareEigen(mk(full), mk(minus))
+    minus_mat = Matrix(M.field, [row[1:] for row in conj.rows[1:]])
+    minus = _decompose(sym_square_matrix(minus_mat), eig.order, eig.relabeled)
+    return SymSquareEigen(full, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +255,16 @@ class BatteryReport:
         }
 
 
-def run_battery(datum, action, split, quadrics, kernel_report,
+def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
                 criterion_report):
     """The seven exactness checks for the genus-4 cyclic cubic cover family.
 
-    Preconditions: genus 4, a validated order-3 action whose fiber
-    permutation is a single 3-cycle (Galois cover of degree 3).
+    Preconditions, checked here: genus 4, degree 3, an action of order 3
+    whose fiber permutation is a single 3-cycle (Galois cover of degree 3).
+    Preconditions the caller has established: the action passed
+    `validate_action` and fixes the pullback form, ``eig`` is its
+    `eigenspaces` decomposition and ``sym2`` is `sym2_eigenspaces` of
+    ``eig``; the character checks use the generator ``eig`` carries.
     """
     field = datum.field
     g = datum.genus
@@ -281,7 +272,6 @@ def run_battery(datum, action, split, quadrics, kernel_report,
         raise InputError(f"battery requires genus 4, got {g}")
     if action.order != 3 or datum.degree != 3:
         raise InputError("battery requires a degree-3 action of order 3")
-    validate_action(datum, action)
     perm = action.fiber_permutation
     k, seen = 0, [0]
     for _ in range(2):
@@ -289,21 +279,15 @@ def run_battery(datum, action, split, quadrics, kernel_report,
         seen.append(k)
     if sorted(seen) != [0, 1, 2]:
         raise InputError("fiber is not a single orbit of the action")
-    if not action_fixes_alpha(split, action):
-        raise InputError("action does not fix the pullback form")
 
     checks = []
-    frame = canonical_frame(datum, split)
-    h0_dec = eigenspaces(action, field)
-    sym_dec = sym2_eigenspaces(datum, split, action)
-    relabeled = h0_dec.relabeled
 
     # (1) a single quadric, concentrated in one nontrivial character
     iso_detail = []
     single_char_ok = quadrics.dimension == 1
     if single_char_ok:
         G = quadrics.basis[0]
-        comps = _character_components(G, action, field, relabeled)
+        comps = _character_components(G, eig.generator, eig.order)
         nonzero = [c for c in range(3) if not comps[c].is_zero()]
         single_char_ok = nonzero in ([1], [2])
         iso_detail.append(f"character components nonzero at exponents {nonzero}")
@@ -315,7 +299,7 @@ def run_battery(datum, action, split, quadrics, kernel_report,
 
     # (2) the quadric passes through the distinguished point
     if quadrics.dimension == 1:
-        val = evaluate_at_qminus(frame, quadrics.basis[0])
+        val = evaluate_at_qminus(split, quadrics.basis[0])
         checks.append(BatteryCheck(
             "quadric_contains_distinguished_point", val.is_zero(),
             f"coefficient of squared pullback = {val}"))
@@ -340,10 +324,8 @@ def run_battery(datum, action, split, quadrics, kernel_report,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
             f"vertex off known curve points: {off_curve}"))
         # (4) tangency: restriction to the distinguished hyperplane has rank 1
-        adapted = G.transform(frame.change_inv)
-        block = Matrix(field, [[adapted.coeffs[i][j] for j in range(1, g)]
-                               for i in range(1, g)])
-        block_rank = block.rank()
+        block = [row[1:] for row in split.adapted(G).coeffs[1:]]
+        block_rank = Matrix(field, block).rank()
         checks.append(BatteryCheck(
             "hyperplane_restriction_rank_one", block_rank == 1,
             f"restricted gram rank {block_rank} "
@@ -355,7 +337,7 @@ def run_battery(datum, action, split, quadrics, kernel_report,
             "hyperplane_restriction_rank_one", False, "no unique quadric"))
 
     # (5) kernel = nontrivial-character part of the trace-zero square
-    minus_eigen = sym_dec.minus
+    minus_eigen = sym2.minus
     kernel_rows = [list(v) for v in kernel_report.basis_minus_coords]
     eigen_rows = [list(v) for v in minus_eigen.bases[1] + minus_eigen.bases[2]]
     joint_rank = Matrix(field, kernel_rows + eigen_rows).rank()
@@ -380,15 +362,12 @@ def run_battery(datum, action, split, quadrics, kernel_report,
         "kernel_dimension_at_least_two", criterion_report.dimension == ">=2",
         f"verdict {criterion_report.dimension}"))
 
-    return BatteryReport(tuple(checks), relabeled)
+    return BatteryReport(tuple(checks), eig.relabeled)
 
 
-def _character_components(G, action, field, relabeled):
-    """Projections of a tensor onto the three character spaces."""
-    M = action.matrix
-    if relabeled:
-        M = M.matmul(M)
-    N = action.order
+def _character_components(G, M, N):
+    """Projections of a tensor onto the N character spaces of generator M."""
+    field = M.field
     zeta = field.root_of_unity(N)
     comps = []
     inv_N = field.scalar(N).inverse()

@@ -38,10 +38,6 @@ class NotAnNthPower(InputError):
     """Leading coefficient has no designated n-th root in the field."""
 
 
-class NonDivisibleValuation(InputError):
-    """n-th root of a series whose valuation is not divisible by n."""
-
-
 class SingularJacobian(InputError):
     """Newton iteration seeded at a point where the derivative is not a unit."""
 

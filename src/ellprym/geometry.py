@@ -2,11 +2,13 @@
 the dual-route vanishing equivalence and the dimension bookkeeping.
 
 Linear forms on the canonical space are 1-forms; the hyperplanes defined by
-all trace-zero forms meet in a single distinguished point (coordinates
-(1:0:...:0) once the pullback form is the zeroth basis vector), and the
-pullback form cuts the distinguished hyperplane.  Whether the distinguished
-point lies on every quadric through the cover decides, one way, that the
-period-map kernel is minimal.
+all trace-zero forms meet in a single distinguished point, and the pullback
+form cuts the distinguished hyperplane.  Every function here reads both off
+the adapted coordinates that the trace split carries (``TraceSplit.change``,
+whose zeroth column is the pullback form): the point is (1:0:...:0) and the
+hyperplane is the zero locus of the zeroth coordinate.  Whether the
+distinguished point lies on every quadric through the cover decides, one
+way, that the period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
 the fiber-sum route evaluates the trace-zero part of a quadric over the
@@ -28,30 +30,6 @@ from .scalars import Matrix
 
 
 @dataclass(frozen=True)
-class CanonicalFrame:
-    """Adapted coordinates: basis (pullback form, trace-zero basis).
-
-    ``change`` has the adapted basis vectors as columns; ``change_inv`` maps
-    old coordinates to adapted ones.  In adapted coordinates the
-    distinguished point is (1:0:...:0) and the distinguished hyperplane is
-    the zero locus of the zeroth coordinate form.
-    """
-    change: Matrix
-    change_inv: Matrix
-
-    @property
-    def size(self):
-        return self.change.nrows
-
-
-def canonical_frame(datum, split):
-    g = datum.genus
-    cols = [list(split.alpha_coords)] + [list(v) for v in split.minus_basis]
-    C = Matrix(datum.field, [[cols[a][i] for a in range(g)] for i in range(g)])
-    return CanonicalFrame(C, C.inverse())
-
-
-@dataclass(frozen=True)
 class QuadricDecomposition:
     """G = G_minus + alpha . omega under the direct sum decomposition."""
     original: SymSquareElement
@@ -59,35 +37,27 @@ class QuadricDecomposition:
     omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
-def decompose_quadric(datum, split, frame, G):
+def decompose_quadric(split, G):
     """Unique decomposition of a tensor into trace-zero plus mixed parts."""
-    field = datum.field
-    g = frame.size
-    adapted = G.transform(frame.change_inv)
     # mixed part in adapted coordinates: omega_hat[0] = G_00, omega_hat[i] = 2 G_0i
-    omega_hat = [adapted.coeffs[0][0]] + \
-        [adapted.coeffs[0][i] * 2 for i in range(1, g)]
-    omega = frame.change.mul_vec(omega_hat)
-    minus_adapted = [[field.zero()] * g for _ in range(g)]
-    for i in range(1, g):
-        for j in range(1, g):
-            minus_adapted[i][j] = adapted.coeffs[i][j]
-    minus_part = SymSquareElement(field, minus_adapted).transform(frame.change)
+    row = split.adapted(G).coeffs[0]
+    omega = split.change.mul_vec([row[0]] + [x * 2 for x in row[1:]])
+    minus_part = split.minus_tensor(split.minus_coords(G))
     # exact reconstruction check
     alpha_sym = SymSquareElement.symmetric_product(
-        field, list(split.alpha_coords), list(omega))
+        G.field, list(split.alpha_coords), list(omega))
     if not (minus_part + alpha_sym - G).is_zero():
         raise AssertionError("quadric decomposition failed to reconstruct")
     return QuadricDecomposition(G, minus_part, tuple(omega))
 
 
-def evaluate_at_qminus(frame, G):
+def evaluate_at_qminus(split, G):
     """Value of the quadric at the distinguished point.
 
     This is the coefficient of the squared pullback form in adapted
     coordinates; it vanishes exactly when the point lies on the quadric.
     """
-    return G.transform(frame.change_inv).coeffs[0][0]
+    return split.adapted(G).coeffs[0][0]
 
 
 @dataclass(frozen=True)
@@ -99,7 +69,7 @@ class QuadricCheck:
     agree: bool
 
 
-def functpoint_check(datum, split, frame, quadrics):
+def functpoint_check(datum, split, quadrics):
     """Dual-route vanishing check for every basis quadric.
 
     Precondition: each tensor actually lies in the kernel of the
@@ -112,9 +82,9 @@ def functpoint_check(datum, split, frame, quadrics):
         if not multiply(datum, G).is_zero():
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
-        dec = decompose_quadric(datum, split, frame, G)
+        dec = decompose_quadric(split, G)
         lhs = nu(datum, split, dec.minus_part)
-        rhs = evaluate_at_qminus(frame, G)
+        rhs = evaluate_at_qminus(split, G)
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
         agree = (lhs.is_zero() == rhs.is_zero())
@@ -139,7 +109,7 @@ class GeometricCriterion:
                 "note": self.note}
 
 
-def halfgeo_criterion(datum, split, frame, quadrics, criterion_report):
+def halfgeo_criterion(datum, split, quadrics, criterion_report):
     """One-directional geometric criterion.
 
     If the distinguished point avoids some quadric through the cover, the
@@ -149,7 +119,7 @@ def halfgeo_criterion(datum, split, frame, quadrics, criterion_report):
     ramification indices are all 2 the converse holds and is surfaced as an
     informational note only).
     """
-    values = [evaluate_at_qminus(frame, G) for G in quadrics.basis]
+    values = [evaluate_at_qminus(split, G) for G in quadrics.basis]
     qminus_in_all = all(v.is_zero() for v in values)
     implies_dim1 = not qminus_in_all
     if implies_dim1 and criterion_report.dimension != "1":
@@ -233,15 +203,14 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
         f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}"))
 
     # (b) quadric projections inject into the kernel
-    frame = canonical_frame(datum, split)
     proj_rows = []
     inside = True
     for G in quadrics.basis:
-        dec = decompose_quadric(datum, split, frame, G)
+        dec = decompose_quadric(split, G)
         cov = codifferential(datum, split, dec.minus_part)
         if not all(x.is_zero() for x in cov.gammas):
             inside = False
-        proj_rows.append(_minus_sym_coords(datum, frame, dec.minus_part))
+        proj_rows.append(split.minus_coords(dec.minus_part))
     if proj_rows:
         rank = Matrix(field, proj_rows).rank()
     else:
@@ -266,17 +235,3 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
             "only (base-fixed variant)")
     return LedgerReport(tuple(identities), h0, kernel_report.dim_dual,
                         excess, dim_ker_residue, note)
-
-
-def _minus_sym_coords(datum, frame, phi):
-    """Coordinates of a trace-zero tensor over the lexicographic minus basis."""
-    field = datum.field
-    m = datum.genus - 1
-    adapted = phi.transform(frame.change_inv)
-    out = []
-    two = field.scalar(2)
-    for a in range(m):
-        for b in range(a, m):
-            c = adapted.coeffs[a + 1][b + 1]
-            out.append(c if a == b else c * two)
-    return out

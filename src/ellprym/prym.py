@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diffalg import SymSquareElement
+from .diffalg import SymSquareElement, lex_pairs
 from .errors import IdentityViolated, NotInMinusSpace
 from .scalars import Matrix
 
@@ -38,16 +38,6 @@ class Covector:
 
     def is_zero(self):
         return all(x.is_zero() for x in self.slots())
-
-
-def minus_sym_basis(split):
-    """Lexicographic basis of the symmetric square of the trace-zero space."""
-    out = []
-    m = split.minus_basis
-    for a in range(len(m)):
-        for b in range(a, len(m)):
-            out.append((a, b))
-    return out
 
 
 def minus_sym_element(datum, split, a, b):
@@ -102,9 +92,8 @@ class CodifferentialMatrix:
 
 
 def codifferential_matrix(datum, split):
-    pairs = minus_sym_basis(split)
     rows = []
-    for (a, b) in pairs:
+    for (a, b) in lex_pairs(len(split.minus_basis)):
         cov = codifferential(datum, split, minus_sym_element(datum, split, a, b),
                              check_minus=False)
         rows.append(tuple(cov.slots()))
@@ -144,15 +133,8 @@ def kernel_E(datum, split):
         raise IdentityViolated(
             f"dim Ker of the base-fixed differential is {dim_primal}, "
             "the identity requires 1")
-    pairs = minus_sym_basis(split)
-    basis = []
-    for vec in kernel:
-        elem = SymSquareElement.zero(datum.field, g)
-        for coef, (a, b) in zip(vec, pairs):
-            if not coef.is_zero():
-                elem = elem + minus_sym_element(datum, split, a, b).scale(coef)
-        basis.append(elem)
-    return KernelEReport(len(kernel), dim_primal, tuple(basis),
+    basis = tuple(split.minus_tensor(vec) for vec in kernel)
+    return KernelEReport(len(kernel), dim_primal, basis,
                          tuple(tuple(v) for v in kernel), cmat)
 
 

@@ -13,11 +13,11 @@ which case ``coeffs`` is empty and ``valuation == prec``.
 
 Algorithms: composition is Brent-Kung baby-step/giant-step (Brent & Kung,
 "Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978);
-reversion, n-th roots and ``newton_solve`` are Newton iterations whose rounds
-work only at the precision they make correct, plus one guard coefficient.
-Result windows are fixed by the inputs' windows alone, never by the
-evaluation scheme.  Reversions, roots and Newton solutions are checked
-exactly at their full window before they are returned.
+reversion and ``newton_solve`` are Newton iterations whose rounds work only
+at the precision they make correct, plus one guard coefficient.  Result
+windows are fixed by the inputs' windows alone, never by the evaluation
+scheme.  Reversions and Newton solutions are checked exactly at their full
+window before they are returned.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
-                     NonDivisibleValuation, NotAnNthPower, SingularJacobian,
-                     ValuationError)
-from .scalars import Scalar
+                     SingularJacobian, ValuationError)
 
 
 class TruncatedSeries:
@@ -261,42 +259,6 @@ class TruncatedSeries:
             result = result + neg
         return result.truncate(min(prec, result.prec))
 
-    def nth_root(self, n):
-        """g with g^n = self, leading coefficient the designated n-th root.
-
-        Requires n | valuation and a rational leading coefficient with a
-        rational real n-th root (the canonical choice; anything else raises
-        NotAnNthPower so the caller can extend the field).
-        """
-        if n < 1:
-            raise ValueError("root order must be positive")
-        if self.is_zero():
-            raise NotAnNthPower("the zero series has no designated n-th root")
-        if self.valuation % n != 0:
-            raise NonDivisibleValuation(
-                f"valuation {self.valuation} not divisible by {n}")
-        lead_root = self.coeffs[0].nth_root_rational(n)
-        rel = self.relative_precision()
-        v = self.valuation // n
-        unit = self.shift(-self.valuation).scale(self.coeffs[0].inverse())
-        # Newton iteration for u with u^n = unit, u(0) = 1; each round works
-        # one coefficient past the ones it makes correct
-        u = TruncatedSeries(self.field, 0, [self.field.one()], 1)
-        known = 1
-        n_scalar = self.field.scalar(n)
-        while known < rel:
-            known = min(2 * known, rel)
-            u = _rewindow(u, min(known + 1, rel))
-            power = _pow(u, n - 1)
-            f = power * u - unit
-            u = u - f / (power.scale(n_scalar))
-        root = u.scale(lead_root).shift(v)
-        check = _pow(root, n)
-        window = min(check.prec, self.prec)
-        if not (check - self).truncate(window).is_zero():
-            raise AssertionError("n-th root verification failed")
-        return root.truncate(v + rel)
-
     def reversion(self):
         """Compositional inverse g with self(g) = z, for valuation exactly 1.
 
@@ -338,12 +300,6 @@ class TruncatedSeries:
         return {"valuation": self.valuation,
                 "prec": self.prec,
                 "coeffs": [c.to_string() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, field, obj):
-        return cls(field, obj["valuation"],
-                   [Scalar.from_string(field, s) for s in obj["coeffs"]],
-                   obj["prec"])
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and
@@ -400,16 +356,6 @@ def _rewindow(s, prec):
         return s.truncate(prec)
     return TruncatedSeries(s.field, s.valuation if s.coeffs else prec,
                            s.coeffs, prec)
-
-
-def _pow(s, n):
-    if n == 0:
-        return TruncatedSeries(s.field, 0, [s.field.one()],
-                               s.relative_precision())
-    out = s
-    for _ in range(n - 1):
-        out = out * s
-    return out
 
 
 def newton_solve(coeffs_in_y, seed, target_prec):

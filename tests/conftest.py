@@ -2,7 +2,6 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.diffalg import quadric_kernel, trace_split
-from ellprym.geometry import canonical_frame
 from ellprym.prym import kernel_E, kernel_full
 
 
@@ -18,7 +17,6 @@ class Bundle:
         self.quadrics = quadric_kernel(self.datum)
         self.kernel = kernel_E(self.datum, self.split)
         self.criterion = kernel_full(self.datum, self.split, self.kernel)
-        self.frame = canonical_frame(self.datum, self.split)
 
 
 @pytest.fixture(scope="session")

@@ -83,14 +83,12 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
     """Both vanishing routes agree and the trace identity holds exactly."""
     count = 0
     for name, bundle in all_bundles.items():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.frame,
-                                  bundle.quadrics)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.quadrics)
         for c in checks:
             assert c.agree and c.proof_identity_ok
             count += 1
         for G in bundle.quadrics.basis:
-            dec = decompose_quadric(bundle.datum, bundle.split, bundle.frame,
-                                    G)
+            dec = decompose_quadric(bundle.split, G)
             lhs = nu(bundle.datum, bundle.split, dec.minus_part)
             assert lhs == -bundle.split.trace_ratio(dec.omega)
     _report(4, f"fiber route and coefficient route agree on {count} quadrics; "
@@ -100,13 +98,12 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
 def test_criterion_5_geometric_consistency(all_bundles):
     """Never: point off all quadrics together with a non-minimal verdict."""
     for name, bundle in all_bundles.items():
-        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.frame,
-                                 bundle.quadrics, bundle.criterion)
+        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.quadrics,
+                                 bundle.criterion)
         if not crit.qminus_in_all:
             assert bundle.criterion.dimension == "1"
     b4 = all_bundles["bielliptic4"]
-    crit4 = halfgeo_criterion(b4.datum, b4.split, b4.frame, b4.quadrics,
-                              b4.criterion)
+    crit4 = halfgeo_criterion(b4.datum, b4.split, b4.quadrics, b4.criterion)
     assert crit4.qminus_in_all is False
     assert b4.criterion.dimension == "1"
     assert not b4.criterion.witness_nu.is_zero()

@@ -5,6 +5,7 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
+from ellprym.covering import MAX_WINDOW
 
 
 def _write_spec(path, obj):
@@ -295,9 +296,12 @@ def _set(key, value):
      "/fiber_permutation: expected a permutation of 0..2"),
     (_set("fiber_permutation", [1, True, 0]),
      "/fiber_permutation: expected a permutation of 0..2"),
+    (lambda obj: obj["charts"][1]["reparam"].update(valuation=-10 ** 6),
+     "/charts/1/reparam/valuation: expected absolute value at most "
+     f"{MAX_WINDOW}"),
 ], ids=["missing-member", "order-0", "order-bool", "matrix-rows",
         "matrix-entry", "no-charts", "target-range", "perm-short",
-        "perm-bool"])
+        "perm-bool", "window-above-limit"])
 def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
                                           edit, message):
     datum_path, action_path = pirola_built
@@ -316,10 +320,36 @@ def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
      "/field/cyclotomic_order: expected int"),
     (_set("field", []), "/field: expected dict"),
     (_set("h", {"P": 5}), "/h/P: expected list"),
-], ids=["N-bool", "precision-bool", "order-bool", "field-list", "h-P-int"])
+    (_set("precision", MAX_WINDOW + 1),
+     f"/precision: expected at most {MAX_WINDOW}"),
+], ids=["N-bool", "precision-bool", "order-bool", "field-list", "h-P-int",
+        "precision-above-limit"])
 def test_build_malformed_spec_exits_2(tmp_path, capsys, edit, message):
     obj = spec_to_json(pirola_spec(precision=10))
     edit(obj)
     spec_path = _write_spec(tmp_path / "spec.json", obj)
     assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
     assert f"SchemaError: {message}" in capsys.readouterr().err
+
+
+def test_analyze_datum_window_above_limit_exits_2(tmp_path, capsys,
+                                                  pirola_datum_obj):
+    def edit(obj):
+        for chart in obj["charts"]:
+            for series in [chart["alpha_pullback"], *chart["forms"]]:
+                series["prec"] = 10 ** 6
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert ("SchemaError: /charts/0/alpha_pullback/prec: expected absolute "
+            f"value at most {MAX_WINDOW}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "demo"])
+def test_precision_flag_above_limit_exits_2(tmp_path, capsys, command):
+    assert MAX_WINDOW >= 80
+    argv = {"build": ["build", _write_spec(tmp_path / "spec.json",
+                                           spec_to_json(pirola_spec(10))),
+                      "--out", str(tmp_path / "d.json")],
+            "demo": ["demo-pirola"]}[command]
+    assert main(argv + ["--precision", str(MAX_WINDOW + 1)]) == 2
+    assert (f"PrecisionUnreachable: requested window {MAX_WINDOW + 1} is "
+            f"above the limit {MAX_WINDOW}") in capsys.readouterr().err

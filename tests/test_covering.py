@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ellprym.covering import (CoveringDatum, FiberChart, RamificationChart,
+from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
+                              RamificationChart, _parse_series,
                               datum_from_json, datum_to_json, load, save,
                               validate)
 from ellprym.errors import SchemaError
@@ -99,6 +100,16 @@ def test_truncated_series_schema_error(pirola):
     with pytest.raises(SchemaError) as err:
         datum_from_json(obj)
     assert "/charts/0/alpha_pullback" in err.value.pointer
+
+
+def test_series_window_limit_is_inclusive():
+    ok = {"valuation": -MAX_WINDOW, "prec": MAX_WINDOW, "coeffs": ["1"]}
+    assert _parse_series(Q, ok, "/s").prec == MAX_WINDOW
+    for key, val in (("valuation", -MAX_WINDOW - 1),
+                     ("prec", MAX_WINDOW + 1)):
+        with pytest.raises(SchemaError) as err:
+            _parse_series(Q, dict(ok, **{key: val}), "/s")
+        assert err.value.pointer == f"/s/{key}"
 
 
 def test_load_invalid_json(tmp_path):

@@ -79,8 +79,13 @@ def test_eigenspaces_need_root_of_unity(biell4):
         eigenspaces(fake, q)
 
 
+def _sym2(bundle):
+    return sym2_eigenspaces(
+        bundle.split, eigenspaces(bundle.action, bundle.datum.field))
+
+
 def test_sym2_eigendims(pirola):
-    s2 = sym2_eigenspaces(pirola.datum, pirola.split, pirola.action)
+    s2 = _sym2(pirola)
     assert s2.full.dims == (3, 3, 4)
     assert s2.minus.dims == (2, 1, 3)
 
@@ -118,23 +123,27 @@ def test_eigendims_invariant_under_basis_change(pirola):
     assert dec.dims == (1, 2, 1)
 
 
+def _battery(bundle, action=None):
+    eig = eigenspaces(bundle.action, bundle.datum.field)
+    return run_battery(bundle.datum, action or bundle.action, bundle.split,
+                       eig, sym2_eigenspaces(bundle.split, eig),
+                       bundle.quadrics, bundle.kernel, bundle.criterion)
+
+
 def test_battery_all_pass(pirola):
-    report = run_battery(pirola.datum, pirola.action, pirola.split,
-                         pirola.quadrics, pirola.kernel, pirola.criterion)
+    report = _battery(pirola)
     assert report.ok
     assert len(report.checks) == 7
 
 
 def test_battery_preconditions(biell4, pirola):
     with pytest.raises(InputError):
-        run_battery(biell4.datum, biell4.action, biell4.split,
-                    biell4.quadrics, biell4.kernel, biell4.criterion)
+        _battery(biell4)
     wrong_order = CyclicAction(2, pirola.action.matrix,
                                pirola.action.chart_moves,
                                pirola.action.fiber_permutation)
     with pytest.raises(InputError):
-        run_battery(pirola.datum, wrong_order, pirola.split, pirola.quadrics,
-                    pirola.kernel, pirola.criterion)
+        _battery(pirola, wrong_order)
 
 
 def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):
@@ -143,8 +152,7 @@ def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):
     from ellprym.diffalg import SymSquareElement
     from ellprym.prym import nu
     field = pirola.datum.field
-    s2 = sym2_eigenspaces(pirola.datum, pirola.split, pirola.action)
-    frame = pirola.frame
+    s2 = _sym2(pirola)
     for exponent in (1, 2):
         for coords in s2.minus.bases[exponent]:
             # rebuild the tensor from minus-square coordinates
@@ -157,3 +165,25 @@ def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):
                         field, list(pirola.split.minus_basis[a]),
                         list(pirola.split.minus_basis[b])).scale(coef)
             assert nu(pirola.datum, pirola.split, elem).is_zero()
+
+
+def test_squared_generator_report_matches_stock(pirola):
+    """The battery on the squared generator (matrix M^2, each chart move
+    composed with itself, fiber permutation sigma^2) relabels it back and
+    reports exactly what the stock action does, relabel flags aside."""
+    from ellprym.cli import analyze_datum
+    action = pirola.action
+    moves = action.chart_moves
+    squared = CyclicAction(
+        3, action.matrix.matmul(action.matrix),
+        tuple((moves[t][0], moves[t][1].compose(rho)) for t, rho in moves),
+        tuple(action.fiber_permutation[k] for k in action.fiber_permutation))
+    stock = analyze_datum(pirola.datum, action)
+    report = analyze_datum(pirola.datum, squared)
+    for rep, flag in ((stock, False), (report, True)):
+        assert rep["equivariant"]["generator_relabeled"] is flag
+        assert rep["equivariant"]["battery"]["generator_relabeled"] is flag
+        rep["equivariant"]["generator_relabeled"] = None
+        rep["equivariant"]["battery"]["generator_relabeled"] = None
+    assert report == stock
+    assert report["equivariant"]["battery"]["ok"]

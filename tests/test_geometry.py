@@ -22,14 +22,14 @@ def minus_elem(bundle):
 
 def test_decomposition_of_minus_tensor(pirola):
     phi = minus_elem(pirola)
-    dec = decompose_quadric(pirola.datum, pirola.split, pirola.frame, phi)
+    dec = decompose_quadric(pirola.split, phi)
     assert dec.minus_part == phi
     assert all(x.is_zero() for x in dec.omega)
 
 
 def test_decomposition_of_alpha_squared(pirola):
     phi = alpha_sq(pirola)
-    dec = decompose_quadric(pirola.datum, pirola.split, pirola.frame, phi)
+    dec = decompose_quadric(pirola.split, phi)
     assert dec.minus_part.is_zero()
     assert list(dec.omega) == list(pirola.split.alpha_coords)
 
@@ -37,7 +37,7 @@ def test_decomposition_of_alpha_squared(pirola):
 def test_decomposition_reconstructs_any_tensor(pirola):
     field = pirola.datum.field
     phi = alpha_sq(pirola) + minus_elem(pirola).scale(field.scalar(7))
-    dec = decompose_quadric(pirola.datum, pirola.split, pirola.frame, phi)
+    dec = decompose_quadric(pirola.split, phi)
     rebuilt = dec.minus_part + SymSquareElement.symmetric_product(
         field, list(pirola.split.alpha_coords), list(dec.omega))
     assert rebuilt == phi
@@ -45,22 +45,21 @@ def test_decomposition_reconstructs_any_tensor(pirola):
 
 def test_evaluate_at_distinguished_point(pirola):
     one = pirola.datum.field.one()
-    assert evaluate_at_qminus(pirola.frame, alpha_sq(pirola)) == one
-    assert evaluate_at_qminus(pirola.frame, minus_elem(pirola)).is_zero()
+    assert evaluate_at_qminus(pirola.split, alpha_sq(pirola)) == one
+    assert evaluate_at_qminus(pirola.split, minus_elem(pirola)).is_zero()
 
 
 def test_pirola_quadric_contains_point(pirola):
     """The mixed part of the unique quadric has no pure pullback component."""
     G = pirola.quadrics.basis[0]
-    dec = decompose_quadric(pirola.datum, pirola.split, pirola.frame, G)
+    dec = decompose_quadric(pirola.split, G)
     assert pirola.split.trace_ratio(dec.omega).is_zero()
-    assert evaluate_at_qminus(pirola.frame, G).is_zero()
+    assert evaluate_at_qminus(pirola.split, G).is_zero()
 
 
 def test_dual_route_equivalence(all_bundles):
     for bundle in all_bundles.values():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.frame,
-                                  bundle.quadrics)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.quadrics)
         for c in checks:
             assert c.agree and c.proof_identity_ok
 
@@ -68,15 +67,15 @@ def test_dual_route_equivalence(all_bundles):
 def test_functpoint_rejects_non_kernel_input(pirola):
     fake = type(pirola.quadrics)(basis=(alpha_sq(pirola),))
     with pytest.raises(InputError):
-        functpoint_check(pirola.datum, pirola.split, pirola.frame, fake)
+        functpoint_check(pirola.datum, pirola.split, fake)
 
 
 def test_halfgeo_verdicts(all_bundles):
     expected_in_all = {"pirola": True, "bielliptic4": False,
                        "bielliptic3": True}
     for name, bundle in all_bundles.items():
-        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.frame,
-                                 bundle.quadrics, bundle.criterion)
+        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.quadrics,
+                                 bundle.criterion)
         assert crit.qminus_in_all == expected_in_all[name]
         assert crit.implies_dim1 == (not crit.qminus_in_all)
         if name == "bielliptic3":
@@ -90,8 +89,7 @@ def test_halfgeo_consistency_guard(biell4):
                         fake.nu_on_pair_sums, fake.dim_kernel_E_dual,
                         fake.dim_kernel_E_dual)
     with pytest.raises(ConsistencyViolated):
-        halfgeo_criterion(biell4.datum, biell4.split, biell4.frame,
-                          biell4.quadrics, forged)
+        halfgeo_criterion(biell4.datum, biell4.split, biell4.quadrics, forged)
 
 
 def test_dimension_ledger_identities(all_bundles):

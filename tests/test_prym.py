@@ -29,7 +29,9 @@ def test_residues_match_base_curve_oracle(pirola):
                                  divisor_of)
     datum, split = pirola.datum, pirola.split
     field = datum.field
-    phi = SymSquareElement.basis_element(field, 4, 1, 2)
+    # the lexicographic basis tensor eta_1 . eta_2
+    phi = SymSquareElement.from_lex(
+        field, 4, [field.one() if k == 5 else field.zero() for k in range(10)])
     cov = codifferential(datum, split, phi, check_minus=False)
     spec = pirola.spec
     div = divisor_of(spec.curve, spec.h)
@@ -150,8 +152,8 @@ def test_bielliptic_witness_independently_confirmed(biell4):
     from ellprym.geometry import decompose_quadric, evaluate_at_qminus
     crit = biell4.criterion
     G = biell4.quadrics.basis[0]
-    dec = decompose_quadric(biell4.datum, biell4.split, biell4.frame, G)
-    val = evaluate_at_qminus(biell4.frame, G)
+    dec = decompose_quadric(biell4.split, G)
+    val = evaluate_at_qminus(biell4.split, G)
     assert not val.is_zero()
     assert nu(biell4.datum, biell4.split, dec.minus_part) == \
         -biell4.split.trace_ratio(dec.omega)
