@@ -36,7 +36,7 @@ from .errors import (BuilderError, DimensionMismatch, DivisionByZero,
                      UnsupportedOrder, UnsupportedRamification)
 from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
                       psub, ptrim, rational_nth_root)
-from .series import TruncatedSeries, newton_solve
+from .series import TruncatedSeries, compose_all, newton_solve
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 
@@ -516,14 +516,15 @@ class BuildResult:
         if value.is_zero():
             raise InputError("probe point is a branch point")
         root = value.nth_root_rational(self.spec.order)
-        field = curve.field
-        zeta = field.root_of_unity(self.spec.order)
-        rows = []
-        for kk in range(self.spec.order):
-            w = zeta ** kk * root
-            rows.append(tuple(fn.evaluate(point) * w ** (-k)
-                              for (k, fn) in self.basis_plan))
-        return tuple(rows)
+        return _fiber_rows(self.basis_plan, point, root, self.spec.order)
+
+
+def _fiber_rows(plans, point, root, N):
+    """Ratio rows f * w^-k of ``plans`` at the points w = zeta^kk * root."""
+    zeta = root.field.root_of_unity(N)
+    values = [(k, fn.evaluate(point)) for k, fn in plans]
+    return tuple(tuple(f * (zeta ** kk * root) ** (-k) for k, f in values)
+                 for kk in range(N))
 
 
 def default_chart_window(genus, n_ram, index):
@@ -599,10 +600,7 @@ def build_cover(spec):
         charts.append(_build_chart(curve, spec.h, place, v, N, window, plans))
 
     zeta = field.root_of_unity(N)
-    rows = []
-    for kk in range(N):
-        w = zeta ** kk * root
-        rows.append(tuple(fn.evaluate(c) * w ** (-k) for (k, fn) in plans))
+    rows = _fiber_rows(plans, c, root, N)
     # the base point is recorded in the labels for reproducibility
     labels = tuple(f"x{kk + 1}@({c.x},{c.y})" for kk in range(N))
 
@@ -612,7 +610,7 @@ def build_cover(spec):
                      else f"{_fn_name(fn)}*w^-{k}" if k else _fn_name(fn))
 
     datum = CoveringDatum(field, genus, N, tuple(charts),
-                          FiberChart(labels, tuple(rows)), tuple(names), 0)
+                          FiberChart(labels, rows), tuple(names), 0)
     require_valid(datum)
 
     matrix = Matrix(field,
@@ -720,8 +718,7 @@ def _build_chart(curve, h, place, v_h, N, window, plans):
             f"match the divisor value {v_h}")
     core = h_t if v_h == 1 else h_t.inverse()
     t_of_v = core.reversion()
-    x_v = x_t.compose(t_of_v)
-    y_v = y_t.compose(t_of_v)
+    x_v, y_v = compose_all([x_t, y_t], t_of_v)
     alpha_v = x_v.derivative().scale(field.scalar(N)) / y_v
     w_offset = 1 if v_h == 1 else -1
 

@@ -27,7 +27,7 @@ CONVENTIONS = {
 
 
 def analyze_datum(datum, action=None):
-    """Full analysis pipeline; returns (report dict, identities_ok)."""
+    """Full analysis pipeline; returns the report dict."""
     report = {"conventions": CONVENTIONS}
     vrep = datum.validation
     report["validation"] = vrep.to_json()

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import SchemaError, ValidationFailed
 from .scalars import FieldSpec, Matrix, Scalar
-from .series import TruncatedSeries
+from .series import TruncatedSeries, transform_form
 
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
@@ -423,14 +423,11 @@ def reparametrized(datum, substitutions):
     s(phi(v)) phi'(v) dv.  Kernel dimensions computed downstream are
     invariant under this operation.
     """
-    from .series import transform_form
     charts = list(datum.charts)
     for j, phi in substitutions.items():
         c = charts[j]
-        charts[j] = RamificationChart(
-            c.label, c.index,
-            transform_form(c.alpha_pullback, phi),
-            tuple(transform_form(s, phi) for s in c.forms))
+        alpha, *forms = transform_form([c.alpha_pullback, *c.forms], phi)
+        charts[j] = RamificationChart(c.label, c.index, alpha, tuple(forms))
     return CoveringDatum(datum.field, datum.genus, datum.degree,
                          tuple(charts), datum.fiber, datum.basis_names,
                          datum.alpha_index_hint)

@@ -21,7 +21,7 @@ from .diffalg import SymSquareElement, lex_pairs
 from .errors import FieldError, IdentityViolated, InputError, SchemaError
 from .geometry import evaluate_at_qminus
 from .scalars import Matrix
-from .series import TruncatedSeries, transform_quadratic
+from .series import TruncatedSeries, transform_form
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,14 @@ def validate_action(datum, action):
     for j, (target, rho) in enumerate(action.chart_moves):
         src = datum.charts[target]
         dst = datum.charts[j]
-        for i in range(g):
-            transported = src.forms[i].compose(rho) * rho.derivative()
+        for i, transported in enumerate(transform_form(src.forms, rho)):
             expect = TruncatedSeries.zero(field, transported.prec)
             for a in range(g):
                 coef = action.matrix.rows[a][i]
                 if not coef.is_zero():
                     expect = expect + dst.forms[a].scale(coef)
-            window = min(transported.prec, expect.prec)
-            if not (transported.truncate(window) -
-                    expect.truncate(window)).is_zero():
+            # the difference is known to the narrower of the two windows
+            if not (transported - expect).is_zero():
                 raise IdentityViolated(
                     f"chart transport mismatch for form {i} at chart {j}")
     return True
@@ -418,23 +416,3 @@ def _proportional(field, u, v):
                 return False
     return ref is not None
 
-
-def transported_multiply(datum, action, quad_data):
-    """Transport of multiplication data along the generator.
-
-    Chart j of the result is the chart at the generator's target composed
-    with the reparametrization (as a quadratic differential); fiber values
-    are permuted.  Equivariance of the multiplication map states this equals
-    the data of the pulled-back tensor.
-    """
-    charts = []
-    for target, rho in action.chart_moves:
-        charts.append(transform_quadratic(quad_data.charts[target], rho))
-    fiber = tuple(quad_data.fiber[action.fiber_permutation[k]]
-                  for k in range(len(quad_data.fiber)))
-    return type(quad_data)(tuple(charts), fiber)
-
-
-def pullback_tensor(action, phi):
-    """(generator)* phi: coefficient array M Phi M^T."""
-    return phi.transform(action.matrix)

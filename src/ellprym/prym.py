@@ -87,9 +87,6 @@ class CodifferentialMatrix:
     def gamma_matrix(self, field):
         return Matrix(field, [list(r[:self.n_ramification]) for r in self.rows])
 
-    def full_matrix(self, field):
-        return Matrix(field, [list(r) for r in self.rows])
-
 
 def codifferential_matrix(datum, split):
     rows = []

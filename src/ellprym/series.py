@@ -12,12 +12,15 @@ and is nonzero unless the series is the tracked-precision zero series, in
 which case ``coeffs`` is empty and ``valuation == prec``.
 
 Algorithms: composition is Brent-Kung baby-step/giant-step (Brent & Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978);
-reversion and ``newton_solve`` are Newton iterations whose rounds work only
-at the precision they make correct, plus one guard coefficient.  Result
-windows are fixed by the inputs' windows alone, never by the evaluation
-scheme.  Reversions and Newton solutions are checked exactly at their full
-window before they are returned.
+"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978).
+``compose_all`` forms the baby and giant powers of one inner series once for
+a list of outer series, and each outer keeps its own window; ``compose`` is
+its one-element case, and ``transform_form`` changes the parameter of a list
+of 1-forms through it.  Reversion and ``newton_solve`` are Newton iterations
+whose rounds work only at the precision they make correct, plus one guard
+coefficient.  Result windows are fixed by the inputs' windows alone, never by
+the evaluation scheme.  Reversions and Newton solutions are checked exactly
+at their full window before they are returned.
 """
 
 from __future__ import annotations
@@ -215,49 +218,8 @@ class TruncatedSeries:
         return self.coefficient(-1)
 
     def compose(self, inner):
-        """self(inner) for an inner series with valuation >= 1.
-
-        The nonnegative part z^lo * q(z) is evaluated as q(inner) by Brent-Kung
-        baby-step/giant-step: about 2*sqrt(m) series products for the m terms
-        of q that reach the window, where Horner needs m.  It is then
-        multiplied by inner^lo; negative powers go through the reciprocal of
-        inner.  The result window is min(vg * self.prec,
-        inner.prec + (self.valuation - 1) * vg) for vg = inner.valuation,
-        the same as for a term-by-term Horner evaluation.
-        """
-        self._check_field(inner)
-        if inner.is_zero() or inner.valuation < 1:
-            raise ValuationError("composition requires inner valuation >= 1")
-        vg = inner.valuation
-        # window of the result: error from outer truncation is O(inner^prec);
-        # error from inner truncation is O(z^(inner.prec + (v-1)*vg))
-        prec = min(vg * self.prec, inner.prec + (self.valuation - 1) * vg)
-        work = prec - min(0, self.valuation - 1) * vg + 1
-        zero = TruncatedSeries.zero(self.field, work)
-        # only the terms with e*vg < prec reach the window, and q(inner) is
-        # needed below z^(prec - lo*vg)
-        lo = max(self.valuation, 0)
-        q = self.coefficients_in(lo, min(self.prec, -(-prec // vg)))
-        if q:
-            width = prec - lo * vg
-            result = _baby_giant(q, inner.truncate(width), width)
-            for _ in range(lo):
-                result = result * inner
-        else:
-            result = zero
-        # negative powers via the reciprocal of inner
-        if self.valuation < 0:
-            inv = inner.inverse()
-            power = inv
-            neg = zero
-            for e in range(-1, self.valuation - 1, -1):
-                c = self.coefficient(e)
-                if not c.is_zero():
-                    neg = neg + power.scale(c)
-                if e > self.valuation:
-                    power = power * inv
-            result = result + neg
-        return result.truncate(min(prec, result.prec))
+        """self(inner), for inner of valuation >= 1; see `compose_all`."""
+        return compose_all([self], inner)[0]
 
     def reversion(self):
         """Compositional inverse g with self(g) = z, for valuation exactly 1.
@@ -284,10 +246,10 @@ class TruncatedSeries:
             # g is correct below z^good, so err = O(z^good) and the quotient
             # err / self'(g) needs self'(g) below z^(known - good) only
             g = TruncatedSeries(self.field, g.valuation, g.coeffs, known)
-            err = self.truncate(known).compose(g) - ident.truncate(known)
-            dg = deriv.truncate(known - good).compose(g)
+            f_g, dg = compose_all(
+                [self.truncate(known), deriv.truncate(known - good)], g)
+            err = f_g - ident.truncate(known)
             g = (g - err / dg).truncate(known)
-        g = g.truncate(rel + 1 if rel + 1 <= g.prec else g.prec)
         check = self.compose(g)
         window = min(check.prec, rel + 1)
         if not (check - ident.truncate(window)).truncate(window).is_zero():
@@ -323,31 +285,71 @@ class TruncatedSeries:
         return " + ".join(terms) + f" + O(z^{self.prec})"
 
 
-def _baby_giant(coeffs, inner, width):
-    """sum coeffs[e] * inner^e below z^width, for inner of valuation >= 1.
+def compose_all(outers, inner):
+    """[outer(inner) for outer in outers], for inner of valuation >= 1.
 
-    Brent-Kung: with k = ceil(sqrt(m)), form the baby powers inner^0..inner^(k-1),
-    take each block of k coefficients as a linear combination of them, and
-    combine the blocks by Horner in inner^k.
+    The nonnegative part z^lo * q(z) of each outer is evaluated as q(inner) by
+    Brent-Kung baby-step/giant-step: about 2*sqrt(m) series products for the
+    m terms of q that reach the window, where Horner needs m.  With
+    k = ceil(sqrt(m)) for the longest q, the baby powers inner^0..inner^(k-1)
+    and the giant step inner^k are formed once for the whole list, at the
+    widest window any outer needs; so is the reciprocal of inner, through
+    which negative powers go.  Each outer keeps its own window,
+    min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg) for
+    vg = inner.valuation, as a term-by-term Horner evaluation would give, and
+    the shared powers are cut to it before use.
     """
-    field = inner.field
-    k = math.isqrt(len(coeffs) - 1) + 1
-    powers = [TruncatedSeries(field, 0, [field.one()], width)]
-    while len(powers) < min(k, len(coeffs)):
-        powers.append((powers[-1] * inner).truncate(width))
-    blocks = []
-    for start in range(0, len(coeffs), k):
-        block = TruncatedSeries.zero(field, width)
-        for c, p in zip(coeffs[start:start + k], powers):
+    for outer in outers:
+        outer._check_field(inner)
+    if inner.is_zero() or inner.valuation < 1:
+        raise ValuationError("composition requires inner valuation >= 1")
+    field, vg = inner.field, inner.valuation
+    plans = []
+    for outer in outers:
+        # error from outer truncation is O(inner^prec); error from inner
+        # truncation is O(z^(inner.prec + (v-1)*vg))
+        prec = min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg)
+        # only the terms with e*vg < prec reach the window, and q(inner) is
+        # needed below z^(prec - lo*vg)
+        lo = max(outer.valuation, 0)
+        q = outer.coefficients_in(lo, min(outer.prec, -(-prec // vg)))
+        plans.append((outer, prec, lo, q))
+    widths = [prec - lo * vg for _, prec, lo, q in plans if q]
+    if widths:
+        width, m = max(widths), max(len(p[3]) for p in plans)
+        k = math.isqrt(m - 1) + 1
+        step = inner.truncate(width)
+        powers = [TruncatedSeries(field, 0, [field.one()], width)]
+        while len(powers) < k + (m > k):
+            powers.append((powers[-1] * step).truncate(width))
+    depth = max([-outer.valuation for outer in outers] + [0])
+    inv = [inner.inverse()] if depth else []
+    while len(inv) < depth:
+        inv.append(inv[-1] * inv[0])
+    out = []
+    for outer, prec, lo, q in plans:
+        result = TruncatedSeries.zero(field, prec)
+        if q:
+            w = prec - lo * vg
+            table = powers if w == width else [p.truncate(w) for p in powers]
+            blocks = []
+            for start in range(0, len(q), k):
+                block = TruncatedSeries.zero(field, w)
+                for c, p in zip(q[start:start + k], table):
+                    if not c.is_zero():
+                        block = block + p.scale(c)
+                blocks.append(block)
+            result = blocks.pop()
+            while blocks:
+                result = (result * table[k]).truncate(w) + blocks.pop()
+            for _ in range(lo):
+                result = result * inner
+        for e in range(-1, outer.valuation - 1, -1):
+            c = outer.coefficient(e)
             if not c.is_zero():
-                block = block + p.scale(c)
-        blocks.append(block)
-    acc = blocks.pop()
-    if blocks:
-        giant = (powers[-1] * inner).truncate(width)
-        while blocks:
-            acc = (acc * giant).truncate(width) + blocks.pop()
-    return acc
+                result = result + inv[-e - 1].scale(c)
+        out.append(result.truncate(min(prec, result.prec)))
+    return out
 
 
 def _rewindow(s, prec):
@@ -383,7 +385,8 @@ def newton_solve(coeffs_in_y, seed, target_prec):
             acc = acc * y + cs[k].scale(field.scalar(k))
         return acc
 
-    if not f_at(seed).truncate(min(seed.prec, f_at(seed).prec)).is_zero():
+    residual = f_at(seed)
+    if not residual.truncate(min(seed.prec, residual.prec)).is_zero():
         raise ValueError("seed does not satisfy the equation to its precision")
     deriv = fprime_at(seed)
     if deriv.is_zero() or deriv.valuation != 0:
@@ -404,17 +407,14 @@ def newton_solve(coeffs_in_y, seed, target_prec):
     return y
 
 
-def transform_form(coefficient_series, substitution):
-    """Rewrite a 1-form coefficient under a parameter substitution.
+def transform_form(series_list, substitution):
+    """Rewrite 1-form coefficients under one parameter substitution.
 
-    If the form is s(z) dz and z = phi(u), the new coefficient series is
+    If a form is s(z) dz and z = phi(u), its new coefficient series is
     s(phi(u)) * phi'(u).  Residues are invariant under this operation, which
-    is what licenses arbitrary local parameters in covering data.
+    is what licenses arbitrary local parameters in covering data.  All the
+    series go through one `compose_all`, so they share its powers of phi
+    while each keeps its own window, and phi' is formed once.
     """
-    return coefficient_series.compose(substitution) * substitution.derivative()
-
-
-def transform_quadratic(coefficient_series, substitution):
-    """Same as transform_form for quadratic differentials: s(phi) * phi'^2."""
     d = substitution.derivative()
-    return coefficient_series.compose(substitution) * d * d
+    return [s * d for s in compose_all(series_list, substitution)]

@@ -1,12 +1,11 @@
 import pytest
 
 from ellprym.diffalg import multiply
-from ellprym.equivariant import (CyclicAction, eigenspaces, pullback_tensor,
-                                 run_battery, sym2_eigenspaces,
-                                 transported_multiply, validate_action)
+from ellprym.equivariant import (CyclicAction, eigenspaces, run_battery,
+                                 sym2_eigenspaces, validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
-from ellprym.series import TruncatedSeries
+from ellprym.series import TruncatedSeries, transform_form
 
 
 def test_action_validates(all_bundles):
@@ -37,6 +36,13 @@ def test_corrupted_action_detected(pirola):
     bad = CyclicAction(3, pirola.action.matrix, pirola.action.chart_moves,
                        bad_perm)
     with pytest.raises(IdentityViolated):
+        validate_action(pirola.datum, bad)
+    # a chart move u -> zeta^2 u where the generator moves u -> zeta u
+    moves = list(pirola.action.chart_moves)
+    moves[0] = (moves[0][0], moves[0][1].scale(field.zeta()))
+    bad = CyclicAction(3, pirola.action.matrix, tuple(moves),
+                       pirola.action.fiber_permutation)
+    with pytest.raises(IdentityViolated, match="chart transport mismatch"):
         validate_action(pirola.datum, bad)
 
 
@@ -91,16 +97,25 @@ def test_sym2_eigendims(pirola):
 
 
 def test_multiply_equivariance(pirola):
-    """multiply(g* phi) equals the action-transported multiply(phi)."""
+    """multiply(g* phi) equals the action-transported multiply(phi).
+
+    g* phi has coefficient array M Phi M^T; chart j of the transport is the
+    product at the move's target chart, rewritten as a quadratic
+    differential s(rho) rho'^2 in the move's reparametrization rho, and the
+    fiber values are permuted.
+    """
+    action = pirola.action
     for phi in (pirola.quadrics.basis[0], pirola.kernel.basis[0],
                 pirola.kernel.basis[2]):
-        lhs = multiply(pirola.datum, pullback_tensor(pirola.action, phi))
-        rhs = transported_multiply(pirola.datum, pirola.action,
-                                   multiply(pirola.datum, phi))
-        for a, b in zip(lhs.charts, rhs.charts):
+        lhs = multiply(pirola.datum, phi.transform(action.matrix))
+        data = multiply(pirola.datum, phi)
+        for a, (target, rho) in zip(lhs.charts, action.chart_moves):
+            b = transform_form([data.charts[target]], rho)[0] * \
+                rho.derivative()
             window = min(a.prec, b.prec)
             assert (a.truncate(window) - b.truncate(window)).is_zero()
-        assert lhs.fiber == rhs.fiber
+        assert lhs.fiber == tuple(data.fiber[k]
+                                  for k in action.fiber_permutation)
 
 
 def test_eigendims_invariant_under_basis_change(pirola):

@@ -7,7 +7,8 @@ from ellprym.covering import _parse_series
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             SingularJacobian, ValuationError)
 from ellprym.scalars import FieldSpec, Scalar
-from ellprym.series import TruncatedSeries, newton_solve, transform_form
+from ellprym.series import (TruncatedSeries, compose_all, newton_solve,
+                            transform_form)
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -161,7 +162,7 @@ def test_residue_reparametrization_invariance():
         subst = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3))
                           for _ in range(10)]
         phi = TruncatedSeries.from_coefficients(Q3, 1, subst, 12)
-        assert transform_form(f, phi).residue() == f.residue()
+        assert transform_form([f], phi)[0].residue() == f.residue()
 
 
 def test_series_json_round_trip():
@@ -253,6 +254,48 @@ def test_compose_zero_and_short_outer_match_reference():
         assert outer.compose(inner) == horner_compose(outer, inner)
 
 
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_compose_all_matches_horner_per_outer(field):
+    """One shared power table, each outer on its own window: mixed
+    valuations and windows, a one-term outer, zero outers whose terms never
+    reach the window, and negative valuations sharing one reciprocal."""
+    rng = random.Random(20261019 + field.degree)
+    for v_inner in (1, 2):
+        for _ in range(6):
+            outers = []
+            for _ in range(rng.randint(2, 5)):
+                v = rng.randint(-3, 3)
+                n = rng.randint(1, 14)
+                # compose reads every coefficient from z^-1 down to v
+                prec = max(v + n + rng.randint(0, 4), 0)
+                outers.append(random_series(rng, field, v, n, prec,
+                                            sparse=0.3))
+            outers += [random_series(rng, field, 0, 1, 1),
+                       TruncatedSeries.zero(field, 3),
+                       random_series(rng, field, -3, 12, 10),
+                       random_series(rng, field, -1, 5, 4)]
+            rng.shuffle(outers)
+            n_in = rng.randint(2, 12)
+            inner = random_series(rng, field, v_inner, n_in,
+                                  v_inner + n_in + rng.randint(0, 3),
+                                  sparse=0.3)
+            got = compose_all(outers, inner)
+            assert len(got) == len(outers)
+            for outer, result in zip(outers, got):
+                expect = horner_compose(outer, inner)
+                assert result == expect, (outer, inner)
+                assert result.prec == expect.prec
+
+
+def test_compose_all_list_of_one_and_none():
+    inner = S(1, [2, 1, 1], 6)
+    outer = S(-1, [1, 3, 0, 2], 5)
+    assert compose_all([outer], inner) == [outer.compose(inner)]
+    assert compose_all([], inner) == []
+    with pytest.raises(ValuationError):
+        compose_all([outer], S(0, [1, 1], 6))
+
+
 def _assert_agrees_on(narrow, wide):
     assert wide.prec >= narrow.prec
     assert wide.truncate(narrow.prec) == narrow
@@ -268,6 +311,19 @@ def test_compose_window_sound():
                                 (v_outer + 7, 9)):
             narrow = outer.truncate(cut_out).compose(inner.truncate(cut_in))
             _assert_agrees_on(narrow, wide)
+
+
+def test_inverse_window_sound():
+    rng = random.Random(35)
+    for field in (Q, Q3):
+        for v in (-2, 0, 3):
+            f = random_series(rng, field, v, 16, v + 16)
+            wide = f.inverse()
+            assert wide.valuation == -v and wide.prec == 16 - v
+            for cut in (v + 1, v + 2, v + 5, v + 11):
+                narrow = f.truncate(cut).inverse()
+                assert narrow.prec == cut - 2 * v
+                _assert_agrees_on(narrow, wide)
 
 
 def test_reversion_window_sound():
@@ -320,3 +376,46 @@ def test_compose_against_sympy():
                 want = exact.coeff_monomial(z ** e)
                 assert got.coefficient(e).rational_value() == \
                     F(int(want.p), int(want.q))
+
+
+def _sympy_ring(s):
+    """The coefficients of s as an element of sympy's ring QQ[z]."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+    R, z = ring("z", QQ)
+    return z, sum((QQ(c.rational_value().numerator,
+                      c.rational_value().denominator) * z ** k
+                   for k, c in enumerate(s.coeffs)), R.zero)
+
+
+def _assert_matches_ring(series, p, shift=0):
+    """series has the coefficients of z^shift * p below its window."""
+    for e in range(series.valuation, series.prec):
+        want = p.coeff(p.ring.gens[0] ** (e - shift)) if e >= shift else 0
+        assert series.coefficient(e).rational_value() == \
+            F(int(want.numerator), int(want.denominator))
+
+
+def test_inverse_against_sympy():
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    rng = random.Random(36)
+    for v in (-2, 0, 1, 3):
+        for _ in range(3):
+            f = random_series(rng, Q, v, 10, v + 10, sparse=0.3)
+            z, unit = _sympy_ring(f)
+            inv = f.inverse()
+            assert inv.valuation == -v and inv.prec == 10 - v
+            _assert_matches_ring(
+                inv, ring_series.rs_series_inversion(unit, z, 10), -v)
+
+
+def test_reversion_against_sympy():
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    rng = random.Random(37)
+    for n in (2, 5, 9, 14):
+        f = random_series(rng, Q, 1, n, n + 1, sparse=0.3)
+        z, unit = _sympy_ring(f)
+        g = f.reversion()
+        assert g.prec == n + 1
+        _assert_matches_ring(
+            g, ring_series.rs_series_reversion(unit * z, z, n + 1, z))
