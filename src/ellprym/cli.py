@@ -39,7 +39,7 @@ def analyze_datum(datum, action=None):
     split = diffalg.trace_split(datum)
     quad = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
-    crit = prym.kernel_full(datum, split, ke)
+    crit = prym.kernel_full(datum, ke)
     fp = geometry.functpoint_check(datum, split, quad)
     hg = geometry.halfgeo_criterion(datum, split, quad, crit)
     ledger = geometry.dimension_ledger(datum, split, quad, ke)
@@ -70,7 +70,7 @@ def analyze_datum(datum, action=None):
     }
     report["distinguished_point"] = hg.to_json()
     report["ledger"] = ledger.to_json()
-    report["criterion"] = crit.to_json(datum.field)
+    report["criterion"] = crit.to_json()
 
     if action is not None:
         equivariant.validate_action(datum, action)

@@ -10,6 +10,12 @@ differential, realized here as chart expansions plus fiber values.  Its
 kernel is the space of quadrics through the canonically embedded cover; for
 non-hyperelliptic covers that space has dimension (g-2)(g-3)/2 and the map
 has rank 3g-3 (classical projective normality), both asserted exactly.
+
+A symmetric 2-tensor is the list of its lex coordinates: the coefficients
+c_ij of sum c_ij f_i f_j over the pairs i <= j in lexicographic order, where
+f_i f_j = (f_i (x) f_j + f_j (x) f_i) / 2.  The coefficient array Phi of the
+tensor (``gram``) has Phi_ii = c_ii and, off the diagonal, c_ij = 2 Phi_ij.
+A linear map on forms acts on tensors through ``sym_square_matrix`` alone.
 """
 
 from __future__ import annotations
@@ -27,107 +33,55 @@ from .series import TruncatedSeries
 # symmetric 2-tensors
 # ---------------------------------------------------------------------------
 
-class SymSquareElement:
-    """A symmetric 2-tensor over the form basis, phi = sum phi_ij eta_i . eta_j."""
-
-    __slots__ = ("field", "coeffs", "size")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        rows = [[field.scalar(x) for x in row] for row in coeffs]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("coefficient array must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("coefficient array must be symmetric")
-        self.coeffs = rows
-        self.size = n
-
-    @classmethod
-    def zero(cls, field, size):
-        z = field.zero()
-        return cls(field, [[z] * size for _ in range(size)])
-
-    @classmethod
-    def symmetric_product(cls, field, u, v):
-        """u . v = (u (x) v + v (x) u) / 2 for coordinate vectors u, v."""
-        size = len(u)
-        half = field.scalar(1) / field.scalar(2)
-        rows = [[(u[i] * v[j] + u[j] * v[i]) * half for j in range(size)]
-                for i in range(size)]
-        return cls(field, rows)
-
-    @classmethod
-    def from_lex(cls, field, size, coords):
-        """Inverse of lex_coords."""
-        elem = cls.zero(field, size)
-        half = field.scalar(1) / field.scalar(2)
-        k = 0
-        for i in range(size):
-            for j in range(i, size):
-                c = coords[k]
-                k += 1
-                if i == j:
-                    elem.coeffs[i][i] = c
-                else:
-                    elem.coeffs[i][j] = c * half
-                    elem.coeffs[j][i] = c * half
-        return elem
-
-    def lex_coords(self):
-        """Coordinates over the basis eta_i . eta_j, i <= j, lexicographic."""
-        out = []
-        two = self.field.scalar(2)
-        for i in range(self.size):
-            for j in range(i, self.size):
-                out.append(self.coeffs[i][j] if i == j
-                           else self.coeffs[i][j] * two)
-        return out
-
-    def __add__(self, other):
-        return SymSquareElement(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.scalar(-1))
-
-    def scale(self, scalar):
-        scalar = self.field.scalar(scalar)
-        return SymSquareElement(
-            self.field, [[scalar * x for x in row] for row in self.coeffs])
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.coeffs for x in row)
-
-    def __eq__(self, other):
-        return isinstance(other, SymSquareElement) and \
-            self.coeffs == other.coeffs
-
-    def transform(self, A):
-        """The tensor with coefficient array A . Phi . A^T.
-
-        If A maps coordinates over eta to coordinates over a new basis
-        u = eta . C (so A = C^-1), the result is the same tensor written over
-        u.  With A the matrix of a linear map on forms it is the image tensor.
-        """
-        arr = A.matmul(Matrix(self.field, self.coeffs)).matmul(A.transpose())
-        return SymSquareElement(self.field, arr.rows)
-
-    def __repr__(self):
-        return "SymSquare(" + "; ".join(
-            ", ".join(x.to_string() for x in row) for row in self.coeffs) + ")"
-
-
 def lex_pairs(size):
     return [(i, j) for i in range(size) for j in range(i, size)]
 
 
 def sym_dim(size):
     return size * (size + 1) // 2
+
+
+def symmetric_product(u, v):
+    """Lex coordinates of u . v = (u (x) v + v (x) u) / 2."""
+    return [u[i] * v[i] if i == j else u[i] * v[j] + u[j] * v[i]
+            for i, j in lex_pairs(len(u))]
+
+
+def gram(field, size, coords):
+    """The symmetric coefficient array of a tensor given by lex coordinates."""
+    half = field.scalar(1) / field.scalar(2)
+    rows = [[field.zero()] * size for _ in range(size)]
+    for c, (i, j) in zip(coords, lex_pairs(size)):
+        if i == j:
+            rows[i][i] = c
+        else:
+            rows[i][j] = rows[j][i] = c * half
+    return Matrix(field, rows)
+
+
+def sym_square_matrix(A):
+    """The map induced by A on symmetric 2-tensors, f_i f_j -> (A f_i)(A f_j).
+
+    Columns follow the lex pairs of ``A.ncols``, rows the lex pairs of
+    ``A.nrows``.  If A maps coordinates over one basis to coordinates over
+    another, S(A) does the same for tensors; with A the matrix of a linear
+    map on forms it gives the image tensor.  S(AB) = S(A) S(B).
+    """
+    field = A.field
+    index = {p: k for k, p in enumerate(lex_pairs(A.nrows))}
+    rows = [[field.zero()] * sym_dim(A.ncols) for _ in index]
+    for col, (i, j) in enumerate(lex_pairs(A.ncols)):
+        for a in range(A.nrows):
+            Aai = A.rows[a][i]
+            if Aai.is_zero():
+                continue
+            for b in range(A.nrows):
+                Abj = A.rows[b][j]
+                if Abj.is_zero():
+                    continue
+                row = rows[index[(a, b) if a <= b else (b, a)]]
+                row[col] = row[col] + Aai * Abj
+    return Matrix(field, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +100,20 @@ class TraceSplit:
     ``change`` has the adapted basis, the pullback form and then the
     trace-zero basis, as columns; ``change_inv`` maps form coordinates to
     adapted ones.  In adapted coordinates the distinguished point is
-    (1:0:...:0), the distinguished hyperplane is the zero locus of the zeroth
-    coordinate, and the symmetric square of the trace-zero space is the lower
-    (g-1) x (g-1) block of a tensor.
+    (1:0:...:0) and the distinguished hyperplane is the zero locus of the
+    zeroth coordinate.  ``sym_change`` and ``sym_change_inv`` are the maps
+    they induce on tensors.  Of the adapted lex coordinates of a tensor, the
+    first g belong to the pairs (0, j): they are the pullback part
+    alpha . omega.  The rest, pairs (i, j) with 1 <= i <= j, are the lex
+    coordinates over the symmetric square of the trace-zero basis.
     """
     tau: tuple
     minus_basis: tuple
     alpha_coords: tuple
     change: Matrix
     change_inv: Matrix
+    sym_change: Matrix
+    sym_change_inv: Matrix
 
     @property
     def genus(self):
@@ -162,34 +121,28 @@ class TraceSplit:
 
     def trace_ratio(self, vec):
         """tau applied to a coordinate vector: the trace of the form, over alpha."""
-        acc = None
-        for t, v in zip(self.tau, vec):
-            term = t * v
-            acc = term if acc is None else acc + term
-        return acc
+        return sum((t * v for t, v in zip(self.tau, vec)),
+                   self.change.field.zero())
 
     def adapted(self, phi):
-        """The tensor phi written over the adapted basis."""
-        return phi.transform(self.change_inv)
+        """Lex coordinates of the tensor phi over the adapted basis."""
+        return self.sym_change_inv.mul_vec(phi)
 
     def minus_coords(self, phi):
-        """Lexicographic coordinates, over the symmetric square of the
-        trace-zero basis, of the lower adapted block of phi."""
-        block = [row[1:] for row in self.adapted(phi).coeffs[1:]]
-        return SymSquareElement(phi.field, block).lex_coords()
+        """Coordinates of phi over the symmetric square of the trace-zero
+        basis; its pullback part is dropped."""
+        return self.adapted(phi)[self.genus:]
 
     def minus_tensor(self, coords):
         """The tensor with these coordinates over the symmetric square of
         the trace-zero basis; inverse of minus_coords on that square."""
-        field = self.change.field
-        lower = Matrix(field, [row[1:] for row in self.change.rows])
-        return SymSquareElement.from_lex(
-            field, self.genus - 1, coords).transform(lower)
+        zero = self.change.field.zero()
+        return self.sym_change.mul_vec([zero] * self.genus + list(coords))
 
 
 def trace_split(datum):
-    """Compute the trace vector, the trace-zero basis, the alpha coordinates
-    and the adapted change of basis with its inverse."""
+    """Compute the trace vector, the trace-zero basis, the alpha coordinates,
+    the adapted change of basis with its inverse, and their tensor maps."""
     require_valid(datum)
     field = datum.field
     g, d = datum.genus, datum.degree
@@ -225,7 +178,8 @@ def trace_split(datum):
         raise IdentityViolated(
             "pullback form lies in the trace-zero space") from None
     return TraceSplit(tuple(tau), tuple(tuple(v) for v in minus),
-                      tuple(alpha), change, change_inv)
+                      tuple(alpha), change, change_inv,
+                      sym_square_matrix(change), sym_square_matrix(change_inv))
 
 
 def _solve_alpha_coords(datum):
@@ -268,23 +222,24 @@ class QuadDifferentialData:
 
 
 def multiply(datum, phi):
-    """Image of a symmetric 2-tensor under the multiplication map.
+    """Image of a symmetric 2-tensor, given by lex coordinates, under the
+    multiplication map.
 
     Per chart the expansion of the product differential; per fiber point the
     value divided by the square of the base pullback, which is the double
-    sum of phi_ij times the two ratio values.  Both are read off the datum's
+    sum of Phi_ij times the two ratio values.  Both are read off the datum's
     multiplication table.
     """
     table = datum.multiplication_table
-    lex = phi.lex_coords()
-    charts = tuple(TruncatedSeries(datum.field, 0, m.mul_vec(lex), m.nrows)
+    charts = tuple(TruncatedSeries(datum.field, 0, m.mul_vec(phi), m.nrows)
                    for m in table.charts)
-    return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(lex)))
+    return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(phi)))
 
 
 @dataclass(frozen=True)
 class QuadricSpace:
-    """Basis of the space of quadrics through the canonical model."""
+    """Basis of the space of quadrics through the canonical model, as lex
+    coordinate vectors."""
     basis: tuple
 
     @property
@@ -322,6 +277,4 @@ def quadric_kernel(datum):
     if rank != 3 * g - 3:
         raise DimensionMismatch(
             f"multiplication map has rank {rank}, expected {3 * g - 3}")
-    basis = tuple(SymSquareElement.from_lex(datum.field, g, vec)
-                  for vec in kernel)
-    return QuadricSpace(basis)
+    return QuadricSpace(tuple(kernel))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covering import _expect, _parse_scalar, _parse_series
-from .diffalg import SymSquareElement, lex_pairs
+from .diffalg import gram, sym_square_matrix
 from .errors import FieldError, IdentityViolated, InputError, SchemaError
 from .geometry import evaluate_at_qminus
 from .scalars import Matrix
@@ -174,28 +174,6 @@ def _decompose(M, order, relabeled):
                               tuple(bases), relabeled, M)
 
 
-def sym_square_matrix(M):
-    """Induced action on the lexicographic symmetric-square basis."""
-    field = M.field
-    n = M.nrows
-    pairs = lex_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    rows = [[field.zero()] * len(pairs) for _ in range(len(pairs))]
-    for col, (i, j) in enumerate(pairs):
-        for a in range(n):
-            Mai = M.rows[a][i]
-            if Mai.is_zero():
-                continue
-            for b in range(n):
-                Mbj = M.rows[b][j]
-                if Mbj.is_zero():
-                    continue
-                coef = Mai * Mbj
-                key = (a, b) if a <= b else (b, a)
-                rows[index[key]][col] = rows[index[key]][col] + coef
-    return Matrix(field, rows)
-
-
 @dataclass(frozen=True)
 class SymSquareEigen:
     full: EigenDecomposition
@@ -286,11 +264,10 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
     if single_char_ok:
         G = quadrics.basis[0]
         comps = _character_components(G, eig.generator, eig.order)
-        nonzero = [c for c in range(3) if not comps[c].is_zero()]
+        nonzero = [c for c in range(3)
+                   if not all(x.is_zero() for x in comps[c])]
         single_char_ok = nonzero in ([1], [2])
         iso_detail.append(f"character components nonzero at exponents {nonzero}")
-        invariant_zero = comps[0].is_zero()
-        single_char_ok = single_char_ok and invariant_zero
     checks.append(BatteryCheck(
         "unique_quadric_single_nontrivial_character", single_char_ok,
         f"h0 = {quadrics.dimension}; " + "; ".join(iso_detail)))
@@ -308,13 +285,12 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
     # (3) cone of rank 3 with vertex off the known curve points
     if quadrics.dimension == 1:
         G = quadrics.basis[0]
-        gram = Matrix(field, G.coeffs)
-        vertex = gram.kernel_basis()
-        rank = gram.ncols - len(vertex)
+        vertex = gram(field, g, G).kernel_basis()
+        rank = g - len(vertex)
         off_curve = True
         if len(vertex) == 1:
             for pt in _known_point_functionals(datum):
-                if _proportional(field, vertex[0], pt):
+                if _proportional(vertex[0], pt):
                     off_curve = False
         checks.append(BatteryCheck(
             "quadric_is_cone_with_vertex_off_curve",
@@ -322,8 +298,7 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
             f"vertex off known curve points: {off_curve}"))
         # (4) tangency: restriction to the distinguished hyperplane has rank 1
-        block = [row[1:] for row in split.adapted(G).coeffs[1:]]
-        block_rank = Matrix(field, block).rank()
+        block_rank = gram(field, g - 1, split.minus_coords(G)).rank()
         checks.append(BatteryCheck(
             "hyperplane_restriction_rank_one", block_rank == 1,
             f"restricted gram rank {block_rank} "
@@ -367,18 +342,15 @@ def _character_components(G, M, N):
     """Projections of a tensor onto the N character spaces of generator M."""
     field = M.field
     zeta = field.root_of_unity(N)
-    comps = []
     inv_N = field.scalar(N).inverse()
-    for c in range(N):
-        acc = SymSquareElement.zero(field, G.size)
-        power = Matrix.identity(field, G.size)
-        for k in range(N):
-            # (g^k)* G has coefficient array (M^k) G (M^k)^T
-            weight = (zeta ** ((-c * k) % N))
-            acc = acc + G.transform(power).scale(weight)
-            power = power.matmul(M)
-        comps.append(acc.scale(inv_N))
-    return comps
+    # (g^k)* G, for k = 0..N-1
+    images = [list(G)]
+    sym_M = sym_square_matrix(M)
+    while len(images) < N:
+        images.append(sym_M.mul_vec(images[-1]))
+    return [[inv_N * sum((zeta ** ((-c * k) % N) * img[p]
+                          for k, img in enumerate(images)), field.zero())
+             for p in range(len(G))] for c in range(N)]
 
 
 def _known_point_functionals(datum):
@@ -400,7 +372,7 @@ def _known_point_functionals(datum):
     return pts
 
 
-def _proportional(field, u, v):
+def _proportional(u, v):
     """Exact projective equality of two nonzero vectors."""
     pairs = list(zip(u, v))
     for a, b in pairs:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diffalg import SymSquareElement, multiply
+from .diffalg import multiply, symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
 from .prym import codifferential, nu
@@ -32,23 +32,22 @@ from .scalars import Matrix
 @dataclass(frozen=True)
 class QuadricDecomposition:
     """G = G_minus + alpha . omega under the direct sum decomposition."""
-    original: SymSquareElement
-    minus_part: SymSquareElement
+    minus_part: list  # lex coordinates of the trace-zero part
     omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
 def decompose_quadric(split, G):
     """Unique decomposition of a tensor into trace-zero plus mixed parts."""
-    # mixed part in adapted coordinates: omega_hat[0] = G_00, omega_hat[i] = 2 G_0i
-    row = split.adapted(G).coeffs[0]
-    omega = split.change.mul_vec([row[0]] + [x * 2 for x in row[1:]])
-    minus_part = split.minus_tensor(split.minus_coords(G))
+    adapted = split.adapted(G)
+    g = split.genus
+    omega = split.change.mul_vec(adapted[:g])
+    minus_part = split.minus_tensor(adapted[g:])
     # exact reconstruction check
-    alpha_sym = SymSquareElement.symmetric_product(
-        G.field, list(split.alpha_coords), list(omega))
-    if not (minus_part + alpha_sym - G).is_zero():
+    alpha_sym = symmetric_product(list(split.alpha_coords), omega)
+    if any(not (m + a - x).is_zero()
+           for m, a, x in zip(minus_part, alpha_sym, G)):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(G, minus_part, tuple(omega))
+    return QuadricDecomposition(minus_part, tuple(omega))
 
 
 def evaluate_at_qminus(split, G):
@@ -57,7 +56,7 @@ def evaluate_at_qminus(split, G):
     This is the coefficient of the squared pullback form in adapted
     coordinates; it vanishes exactly when the point lies on the quadric.
     """
-    return split.adapted(G).coeffs[0][0]
+    return split.adapted(G)[0]
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def functpoint_check(datum, split, quadrics):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
         dec = decompose_quadric(split, G)
-        lhs = nu(datum, split, dec.minus_part)
+        lhs = nu(datum, dec.minus_part)
         rhs = evaluate_at_qminus(split, G)
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
@@ -211,10 +210,7 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
         if not all(x.is_zero() for x in cov.gammas):
             inside = False
         proj_rows.append(split.minus_coords(dec.minus_part))
-    if proj_rows:
-        rank = Matrix(field, proj_rows).rank()
-    else:
-        rank = 0
+    rank = Matrix(field, proj_rows).rank()
     identities.append(LedgerIdentity(
         "quadric_projection_injects", inside and rank == h0,
         f"projections {'lie' if inside else 'do not lie'} in the kernel; "

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diffalg import SymSquareElement, lex_pairs
 from .errors import IdentityViolated, NotInMinusSpace
 from .scalars import Matrix
 
@@ -33,68 +32,44 @@ class Covector:
     gammas: tuple
     gamma_s: object
 
-    def slots(self):
-        return list(self.gammas) + [self.gamma_s]
-
     def is_zero(self):
-        return all(x.is_zero() for x in self.slots())
-
-
-def minus_sym_element(datum, split, a, b):
-    return SymSquareElement.symmetric_product(
-        datum.field, split.minus_basis[a], split.minus_basis[b])
+        return all(x.is_zero() for x in self.gammas + (self.gamma_s,))
 
 
 def in_minus_sym(split, phi):
     """Exact membership test for the symmetric square of the trace-zero space.
 
-    A symmetric array Phi lies in that square exactly when its image lies in
-    the kernel of tau, that is when Phi . tau = 0.  In coordinates adapted
-    to (alpha, minus basis) this is a vanishing alpha row and column.
+    A symmetric array Phi lies in that square exactly when Phi . tau = 0,
+    that is when its adapted pullback part, the first g adapted
+    coordinates, vanishes.
     """
-    image = Matrix(phi.field, phi.coeffs).mul_vec(list(split.tau))
-    return all(x.is_zero() for x in image)
+    return all(x.is_zero() for x in split.adapted(phi)[:split.genus])
 
 
-def codifferential(datum, split, phi, check_minus=True):
-    """The covector of a symmetric 2-tensor.
-
-    The public contract restricts the argument to the symmetric square of
-    the trace-zero space; the extension to arbitrary tensors (used
-    internally, e.g. for the residue-only map on all quadratic
-    differentials) is obtained with check_minus=False.
-    """
-    if check_minus and not in_minus_sym(split, phi):
+def codifferential(datum, split, phi):
+    """The covector of a tensor in the symmetric square of the trace-zero
+    space; the residue rows of the multiplication table extend it to any
+    tensor."""
+    if not in_minus_sym(split, phi):
         raise NotInMinusSpace(
             "tensor has a component along the pullback form")
-    table = datum.multiplication_table
-    lex = phi.lex_coords()
-    return Covector(tuple(table.residues.mul_vec(lex)),
-                    table.fiber_sum.mul_vec(lex)[0])
+    return Covector(tuple(datum.multiplication_table.residues.mul_vec(phi)),
+                    nu(datum, phi))
 
 
-def nu(datum, split, beta):
+def nu(datum, beta):
     """The fiber sum: the s-slot of the covector, defined for any tensor."""
-    return datum.multiplication_table.fiber_sum.mul_vec(beta.lex_coords())[0]
-
-
-@dataclass(frozen=True)
-class CodifferentialMatrix:
-    """Rows: lexicographic trace-zero tensor basis; columns: (t_1..t_n, s)."""
-    rows: tuple
-    n_ramification: int
-
-    def gamma_matrix(self, field):
-        return Matrix(field, [list(r[:self.n_ramification]) for r in self.rows])
+    return datum.multiplication_table.fiber_sum.mul_vec(beta)[0]
 
 
 def codifferential_matrix(datum, split):
-    rows = []
-    for (a, b) in lex_pairs(len(split.minus_basis)):
-        cov = codifferential(datum, split, minus_sym_element(datum, split, a, b),
-                             check_minus=False)
-        rows.append(tuple(cov.slots()))
-    return CodifferentialMatrix(tuple(rows), datum.n_ramification)
+    """Rows: the residue slots t_1..t_n, then s; columns: the lex basis of
+    the symmetric square of the trace-zero space."""
+    table = datum.multiplication_table
+    g = split.genus
+    minus = Matrix(datum.field, [row[g:] for row in split.sym_change.rows])
+    return Matrix(datum.field,
+                  table.residues.rows + table.fiber_sum.rows).matmul(minus)
 
 
 @dataclass(frozen=True)
@@ -102,9 +77,9 @@ class KernelEReport:
     """Kernel data of the base-fixed codifferential."""
     dim_dual: int            # dim Ker over the tensor space
     dim_primal: int          # dim Ker of the map on tangent vectors
-    basis: tuple             # SymSquareElements spanning the dual kernel
+    basis: tuple             # lex coordinates of tensors spanning the kernel
     basis_minus_coords: tuple  # same vectors in minus-tensor coordinates
-    matrix: CodifferentialMatrix
+    matrix: Matrix           # codifferential_matrix
 
 
 def kernel_E(datum, split):
@@ -116,10 +91,9 @@ def kernel_E(datum, split):
     """
     g, n = datum.genus, datum.n_ramification
     cmat = codifferential_matrix(datum, split)
-    gam = cmat.gamma_matrix(datum.field)
-    # kernel of the map tensor -> covector: vectors in row-index space
-    kernel = gam.transpose().kernel_basis()
-    rank = gam.nrows - len(kernel)
+    gam = Matrix(datum.field, cmat.rows[:n])
+    kernel = gam.kernel_basis()
+    rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
     if len(kernel) != expected:
         raise IdentityViolated(
@@ -146,14 +120,14 @@ class CriterionReport:
     sampling).
     """
     dimension: str                   # "1" or ">=2"
-    witness: Optional[SymSquareElement]
+    witness: Optional[list]
     witness_nu: Optional[object]
     nu_on_basis: tuple
     nu_on_pair_sums: tuple
     dim_kernel_E_dual: int
     dim_kernel_full_dual: int
 
-    def to_json(self, field):
+    def to_json(self):
         return {
             "dim_kernel": self.dimension,
             "witness_nu": None if self.witness_nu is None
@@ -166,10 +140,10 @@ class CriterionReport:
         }
 
 
-def kernel_full(datum, split, kernel_report):
+def kernel_full(datum, kernel_report):
     """Scan the base-fixed kernel for a tensor with nonzero fiber sum."""
     basis = kernel_report.basis
-    nu_basis = tuple(nu(datum, split, b) for b in basis)
+    nu_basis = tuple(nu(datum, b) for b in basis)
     witness = None
     witness_nu = None
     for b, val in zip(basis, nu_basis):
@@ -180,10 +154,11 @@ def kernel_full(datum, split, kernel_report):
     if witness is None:
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                val = nu(datum, split, basis[i] + basis[j])
+                pair = [x + y for x, y in zip(basis[i], basis[j])]
+                val = nu(datum, pair)
                 nu_sums.append(val)
                 if not val.is_zero() and witness is None:
-                    witness, witness_nu = basis[i] + basis[j], val
+                    witness, witness_nu = pair, val
     if witness is not None:
         dimension = "1"
         dim_full = kernel_report.dim_dual - 1

@@ -344,7 +344,7 @@ def compose_all(outers, inner):
                 result = (result * table[k]).truncate(w) + blocks.pop()
             for _ in range(lo):
                 result = result * inner
-        for e in range(-1, outer.valuation - 1, -1):
+        for e in range(min(-1, outer.prec - 1), outer.valuation - 1, -1):
             c = outer.coefficient(e)
             if not c.is_zero():
                 result = result + inv[-e - 1].scale(c)

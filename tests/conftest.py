@@ -16,7 +16,7 @@ class Bundle:
         self.split = trace_split(self.datum)
         self.quadrics = quadric_kernel(self.datum)
         self.kernel = kernel_E(self.datum, self.split)
-        self.criterion = kernel_full(self.datum, self.split, self.kernel)
+        self.criterion = kernel_full(self.datum, self.kernel)
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,12 @@ import pytest
 from ellprym.builder import build_cover, pirola_spec
 from ellprym.cli import analyze_datum
 from ellprym.covering import change_basis, load, reparametrized, save, validate
-from ellprym.diffalg import multiply_matrix, quadric_kernel, trace_split
+from ellprym.diffalg import (multiply_matrix, quadric_kernel,
+                             symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.geometry import (decompose_quadric, functpoint_check,
                               halfgeo_criterion)
-from ellprym.prym import kernel_E, kernel_full, minus_sym_element, nu
+from ellprym.prym import kernel_E, kernel_full, nu
 from ellprym.scalars import Matrix
 from ellprym.series import TruncatedSeries, transform_form
 
@@ -89,7 +90,7 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
             count += 1
         for G in bundle.quadrics.basis:
             dec = decompose_quadric(bundle.split, G)
-            lhs = nu(bundle.datum, bundle.split, dec.minus_part)
+            lhs = nu(bundle.datum, dec.minus_part)
             assert lhs == -bundle.split.trace_ratio(dec.omega)
     _report(4, f"fiber route and coefficient route agree on {count} quadrics; "
                "trace identity exact")
@@ -134,7 +135,7 @@ def test_criterion_6_property_suites(all_bundles, pirola):
         split = trace_split(datum)
         quad = quadric_kernel(datum)
         ke = kernel_E(datum, split)
-        crit = kernel_full(datum, split, ke)
+        crit = kernel_full(datum, ke)
         return (quad.dimension, ke.dim_dual, ke.dim_primal, crit.dimension)
 
     baseline = (pirola.quadrics.dimension, pirola.kernel.dim_dual,
@@ -167,22 +168,25 @@ def test_criterion_6_property_suites(all_bundles, pirola):
     m = len(split.minus_basis)
     pairs = [(a, b) for a in range(m) for b in range(a, m)]
 
+    def add(x, y):
+        return [a + b for a, b in zip(x, y)]
+
     def rand_tensor():
         elem = None
         for (a, b) in pairs:
-            term = minus_sym_element(datum, split, a, b).scale(
-                field.scalar(rng.randint(-3, 3)))
-            elem = term if elem is None else elem + term
+            c = field.scalar(rng.randint(-3, 3))
+            term = [c * t for t in symmetric_product(split.minus_basis[a],
+                                                     split.minus_basis[b])]
+            elem = term if elem is None else add(elem, term)
         return elem
 
     def polar(x, y):
-        return nu(datum, split, x + y) - nu(datum, split, x) - \
-            nu(datum, split, y)
+        return nu(datum, add(x, y)) - nu(datum, x) - nu(datum, y)
 
     for _ in range(5):
         x, y, z = rand_tensor(), rand_tensor(), rand_tensor()
         assert polar(x, y) == polar(y, x)
-        assert polar(x + y, z) == polar(x, z) + polar(y, z)
+        assert polar(add(x, y), z) == polar(x, z) + polar(y, z)
 
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

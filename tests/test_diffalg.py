@@ -1,15 +1,18 @@
+import random
+from fractions import Fraction as F
+
 import pytest
 
-from ellprym.diffalg import (SymSquareElement, multiply, multiply_matrix,
-                             quadric_kernel, sym_dim, trace_split)
+from ellprym.diffalg import (gram, multiply, multiply_matrix, quadric_kernel,
+                             sym_dim, sym_square_matrix, symmetric_product,
+                             trace_split)
 from ellprym.errors import InsufficientPrecision
-from ellprym.scalars import FieldSpec
+from ellprym.scalars import FieldSpec, Matrix
 
 
 def alpha_tensor(bundle):
-    field = bundle.datum.field
-    return SymSquareElement.symmetric_product(
-        field, list(bundle.split.alpha_coords), list(bundle.split.alpha_coords))
+    return symmetric_product(list(bundle.split.alpha_coords),
+                             list(bundle.split.alpha_coords))
 
 
 def test_trace_split_dimensions(pirola):
@@ -59,8 +62,7 @@ def test_multiply_alpha_squared(pirola):
 
 
 def test_multiply_zero(pirola):
-    data = multiply(pirola.datum,
-                    SymSquareElement.zero(pirola.datum.field, 4))
+    data = multiply(pirola.datum, [pirola.datum.field.zero()] * 10)
     assert data.is_zero()
 
 
@@ -68,7 +70,7 @@ def test_multiply_bilinear(pirola):
     field = pirola.datum.field
     a = alpha_tensor(pirola)
     b = pirola.quadrics.basis[0]
-    lhs = multiply(pirola.datum, a + b)
+    lhs = multiply(pirola.datum, [x + y for x, y in zip(a, b)])
     ra = multiply(pirola.datum, a)
     rb = multiply(pirola.datum, b)
     for s, sa, sb in zip(lhs.charts, ra.charts, rb.charts):
@@ -129,14 +131,47 @@ def test_hyperelliptic_cover_caught_by_quadric_certificate():
 def test_pirola_quadric_structure(pirola):
     """The kernel element is (w^-1 alpha)^2 - alpha . (w^-2 alpha)."""
     field = pirola.datum.field
-    G = pirola.quadrics.basis[0]
-    lex = G.lex_coords()
-    e11 = G.coeffs[1][1]
+    G = gram(field, 4, pirola.quadrics.basis[0])
+    e11 = G.rows[1][1]
     assert not e11.is_zero()
-    normalized = G.scale(e11.inverse())
-    expect = SymSquareElement.zero(field, 4)
-    expect.coeffs[1][1] = field.one()
+    normalized = Matrix(field, [[x * e11.inverse() for x in row]
+                                for row in G.rows])
+    expect = Matrix.zero(field, 4, 4)
+    expect.rows[1][1] = field.one()
     half = field.scalar(1) / field.scalar(2)
-    expect.coeffs[0][2] = -half
-    expect.coeffs[2][0] = -half
+    expect.rows[0][2] = -half
+    expect.rows[2][0] = -half
     assert normalized == expect
+
+
+def _random_matrix(rng, field, nrows, ncols):
+    return Matrix(field, [[field.from_coefficients(
+        [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree)])
+        for _ in range(ncols)] for _ in range(nrows)])
+
+
+@pytest.mark.parametrize("field", [FieldSpec(1), FieldSpec(3)],
+                         ids=["Q", "Q3"])
+def test_sym_square_matrix_matches_congruence(field):
+    """Oracle for the one induced map S(A): on lex coordinates it is the
+    congruence Phi -> A Phi A^T of coefficient arrays, for square and
+    rectangular A; S(AB) = S(A) S(B) and S(I) = I; and symmetric_product
+    has the array (u v^T + v u^T) / 2."""
+    rng = random.Random(7 + field.degree)
+    half = field.scalar(F(1, 2))
+    for g in (2, 3, 4):
+        assert sym_square_matrix(Matrix.identity(field, g)) == \
+            Matrix.identity(field, sym_dim(g))
+        for cols in (g, g - 1):
+            A = _random_matrix(rng, field, g, g)
+            B = _random_matrix(rng, field, g, cols)
+            c = _random_matrix(rng, field, 1, sym_dim(cols)).rows[0]
+            image = sym_square_matrix(B).mul_vec(c)
+            assert gram(field, g, image) == \
+                B.matmul(gram(field, cols, c)).matmul(B.transpose())
+            assert sym_square_matrix(A.matmul(B)) == \
+                sym_square_matrix(A).matmul(sym_square_matrix(B))
+        u, v = _random_matrix(rng, field, 2, g).rows
+        outer = Matrix(field, [[(u[i] * v[j] + v[i] * u[j]) * half
+                                for j in range(g)] for i in range(g)])
+        assert gram(field, g, symmetric_product(u, v)) == outer

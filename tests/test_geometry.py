@@ -1,6 +1,6 @@
 import pytest
 
-from ellprym.diffalg import SymSquareElement
+from ellprym.diffalg import symmetric_product
 from ellprym.errors import ConsistencyViolated, InputError
 from ellprym.geometry import (decompose_quadric, dimension_ledger,
                               evaluate_at_qminus, functpoint_check,
@@ -9,15 +9,13 @@ from ellprym.prym import kernel_full
 
 
 def alpha_sq(bundle):
-    field = bundle.datum.field
     a = list(bundle.split.alpha_coords)
-    return SymSquareElement.symmetric_product(field, a, a)
+    return symmetric_product(a, a)
 
 
 def minus_elem(bundle):
-    field = bundle.datum.field
     m = list(bundle.split.minus_basis[0])
-    return SymSquareElement.symmetric_product(field, m, m)
+    return symmetric_product(m, m)
 
 
 def test_decomposition_of_minus_tensor(pirola):
@@ -30,16 +28,17 @@ def test_decomposition_of_minus_tensor(pirola):
 def test_decomposition_of_alpha_squared(pirola):
     phi = alpha_sq(pirola)
     dec = decompose_quadric(pirola.split, phi)
-    assert dec.minus_part.is_zero()
+    assert all(x.is_zero() for x in dec.minus_part)
     assert list(dec.omega) == list(pirola.split.alpha_coords)
 
 
 def test_decomposition_reconstructs_any_tensor(pirola):
     field = pirola.datum.field
-    phi = alpha_sq(pirola) + minus_elem(pirola).scale(field.scalar(7))
+    phi = [a + m * field.scalar(7)
+           for a, m in zip(alpha_sq(pirola), minus_elem(pirola))]
     dec = decompose_quadric(pirola.split, phi)
-    rebuilt = dec.minus_part + SymSquareElement.symmetric_product(
-        field, list(pirola.split.alpha_coords), list(dec.omega))
+    rebuilt = [m + a for m, a in zip(dec.minus_part, symmetric_product(
+        list(pirola.split.alpha_coords), list(dec.omega)))]
     assert rebuilt == phi
 
 
@@ -84,7 +83,7 @@ def test_halfgeo_verdicts(all_bundles):
 
 def test_halfgeo_consistency_guard(biell4):
     """A contradicting criterion report trips the consistency check."""
-    fake = kernel_full(biell4.datum, biell4.split, biell4.kernel)
+    fake = kernel_full(biell4.datum, biell4.kernel)
     forged = type(fake)(">=2", None, None, fake.nu_on_basis,
                         fake.nu_on_pair_sums, fake.dim_kernel_E_dual,
                         fake.dim_kernel_E_dual)

@@ -189,7 +189,7 @@ def horner_compose(outer, inner):
         inv = power = inner.inverse()
         neg = zero
         for e in range(-1, outer.valuation - 1, -1):
-            if not outer.coefficient(e).is_zero():
+            if e < outer.prec and not outer.coefficient(e).is_zero():
                 neg = neg + power.scale(outer.coefficient(e))
             power = power * inv
         acc = acc + neg
@@ -266,14 +266,14 @@ def test_compose_all_matches_horner_per_outer(field):
             for _ in range(rng.randint(2, 5)):
                 v = rng.randint(-3, 3)
                 n = rng.randint(1, 14)
-                # compose reads every coefficient from z^-1 down to v
-                prec = max(v + n + rng.randint(0, 4), 0)
+                prec = v + n + rng.randint(0, 4)
                 outers.append(random_series(rng, field, v, n, prec,
                                             sparse=0.3))
             outers += [random_series(rng, field, 0, 1, 1),
                        TruncatedSeries.zero(field, 3),
                        random_series(rng, field, -3, 12, 10),
-                       random_series(rng, field, -1, 5, 4)]
+                       random_series(rng, field, -1, 5, 4),
+                       S(-2, [-2], -1, field)]
             rng.shuffle(outers)
             n_in = rng.randint(2, 12)
             inner = random_series(rng, field, v_inner, n_in,
@@ -285,6 +285,13 @@ def test_compose_all_matches_horner_per_outer(field):
                 expect = horner_compose(outer, inner)
                 assert result == expect, (outer, inner)
                 assert result.prec == expect.prec
+
+
+def test_compose_all_outer_window_below_z_minus_1():
+    """An outer known only below z^-1 reads no coefficient at or past its
+    window: -2*z^-2 + O(z^-1) composed with z + 3z^2 + O(z^6)."""
+    assert compose_all([S(-2, [-2], -1)], S(1, [1, 3], 6)) == \
+        [S(-2, [-2], -1)]
 
 
 def test_compose_all_list_of_one_and_none():

@@ -71,3 +71,33 @@ def test_no_dead_private_definitions():
             for defn, node in _private_definitions(tree)
             if total[defn] == Counter(_references(node))[defn]]
     assert dead == []
+
+
+def _unused_parameters(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [s for s in node.body if not (
+            isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        if all(isinstance(s, (ast.Pass, ast.Raise)) for s in body):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [a for a in (args.vararg, args.kwarg) if a is not None]
+        used = {n.id for s in node.body for n in ast.walk(s)
+                if isinstance(n, ast.Name)}
+        for a in params:
+            if a.arg not in ("self", "cls") and not a.arg.startswith("_") \
+                    and a.arg not in used:
+                yield node.lineno, f"{node.name}({a.arg})"
+
+
+def test_no_unused_parameters():
+    """Every parameter is read; ``self``, ``cls``, ``_``-prefixed names and
+    bodies that only pass or raise are exempt."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _unused_parameters(tree)]
+    assert found == []
