@@ -26,9 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .covering import (MAX_WINDOW, CoveringDatum, FiberChart,
-                       RamificationChart, _expect, _optional, _parse_scalar,
-                       require_valid)
+from .covering import (MAX_FUNCTION_TERMS, MAX_WINDOW, CoveringDatum,
+                       FiberChart, RamificationChart, _expect, _optional,
+                       _parse_scalar, require_valid)
 from .equivariant import CyclicAction
 from .errors import (BuilderError, DimensionMismatch, DivisionByZero,
                      FieldError, FieldTooSmall, InputError, NotAnNthPower,
@@ -797,10 +797,16 @@ def spec_from_json(obj):
     curve = EllipticCurve(field, scalar(eobj, "A", "/E"),
                           scalar(eobj, "B", "/E"))
     hobj = _expect(obj, "h", dict, "")
-    P, Q = ([_parse_scalar(field, s, f"/h/{key}/{i}")
-             for i, s in enumerate(_optional(hobj, key, list, "/h") or [])]
-            for key in ("P", "Q"))
-    h = CurveFunction.make(curve, P, Q)
+
+    def terms(key):
+        raw = _optional(hobj, key, list, "/h") or []
+        if len(raw) > MAX_FUNCTION_TERMS:
+            raise SchemaError(f"/h/{key}", f"expected at most "
+                              f"{MAX_FUNCTION_TERMS} coefficients")
+        return [_parse_scalar(field, s, f"/h/{key}/{i}")
+                for i, s in enumerate(raw)]
+
+    h = CurveFunction.make(curve, terms("P"), terms("Q"))
     cobj = obj.get("c", "auto")
     if cobj == "auto":
         c = "auto"

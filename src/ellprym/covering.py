@@ -33,6 +33,23 @@ from .series import TruncatedSeries, transform_form
 # at window 200 and did not finish in 120 s at window 500.
 MAX_WINDOW = 200
 
+# Largest genus and degree taken from a datum file, and most coefficients of
+# h.P and h.Q in a cover spec.  The fixtures have genus 3 and 4, degree 2
+# and 3, and at most 4 coefficients.  The multiplication table forms
+# g(g+1)/2 series products on each of up to 2g-2 charts, so its cost grows as
+# g^3: 0.39 s at genus 4 on 6 charts at window 40 (one core of a 2-CPU Intel
+# Xeon host), about 70 times that at genus 16.  The builder makes covers of
+# prime degree up to 13; 8 coefficients give h up to 17 zeros.
+MAX_GENUS = 16
+MAX_DEGREE = 16
+MAX_FUNCTION_TERMS = 8
+
+
+def lex_pairs(size):
+    """The pairs i <= j < size in lexicographic order: the coordinate order
+    of every symmetric 2-tensor, here and in ``diffalg``."""
+    return [(i, j) for i in range(size) for j in range(i, size)]
+
 
 @dataclass(frozen=True)
 class RamificationChart:
@@ -91,7 +108,7 @@ class CoveringDatum:
         """
         fld = self.field
         g = self.genus
-        pairs = [(i, j) for i in range(g) for j in range(i, g)]
+        pairs = lex_pairs(g)
         charts, residues = [], []
         for c in self.charts:
             w = c.window()
@@ -372,6 +389,10 @@ def datum_from_json(obj):
         raise SchemaError("/field/cyclotomic_order", str(exc)) from None
     genus = _expect(obj, "genus", int, "")
     degree = _expect(obj, "degree", int, "")
+    for key, val, cap in (("genus", genus, MAX_GENUS),
+                          ("degree", degree, MAX_DEGREE)):
+        if val > cap:
+            raise SchemaError(f"/{key}", f"expected at most {cap}")
     names = _expect_strings(obj, "basis_names", genus, "")
     hint = _optional(obj, "alpha_index_hint", int, "")
     charts_raw = _expect(obj, "charts", list, "")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covering import require_valid
+from .covering import lex_pairs, require_valid
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
 from .scalars import Matrix
@@ -32,10 +32,6 @@ from .series import TruncatedSeries
 # ---------------------------------------------------------------------------
 # symmetric 2-tensors
 # ---------------------------------------------------------------------------
-
-def lex_pairs(size):
-    return [(i, j) for i in range(size) for j in range(i, size)]
-
 
 def sym_dim(size):
     return size * (size + 1) // 2

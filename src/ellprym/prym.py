@@ -152,13 +152,9 @@ def kernel_full(datum, kernel_report):
             break
     nu_sums = []
     if witness is None:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                pair = [x + y for x, y in zip(basis[i], basis[j])]
-                val = nu(datum, pair)
-                nu_sums.append(val)
-                if not val.is_zero() and witness is None:
-                    witness, witness_nu = pair, val
+        # nu is linear, so each pair sum is a sum of basis values, all zero
+        nu_sums = [nu_basis[i] + nu_basis[j] for i in range(len(basis))
+                   for j in range(i + 1, len(basis))]
     if witness is not None:
         dimension = "1"
         dim_full = kernel_report.dim_dual - 1

@@ -1,11 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and dense exact linear algebra.
 
-Elements are represented on the power basis 1, z, ..., z^(phi(N)-1) with
-z = zeta_N, reduced modulo the N-th cyclotomic polynomial.  All coefficients
-are arbitrary-precision rationals, so equality is decidable and exact.
-The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are
-the package's only polynomial code: the field uses them over Fraction and
-the builder over Scalar.
+An element is a tuple of integers ``num`` on the power basis 1, z, ...,
+z^(phi(N)-1), z = zeta_N, over one integer ``den`` > 0 with gcd(den, *num) = 1
+(as FLINT/Antic ``nf_elem``), so equal elements have identical num and den.
+Products reduce by a per-field integer table of z^m mod Phi_N (Phi_N is monic).
+Inverses go through the norm: with P the product of the conjugates z -> z^a,
+a != 1 a unit mod N, num*P is an integer and x^-1 = den*P / (num*P).
+The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are the
+package's only polynomial code, used over Fraction for Phi_N and over Scalar.
 
 The linear algebra is deterministic: Gaussian elimination with the pivot
 always taken as the first nonzero entry in column order.  Magnitude-based
@@ -15,6 +17,8 @@ pivoting would be meaningless over Q(zeta) and would break reproducibility.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
@@ -101,17 +105,6 @@ def _cyclotomic(n):
     return poly
 
 
-def _pxgcd(a, b):
-    """Half extended gcd of nonzero trimmed a, b: (g, s) with s*a = g mod b."""
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-    return r0, s0
-
-
 def integer_nth_root(n, k):
     """Floor of the k-th root of a nonnegative integer, by integer Newton."""
     if n < 0:
@@ -164,8 +157,16 @@ class FieldSpec:
                 f"unsupported cyclotomic order {n}; supported: {SUPPORTED_ORDERS}")
         self = super().__new__(cls)
         self.cyclotomic_order = n
-        self.minimal_polynomial = tuple(_cyclotomic(n))
-        self.degree = len(self.minimal_polynomial) - 1
+        self.minimal_polynomial = mod = tuple(int(c) for c in _cyclotomic(n))
+        self.degree = deg = len(mod) - 1
+        # z^m mod Phi_N for 0 <= m < N (all powers, as z^N = 1), as rows (j, c)
+        self._powers, row = [], [1] + [0] * (deg - 1)
+        for _ in range(n):
+            self._powers.append(tuple((j, c) for j, c in enumerate(row) if c))
+            top, row = row[-1], [0] + row[:-1]
+            row = [r - top * c for r, c in zip(row, mod)]
+        # the exponents a != 1 of the Galois conjugates z -> z^a
+        self._units = [a for a in range(2, n) if gcd(a, n) == 1]
         cls._cache[n] = self
         return self
 
@@ -179,14 +180,37 @@ class FieldSpec:
     def __hash__(self):
         return hash(("FieldSpec", self.cyclotomic_order))
 
+    # -- integer polynomials on the power basis ------------------------------
+
+    def _fold(self, c):
+        """Integers on 1, z, z^2, ... (``degree`` or more) on the power basis."""
+        deg, n, powers = self.degree, self.cyclotomic_order, self._powers
+        out = c[:deg]
+        for k in range(deg, len(c)):
+            x = c[k]
+            if x:
+                for j, e in powers[k % n]:
+                    out[j] += x * e
+        return tuple(out)
+
+    def _mul(self, a, b):
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self._fold(prod)
+
     # -- element constructors ------------------------------------------------
 
     def scalar(self, value):
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldError("scalar belongs to a different field")
             return value
-        return Scalar(self, [Fraction(value)])
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return Scalar._make(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def zero(self):
         return self.scalar(0)
@@ -195,13 +219,13 @@ class FieldSpec:
         return self.scalar(1)
 
     def from_coefficients(self, coeffs):
-        return Scalar(self, [Fraction(c) for c in coeffs])
+        return Scalar(self, coeffs)
 
     def zeta(self):
         """The designated generator zeta_N (equal to 1 for N = 1, -1 for N = 2)."""
         if self.degree == 1:
             return self.scalar(1 if self.cyclotomic_order == 1 else -1)
-        return Scalar(self, [Fraction(0), Fraction(1)])
+        return Scalar(self, [0, 1])
 
     def root_of_unity_order(self):
         """Order of the group of roots of unity contained in the field."""
@@ -232,64 +256,76 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(zeta_N), reduced modulo the cyclotomic polynomial."""
+    """An element of Q(zeta_N): integers ``num`` on the power basis over a
+    positive ``den``, in lowest terms."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field, coeffs):
-        self.field = field
-        deg = field.degree
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > deg:
-            c = self._reduce(field, c)
-        c += [Fraction(0)] * (deg - len(c))
-        self.coeffs = tuple(c[:deg])
-        self._hash = None
+        q = [Fraction(x) for x in coeffs]
+        den = lcm(*(x.denominator for x in q))
+        num = [x.numerator * (den // x.denominator) for x in q]
+        s = Scalar._make(field, field._fold(num + [0] * field.degree), den)
+        self.field, self.num, self.den, self._hash = field, s.num, s.den, None
 
-    @staticmethod
-    def _reduce(field, c):
-        mod = field.minimal_polynomial
-        deg = field.degree
-        c = list(c)
-        for i in range(len(c) - 1, deg - 1, -1):
-            coef = c[i]
-            if coef == 0:
-                continue
-            c[i] = Fraction(0)
-            shift = i - deg
-            for j in range(deg):
-                c[shift + j] -= coef * mod[j]
-        return ptrim(c[:deg] if len(c) > deg else c)
+    @classmethod
+    def _make(cls, field, num, den, lowest=False):
+        """num/den for an integer tuple num on the power basis and an integer
+        den != 0, brought to lowest terms with den > 0 unless ``lowest``."""
+        if not lowest:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num, den = tuple(x // g for x in num), den // g
+        self = object.__new__(cls)
+        self.field, self.num, self.den, self._hash = field, num, den, None
+        return self
+
+    @property
+    def coeffs(self):
+        """The coordinates on the power basis, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- coercion -------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("mixed-field arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.field, [Fraction(other)])
+            return self.field.scalar(other)
         return NotImplemented
 
     # -- ring operations --------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign*other.  As in Fraction addition (Knuth, TAOCP 4.5.1),
+        only a factor of g = gcd(da, db) can cancel from num / lcm(da, db)."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        s, t = da // g, db // g
+        num = tuple(x * t + sign * y * s for x, y in zip(self.num, o.num))
+        g = gcd(g, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+        return Scalar._make(self.field, num, s * (db // g), lowest=True)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, [-a for a in self.coeffs])
+        return Scalar._make(self.field, tuple(-x for x in self.num), self.den,
+                            lowest=True)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -298,26 +334,26 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        # fast paths: rational factors need no polynomial product
-        if all(x == 0 for x in a[1:]):
-            q = a[0]
-            return Scalar(self.field, [q * y for y in b])
-        if all(y == 0 for y in b[1:]):
-            q = b[0]
-            return Scalar(self.field, [q * x for x in a])
-        return Scalar(self.field, self._reduce(self.field, pmul(a, b)))
+        a, b = self.num, o.num
+        if len(a) == 1 and a[0] and b[0]:
+            # over Q cancel across first, as Fraction does; then nothing is left
+            g, h = gcd(a[0], o.den), gcd(b[0], self.den)
+            return Scalar._make(self.field, (a[0] // g * (b[0] // h),),
+                                self.den // h * (o.den // g), lowest=True)
+        return Scalar._make(self.field, self.field._mul(a, b), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not any(self.num):
             raise DivisionByZero("inverse of zero")
-        g, s = _pxgcd(ptrim(list(self.coeffs)), self.field.minimal_polynomial)
-        if len(g) != 1:
+        f, p = self.field, (1,) + (0,) * (self.field.degree - 1)
+        for a in f._units:
+            p = f._mul(p, self.galois(a).num)
+        norm = f._mul(self.num, p)
+        if any(norm[1:]) or not norm[0]:
             raise AssertionError("cyclotomic polynomial not coprime to element")
-        inv = [c / g[0] for c in s]
-        return Scalar(self.field, inv)
+        return Scalar._make(f, tuple(self.den * x for x in p), norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -343,15 +379,15 @@ class Scalar:
     # -- predicates -------------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise FieldError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def nth_root_rational(self, k):
         """Designated k-th root: the real rational root of a rational element.
@@ -363,22 +399,26 @@ class Scalar:
         if not self.is_rational():
             raise NotAnNthPower(
                 f"{self} is not in the rational subfield; no designated root")
-        root = rational_nth_root(self.coeffs[0], k)
+        root = rational_nth_root(self.rational_value(), k)
         if root is None:
             raise NotAnNthPower(f"{self} has no rational {k}-th root")
         return self.field.scalar(root)
 
     def galois(self, a):
         """Image under the Galois automorphism z -> z^a (gcd(a, N) = 1)."""
-        za = self.field.zeta() ** (a % max(self.field.cyclotomic_order, 1))
-        return peval([self.field.scalar(c) for c in self.coeffs], za)
+        f, n = self.field, self.field.cyclotomic_order
+        c = [0] * n
+        for k, x in enumerate(self.num):
+            c[a * k % n] += x
+        return Scalar._make(f, f._fold(c), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.field, self.num, self.den) == \
+            (other.field, other.num, other.den)
 
     def __hash__(self):
         if self._hash is None:
@@ -386,7 +426,7 @@ class Scalar:
         return self._hash
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- serialization ------------------------------------------------------------
 

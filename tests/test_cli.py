@@ -5,7 +5,8 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
-from ellprym.covering import MAX_WINDOW
+from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
+                              MAX_WINDOW)
 
 
 def _write_spec(path, obj):
@@ -212,6 +213,20 @@ def test_analyze_bool_for_int_exits_2(tmp_path, capsys, pirola_datum_obj,
     assert f"SchemaError: {pointer}: expected int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,cap", [("genus", MAX_GENUS),
+                                     ("degree", MAX_DEGREE)])
+def test_analyze_genus_or_degree_above_limit_exits_2(tmp_path, capsys,
+                                                     pirola_datum_obj, key,
+                                                     cap):
+    assert pirola_datum_obj[key] <= cap
+
+    def edit(obj):
+        obj[key] = cap + 1
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert f"SchemaError: /{key}: expected at most {cap}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("names", [["x"], ["x", "y", "z", 4]],
                          ids=["short", "not-str"])
 def test_analyze_basis_names_not_genus_strings_exits_2(tmp_path, capsys,
@@ -322,8 +337,10 @@ def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
     (_set("h", {"P": 5}), "/h/P: expected list"),
     (_set("precision", MAX_WINDOW + 1),
      f"/precision: expected at most {MAX_WINDOW}"),
+    (_set("h", {"Q": ["1"] * (MAX_FUNCTION_TERMS + 1)}),
+     f"/h/Q: expected at most {MAX_FUNCTION_TERMS} coefficients"),
 ], ids=["N-bool", "precision-bool", "order-bool", "field-list", "h-P-int",
-        "precision-above-limit"])
+        "precision-above-limit", "h-Q-above-limit"])
 def test_build_malformed_spec_exits_2(tmp_path, capsys, edit, message):
     obj = spec_to_json(pirola_spec(precision=10))
     edit(obj)

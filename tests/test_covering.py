@@ -4,8 +4,8 @@ import pytest
 
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
-                              datum_from_json, datum_to_json, load, save,
-                              validate)
+                              datum_from_json, datum_to_json, lex_pairs,
+                              load, save, validate)
 from ellprym.errors import SchemaError
 from ellprym.scalars import FieldSpec
 from ellprym.series import TruncatedSeries
@@ -52,6 +52,24 @@ def test_validate_never_aborts_early():
     assert "riemann_hurwitz" in names
     assert "trace_consistency" in names
     assert "quadric_precision" in names
+
+
+def test_multiplication_table_columns_follow_lex_pairs(pirola):
+    """Column p of the table is the product of the p-th pair of
+    ``lex_pairs``, the order ``diffalg`` reads tensors in."""
+    datum = pirola.datum
+    pairs = lex_pairs(datum.genus)
+    assert pairs == sorted(pairs) and len(pairs) == len(set(pairs)) == \
+        datum.genus * (datum.genus + 1) // 2
+    table = datum.multiplication_table
+    for row, r in zip(table.fiber.rows, datum.fiber.ratios):
+        assert row == [r[i] * r[j] for i, j in pairs]
+    for matrix, chart in zip(table.charts, datum.charts):
+        f, w = chart.forms, chart.window()
+        for p, (i, j) in enumerate(pairs):
+            product = (f[i] * f[j]).truncate(w)
+            assert [row[p] for row in matrix.rows] == \
+                [product.coefficient(e) for e in range(w)]
 
 
 def test_validation_on_built_fixture(pirola):

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from ellprym.builder import _rational_roots
 from ellprym.errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
-from ellprym.scalars import (FieldSpec, Matrix, Scalar, integer_nth_root,
+from ellprym.scalars import (MAX_COEFFICIENT_DIGITS, SUPPORTED_ORDERS,
+                             FieldSpec, Matrix, Scalar, integer_nth_root,
                              padd, pdivmod, peval, pmul, psub, ptrim,
                              rational_nth_root)
 
@@ -264,3 +266,94 @@ def test_rational_roots_match_sympy():
             sympy.Poly(list(reversed(poly)), x)).items() if r.is_rational}
         assert Counter(sympy.Rational(r.numerator, r.denominator)
                        for r in found) == expected
+
+
+# -- the integer representation against an independent oracle -----------------
+
+def _random_element(rng, field, digits):
+    """Numerators and denominators below 10^digits; about one coordinate in
+    four is zero, and at least one is not."""
+    def part():
+        if rng.random() < 0.25:
+            return F(0)
+        return F(rng.randint(1 - 10 ** digits, 10 ** digits - 1) or 1,
+                 rng.randint(1, 10 ** digits - 1))
+    x = field.from_coefficients([part() for _ in range(field.degree)])
+    return x if x else field.scalar(F(rng.randint(1, 10 ** digits - 1), 7))
+
+
+def _samples(order):
+    """Seeded elements at small heights and near MAX_COEFFICIENT_DIGITS."""
+    rng = random.Random(1000 + order)
+    field = FieldSpec(order)
+    return [_random_element(rng, field, digits)
+            for digits in (1, 1, 3, 40, MAX_COEFFICIENT_DIGITS)]
+
+
+def _invertible_quickly(x):
+    """The norm of a 4000-digit element of degree d has about 4000*d digits,
+    and inverting one of degree 12 takes over 10 s; above degree 2 such
+    elements are inverted at lower heights only."""
+    return x.field.degree <= 2 or \
+        max(abs(c) for c in (x.den, *x.num)).bit_length() < 1000
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in (x.den, *x.num))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_arithmetic_matches_sympy(order):
+    """Products, inverses and conjugates are checked in sympy's integer
+    polynomials modulo Phi_N (rationals are slow there at 4000 digits)."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.symbols("z")
+    field = FieldSpec(order)
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, z), z, domain="ZZ")
+
+    def poly(x):
+        return sympy.Poly(list(reversed(x.num)), z, domain="ZZ")
+
+    def same(x, expected, scale):
+        """x is expected / scale modulo Phi_N."""
+        assert (poly(x) * scale - expected * x.den).rem(phi).is_zero
+
+    units = [a for a in range(1, max(order, 2)) if gcd(a, order) == 1]
+    xs = _samples(order)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        product = x * y
+        same(product, poly(x) * poly(y), x.den * y.den)
+        for a in units:
+            same(x.galois(a), poly(x).compose(sympy.Poly(z ** a, z)), x.den)
+        results = [product, x + y, x - y, x.galois(units[-1])]
+        if _invertible_quickly(x):
+            # the inverse is unique: its product with x, in sympy, is 1
+            inv = x.inverse()
+            same(field.one(), poly(x) * poly(inv), x.den * inv.den)
+            assert x * inv == field.one()
+            results.append(inv)
+        for r in results:
+            _assert_canonical(r)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_canonical_form_and_hash(order):
+    field = FieldSpec(order)
+    xs = _samples(order)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        _assert_canonical(x)
+        # one value, several routes: identical numerator and denominator
+        parsed = Scalar.from_string(field, x.to_string())
+        assert parsed.to_string() == x.to_string()
+        routes = [parsed, x + y - y, field.from_coefficients(x.coeffs), -(-x),
+                  x * 3 / 3]
+        if _invertible_quickly(x) and _invertible_quickly(y):
+            routes += [y * x / y, x.inverse().inverse()]
+        for r in routes:
+            assert (r.num, r.den) == (x.num, x.den)
+            assert hash(r) == hash(x) == hash((order, x.coeffs))
+    zero = xs[0] - xs[0]
+    assert (zero.num, zero.den) == ((0,) * field.degree, 1)
+    assert zero == field.zero() == 0 and not zero
