@@ -242,7 +242,7 @@ def validate(datum):
     # (3) independence certificate: a nonzero holomorphic 1-form has exactly
     # 2g-2 zeros, so with budget > 2g-2 a rank defect would be a genuine
     # linear dependence among the basis forms.
-    if shape_ok:
+    if shape_ok and all(len(c.forms) == g for c in datum.charts):
         rows = []
         for i in range(g):
             row = []
@@ -257,7 +257,8 @@ def validate(datum):
             f"rank {rank} of g x {budget} coefficient matrix "
             f"(budget {budget}, bound {2 * g - 2})")
     else:
-        add("independence_certificate", False, "fiber shape invalid")
+        add("independence_certificate", False,
+            "form count invalid" if shape_ok else "fiber shape invalid")
 
     # (4) quadric-precision certificate: sections of the squared canonical
     # bundle have degree 4g-4; budget >= 4g-3 makes their kernel computation

@@ -421,8 +421,12 @@ class Scalar:
             (other.field, other.num, other.den)
 
     def __hash__(self):
+        """Equal values hash alike: a rational element as the Fraction it
+        equals (so as an int when integral), any other by its coordinates."""
         if self._hash is None:
-            self._hash = hash((self.field.cyclotomic_order, self.coeffs))
+            self._hash = hash(Fraction(self.num[0], self.den)
+                              if self.is_rational() else
+                              (self.field.cyclotomic_order, self.num, self.den))
         return self._hash
 
     def __bool__(self):

@@ -11,7 +11,13 @@ Representation: ``coeffs[0]`` is the coefficient at exponent ``valuation``
 and is nonzero unless the series is the tracked-precision zero series, in
 which case ``coeffs`` is empty and ``valuation == prec``.
 
-Algorithms: composition is Brent-Kung baby-step/giant-step (Brent & Kung,
+Algorithms: a product is one big-integer product by Kronecker substitution
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44(10), 2009): each operand over one
+common denominator, its coefficients packed into the slots of one integer,
+and only the coefficients inside the result window read back.  ``inverse``
+is Newton iteration g <- g*(2 - u*g) at doubling widths over that product.
+Composition is Brent-Kung baby-step/giant-step (Brent & Kung,
 "Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978).
 ``compose_all`` forms the baby and giant powers of one inner series once for
 a list of outer series, and each outer keeps its own window; ``compose`` is
@@ -29,6 +35,7 @@ import math
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
                      SingularJacobian, ValuationError)
+from .scalars import Scalar
 
 
 class TruncatedSeries:
@@ -36,23 +43,29 @@ class TruncatedSeries:
     __slots__ = ("field", "valuation", "coeffs", "prec")
 
     def __init__(self, field, valuation, coeffs, prec):
-        self.field = field
         coeffs = [field.scalar(c) for c in coeffs]
-        valuation = int(valuation)
-        prec = int(prec)
+        valuation, prec = int(valuation), int(prec)
         if valuation + len(coeffs) > prec:
             raise ValueError("coefficients extend beyond the stated precision")
-        # normalize: strip leading zeros, collapse the zero series
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            valuation += 1
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
-            valuation = prec
-        self.valuation = valuation
-        self.coeffs = tuple(coeffs)
-        self.prec = prec
+        s = TruncatedSeries._make(field, valuation, coeffs, prec)
+        self.field, self.valuation, self.coeffs, self.prec = \
+            field, s.valuation, s.coeffs, prec
+
+    @classmethod
+    def _make(cls, field, valuation, coeffs, prec):
+        """The series of a list of the field's Scalars, with no coercion:
+        leading and trailing zeros are stripped, and the zero series has
+        valuation prec."""
+        start, stop = 0, len(coeffs)
+        while start < stop and coeffs[start].is_zero():
+            start += 1
+        while stop > start and coeffs[stop - 1].is_zero():
+            stop -= 1
+        self = object.__new__(cls)
+        self.field, self.prec = field, prec
+        self.coeffs = tuple(coeffs[start:stop])
+        self.valuation = valuation + start if start < stop else prec
+        return self
 
     # -- constructors ---------------------------------------------------------
 
@@ -130,15 +143,11 @@ class TruncatedSeries:
         prec = min(self.prec, other.prec)
         lo = min(self.valuation, other.valuation, prec)
         out = [self.field.zero()] * (prec - lo)
-        for i, c in enumerate(self.coeffs):
-            e = self.valuation + i
-            if e < prec:
-                out[e - lo] = out[e - lo] + c
-        for i, c in enumerate(other.coeffs):
-            e = other.valuation + i
-            if e < prec:
-                out[e - lo] = out[e - lo] + c
-        return TruncatedSeries(self.field, lo, out, prec)
+        for s in (self, other):
+            for i, c in enumerate(s.coeffs[:max(0, prec - s.valuation)],
+                                  s.valuation - lo):
+                out[i] = out[i] + c if out[i] else c
+        return TruncatedSeries._make(self.field, lo, out, prec)
 
     def __neg__(self):
         return TruncatedSeries(self.field, self.valuation,
@@ -151,40 +160,33 @@ class TruncatedSeries:
         self._check_field(other)
         prec = min(self.valuation + other.prec, other.valuation + self.prec)
         lo = self.valuation + other.valuation
-        out = [self.field.zero()] * max(0, prec - lo)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            ea = self.valuation + i
-            for j, b in enumerate(other.coeffs):
-                e = ea + other.valuation + j
-                if e >= prec:
-                    break
-                if not b.is_zero():
-                    out[e - lo] = out[e - lo] + a * b
-        return TruncatedSeries(self.field, min(lo, prec), out, prec)
+        n = prec - lo
+        if n <= 0 or not self.coeffs or not other.coeffs:
+            return TruncatedSeries._make(self.field, prec, [], prec)
+        return TruncatedSeries._make(
+            self.field, lo,
+            _kronecker(self.field, self.coeffs[:n], other.coeffs[:n], n), prec)
 
     def inverse(self):
-        """Reciprocal of a series that is nonzero up to its precision."""
+        """Reciprocal of a series that is nonzero up to its precision.
+
+        Newton iteration g <- g - g*(u*g - 1) for the unit part u, on the
+        widths rel, ceil(rel/2), ..., 1 run upwards: a g correct below t^w
+        is correct below t^(2w) after one round.
+        """
         if self.is_zero():
             raise DivisionByZeroSeries(
                 "inverse of a series that is zero to its precision")
-        rel = self.relative_precision()
-        lead = self.coeffs[0]
-        lead_inv = lead.inverse()
-        # unit part u = self / (lead * z^v); invert by the standard recurrence
-        u = [self.coefficient(self.valuation + i) * lead_inv
-             for i in range(rel)]
-        inv = [self.field.one()] + [self.field.zero()] * (rel - 1)
-        for k in range(1, rel):
-            acc = self.field.zero()
-            for i in range(1, k + 1):
-                if not u[i].is_zero() and not inv[k - i].is_zero():
-                    acc = acc + u[i] * inv[k - i]
-            inv[k] = -acc
-        out = [c * lead_inv for c in inv]
-        return TruncatedSeries(self.field, -self.valuation, out,
-                               -self.valuation + rel)
+        field, rel = self.field, self.relative_precision()
+        unit = TruncatedSeries._make(field, 0, self.coeffs, rel)
+        g = TruncatedSeries._make(field, 0, [self.coeffs[0].inverse()], 1)
+        schedule = [rel]
+        while schedule[-1] > 1:
+            schedule.append(-(-schedule[-1] // 2))
+        for known in reversed(schedule[:-1]):
+            g = TruncatedSeries._make(field, 0, g.coeffs, known)
+            g = g - g * (unit * g).add_constant(-1)
+        return g.shift(-self.valuation)
 
     def __truediv__(self, other):
         self._check_field(other)
@@ -350,6 +352,43 @@ def compose_all(outers, inner):
                 result = result + inv[-e - 1].scale(c)
         out.append(result.truncate(min(prec, result.prec)))
     return out
+
+
+def _kronecker(field, a, b, n):
+    """The first n coefficients of the product of coefficient lists a, b.
+
+    Each operand goes over the lcm of its denominators, and power-basis
+    integer k of its coefficient i into the slot at bit (i*(2d-1) + k)*B
+    for d = field.degree; one integer product then puts t^e z^m in slot
+    e*(2d-1) + m, as in FLINT's fmpz_poly_mul.  A slot holds any product
+    coefficient with its sign, since at most min(len)*d terms add up in
+    one.  Slots are read back with the borrow of the slot below, and each
+    row of 2d-1 slots is folded onto the power basis.
+    """
+    d = field.degree
+    stride, pad = 2 * d - 1, (0,) * (d - 1)
+    dens = [math.lcm(*(c.den for c in s)) for s in (a, b)]
+    vals = [[x * (den // c.den) for c in s for x in c.num + pad]
+            for s, den in zip((a, b), dens)]
+    # B = 8*w bits: both heights, the terms per coefficient, a sign bit
+    w = (sum(max(map(abs, v)).bit_length() for v in vals) +
+         (min(len(a), len(b)) * d).bit_length() + 8) // 8
+    # two's complement slots, less the 2^B that each negative one adds
+    one, zero = b"\1" + bytes(w - 1), bytes(w)
+    x, y = [int.from_bytes(b"".join(c.to_bytes(w, "little", signed=True)
+                                    for c in v), "little") -
+            (int.from_bytes(b"".join(one if c < 0 else zero for c in v),
+                            "little") << 8 * w) for v in vals]
+    size = n * stride * w
+    raw = (x * y & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half, full, borrow, slots = 1 << (8 * w - 1), 1 << 8 * w, 0, []
+    for i in range(0, size, w):
+        u = int.from_bytes(raw[i:i + w], "little") + borrow
+        borrow = u >= half
+        slots.append(u - full if borrow else u)
+    den = dens[0] * dens[1]
+    return [Scalar._make(field, field._fold(slots[i:i + stride]), den)
+            for i in range(0, len(slots), stride)]
 
 
 def _rewindow(s, prec):

@@ -1,7 +1,10 @@
 import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
@@ -227,6 +230,16 @@ def test_analyze_genus_or_degree_above_limit_exits_2(tmp_path, capsys,
         capsys.readouterr().err
 
 
+def test_analyze_chart_missing_a_form_exits_2(tmp_path, capsys,
+                                              pirola_datum_obj):
+    """The independence certificate reads g forms on every chart; a chart
+    with fewer is reported, not indexed past its end."""
+    def edit(obj):
+        obj["charts"][0]["forms"].pop()
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert "3 form expansions, expected g = 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("names", [["x"], ["x", "y", "z", 4]],
                          ids=["short", "not-str"])
 def test_analyze_basis_names_not_genus_strings_exits_2(tmp_path, capsys,
@@ -370,3 +383,79 @@ def test_precision_flag_above_limit_exits_2(tmp_path, capsys, command):
     assert main(argv + ["--precision", str(MAX_WINDOW + 1)]) == 2
     assert (f"PrecisionUnreachable: requested window {MAX_WINDOW + 1} is "
             f"above the limit {MAX_WINDOW}") in capsys.readouterr().err
+
+
+# -- property: mutated inputs end in exit 0, 2 or 3 ---------------------------
+
+def _paths(obj, prefix=()):
+    """Every member and item of a JSON document, as key paths."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+SCALAR_TEXT = st.text(alphabet="0123456789-+*/^ze. ", max_size=12)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 24),
+    st.sampled_from([10 ** 6, -10 ** 6, 2 ** 70, math.inf, math.nan, 0.5]),
+    SCALAR_TEXT, st.lists(st.integers(-2, 2) | SCALAR_TEXT, max_size=4),
+    st.dictionaries(st.sampled_from(["valuation", "prec", "coeffs", "P"]),
+                    st.integers(-2, 12) | SCALAR_TEXT, max_size=3))
+
+
+@st.composite
+def _mutations(draw, docs):
+    """(document name, mutated copy): one member replaced by another JSON
+    value or deleted, or one scalar string rewritten."""
+    name = draw(st.sampled_from(sorted(docs)))
+    obj = copy.deepcopy(docs[name])
+    path = draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return name, draw(JSON_VALUES)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["replace", "delete", "scalar"]))
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "scalar" and isinstance(parent[path[-1]], str):
+        text = parent[path[-1]]
+        cut = draw(st.integers(0, len(text)))
+        parent[path[-1]] = text[:cut] + draw(SCALAR_TEXT) + text[cut + 1:]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return name, obj
+
+
+@pytest.fixture(scope="module")
+def pirola_docs(pirola_built):
+    datum_path, action_path = pirola_built
+    return {"datum": json.loads(datum_path.read_text()),
+            "action": json.loads(action_path.read_text()),
+            "spec": spec_to_json(pirola_spec(precision=10))}
+
+
+def test_mutated_inputs_exit_0_2_or_3(pirola_docs, tmp_path_factory):
+    """No mutation of the pirola datum, action or spec ends in a traceback:
+    every error is an InputError (exit 2) or an IdentityError (exit 3),
+    which ``main`` turns into its exit code."""
+    tmp = tmp_path_factory.mktemp("mutated")
+    files = {name: tmp / f"{name}.json" for name in pirola_docs}
+
+    @settings(max_examples=250, derandomize=True, deadline=None,
+              database=None)
+    @given(_mutations(pirola_docs))
+    def check(mutation):
+        name, obj = mutation
+        for other, doc in pirola_docs.items():
+            files[other].write_text(json.dumps(doc if other != name else obj))
+        out = str(tmp / "out.json")
+        argv = ["build", str(files["spec"]), "--out", out] \
+            if name == "spec" else \
+            ["analyze", str(files["datum"]), "--action",
+             str(files["action"]), "--json", "--out", out]
+        assert main(argv) in (0, 2, 3)
+
+    check()

@@ -353,7 +353,25 @@ def test_canonical_form_and_hash(order):
             routes += [y * x / y, x.inverse().inverse()]
         for r in routes:
             assert (r.num, r.den) == (x.num, x.den)
-            assert hash(r) == hash(x) == hash((order, x.coeffs))
+            assert hash(r) == hash(x)
     zero = xs[0] - xs[0]
     assert (zero.num, zero.den) == ((0,) * field.degree, 1)
     assert zero == field.zero() == 0 and not zero
+
+
+def test_hash_agrees_with_equality():
+    """ints, Fractions and Scalars that compare equal find each other as set
+    members and dict keys; irrational elements keep apart from rationals."""
+    Q5 = FieldSpec(5)
+    for field in (Q, Q3, Q5):
+        for value in (0, 1, -7, F(1, 2), F(-22, 7)):
+            x = field.scalar(value)
+            assert x == value and hash(x) == hash(value)
+            assert value in {x} and x in {value}
+            assert {value: "v"}[x] == "v" and {x: "x"}[value] == "x"
+            assert x in {Scalar(field, [value] + [0] * (field.degree - 1))}
+        z = field.zeta()
+        if field.degree > 1:
+            assert z not in {1, -1, F(1, 2)}
+            assert {z: 1, z * z: 2, z + 1: 3}[z * z * z / z] == 2
+    assert len({1, F(1), Q.one(), F(2, 2), Q.scalar(F(3, 3))}) == 1

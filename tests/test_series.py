@@ -211,6 +211,76 @@ def random_series(rng, field, valuation, length, prec, sparse=0.0):
     return TruncatedSeries(field, valuation, [lead] + rest, prec)
 
 
+def schoolbook_mul(f, g):
+    """Reference: the product by the schoolbook double loop over Scalars."""
+    prec = min(f.valuation + g.prec, g.valuation + f.prec)
+    lo = f.valuation + g.valuation
+    out = [f.field.zero()] * max(0, prec - lo)
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero():
+            continue
+        ea = f.valuation + i
+        for j, b in enumerate(g.coeffs):
+            e = ea + g.valuation + j
+            if e >= prec:
+                break
+            if not b.is_zero():
+                out[e - lo] = out[e - lo] + a * b
+    return TruncatedSeries(f.field, min(lo, prec), out, prec)
+
+
+def signed_scalar(rng, field, k):
+    """Coordinates 0, small, or +-(2^k - 1) and +-2^k, over mixed
+    denominators: 1, a power of two or up to 2^k."""
+    num = [rng.choice((0, 0, rng.randint(-9, 9), 2 ** k - 1, 1 - 2 ** k,
+                       2 ** k, -2 ** k)) for _ in range(field.degree)]
+    den = rng.choice((1, 1, 2 ** rng.randint(1, k), rng.randint(1, 2 ** k)))
+    return Scalar(field, [F(x, den) for x in num])
+
+
+def signed_series(rng, field):
+    """A series with a random valuation and window, runs of zeros, extreme
+    coordinates, or the zero series."""
+    v = rng.randint(-4, 4)
+    if rng.random() < 0.1:
+        return TruncatedSeries.zero(field, v + rng.randint(0, 6))
+    k = rng.randint(1, 70)
+    coeffs = [signed_scalar(rng, field, k) for _ in range(rng.randint(1, 14))]
+    start = rng.randint(1, len(coeffs))
+    zeros = rng.randint(0, len(coeffs) - start)
+    coeffs[start:start + zeros] = [field.zero()] * zeros
+    coeffs[0] = coeffs[0] or field.one()
+    return TruncatedSeries(field, v, coeffs, v + len(coeffs) + rng.randint(0, 5))
+
+
+FIELDS = [Q, Q3, FieldSpec(5), FieldSpec(13)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q3", "Q5", "Q13"])
+def test_product_matches_schoolbook(field):
+    """Mixed denominators, zero runs, negative valuations, unequal windows
+    and the zero series, with coordinates that make signed slots borrow."""
+    rng = random.Random(20261020 + field.degree)
+    for _ in range(120 if field.degree < 12 else 30):
+        f, g = signed_series(rng, field), signed_series(rng, field)
+        assert f * g == schoolbook_mul(f, g), (f, g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q3", "Q5", "Q13"])
+def test_product_at_the_height_bound(field):
+    """Every coordinate +-(2^k - 1) with one sign per operand: the largest
+    product coefficient comes within a factor of two of the slot bound, for
+    every residue of its bit length mod 8."""
+    for k in range(1, 20):
+        for length in range(1, 8 if field.degree < 12 else 3):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a = Scalar(field, [sa * (2 ** k - 1)] * field.degree)
+                b = Scalar(field, [sb * (2 ** k - 1)] * field.degree)
+                f = TruncatedSeries(field, 0, [a] * length, length)
+                g = TruncatedSeries(field, 1, [b] * length, length + 1)
+                assert f * g == schoolbook_mul(f, g), (k, length, sa, sb)
+
+
 @pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
 def test_compose_matches_horner_reference(field):
     rng = random.Random(20261018 + field.degree)
@@ -321,13 +391,16 @@ def test_compose_window_sound():
 
 
 def test_inverse_window_sound():
+    """Relative precisions 1, 2, 3, 17, 40 and 41 end Newton on rounds that
+    are not powers of two; f times its inverse is 1 on the full window."""
     rng = random.Random(35)
     for field in (Q, Q3):
         for v in (-2, 0, 3):
-            f = random_series(rng, field, v, 16, v + 16)
+            f = random_series(rng, field, v, 41, v + 41, sparse=0.3)
             wide = f.inverse()
-            assert wide.valuation == -v and wide.prec == 16 - v
-            for cut in (v + 1, v + 2, v + 5, v + 11):
+            assert wide.valuation == -v and wide.prec == 41 - v
+            assert schoolbook_mul(f, wide) == S(0, [1], 41, field)
+            for cut in (v + 1, v + 2, v + 3, v + 5, v + 11, v + 17, v + 40):
                 narrow = f.truncate(cut).inverse()
                 assert narrow.prec == cut - 2 * v
                 _assert_agrees_on(narrow, wide)
@@ -407,13 +480,13 @@ def test_inverse_against_sympy():
     ring_series = pytest.importorskip("sympy.polys.ring_series")
     rng = random.Random(36)
     for v in (-2, 0, 1, 3):
-        for _ in range(3):
-            f = random_series(rng, Q, v, 10, v + 10, sparse=0.3)
+        for rel in (1, 2, 3, 10, 17, 40, 41):
+            f = random_series(rng, Q, v, rel, v + rel, sparse=0.3)
             z, unit = _sympy_ring(f)
             inv = f.inverse()
-            assert inv.valuation == -v and inv.prec == 10 - v
+            assert inv.valuation == -v and inv.prec == rel - v
             _assert_matches_ring(
-                inv, ring_series.rs_series_inversion(unit, z, 10), -v)
+                inv, ring_series.rs_series_inversion(unit, z, rel), -v)
 
 
 def test_reversion_against_sympy():
