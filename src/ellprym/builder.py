@@ -1,14 +1,15 @@
 """Exact construction of covering data for cyclic covers of elliptic curves.
 
-The input is a Weierstrass curve y^2 = x^3 + Ax + B, a function h on it, a
-prime order N and a fiber base point c.  The cover is w^N = h; at every
-divisor point of h the valuation must be divisible by N (unramified layer)
-or have absolute value 1 (total ramification) -- the only shapes this
-builder supports.
+The input is a Weierstrass curve y^2 = x^3 + Ax + B, a function
+h = P(x) + y Q(x) on it, a prime order N and a fiber base point c.  The
+cover is w^N = h.  Such an h has its only pole at infinity, so every other
+divisor point is a zero; its order must be divisible by N (unramified
+layer) or equal 1 (total ramification) -- the only shapes this builder
+supports.
 
-Construction is purely algebraic.  Charts use w (or 1/w) as the local
-parameter; the base uniformizer is re-expressed through it by reverting the
-local series of h, so no transcendental coordinate ever appears.  The
+Construction is purely algebraic.  Charts use w as the local parameter;
+the base uniformizer is re-expressed through it by reverting the local
+series of h, so no transcendental coordinate ever appears.  The
 differential basis consists of f * w^(-k) * (pullback of dx/y) with f
 running over Riemann-Roch bases of explicit divisors; holomorphy of every
 emitted form is re-proved from its chart expansions rather than trusted
@@ -30,8 +31,8 @@ from .covering import (MAX_FUNCTION_TERMS, MAX_WINDOW, CoveringDatum,
                        FiberChart, RamificationChart, _expect, _optional,
                        _parse_scalar, require_valid)
 from .equivariant import CyclicAction
-from .errors import (BuilderError, DimensionMismatch, DivisionByZero,
-                     FieldError, FieldTooSmall, InputError, NotAnNthPower,
+from .errors import (BuilderError, DimensionMismatch, FieldError,
+                     FieldTooSmall, InputError, NotAnNthPower,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
                      UnsupportedOrder, UnsupportedRamification)
 from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
@@ -44,15 +45,6 @@ SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 # ---------------------------------------------------------------------------
 # polynomial helpers the scalar layer does not provide
 # ---------------------------------------------------------------------------
-
-def _peval_series(f, poly, series):
-    acc = TruncatedSeries.zero(f, series.prec + abs(series.valuation) + 1)
-    for c in reversed(poly):
-        acc = acc * series
-        if not c.is_zero():
-            acc = acc.add_constant(c)
-    return acc
-
 
 def _rational_roots(poly):
     """All rational roots, with multiplicity, of a polynomial over Q.
@@ -142,9 +134,6 @@ class EllipticCurve:
             return True
         return pt.y * pt.y == peval(self.rhs(), pt.x)
 
-    def is_two_torsion(self, pt):
-        return pt is not INFINITY and pt.y.is_zero()
-
     def point(self, x, y):
         pt = Point(self.field.scalar(x), self.field.scalar(y))
         if not self.contains(pt):
@@ -154,54 +143,31 @@ class EllipticCurve:
 
 @dataclass(frozen=True)
 class CurveFunction:
-    """(P(x) + y Q(x)) / den(x), reduced through the curve equation."""
+    """P(x) + y Q(x), reduced through the curve equation: a function whose
+    only pole is at infinity, which is what a cover spec can name."""
     curve: EllipticCurve
     P: tuple
     Q: tuple
-    den: tuple
 
     @classmethod
-    def make(cls, curve, P, Q=(), den=None):
+    def make(cls, curve, P, Q=()):
         f = curve.field
-        P = tuple(ptrim([f.scalar(c) for c in P]))
-        Q = tuple(ptrim([f.scalar(c) for c in Q]))
-        den = tuple(ptrim([f.scalar(c) for c in den])) if den else (f.one(),)
-        if not den:
-            raise DivisionByZero("zero denominator polynomial")
-        return cls(curve, P, Q, den)
+        return cls(curve, *(tuple(ptrim([f.scalar(c) for c in poly]))
+                            for poly in (P, Q)))
 
     def is_zero(self):
         return not self.P and not self.Q
 
     def evaluate(self, pt):
-        d = peval(self.den, pt.x)
-        if d.is_zero():
-            raise DivisionByZero(f"denominator vanishes at {pt}")
-        num = peval(self.P, pt.x) + pt.y * peval(self.Q, pt.x)
-        return num / d
+        return peval(self.P, pt.x) + pt.y * peval(self.Q, pt.x)
 
     def series_from_xy(self, x_series, y_series):
-        f = self.curve.field
-        num = _peval_series(f, list(self.P), x_series)
-        if self.Q:
-            num = num + _peval_series(f, list(self.Q), x_series) * y_series
-        d = _peval_series(f, list(self.den), x_series)
-        return num / d
-
-    def pole_bound_at_infinity(self):
-        degP = len(self.P) - 1 if self.P else -1
-        degQ = len(self.Q) - 1 if self.Q else -1
-        num = max(2 * degP if degP >= 0 else -10 ** 9,
-                  2 * degQ + 3 if degQ >= 0 else -10 ** 9)
-        return num + 2 * (len(self.den) - 1)
+        return peval(self.P, x_series) + peval(self.Q, x_series) * y_series
 
     def __repr__(self):
         def fmt(poly):
             return "[" + ", ".join(c.to_string() for c in poly) + "]"
-        s = f"({fmt(self.P)} + y*{fmt(self.Q)})"
-        if len(self.den) > 1 or not self.den[0] == self.curve.field.one():
-            s += f"/{fmt(self.den)}"
-        return s
+        return f"({fmt(self.P)} + y*{fmt(self.Q)})"
 
 
 # ---------------------------------------------------------------------------
@@ -209,68 +175,49 @@ class CurveFunction:
 # ---------------------------------------------------------------------------
 
 def base_series(curve, place, prec):
-    """Expansions of (x, y) in the designated uniformizer at a place.
+    """Expansions of (x, y) in the designated uniformizer t at a finite
+    place, known below t^prec.
 
-    Finite non-2-torsion: t = x - x0.  2-torsion: t = y (the x-line is
-    tangent there).  Infinity: t = x/y.
+    Not 2-torsion: t = x - x0.  2-torsion: t = y (the x-line is tangent
+    there).  Newton works one coefficient past the ones it makes correct,
+    so the equations are built to prec + 1.
     """
     f = curve.field
-    big = prec + 4
+    big = prec + 1
 
-    def const(c, p=big):
-        return TruncatedSeries.from_coefficients(f, 0, [c], p)
+    def const(c):
+        return TruncatedSeries.from_coefficients(f, 0, [c], big)
 
-    if place is INFINITY:
-        # x = v/t^2, y = v/t^3 with v^3 - v^2 + A t^4 v + B t^6 = 0, v(0)=1
-        coeffs = [
-            TruncatedSeries.monomial(f, 6, curve.B, big),
-            TruncatedSeries.monomial(f, 4, curve.A, big),
-            const(f.scalar(-1)),
-            const(f.one()),
-        ]
-        seed = TruncatedSeries.from_coefficients(f, 0, [f.one()], 1)
-        v = newton_solve(coeffs, seed, prec)
-        x = v.shift(-2)
-        y = v.shift(-3)
-        return x, y
     if place.y.is_zero():
         # t = y; solve X^3 + A X + (B - t^2) = 0 near x0
-        coeffs = [
-            TruncatedSeries.from_coefficients(f, 0, [curve.B], big) -
-            TruncatedSeries.monomial(f, 2, f.one(), big),
-            const(curve.A),
-            const(f.zero()),
-            const(f.one()),
-        ]
+        t2 = TruncatedSeries.monomial(f, 2, f.one(), big + 2)
+        coeffs = [const(curve.B) - t2, const(curve.A), const(f.zero()),
+                  const(f.one())]
         seed = TruncatedSeries.from_coefficients(f, 0, [place.x], 1)
-        x = newton_solve(coeffs, seed, prec)
-        y = TruncatedSeries.identity(f, prec)
-        return x, y
+        return (newton_solve(coeffs, seed, prec),
+                TruncatedSeries.identity(f, big).truncate(prec))
     # t = x - x0; y = sqrt(f(x0 + t)) with sign chosen by the seed
-    x = TruncatedSeries.from_coefficients(f, 0, [place.x], prec) + \
-        TruncatedSeries.identity(f, prec)
-    shifted = _peval_series(f, curve.rhs(), x)
-    coeffs = [
-        -shifted,
-        TruncatedSeries.zero(f, big),
-        TruncatedSeries.from_coefficients(f, 0, [f.one()], big),
-    ]
+    x = TruncatedSeries.identity(f, big) + place.x
+    coeffs = [-peval(curve.rhs(), x), const(f.zero()), const(f.one())]
     seed = TruncatedSeries.from_coefficients(f, 0, [place.y], 1)
-    y = newton_solve(coeffs, seed, prec)
-    return x, y
+    return x.truncate(prec), newton_solve(coeffs, seed, prec)
 
 
-def valuation_at(fn, place, hint=8):
-    """Exact valuation of a curve function at a place, via local series."""
-    prec = hint
-    bound = fn.pole_bound_at_infinity() + abs(hint) + 6
-    while prec <= max(bound, hint) + 30:
-        x, y = base_series(fn.curve, place, prec)
-        s = fn.series_from_xy(x, y)
-        if not s.is_zero():
-            return s.valuation
-        prec *= 2
-    raise BuilderError(f"function appears to vanish identically at {place}")
+def valuation_at(fn, place):
+    """Exact valuation of a nonzero curve function P(x) + y Q(x) at a place.
+
+    At infinity x and y have poles of orders 2 and 3, so P and yQ have poles
+    of different parity there and cannot cancel.  The function has as many
+    zeros as poles, so at a finite place one expansion one coefficient past
+    that pole order decides.
+    """
+    if fn.is_zero():
+        raise InputError("the zero function has no valuation")
+    pole = max(2 * len(fn.P) - 2, 2 * len(fn.Q) + 1 if fn.Q else 0)
+    if place is INFINITY:
+        return -pole
+    x, y = base_series(fn.curve, place, pole + 1)
+    return fn.series_from_xy(x, y).valuation
 
 
 # ---------------------------------------------------------------------------
@@ -286,41 +233,24 @@ def divisor_of(curve, fn):
     """
     if fn.is_zero():
         raise InputError("zero function has no divisor")
-    f = curve.field
-    div = {}
-    outside = []
-
-    def add(place, mult):
-        if mult:
-            div[place] = div.get(place, 0) + mult
-            if div[place] == 0:
-                del div[place]
-
-    # numerator part: norm polynomial P^2 - rhs * Q^2
-    norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
-    _collect_affine(curve, CurveFunction(curve, fn.P, fn.Q, (f.one(),)),
-                    norm, add, outside, sign=+1)
-    # denominator part
-    if len(fn.den) > 1:
-        den_norm = pmul(fn.den, fn.den)
-        _collect_affine(curve,
-                        CurveFunction(curve, fn.den, (), (f.one(),)),
-                        den_norm, add, outside, sign=-1)
+    div, outside = {}, []
+    _collect_affine(curve, fn, div, outside)
     if outside:
         raise PointOutsideField(outside)
-
-    v_inf = valuation_at(fn, INFINITY,
-                         hint=max(8, fn.pole_bound_at_infinity() + 4))
-    add(INFINITY, v_inf)
+    v_inf = valuation_at(fn, INFINITY)
+    if v_inf:
+        div[INFINITY] = v_inf
     total = sum(div.values())
     if total != 0:
         raise BuilderError(f"divisor degrees sum to {total}, not 0")
     return div
 
 
-def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
-    """Resolve affine divisor points of a polynomial curve function."""
+def _collect_affine(curve, fn, div, outside):
+    """Enter the affine zeros of a curve function into div; they lie over
+    the roots of the norm P^2 - rhs * Q^2."""
     f = curve.field
+    norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
     if not norm:
         raise BuilderError("norm polynomial vanished; function is degenerate")
     work = norm
@@ -347,12 +277,12 @@ def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
         fx = peval(curve.rhs(), x0s)
         if fx.is_zero():
             pt = Point(x0s, f.zero())
-            v = valuation_at(numerator_fn, pt, hint=2 * mult + 6)
+            v = valuation_at(fn, pt)
             if v != mult:
                 raise BuilderError(
                     f"2-torsion valuation {v} inconsistent with norm "
                     f"multiplicity {mult} at x = {x0}")
-            add(pt, sign * v)
+            div[pt] = v
             continue
         y0 = _rational_sqrt_in_field(fx)
         if y0 is None:
@@ -360,8 +290,9 @@ def _collect_affine(curve, numerator_fn, norm, add, outside, sign):
             continue
         for yy in (y0, -y0):
             pt = Point(x0s, yy)
-            v = valuation_at(numerator_fn, pt, hint=mult + 6)
-            add(pt, sign * v)
+            v = valuation_at(fn, pt)
+            if v:
+                div[pt] = v
             mult -= v
         if mult != 0:
             raise BuilderError(
@@ -386,44 +317,29 @@ def _rational_sqrt_in_field(value):
 # ---------------------------------------------------------------------------
 
 def riemann_roch_basis(curve, divisor):
-    """Deterministic basis of L(D) = { f : div f + D >= 0 }.
+    """Deterministic basis of L(D) = { f : div f + D >= 0 } for a divisor D
+    with no positive entry at a finite place.
 
-    Strategy: clear allowed finite poles with a product of vertical-line
-    functions, put an ansatz in the monomial space with poles only at
-    infinity, impose the vanishing conditions through local series and take
-    the exact kernel.  The dimension is checked against deg D.
+    Such an L(D) holds only functions P(x) + y Q(x) with pole order at most
+    D(O) at infinity.  Put an ansatz in those monomials, impose the
+    vanishing conditions through local series and take the exact kernel.
+    The dimension is checked against deg D.
     """
     f = curve.field
-    deg = sum(divisor.values())
-    clear = [f.one()]
-    residual = dict(divisor)
-    for place, mult in sorted(divisor.items(), key=_place_sort_key):
-        if place is INFINITY or mult <= 0:
-            continue
-        line = [-place.x, f.one()]
-        for _ in range(mult):
-            clear = pmul(clear, line)
-        # subtract div((x - x0)^mult) from the requirement
-        conj = place if curve.is_two_torsion(place) else Point(place.x, -place.y)
-        if curve.is_two_torsion(place):
-            residual[place] = residual.get(place, 0) - 2 * mult
-        else:
-            residual[place] = residual.get(place, 0) - mult
-            residual[conj] = residual.get(conj, 0) - mult
-        residual[INFINITY] = residual.get(INFINITY, 0) + 2 * mult
-
-    M = residual.get(INFINITY, 0)
+    if any(m > 0 for place, m in divisor.items() if place is not INFINITY):
+        raise InputError("Riemann-Roch spaces with finite poles are not "
+                         "supported")
+    M = divisor.get(INFINITY, 0)
     if M < 0:
         return []
     monomials = _monomials_up_to(curve, M)
     constraints = []
-    for place, mult in sorted(residual.items(), key=_place_sort_key):
-        if place is INFINITY or mult >= 0:
+    for place, mult in sorted(divisor.items(), key=_place_sort_key):
+        if place is INFINITY or not mult:
             continue
-        order = -mult
-        x, y = base_series(curve, place, order + 2)
+        x, y = base_series(curve, place, -mult)
         series = [m.series_from_xy(x, y) for m in monomials]
-        for e in range(order):
+        for e in range(-mult):
             constraints.append([s.coefficient(e) for s in series])
     if constraints:
         kernel = Matrix(f, constraints).kernel_basis()
@@ -441,9 +357,9 @@ def riemann_roch_basis(curve, divisor):
                 Q = padd(Q, [c * coef for c in mono.Q])
             else:
                 P = padd(P, [c * coef for c in mono.P])
-        basis.append(CurveFunction.make(curve, P, Q,
-                                        clear if len(clear) > 1 else None))
-    expected = deg if deg >= 1 else (1 if not divisor else None)
+        basis.append(CurveFunction.make(curve, P, Q))
+    deg = sum(divisor.values())
+    expected = deg if deg >= 1 else (1 if not any(divisor.values()) else None)
     if expected is not None and len(basis) != expected:
         raise DimensionMismatch(
             f"Riemann-Roch space has dimension {len(basis)}, expected {expected}")
@@ -547,16 +463,13 @@ def build_cover(spec):
         raise InputError("cover function is zero")
 
     div = divisor_of(curve, spec.h)
-    ram = []
-    for place, v in sorted(div.items(), key=_place_sort_key):
-        if abs(v) == 1:
-            if place is INFINITY:
-                raise UnsupportedRamification(
-                    "simple zero or pole at infinity is not supported")
-            ram.append((place, v))
-        elif v % N != 0:
+    for place, v in div.items():
+        if v != 1 and v % N != 0:
             raise UnsupportedRamification(
-                f"valuation {v} at {place}: need |v| = 1 or {N} | v")
+                f"valuation {v} at {place}: need v = 1 or {N} | v")
+    # the pole at infinity has order 2 deg P or 2 deg Q + 3, never 1
+    ram = [place for place, v in sorted(div.items(), key=_place_sort_key)
+           if v == 1]
     r = len(ram)
     if r == 0:
         raise UnsupportedRamification("cover is unramified; no data to build")
@@ -569,18 +482,11 @@ def build_cover(spec):
 
     c, root = _resolve_base_point(spec, div)
 
-    # divisor allowances for each character exponent
+    # f * w^-k * alpha is holomorphic exactly for f in L(-k * floor(div h / N))
     plans, eigen_dims = [], []
     for k in range(N):
-        D = {}
-        for place, v in div.items():
-            if abs(v) == 1:
-                allow = -_ceil_div(k * v - N + 1, N)
-            else:
-                allow = -(k * (v // N))
-            if allow:
-                D[place] = allow
-        basis_k = riemann_roch_basis(curve, D)
+        basis_k = riemann_roch_basis(
+            curve, {place: -k * (v // N) for place, v in div.items()})
         eigen_dims.append(len(basis_k))
         plans.extend((k, fn) for fn in basis_k)
     if sum(eigen_dims) != genus:
@@ -595,9 +501,8 @@ def build_cover(spec):
         raise PrecisionUnreachable(
             f"requested window {window} is above the limit {MAX_WINDOW}")
 
-    charts = []
-    for place, v in ram:
-        charts.append(_build_chart(curve, spec.h, place, v, N, window, plans))
+    charts = [_build_chart(curve, spec.h, place, N, window, plans)
+              for place in ram]
 
     zeta = field.root_of_unity(N)
     rows = _fiber_rows(plans, c, root, N)
@@ -617,11 +522,8 @@ def build_cover(spec):
                     [[(zeta ** (-plans[i][0]) if i == j else field.zero())
                       for j in range(len(plans))]
                      for i in range(len(plans))])
-    moves = []
-    for (place, v), chart in zip(ram, charts):
-        twist = zeta if v == 1 else zeta ** (N - 1)
-        moves.append((len(moves),
-                      TruncatedSeries.monomial(field, 1, twist, chart.window())))
+    moves = [(j, TruncatedSeries.monomial(field, 1, zeta, chart.window()))
+             for j, chart in enumerate(charts)]
     perm = tuple((kk + 1) % N for kk in range(N))
     action = CyclicAction(N, matrix, tuple(moves), perm)
 
@@ -637,14 +539,7 @@ def _fn_name(fn):
     for i, c in enumerate(fn.Q):
         if not c.is_zero():
             names.append("y" if i == 0 else f"y*x^{i}")
-    base = "+".join(names) if names else "0"
-    if len(fn.den) > 1:
-        base = f"({base})/den"
-    return base
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
+    return "+".join(names) if names else "0"
 
 
 def _resolve_base_point(spec, divisor):
@@ -683,10 +578,7 @@ def _resolve_base_point(spec, divisor):
             c = Point(curve.field.scalar(xq), y)
             if c in divisor:
                 continue
-            try:
-                value = h.evaluate(c)
-            except DivisionByZero:
-                continue
+            value = h.evaluate(c)
             if value.is_zero():
                 continue
             try:
@@ -699,28 +591,27 @@ def _resolve_base_point(spec, divisor):
         "range; supply one explicitly or rescale the cover function")
 
 
-def _build_chart(curve, h, place, v_h, N, window, plans):
-    """Series data at a totally ramified point, in the parameter u.
+def _build_chart(curve, h, place, N, window, plans):
+    """Series data at a totally ramified point, in the parameter w.
 
-    u = w when h has a simple zero below, u = 1/w for a simple pole.  With
-    v = u^N, every needed series is supported on one residue class of
-    exponents; the construction therefore works with pairs (offset, series
-    in v) and expands at the end.
+    h has a simple zero below, so v = w^N is a uniformizer there.  Every
+    needed series is supported on one residue class of exponents of w; the
+    construction therefore works with pairs (offset, series in v) and
+    expands at the end.
     """
     field = curve.field
-    prec_v = _ceil_div(window + N, N) + 8
-    base_prec = prec_v + 6
-    x_t, y_t = base_series(curve, place, base_prec)
+    # A form f * w^-k * alpha has offset N - 1 - k >= 0, so its window in w
+    # is reached once the v-series are known below v^ceil(window / N).  The
+    # base expansions lose one coefficient to each of: composing a
+    # valuation-0 series with t(v), the derivative of x in alpha, and the
+    # division by y, which has valuation 1 at a 2-torsion point.
+    x_t, y_t = base_series(curve, place, -(-window // N) + 3)
     h_t = h.series_from_xy(x_t, y_t)
-    if h_t.is_zero() or h_t.valuation != v_h:
+    if h_t.valuation != 1:
         raise BuilderError(
-            f"cover function valuation {h_t.valuation} at {place} does not "
-            f"match the divisor value {v_h}")
-    core = h_t if v_h == 1 else h_t.inverse()
-    t_of_v = core.reversion()
-    x_v, y_v = compose_all([x_t, y_t], t_of_v)
-    alpha_v = x_v.derivative().scale(field.scalar(N)) / y_v
-    w_offset = 1 if v_h == 1 else -1
+            f"cover function valuation {h_t.valuation} at {place} is not 1")
+    x_v, y_v = compose_all([x_t, y_t], h_t.reversion())
+    alpha_v = x_v.derivative().scale(N) / y_v
 
     def expand(vs, offset, target):
         coeffs, exps = [], []
@@ -748,8 +639,7 @@ def _build_chart(curve, h, place, v_h, N, window, plans):
     for k, fn in plans:
         f_v = fn.series_from_xy(x_v, y_v)
         form_v = f_v * alpha_v
-        offset = (N - 1) - k * w_offset
-        s = expand(form_v, offset, window)
+        s = expand(form_v, N - 1 - k, window)
         if not s.is_zero() and s.valuation < 0:
             raise BuilderError(
                 f"emitted form {_fn_name(fn)}*w^-{k} has a pole at {place}; "

@@ -35,7 +35,7 @@ import math
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
                      SingularJacobian, ValuationError)
-from .scalars import Scalar
+from .scalars import Scalar, peval
 
 
 class TruncatedSeries:
@@ -139,6 +139,9 @@ class TruncatedSeries:
             raise FieldError("mixed-field series arithmetic")
 
     def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            # a scalar is an exact constant: it costs no window width
+            other = TruncatedSeries(self.field, 0, [other], max(self.prec, 1))
         self._check_field(other)
         prec = min(self.prec, other.prec)
         lo = min(self.valuation, other.valuation, prec)
@@ -185,7 +188,7 @@ class TruncatedSeries:
             schedule.append(-(-schedule[-1] // 2))
         for known in reversed(schedule[:-1]):
             g = TruncatedSeries._make(field, 0, g.coeffs, known)
-            g = g - g * (unit * g).add_constant(-1)
+            g = g - g * (unit * g - 1)
         return g.shift(-self.valuation)
 
     def __truediv__(self, other):
@@ -201,12 +204,6 @@ class TruncatedSeries:
             e = self.valuation + i
             out.append(c * e)
         return TruncatedSeries(self.field, lo, out, self.prec - 1)
-
-    def add_constant(self, scalar):
-        """Add an exact constant without losing window width."""
-        scalar = self.field.scalar(scalar)
-        const = TruncatedSeries(self.field, 0, [scalar], max(self.prec, 1))
-        return self + const
 
     # -- analytic operations ------------------------------------------------------
 
@@ -288,21 +285,23 @@ class TruncatedSeries:
 
 
 def compose_all(outers, inner):
-    """[outer(inner) for outer in outers], for inner of valuation >= 1.
+    """[outer(inner) for outer in outers], for inner of valuation >= 1 and
+    outers of valuation >= 0.
 
-    The nonnegative part z^lo * q(z) of each outer is evaluated as q(inner) by
-    Brent-Kung baby-step/giant-step: about 2*sqrt(m) series products for the
-    m terms of q that reach the window, where Horner needs m.  With
+    Each outer z^lo * q(z) is evaluated as q(inner) * inner^lo, with q(inner)
+    by Brent-Kung baby-step/giant-step: about 2*sqrt(m) series products for
+    the m terms of q that reach the window, where Horner needs m.  With
     k = ceil(sqrt(m)) for the longest q, the baby powers inner^0..inner^(k-1)
     and the giant step inner^k are formed once for the whole list, at the
-    widest window any outer needs; so is the reciprocal of inner, through
-    which negative powers go.  Each outer keeps its own window,
+    widest window any outer needs.  Each outer keeps its own window,
     min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg) for
     vg = inner.valuation, as a term-by-term Horner evaluation would give, and
     the shared powers are cut to it before use.
     """
     for outer in outers:
         outer._check_field(inner)
+        if outer.valuation < 0:
+            raise ValuationError("composition requires outer valuation >= 0")
     if inner.is_zero() or inner.valuation < 1:
         raise ValuationError("composition requires inner valuation >= 1")
     field, vg = inner.field, inner.valuation
@@ -313,43 +312,36 @@ def compose_all(outers, inner):
         prec = min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg)
         # only the terms with e*vg < prec reach the window, and q(inner) is
         # needed below z^(prec - lo*vg)
-        lo = max(outer.valuation, 0)
+        lo = outer.valuation
         q = outer.coefficients_in(lo, min(outer.prec, -(-prec // vg)))
-        plans.append((outer, prec, lo, q))
-    widths = [prec - lo * vg for _, prec, lo, q in plans if q]
+        plans.append((prec, lo, q))
+    widths = [prec - lo * vg for prec, lo, q in plans if q]
     if widths:
-        width, m = max(widths), max(len(p[3]) for p in plans)
+        width, m = max(widths), max(len(p[2]) for p in plans)
         k = math.isqrt(m - 1) + 1
         step = inner.truncate(width)
         powers = [TruncatedSeries(field, 0, [field.one()], width)]
         while len(powers) < k + (m > k):
             powers.append((powers[-1] * step).truncate(width))
-    depth = max([-outer.valuation for outer in outers] + [0])
-    inv = [inner.inverse()] if depth else []
-    while len(inv) < depth:
-        inv.append(inv[-1] * inv[0])
     out = []
-    for outer, prec, lo, q in plans:
-        result = TruncatedSeries.zero(field, prec)
-        if q:
-            w = prec - lo * vg
-            table = powers if w == width else [p.truncate(w) for p in powers]
-            blocks = []
-            for start in range(0, len(q), k):
-                block = TruncatedSeries.zero(field, w)
-                for c, p in zip(q[start:start + k], table):
-                    if not c.is_zero():
-                        block = block + p.scale(c)
-                blocks.append(block)
-            result = blocks.pop()
-            while blocks:
-                result = (result * table[k]).truncate(w) + blocks.pop()
-            for _ in range(lo):
-                result = result * inner
-        for e in range(min(-1, outer.prec - 1), outer.valuation - 1, -1):
-            c = outer.coefficient(e)
-            if not c.is_zero():
-                result = result + inv[-e - 1].scale(c)
+    for prec, lo, q in plans:
+        if not q:
+            out.append(TruncatedSeries.zero(field, prec))
+            continue
+        w = prec - lo * vg
+        table = powers if w == width else [p.truncate(w) for p in powers]
+        blocks = []
+        for start in range(0, len(q), k):
+            block = TruncatedSeries.zero(field, w)
+            for c, p in zip(q[start:start + k], table):
+                if not c.is_zero():
+                    block = block + p.scale(c)
+            blocks.append(block)
+        result = blocks.pop()
+        while blocks:
+            result = (result * table[k]).truncate(w) + blocks.pop()
+        for _ in range(lo):
+            result = result * inner
         out.append(result.truncate(min(prec, result.prec)))
     return out
 
@@ -403,45 +395,29 @@ def newton_solve(coeffs_in_y, seed, target_prec):
     """Series solution of F(z, y) = 0 by Newton iteration.
 
     ``coeffs_in_y`` lists the coefficients of F as a polynomial in y, each a
-    TruncatedSeries in z (constant coefficients may be given as exact scalars
-    wrapped at high precision by the caller).  The seed must satisfy
-    F(seed) = 0 within its own window and dF/dy(seed) must be a unit.
+    TruncatedSeries in z known at least to target_prec + 1, since every
+    round works one coefficient past the ones it makes correct; a shorter
+    window ends in InsufficientPrecision.  The seed must satisfy F(seed) = 0
+    within its own window and dF/dy(seed) must be a unit.
     """
-    field = seed.field
-    work = target_prec + 1
-
-    cs = [_rewindow(c, work) if c.prec < work else c for c in coeffs_in_y]
-
-    def f_at(y):
-        acc = TruncatedSeries.zero(field, y.prec + max(0, y.valuation) + 1)
-        for c in reversed(cs):
-            acc = acc * y + c
-        return acc
-
-    def fprime_at(y):
-        acc = TruncatedSeries.zero(field, y.prec + max(0, y.valuation) + 1)
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * y + cs[k].scale(field.scalar(k))
-        return acc
-
-    residual = f_at(seed)
+    dcoeffs = [c.scale(k) for k, c in enumerate(coeffs_in_y) if k]
+    residual = peval(coeffs_in_y, seed)
     if not residual.truncate(min(seed.prec, residual.prec)).is_zero():
         raise ValueError("seed does not satisfy the equation to its precision")
-    deriv = fprime_at(seed)
+    deriv = peval(dcoeffs, seed)
     if deriv.is_zero() or deriv.valuation != 0:
         raise SingularJacobian(
             "dF/dy at the seed is not a unit; Newton cannot start")
 
-    y = _rewindow(seed, work)
+    y = _rewindow(seed, target_prec + 1)
     known = max(1, seed.prec - seed.valuation)
-    # each round works one coefficient past the ones it makes correct
     while known < target_prec:
         known = min(2 * known, target_prec)
         y = _rewindow(y, known + 1)
-        correction = f_at(y) / fprime_at(y)
+        correction = peval(coeffs_in_y, y) / peval(dcoeffs, y)
         y = (y - correction).truncate(known + 1)
     y = y.truncate(target_prec)
-    if not f_at(y).truncate(target_prec).is_zero():
+    if not peval(coeffs_in_y, y).truncate(target_prec).is_zero():
         raise AssertionError("Newton result fails the equation to target precision")
     return y
 

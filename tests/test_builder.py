@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ellprym.builder import (INFINITY, CurveFunction, CyclicCoverSpec,
-                             EllipticCurve, Point, build_cover, divisor_of,
+                             EllipticCurve, Point, base_series,
+                             bielliptic_spec, build_cover, divisor_of,
                              pirola_spec, riemann_roch_basis, spec_from_json,
                              spec_to_json, valuation_at)
 from ellprym.covering import validate
 from ellprym.diffalg import gram
-from ellprym.errors import (FieldTooSmall, InputError, PointOutsideField,
-                            UnsupportedOrder, UnsupportedRamification)
-from ellprym.scalars import FieldSpec
+from ellprym.errors import (BuilderError, FieldTooSmall, InputError,
+                            PointOutsideField, UnsupportedOrder,
+                            UnsupportedRamification, ValidationFailed)
+from ellprym.scalars import FieldSpec, Scalar, padd, pmul, psub
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -72,6 +75,49 @@ def test_divisor_with_two_torsion_multiplicity():
     assert div == {E.point(-1, 0): 2, INFINITY: -2}
 
 
+def _times(fn, P, Q=()):
+    """fn * (P + yQ), reduced through y^2 = rhs."""
+    rhs = fn.curve.rhs()
+    return CurveFunction.make(
+        fn.curve, padd(pmul(fn.P, P), pmul(rhs, pmul(fn.Q, Q))),
+        padd(pmul(fn.P, Q), pmul(fn.Q, P)))
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_valuation_at_against_expansion_and_norm(field):
+    """Seeded random P + yQ on y^2 = x^3 + 1, some times x - x0 or y - y0.
+    At (-1, 0) (2-torsion), (0, +-1) and (2, +-3) the oracle is one
+    expansion to precision 30, far past any pole order here; at infinity
+    it is -deg(P^2 - (x^3 + 1) Q^2)."""
+    rng = random.Random(20261101 + field.degree)
+    E = EllipticCurve(field, field.zero(), field.one())
+    points = [E.point(-1, 0), E.point(0, 1), E.point(0, -1), E.point(2, 3),
+              E.point(2, -3)]
+    local = {pt: base_series(E, pt, 30) for pt in points}
+
+    def poly(n):
+        return [Scalar(field, [F(rng.choice((0, rng.randint(-5, 5))),
+                                 rng.randint(1, 3))
+                               for _ in range(field.degree)])
+                for _ in range(n)]
+
+    for _ in range(40):
+        fn = CurveFunction.make(E, poly(rng.randint(0, 5)),
+                                poly(rng.randint(0, 5)))
+        if fn.is_zero():
+            continue
+        pt = rng.choice(points)
+        for _ in range(rng.randint(0, 2)):
+            fn = _times(fn, *rng.choice((([-pt.x, field.one()],),
+                                         ([-pt.y], [field.one()]))))
+        norm = psub(pmul(fn.P, fn.P), pmul(E.rhs(), pmul(fn.Q, fn.Q)))
+        assert valuation_at(fn, INFINITY) == -(len(norm) - 1), fn
+        for place in points:
+            expect = fn.series_from_xy(*local[place]).valuation
+            assert expect < 30 and valuation_at(fn, place) == expect, \
+                (fn, place)
+
+
 # -- Riemann-Roch -------------------------------------------------------------
 
 def test_rr_basis_of_2O():
@@ -97,14 +143,12 @@ def test_rr_with_base_point_condition():
         assert valuation_at(fn, p) >= 1
 
 
-def test_rr_with_finite_pole_allowance():
+def test_rr_finite_pole_allowance_rejected():
+    """A cover spec names only functions whose pole is at infinity, so the
+    builder never asks for a finite pole allowance, and refuses one."""
     E = _curve_q3()
-    p = E.point(0, 1)
-    basis = riemann_roch_basis(E, {p: 1, INFINITY: 1})
-    assert len(basis) == 2
-    for fn in basis:
-        assert valuation_at(fn, p) >= -1
-        assert valuation_at(fn, INFINITY) >= -1 or fn.P == (Q3.one(),)
+    with pytest.raises(InputError):
+        riemann_roch_basis(E, {E.point(0, 1): 1, INFINITY: 1})
 
 
 def test_rr_negative_degree_empty():
@@ -153,8 +197,8 @@ def test_pirola_cover_relations_on_charts(pirola):
         assert w.valuation == 1 and w.coefficient(1) == Q3.one()
         assert all(w.coefficient(e).is_zero() for e in range(2, w.prec))
         w3 = w * w * w
-        y = (x - w3.scale(2)).add_constant(Q3.one())
-        lhs = y * y - (x * x * x).add_constant(Q3.one())
+        y = x - w3.scale(2) + Q3.one()
+        lhs = y * y - (x * x * x + Q3.one())
         assert lhs.truncate(lhs.prec).is_zero()
 
 
@@ -166,10 +210,29 @@ def test_bielliptic_cover_relations_on_charts(biell4):
         x = chart.forms[2] / chart.forms[1]
         y = chart.forms[3] / chart.forms[1]
         assert w.valuation == 1 and w.coefficient(1) == Q.one()
-        curve_eq = y * y - (x * x * x).add_constant(Q.scalar(9))
+        curve_eq = y * y - (x * x * x + Q.scalar(9))
         assert curve_eq.truncate(curve_eq.prec).is_zero()
         cover_eq = w * w - (x * x * x - x * x - x.scale(6))
         assert cover_eq.truncate(cover_eq.prec).is_zero()
+
+
+@pytest.mark.parametrize("make", [pirola_spec, lambda w: bielliptic_spec(3, w)],
+                         ids=["pirola", "bielliptic3"])
+def test_chart_windows_are_the_request(make):
+    """The base precision ceil(window / N) + 3 reaches every requested
+    window exactly, through 2-torsion branch points (pirola) and others
+    (bielliptic3).  A window below the index N cannot show alpha's zero of
+    order N - 1 and is refused by the datum checks, never for precision."""
+    for window in (1, 2, 3, 4, 5, 13):
+        spec = make(window)
+        if window < spec.order:
+            with pytest.raises((BuilderError, ValidationFailed)):
+                build_cover(spec)
+            continue
+        datum = build_cover(spec).datum
+        assert [c.window() for c in datum.charts] == \
+            [window] * datum.n_ramification
+        assert validate(datum).ok
 
 
 def test_bielliptic_genus_counts(biell4, biell3):
