@@ -495,8 +495,10 @@ def build_cover(spec):
 
     window = spec.precision if spec.precision is not None else \
         default_chart_window(genus, r, N)
-    if window < 1:
-        raise PrecisionUnreachable("requested window is empty")
+    if window < N:
+        raise PrecisionUnreachable(
+            f"requested window {window} is below N = {N}, too short to show "
+            f"the pullback differential's zero of order N - 1")
     if window > MAX_WINDOW:
         raise PrecisionUnreachable(
             f"requested window {window} is above the limit {MAX_WINDOW}")

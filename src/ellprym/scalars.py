@@ -9,6 +9,12 @@ a != 1 a unit mod N, num*P is an integer and x^-1 = den*P / (num*P).
 The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are the
 package's only polynomial code, used over Fraction for Phi_N and over Scalar.
 
+A scalar string is what ``to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``: terms
+``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by ``*z``
+or ``*z^k``, joined by ``+`` with spaces allowed only around the ``+``.
+``from_string`` reads that grammar only, with int, and refuses any string
+longer than MAX_SCALAR_LENGTH before parsing it.
+
 The linear algebra is deterministic: Gaussian elimination with the pivot
 always taken as the first nonzero entry in column order.  Magnitude-based
 pivoting would be meaningless over Q(zeta) and would break reproducibility.
@@ -16,6 +22,7 @@ pivoting would be meaningless over Q(zeta) and would break reproducibility.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,11 +30,17 @@ from .errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 
-# Longest numerator or denominator, in decimal digits, that a scalar string
-# may denote; longer ones are refused before they are built.  It stays below
-# Python's 4300-digit limit on int <-> str conversion, so every accepted
-# scalar can be written back out.
-MAX_COEFFICIENT_DIGITS = 4000
+# Longest scalar string, in characters, that Scalar.from_string reads; it is
+# checked before any parsing.  Every integer in an accepted string then stays
+# below Python's 4300-digit limit on int <-> str conversion, and the common
+# denominator, hence the cost of an inverse, is bounded too.
+MAX_SCALAR_LENGTH = 4000
+
+# One term of a scalar string, and the "+" between terms.  [0-9] matches
+# ASCII digits only; int() alone also takes "1_000", " 3" and other scripts'
+# digits.
+_TERM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(\*z(?:\^([0-9]+))?)?")
+_TERM_SEP = re.compile(r" *\+ *")
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +260,6 @@ class FieldSpec:
         zeta_2n = -(self.zeta() ** ((n + 1) // 2))
         return zeta_2n ** (2 * n // m)
 
-    def from_string(self, text):
-        return Scalar.from_string(self, text)
-
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -449,74 +459,35 @@ class Scalar:
 
     @staticmethod
     def from_string(field, text):
+        """The element a scalar string denotes (the grammar is in the module
+        docstring; k in z^k is below the field degree).  Anything else, and
+        any string longer than MAX_SCALAR_LENGTH, raises ParseError."""
         if not isinstance(text, str):
             raise ParseError(text, "scalar must be a string")
-        coeffs = [Fraction(0)] * field.degree
-        body = text.strip()
-        if body == "":
-            raise ParseError(text, "empty scalar string")
-        for raw in body.split("+"):
-            term = raw.strip()
-            if term == "":
-                raise ParseError(text, "empty term in scalar string")
-            if term == "0":
-                continue
-            if "*" in term:
-                coef_part, _, z_part = term.partition("*")
-            elif term.startswith("z"):
-                coef_part, z_part = "1", term
-            elif term.startswith("-z"):
-                coef_part, z_part = "-1", term[1:]
-            else:
-                coef_part, z_part = term, ""
-            coef_part = coef_part.strip()
-            z_part = z_part.strip()
-            if _digit_bound(coef_part) > MAX_COEFFICIENT_DIGITS:
-                raise ParseError(
-                    coef_part, f"coefficient longer than "
-                    f"{MAX_COEFFICIENT_DIGITS} digits")
-            try:
-                coef = Fraction(coef_part)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(coef_part) from None
-            if z_part == "":
-                power = 0
-            elif z_part == "z":
-                power = 1
-            elif z_part.startswith("z^"):
-                try:
-                    power = int(z_part[2:])
-                except ValueError:
-                    raise ParseError(z_part) from None
-                if power < 0:
-                    raise ParseError(z_part, "negative zeta power")
-            else:
-                raise ParseError(z_part)
+        if len(text) > MAX_SCALAR_LENGTH:
+            raise ParseError(text[:20] + "...", f"scalar string longer than "
+                             f"{MAX_SCALAR_LENGTH} characters")
+        terms = []
+        for term in _TERM_SEP.split(text):
+            m = _TERM.fullmatch(term)
+            if m is None:
+                raise ParseError(term)
+            p, q, z, k = m.groups()
+            power = 0 if z is None else 1 if k is None else int(k)
             if power >= field.degree:
                 raise ParseError(term, "zeta power not reduced for this field")
-            coeffs[power] += coef
-        return Scalar(field, coeffs)
+            q = 1 if q is None else int(q)
+            if not q:
+                raise ParseError(term, "zero denominator")
+            terms.append((int(p), q, power))
+        den = lcm(*(q for _, q, _ in terms))
+        num = [0] * field.degree
+        for p, q, power in terms:
+            num[power] += p * (den // q)
+        return Scalar._make(field, tuple(num), den)
 
     def __repr__(self):
         return self.to_string()
-
-
-def _digit_bound(text):
-    """Upper bound on the digits of the numerator and of the denominator that
-    Fraction(text) would build, read from the text alone: "m.de<x>" denotes
-    md * 10^(x - len(d)), and "a/b" has at most as many digits as it shows."""
-    if "/" in text:
-        return max(sum(ch.isdigit() for ch in part)
-                   for part in text.split("/"))
-    mantissa, _, exponent = text.lower().partition("e")
-    digits = sum(ch.isdigit() for ch in mantissa)
-    if not exponent:
-        return digits
-    try:
-        shift = int(exponent) - len(mantissa.partition(".")[2])
-    except ValueError:
-        return digits   # not a number; Fraction refuses it
-    return digits + abs(shift)
 
 
 # ---------------------------------------------------------------------------

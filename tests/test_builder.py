@@ -10,9 +10,9 @@ from ellprym.builder import (INFINITY, CurveFunction, CyclicCoverSpec,
                              spec_to_json, valuation_at)
 from ellprym.covering import validate
 from ellprym.diffalg import gram
-from ellprym.errors import (BuilderError, FieldTooSmall, InputError,
-                            PointOutsideField, UnsupportedOrder,
-                            UnsupportedRamification, ValidationFailed)
+from ellprym.errors import (FieldTooSmall, InputError, PointOutsideField,
+                            PrecisionUnreachable, UnsupportedOrder,
+                            UnsupportedRamification)
 from ellprym.scalars import FieldSpec, Scalar, padd, pmul, psub
 
 Q = FieldSpec(1)
@@ -222,11 +222,13 @@ def test_chart_windows_are_the_request(make):
     """The base precision ceil(window / N) + 3 reaches every requested
     window exactly, through 2-torsion branch points (pirola) and others
     (bielliptic3).  A window below the index N cannot show alpha's zero of
-    order N - 1 and is refused by the datum checks, never for precision."""
+    order N - 1 and is refused before any chart is built."""
     for window in (1, 2, 3, 4, 5, 13):
         spec = make(window)
         if window < spec.order:
-            with pytest.raises((BuilderError, ValidationFailed)):
+            with pytest.raises(PrecisionUnreachable,
+                               match=f"window {window} is below "
+                                     f"N = {spec.order}"):
                 build_cover(spec)
             continue
         datum = build_cover(spec).datum

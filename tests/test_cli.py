@@ -157,6 +157,13 @@ def test_demo_low_precision_exits_2(capsys):
     assert "InsufficientPrecision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision", ["1", "2"])
+def test_demo_window_below_order_exits_2(capsys, precision):
+    assert main(["demo-pirola", "--precision", precision]) == 2
+    assert f"PrecisionUnreachable: requested window {precision} is below " \
+        f"N = 3" in capsys.readouterr().err
+
+
 def test_demo_json_battery(tmp_path):
     out = tmp_path / "demo.json"
     code = main(["demo-pirola", "--precision", "12", "--json",
@@ -193,12 +200,15 @@ def _analyze_edited(tmp_path, obj, edit):
 
 
 def test_analyze_oversized_scalar_exits_2(tmp_path, capsys, pirola_datum_obj):
-    def edit(obj):
-        obj["fiber"]["ratios"][1][0] = "1e999999"
-    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
-    err = capsys.readouterr().err
-    assert "SchemaError: /fiber/ratios/1/0" in err
-    assert "longer than 4000 digits" in err
+    for text, message in (
+            ("7" * 4001, "scalar string longer than 4000 characters"),
+            ("1e999999", "cannot parse scalar token: '1e999999'")):
+        def edit(obj):
+            obj["fiber"]["ratios"][1][0] = text
+        assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+        err = capsys.readouterr().err
+        assert "SchemaError: /fiber/ratios/1/0" in err
+        assert message in err
 
 
 @pytest.mark.parametrize("path", [
@@ -396,7 +406,9 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-SCALAR_TEXT = st.text(alphabet="0123456789-+*/^ze. ", max_size=12)
+# "_" and "\u0663" (Arabic-Indic three) are taken by int() but not by the
+# scalar grammar
+SCALAR_TEXT = st.text(alphabet="0123456789-+*/^ze. _\u0663", max_size=12)
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-4, 24),
     st.sampled_from([10 ** 6, -10 ** 6, 2 ** 70, math.inf, math.nan, 0.5]),

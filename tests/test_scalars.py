@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
@@ -7,7 +8,7 @@ import pytest
 
 from ellprym.builder import _rational_roots
 from ellprym.errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
-from ellprym.scalars import (MAX_COEFFICIENT_DIGITS, SUPPORTED_ORDERS,
+from ellprym.scalars import (MAX_SCALAR_LENGTH, SUPPORTED_ORDERS,
                              FieldSpec, Matrix, Scalar, integer_nth_root,
                              padd, pdivmod, peval, pmul, psub, ptrim,
                              rational_nth_root)
@@ -173,16 +174,37 @@ def test_rank_nullity_randomized():
 
 
 def test_from_string_refuses_oversized_coefficients():
-    # refused from the text: 10^99999999 is never built
-    for text in ("1e999999", "1e99999999", "1e-4001", "7" * 4001,
-                 "1/" + "3" * 4001, "2.5e4000"):
-        with pytest.raises(ParseError, match="longer than 4000 digits"):
-            Scalar.from_string(FieldSpec(1), text)
+    """The length is checked on the whole text before anything is parsed."""
+    for text in ("7" * (MAX_SCALAR_LENGTH + 1),
+                 "1/" + "3" * (MAX_SCALAR_LENGTH - 1),
+                 " + ".join(["1/3*z"] * 1000), "e" * 10 ** 6):
+        with pytest.raises(ParseError, match="longer than 4000 characters"):
+            Scalar.from_string(Q3, text)
+
+
+def _short_id(text):
+    return text if len(text) < 20 else f"{len(text)}_chars"
+
+
+@pytest.mark.parametrize("text", [
+    "2.5", "1e3", "1e3999", "2.5e3998", "1_000", "\u0663", " 3 ", "z", "-z",
+    "1/0", "1/-3", "--1", "1*z^-1", "1\t+ 1*z",
+    "7" * (MAX_SCALAR_LENGTH + 1)],
+    ids=_short_id)
+def test_from_string_refuses(text):
+    """Only what to_string writes: no decimals, exponents, underscores,
+    non-ASCII digits, outer spaces, tabs or bare z, and nothing over the
+    limit."""
     with pytest.raises(ParseError):
-        Scalar.from_string(FieldSpec(3), "1 + 1e5000*z")
-    for text in ("1e3999", "9" * 4000, "1/" + "3" * 4000, "2.5e3998"):
-        s = Scalar.from_string(FieldSpec(1), text)
-        assert Scalar.from_string(FieldSpec(1), s.to_string()) == s
+        Scalar.from_string(Q3, text)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-7", "-2/3", "1/2 + -1/3*z", "9" * MAX_SCALAR_LENGTH], ids=_short_id)
+def test_from_string_round_trips(text):
+    x = Scalar.from_string(Q3, text)
+    y = Scalar.from_string(Q3, x.to_string())
+    assert (y.num, y.den) == (x.num, x.den)
 
 
 # -- polynomial helpers -------------------------------------------------------
@@ -282,20 +304,44 @@ def _random_element(rng, field, digits):
     return x if x else field.scalar(F(rng.randint(1, 10 ** digits - 1), 7))
 
 
+def _at_limit(rng, field):
+    """An element whose every coordinate is a random p/q, p and q of one
+    length, and whose string is as long as MAX_SCALAR_LENGTH allows."""
+    digits = MAX_SCALAR_LENGTH // (2 * field.degree)
+    while True:
+        low, high = 10 ** (digits - 1), 10 ** digits - 1
+        x = field.from_coefficients(
+            [F(rng.choice((-1, 1)) * rng.randint(low, high),
+               rng.randint(low, high)) for _ in range(field.degree)])
+        if len(x.to_string()) <= MAX_SCALAR_LENGTH:
+            return x
+        digits -= 1
+
+
 def _samples(order):
-    """Seeded elements at small heights and near MAX_COEFFICIENT_DIGITS."""
+    """Seeded elements at small heights and one at the scalar length limit."""
     rng = random.Random(1000 + order)
     field = FieldSpec(order)
-    return [_random_element(rng, field, digits)
-            for digits in (1, 1, 3, 40, MAX_COEFFICIENT_DIGITS)]
+    return [_random_element(rng, field, digits) for digits in (1, 1, 3, 40)] \
+        + [_at_limit(rng, field)]
 
 
-def _invertible_quickly(x):
-    """The norm of a 4000-digit element of degree d has about 4000*d digits,
-    and inverting one of degree 12 takes over 10 s; above degree 2 such
-    elements are inverted at lower heights only."""
-    return x.field.degree <= 2 or \
-        max(abs(c) for c in (x.den, *x.num)).bit_length() < 1000
+def test_inverse_at_the_length_limit_is_fast():
+    """The worst string the loader takes in the largest field: twelve p/q
+    coordinates with distinct denominators, which make the common
+    denominator as high as the limit allows.  Parsing and inverting it take
+    about 0.5 s (Python 3.11, one x86-64 core)."""
+    field = FieldSpec(13)
+    text = _at_limit(random.Random(13), field).to_string()
+    assert MAX_SCALAR_LENGTH - 100 < len(text) <= MAX_SCALAR_LENGTH
+    start = time.process_time()
+    x = Scalar.from_string(field, text)
+    inv = x.inverse()
+    elapsed = time.process_time() - start
+    assert len({c.denominator for c in x.coeffs}) == field.degree
+    assert min(c.denominator for c in x.coeffs) > 1
+    assert x * inv == field.one()
+    assert elapsed < 2
 
 
 def _assert_canonical(x):
@@ -327,14 +373,11 @@ def test_arithmetic_matches_sympy(order):
         same(product, poly(x) * poly(y), x.den * y.den)
         for a in units:
             same(x.galois(a), poly(x).compose(sympy.Poly(z ** a, z)), x.den)
-        results = [product, x + y, x - y, x.galois(units[-1])]
-        if _invertible_quickly(x):
-            # the inverse is unique: its product with x, in sympy, is 1
-            inv = x.inverse()
-            same(field.one(), poly(x) * poly(inv), x.den * inv.den)
-            assert x * inv == field.one()
-            results.append(inv)
-        for r in results:
+        # the inverse is unique: its product with x, in sympy, is 1
+        inv = x.inverse()
+        same(field.one(), poly(x) * poly(inv), x.den * inv.den)
+        assert x * inv == field.one()
+        for r in (product, x + y, x - y, x.galois(units[-1]), inv):
             _assert_canonical(r)
 
 
@@ -348,9 +391,7 @@ def test_canonical_form_and_hash(order):
         parsed = Scalar.from_string(field, x.to_string())
         assert parsed.to_string() == x.to_string()
         routes = [parsed, x + y - y, field.from_coefficients(x.coeffs), -(-x),
-                  x * 3 / 3]
-        if _invertible_quickly(x) and _invertible_quickly(y):
-            routes += [y * x / y, x.inverse().inverse()]
+                  x * 3 / 3, y * x / y, x * x / x]
         for r in routes:
             assert (r.num, r.den) == (x.num, x.den)
             assert hash(r) == hash(x)
