@@ -659,12 +659,12 @@ def spec_to_json(spec):
     c = spec.base_point
     return {
         "field": {"cyclotomic_order": spec.curve.field.cyclotomic_order},
-        "E": {"A": spec.curve.A.to_string(), "B": spec.curve.B.to_string()},
-        "h": {"P": [s.to_string() for s in spec.h.P],
-              "Q": [s.to_string() for s in spec.h.Q]},
+        "E": {"A": spec.curve.A.to_json(), "B": spec.curve.B.to_json()},
+        "h": {"P": [s.to_json() for s in spec.h.P],
+              "Q": [s.to_json() for s in spec.h.Q]},
         "N": spec.order,
-        "c": "auto" if c == "auto" else {"x": c.x.to_string(),
-                                         "y": c.y.to_string()},
+        "c": "auto" if c == "auto" else {"x": c.x.to_json(),
+                                         "y": c.y.to_json()},
         "precision": spec.precision,
     }
 

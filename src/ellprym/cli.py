@@ -129,10 +129,12 @@ def cmd_build(args):
         spec = builder.CyclicCoverSpec(spec.curve, spec.h, spec.order,
                                        spec.base_point, args.precision)
     result = builder.build_cover(spec)
+    # serialized first, so a ScalarTooLong in either leaves neither file
+    action = result.action.to_json() if args.action_out else None
     covering.save(result.datum, args.out)
-    if args.action_out:
+    if action is not None:
         with open(args.action_out, "w", encoding="utf-8") as fh:
-            json.dump(result.action.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(action, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"wrote covering datum to {args.out} "
           f"(genus {result.datum.genus}, degree {result.datum.degree}, "

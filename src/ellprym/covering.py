@@ -375,7 +375,7 @@ def datum_to_json(datum):
         ],
         "fiber": {
             "labels": list(datum.fiber.labels),
-            "ratios": [[x.to_string() for x in row]
+            "ratios": [[x.to_json() for x in row]
                        for row in datum.fiber.ratios],
         },
     }
@@ -423,9 +423,9 @@ def datum_from_json(obj):
 
 
 def save(datum, path):
+    text = json.dumps(datum_to_json(datum), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(datum_to_json(datum), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path):

@@ -41,7 +41,7 @@ class CyclicAction:
     def to_json(self):
         return {
             "order": self.order,
-            "matrix": [[x.to_string() for x in row] for row in self.matrix.rows],
+            "matrix": [[x.to_json() for x in row] for row in self.matrix.rows],
             "charts": [{"target": t, "reparam": s.to_json()}
                        for (t, s) in self.chart_moves],
             "fiber_permutation": list(self.fiber_permutation),

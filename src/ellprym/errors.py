@@ -63,6 +63,10 @@ class ParseError(InputError):
         super().__init__(f"{message}: {token!r}")
 
 
+class ScalarTooLong(InputError):
+    """A computed scalar's string is longer than Scalar.from_string reads."""
+
+
 class FieldError(InputError):
     """Unsupported field specification or mixed-field arithmetic."""
 

@@ -12,8 +12,8 @@ package's only polynomial code, used over Fraction for Phi_N and over Scalar.
 A scalar string is what ``to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``: terms
 ``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by ``*z``
 or ``*z^k``, joined by ``+`` with spaces allowed only around the ``+``.
-``from_string`` reads that grammar only, with int, and refuses any string
-longer than MAX_SCALAR_LENGTH before parsing it.
+``from_string`` reads that grammar only, with int, refusing any string longer
+than MAX_SCALAR_LENGTH before parsing; ``to_json`` refuses to write one.
 
 The linear algebra is deterministic: Gaussian elimination with the pivot
 always taken as the first nonzero entry in column order.  Magnitude-based
@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
-from .errors import DivisionByZero, FieldError, NotAnNthPower, ParseError
+from .errors import (DivisionByZero, FieldError, NotAnNthPower, ParseError,
+                     ScalarTooLong)
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 
@@ -178,8 +180,16 @@ class FieldSpec:
             self._powers.append(tuple((j, c) for j, c in enumerate(row) if c))
             top, row = row[-1], [0] + row[:-1]
             row = [r - top * c for r, c in zip(row, mod)]
-        # the exponents a != 1 of the Galois conjugates z -> z^a
-        self._units = [a for a in range(2, n) if gcd(a, n) == 1]
+        # (Z/N)^* is cyclic, generated by g.  Step i of the norm in
+        # Scalar.inverse multiplies in the conjugates z -> z^a, a in _tower[i],
+        # going from the fixed field of <g^(s*q)> to that of <g^s>, q prime.
+        g = next(a for a in range(1, n + 1) if gcd(a, n) == 1 and
+                 len({pow(a, k, n) for k in range(deg)}) == deg)
+        self._tower, s = [], deg
+        while s > 1:
+            q = next(p for p in range(2, s + 1) if s % p == 0)
+            s //= q
+            self._tower.append([pow(g, j * s, n) for j in range(1, q)])
         cls._cache[n] = self
         return self
 
@@ -240,13 +250,11 @@ class FieldSpec:
             return self.scalar(1 if self.cyclotomic_order == 1 else -1)
         return Scalar(self, [0, 1])
 
-    def root_of_unity_order(self):
-        """Order of the group of roots of unity contained in the field."""
-        n = self.cyclotomic_order
-        return n if n % 2 == 0 else 2 * n
-
     def contains_root_of_unity(self, m):
-        return self.root_of_unity_order() % m == 0
+        """The roots of unity in Q(zeta_N) are those of order dividing
+        N for even N and 2N for odd N."""
+        n = self.cyclotomic_order
+        return (n if n % 2 == 0 else 2 * n) % m == 0
 
     def root_of_unity(self, m):
         """A primitive m-th root of unity, if the field contains one."""
@@ -355,15 +363,19 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
+        """den * P / N(num), P = N(num) / num.  Each step of the field's _tower
+        multiplies y = num by the product q of its conjugates there; y ends
+        as N(num), and P is the product of the qs (N = 13: 6 products, not 11)."""
         if not any(self.num):
             raise DivisionByZero("inverse of zero")
-        f, p = self.field, (1,) + (0,) * (self.field.degree - 1)
-        for a in f._units:
-            p = f._mul(p, self.galois(a).num)
-        norm = f._mul(self.num, p)
-        if any(norm[1:]) or not norm[0]:
+        f, y, qs = self.field, Scalar._make(self.field, self.num, 1, True), []
+        for step in f._tower:
+            qs.append(reduce(Scalar.__mul__, [y.galois(a) for a in step]))
+            y = y * qs[-1]
+        if not y.is_rational() or not y:
             raise AssertionError("cyclotomic polynomial not coprime to element")
-        return Scalar._make(f, tuple(self.den * x for x in p), norm[0])
+        p = reduce(Scalar.__mul__, qs, f.one()).num
+        return Scalar._make(f, tuple(self.den * x for x in p), y.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -456,6 +468,14 @@ class Scalar:
             else:
                 terms.append(f"{c}*z^{k}")
         return " + ".join(terms) if terms else "0"
+
+    def to_json(self):
+        """to_string, refused (ScalarTooLong) where from_string would be."""
+        text = self.to_string()
+        if len(text) > MAX_SCALAR_LENGTH:
+            raise ScalarTooLong(f"scalar string of {len(text)} characters "
+                                f"({text[:20]}...) is over {MAX_SCALAR_LENGTH}")
+        return text
 
     @staticmethod
     def from_string(field, text):

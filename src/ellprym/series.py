@@ -260,7 +260,7 @@ class TruncatedSeries:
     def to_json(self):
         return {"valuation": self.valuation,
                 "prec": self.prec,
-                "coeffs": [c.to_string() for c in self.coeffs]}
+                "coeffs": [c.to_json() for c in self.coeffs]}
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellprym import builder, covering
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
                               MAX_WINDOW)
+from ellprym.equivariant import CyclicAction
+from ellprym.scalars import MAX_SCALAR_LENGTH
 
 
 def _write_spec(path, obj):
@@ -28,6 +32,33 @@ def test_build_writes_datum(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["genus"] == 4 and obj["degree"] == 3
     assert json.loads(action_out.read_text())["order"] == 3
+    # the loaders read back exactly what was built
+    result = builder.build_cover(pirola_spec(precision=10))
+    datum = covering.load(out)
+    assert datum == result.datum
+    assert CyclicAction.from_json(
+        datum, json.loads(action_out.read_text())) == result.action
+
+
+def test_build_refuses_to_write_an_unreadable_scalar(tmp_path, capsys,
+                                                     monkeypatch):
+    """A built scalar whose string is over the loader's limit stops the
+    build with exit 2 before either output file is written."""
+    result = builder.build_cover(pirola_spec(precision=10))
+    ratios = result.datum.fiber.ratios
+    long = result.datum.field.scalar(10 ** MAX_SCALAR_LENGTH)
+    fiber = dataclasses.replace(result.datum.fiber, ratios=(
+        (long,) + tuple(ratios[0][1:]),) + tuple(ratios[1:]))
+    monkeypatch.setattr(builder, "build_cover", lambda spec: dataclasses.replace(
+        result, datum=dataclasses.replace(result.datum, fiber=fiber)))
+    spec_path = _write_spec(tmp_path / "spec.json",
+                            spec_to_json(pirola_spec(precision=10)))
+    out, action_out = tmp_path / "datum.json", tmp_path / "action.json"
+    assert main(["build", spec_path, "--out", str(out),
+                 "--action-out", str(action_out)]) == 2
+    err = capsys.readouterr().err
+    assert "ScalarTooLong" in err and "of 4001 characters" in err
+    assert not out.exists() and not action_out.exists()
 
 
 def test_build_rejects_nonprime_order(tmp_path, capsys):
