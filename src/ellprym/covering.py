@@ -18,9 +18,8 @@ the section to vanish identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SchemaError, ValidationFailed
 from .scalars import FieldSpec, Matrix, Scalar
@@ -51,8 +50,7 @@ def lex_pairs(size):
     return [(i, j) for i in range(size) for j in range(i, size)]
 
 
-@dataclass(frozen=True)
-class RamificationChart:
+class RamificationChart(NamedTuple):
     """Series data at one ramification point, in a local parameter u.
 
     ``alpha_pullback`` is the coefficient series of the pulled-back base
@@ -60,7 +58,7 @@ class RamificationChart:
     ``forms`` holds one du-coefficient series per basis differential.
     """
     label: str
-    index: int
+    index: int  # the ramification index; shadows tuple.index
     alpha_pullback: TruncatedSeries
     forms: tuple
 
@@ -69,15 +67,13 @@ class RamificationChart:
         return min([self.alpha_pullback.prec] + [s.prec for s in self.forms])
 
 
-@dataclass(frozen=True)
-class FiberChart:
+class FiberChart(NamedTuple):
     """Values of (form / pulled-back base form) at the points of one fiber."""
     labels: tuple
     ratios: tuple  # d rows, one per fiber point; each row has g scalars
 
 
-@dataclass(frozen=True)
-class CoveringDatum:
+class _DatumFields(NamedTuple):
     field: FieldSpec
     genus: int
     degree: int
@@ -85,6 +81,12 @@ class CoveringDatum:
     fiber: FiberChart
     basis_names: tuple
     alpha_index_hint: Optional[int]
+
+
+class CoveringDatum(_DatumFields):
+    """The datum's fields, plus the validation report and multiplication
+    table, each computed once on first use (this subclass has the instance
+    dict that ``cached_property`` stores them in)."""
 
     @property
     def n_ramification(self):
@@ -129,8 +131,7 @@ class CoveringDatum:
                                    Matrix(fld, [fiber_sum]))
 
 
-@dataclass(frozen=True)
-class MultiplicationTable:
+class MultiplicationTable(NamedTuple):
     """The multiplication map on the basis eta_i . eta_j, i <= j, in lex order.
 
     Column p of every matrix belongs to the p-th pair (i, j).  ``charts``
@@ -147,16 +148,14 @@ class MultiplicationTable:
     fiber_sum: Matrix
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     name: str
     passed: bool
     detail: str
     hard: bool = True  # certificate-level findings are recorded, not fatal
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple
     chart_windows: tuple
     coefficient_budget: int
@@ -269,10 +268,7 @@ def validate(datum):
 
     # (5) trace consistency
     if shape_ok:
-        tau = [datum.field.zero()] * g
-        for row in datum.fiber.ratios:
-            for i in range(g):
-                tau[i] = tau[i] + row[i]
+        tau = trace_vector(datum)
         nonzero = any(not t.is_zero() for t in tau)
         msg = "trace vector " + ("nonzero" if nonzero else "zero")
         ok = nonzero
@@ -297,6 +293,15 @@ def validate(datum):
 
     return ValidationReport(tuple(findings), tuple(windows), budget,
                             2 * g - 2, 4 * g - 3)
+
+
+def trace_vector(datum):
+    """The trace ratios tau of the basis forms at the fiber base point:
+    each form's ratio values summed over the fiber.  Its kernel is the
+    trace-zero space, the tangent space of the Prym variety."""
+    zero = datum.field.zero()
+    return [sum((row[i] for row in datum.fiber.ratios), zero)
+            for i in range(datum.genus)]
 
 
 def require_valid(datum):
@@ -397,6 +402,10 @@ def datum_from_json(obj):
     names = _expect_strings(obj, "basis_names", genus, "")
     hint = _optional(obj, "alpha_index_hint", int, "")
     charts_raw = _expect(obj, "charts", list, "")
+    # every chart has index >= 2, so Riemann-Hurwitz allows 2g - 2 of them
+    if len(charts_raw) > 2 * MAX_GENUS - 2:
+        raise SchemaError("/charts", f"expected at most {2 * MAX_GENUS - 2} "
+                          "charts")
     charts = []
     for j, cobj in enumerate(charts_raw):
         ptr = f"/charts/{j}"
@@ -449,10 +458,8 @@ def reparametrized(datum, substitutions):
     for j, phi in substitutions.items():
         c = charts[j]
         alpha, *forms = transform_form([c.alpha_pullback, *c.forms], phi)
-        charts[j] = RamificationChart(c.label, c.index, alpha, tuple(forms))
-    return CoveringDatum(datum.field, datum.genus, datum.degree,
-                         tuple(charts), datum.fiber, datum.basis_names,
-                         datum.alpha_index_hint)
+        charts[j] = c._replace(alpha_pullback=alpha, forms=tuple(forms))
+    return datum._replace(charts=tuple(charts))
 
 
 def change_basis(datum, matrix):
@@ -475,13 +482,12 @@ def change_basis(datum, matrix):
                 if not coef.is_zero():
                     acc = acc + c.forms[k].scale(coef)
             new_forms.append(acc)
-        charts.append(RamificationChart(c.label, c.index, c.alpha_pullback,
-                                        tuple(new_forms)))
+        charts.append(c._replace(forms=tuple(new_forms)))
     ratios = tuple(
         tuple(sum((row[k] * B.rows[k][i] for k in range(g)),
                   datum.field.zero()) for i in range(g))
         for row in datum.fiber.ratios)
-    names = tuple(f"b{i}" for i in range(g))
-    return CoveringDatum(datum.field, datum.genus, datum.degree,
-                         tuple(charts), FiberChart(datum.fiber.labels, ratios),
-                         names, None)
+    return datum._replace(charts=tuple(charts),
+                          fiber=datum.fiber._replace(ratios=ratios),
+                          basis_names=tuple(f"b{i}" for i in range(g)),
+                          alpha_index_hint=None)

@@ -20,9 +20,9 @@ A linear map on forms acts on tensors through ``sym_square_matrix`` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .covering import lex_pairs, require_valid
+from .covering import lex_pairs, require_valid, trace_vector
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
 from .scalars import Matrix
@@ -84,8 +84,7 @@ def sym_square_matrix(A):
 # trace splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceSplit:
+class TraceSplit(NamedTuple):
     """The canonical splitting of the form space.
 
     ``tau`` lists the trace ratios of the basis forms at the fiber base
@@ -142,10 +141,7 @@ def trace_split(datum):
     require_valid(datum)
     field = datum.field
     g, d = datum.genus, datum.degree
-    tau = [field.zero()] * g
-    for row in datum.fiber.ratios:
-        for i in range(g):
-            tau[i] = tau[i] + row[i]
+    tau = trace_vector(datum)
     if all(t.is_zero() for t in tau):
         raise ValidationFailed("trace vector is zero: corrupt fiber data")
 
@@ -206,8 +202,7 @@ def _solve_alpha_coords(datum):
 # multiplication map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadDifferentialData:
+class QuadDifferentialData(NamedTuple):
     """A quadratic differential in the coefficient model: chart series + fiber values."""
     charts: tuple   # one du^2-coefficient series per ramification chart
     fiber: tuple    # values of (section / alpha^2) at the fiber points
@@ -232,8 +227,7 @@ def multiply(datum, phi):
     return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(phi)))
 
 
-@dataclass(frozen=True)
-class QuadricSpace:
+class QuadricSpace(NamedTuple):
     """Basis of the space of quadrics through the canonical model, as lex
     coordinate vectors."""
     basis: tuple

@@ -14,7 +14,7 @@ the battery take from it.  Reports note when the relabeling fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covering import _expect, _parse_scalar, _parse_series
 from .diffalg import gram, sym_square_matrix
@@ -24,8 +24,7 @@ from .scalars import Matrix
 from .series import TruncatedSeries, transform_form
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(NamedTuple):
     """Action of a cyclic deck group of the given order.
 
     ``matrix`` is the generator acting on the form basis by pullback;
@@ -127,8 +126,7 @@ def action_fixes_alpha(split, action):
     return vec == list(split.alpha_coords)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Character-indexed eigenspaces of ``generator``; exponent c labels
     eigenvalue zeta^c."""
     order: int
@@ -174,8 +172,7 @@ def _decompose(M, order, relabeled):
                               tuple(bases), relabeled, M)
 
 
-@dataclass(frozen=True)
-class SymSquareEigen:
+class SymSquareEigen(NamedTuple):
     full: EigenDecomposition
     minus: EigenDecomposition
 
@@ -204,36 +201,11 @@ def sym2_eigenspaces(split, eig):
 # the degree-3 Galois battery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BatteryCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class BatteryReport:
-    checks: tuple
-    relabeled: bool
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "generator_relabeled": self.relabeled,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-            "context": "these covers move in a three-parameter family; the "
-                       "family itself is background and never computed here",
-        }
-
-
 def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
                 criterion_report):
-    """The seven exactness checks for the genus-4 cyclic cubic cover family.
+    """The seven exactness checks for the genus-4 cyclic cubic cover family;
+    returns the report's ``battery`` dict, whose ``checks`` list holds one
+    name, verdict and detail line per check and whose ``ok`` says all pass.
 
     Preconditions, checked here: genus 4, degree 3, an action of order 3
     whose fiber permutation is a single 3-cycle (Galois cover of degree 3).
@@ -258,6 +230,9 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
 
     checks = []
 
+    def add(name, passed, detail):
+        checks.append({"name": name, "passed": passed, "detail": detail})
+
     # (1) a single quadric, concentrated in one nontrivial character
     iso_detail = []
     single_char_ok = quadrics.dimension == 1
@@ -268,19 +243,16 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
                    if not all(x.is_zero() for x in comps[c])]
         single_char_ok = nonzero in ([1], [2])
         iso_detail.append(f"character components nonzero at exponents {nonzero}")
-    checks.append(BatteryCheck(
-        "unique_quadric_single_nontrivial_character", single_char_ok,
-        f"h0 = {quadrics.dimension}; " + "; ".join(iso_detail)))
+    add("unique_quadric_single_nontrivial_character", single_char_ok,
+        f"h0 = {quadrics.dimension}; " + "; ".join(iso_detail))
 
     # (2) the quadric passes through the distinguished point
     if quadrics.dimension == 1:
         val = evaluate_at_qminus(split, quadrics.basis[0])
-        checks.append(BatteryCheck(
-            "quadric_contains_distinguished_point", val.is_zero(),
-            f"coefficient of squared pullback = {val}"))
+        add("quadric_contains_distinguished_point", val.is_zero(),
+            f"coefficient of squared pullback = {val}")
     else:
-        checks.append(BatteryCheck(
-            "quadric_contains_distinguished_point", False, "no unique quadric"))
+        add("quadric_contains_distinguished_point", False, "no unique quadric")
 
     # (3) cone of rank 3 with vertex off the known curve points
     if quadrics.dimension == 1:
@@ -292,22 +264,18 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
             for pt in _known_point_functionals(datum):
                 if _proportional(vertex[0], pt):
                     off_curve = False
-        checks.append(BatteryCheck(
-            "quadric_is_cone_with_vertex_off_curve",
+        add("quadric_is_cone_with_vertex_off_curve",
             rank == 3 and len(vertex) == 1 and off_curve,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
-            f"vertex off known curve points: {off_curve}"))
+            f"vertex off known curve points: {off_curve}")
         # (4) tangency: restriction to the distinguished hyperplane has rank 1
         block_rank = gram(field, g - 1, split.minus_coords(G)).rank()
-        checks.append(BatteryCheck(
-            "hyperplane_restriction_rank_one", block_rank == 1,
+        add("hyperplane_restriction_rank_one", block_rank == 1,
             f"restricted gram rank {block_rank} "
-            "(double line: tangent hyperplane, collinear ramification)"))
+            "(double line: tangent hyperplane, collinear ramification)")
     else:
-        checks.append(BatteryCheck(
-            "quadric_is_cone_with_vertex_off_curve", False, "no unique quadric"))
-        checks.append(BatteryCheck(
-            "hyperplane_restriction_rank_one", False, "no unique quadric"))
+        add("quadric_is_cone_with_vertex_off_curve", False, "no unique quadric")
+        add("hyperplane_restriction_rank_one", False, "no unique quadric")
 
     # (5) kernel = nontrivial-character part of the trace-zero square
     minus_eigen = sym2.minus
@@ -318,24 +286,24 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
                   Matrix(field, kernel_rows).rank() == 4 and
                   Matrix(field, eigen_rows).rank() == 4 and
                   joint_rank == 4)
-    checks.append(BatteryCheck(
-        "kernel_is_nontrivial_character_part", same_space,
+    add("kernel_is_nontrivial_character_part", same_space,
         f"kernel dim {len(kernel_rows)}, eigen dims "
-        f"{minus_eigen.dims[1]}+{minus_eigen.dims[2]}, joint rank {joint_rank}"))
+        f"{minus_eigen.dims[1]}+{minus_eigen.dims[2]}, joint rank {joint_rank}")
 
     # (6) fiber sums vanish identically on the kernel (finite certificate)
     vanish = all(x.is_zero() for x in criterion_report.nu_on_basis) and \
         all(x.is_zero() for x in criterion_report.nu_on_pair_sums)
-    checks.append(BatteryCheck(
-        "fiber_sum_vanishes_on_kernel", vanish,
-        f"basis values {[x.to_string() for x in criterion_report.nu_on_basis]}"))
+    add("fiber_sum_vanishes_on_kernel", vanish,
+        f"basis values {[x.to_string() for x in criterion_report.nu_on_basis]}")
 
     # (7) verdict: kernel dimension at least 2
-    checks.append(BatteryCheck(
-        "kernel_dimension_at_least_two", criterion_report.dimension == ">=2",
-        f"verdict {criterion_report.dimension}"))
+    add("kernel_dimension_at_least_two", criterion_report.dimension == ">=2",
+        f"verdict {criterion_report.dimension}")
 
-    return BatteryReport(tuple(checks), eig.relabeled)
+    return {"ok": all(c["passed"] for c in checks),
+            "generator_relabeled": eig.relabeled, "checks": checks,
+            "context": "these covers move in a three-parameter family; the "
+                       "family itself is background and never computed here"}
 
 
 def _character_components(G, M, N):

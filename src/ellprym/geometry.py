@@ -20,7 +20,7 @@ exactly as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diffalg import multiply, symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
@@ -29,8 +29,7 @@ from .prym import codifferential, nu
 from .scalars import Matrix
 
 
-@dataclass(frozen=True)
-class QuadricDecomposition:
+class QuadricDecomposition(NamedTuple):
     """G = G_minus + alpha . omega under the direct sum decomposition."""
     minus_part: list  # lex coordinates of the trace-zero part
     omega: tuple  # coordinates of the 1-form factor in the eta basis
@@ -59,22 +58,17 @@ def evaluate_at_qminus(split, G):
     return split.adapted(G)[0]
 
 
-@dataclass(frozen=True)
-class QuadricCheck:
-    index: int
-    fiber_route: object      # fiber sum of the trace-zero part
-    coefficient_route: object  # value at the distinguished point
-    proof_identity_ok: bool  # fiber sum == -(trace ratio of omega)
-    agree: bool
-
-
 def functpoint_check(datum, split, quadrics):
-    """Dual-route vanishing check for every basis quadric.
+    """Dual-route vanishing check for every basis quadric; returns the
+    report's list of checks.
 
-    Precondition: each tensor actually lies in the kernel of the
-    multiplication map (verified here against the certified coefficient
-    model).  The equivalence of the two routes is unconditional, so any
-    disagreement raises EquivalenceViolated.
+    Each entry holds the fiber route (fiber sum of the trace-zero part),
+    the coefficient route (value at the distinguished point), whether both
+    vanish together (``agree``) and whether the fiber sum is minus the trace
+    ratio of the mixed part (``trace_identity``).  Precondition: each tensor
+    actually lies in the kernel of the multiplication map (verified here
+    against the certified coefficient model).  The equivalence of the two
+    routes is unconditional, so any disagreement raises EquivalenceViolated.
     """
     results = []
     for idx, G in enumerate(quadrics.basis):
@@ -92,24 +86,15 @@ def functpoint_check(datum, split, quadrics):
                 f"dual-route check failed on quadric {idx}: fiber route "
                 f"{lhs}, coefficient route {rhs}, trace identity "
                 f"{'ok' if proof_ok else 'violated'}")
-        results.append(QuadricCheck(idx, lhs, rhs, proof_ok, agree))
+        results.append({"index": idx, "fiber_route": lhs.to_string(),
+                        "coefficient_route": rhs.to_string(),
+                        "agree": agree, "trace_identity": proof_ok})
     return results
 
 
-@dataclass(frozen=True)
-class GeometricCriterion:
-    qminus_in_all: bool
-    implies_dim1: bool
-    note: str
-
-    def to_json(self):
-        return {"qminus_in_all_quadrics": self.qminus_in_all,
-                "implies_minimal_kernel": self.implies_dim1,
-                "note": self.note}
-
-
 def halfgeo_criterion(datum, split, quadrics, criterion_report):
-    """One-directional geometric criterion.
+    """One-directional geometric criterion; returns the report's
+    ``distinguished_point`` dict.
 
     If the distinguished point avoids some quadric through the cover, the
     period-map kernel is minimal; the report cross-asserts this against the
@@ -120,8 +105,7 @@ def halfgeo_criterion(datum, split, quadrics, criterion_report):
     """
     values = [evaluate_at_qminus(split, G) for G in quadrics.basis]
     qminus_in_all = all(v.is_zero() for v in values)
-    implies_dim1 = not qminus_in_all
-    if implies_dim1 and criterion_report.dimension != "1":
+    if not qminus_in_all and criterion_report.dimension != "1":
         raise ConsistencyViolated(
             "distinguished point avoids a quadric but the kernel scan "
             f"reported dimension {criterion_report.dimension}")
@@ -139,43 +123,14 @@ def halfgeo_criterion(datum, split, quadrics, criterion_report):
                     "general ramification")
     else:
         note = "point avoids a quadric: kernel dimension 1 certified"
-    return GeometricCriterion(qminus_in_all, implies_dim1, note)
-
-
-@dataclass(frozen=True)
-class LedgerIdentity:
-    name: str
-    holds: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class LedgerReport:
-    identities: tuple
-    h0_quadrics: int
-    dim_kernel_E_dual: int
-    excess: int
-    dim_kernel_residue_map: int
-    note: str
-
-    @property
-    def ok(self):
-        return all(i.holds for i in self.identities)
-
-    def to_json(self):
-        return {
-            "identities": [{"name": i.name, "holds": i.holds, "detail": i.detail}
-                           for i in self.identities],
-            "h0_quadrics": self.h0_quadrics,
-            "dim_kernel_E_dual": self.dim_kernel_E_dual,
-            "branch_excess": self.excess,
-            "dim_kernel_residue_map": self.dim_kernel_residue_map,
-            "note": self.note,
-        }
+    return {"qminus_in_all_quadrics": qminus_in_all,
+            "implies_minimal_kernel": not qminus_in_all, "note": note}
 
 
 def dimension_ledger(datum, split, quadrics, kernel_report):
-    """Exact dimension bookkeeping identities.
+    """Exact dimension bookkeeping identities; returns the report's
+    ``ledger`` dict, whose ``identities`` list holds one name, truth value
+    and detail line per identity.
 
     (a) dim Ker(base-fixed codifferential) - h0(quadrics) equals the branch
         excess (2g-2) - n;
@@ -195,11 +150,13 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
     excess = datum.reduced_branch_excess()
     identities = []
 
+    def add(name, holds, detail):
+        identities.append({"name": name, "holds": holds, "detail": detail})
+
     # (a)
     lhs = kernel_report.dim_dual - h0
-    identities.append(LedgerIdentity(
-        "kernel_minus_quadrics_equals_excess", lhs == excess,
-        f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}"))
+    add("kernel_minus_quadrics_equals_excess", lhs == excess,
+        f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}")
 
     # (b) quadric projections inject into the kernel
     proj_rows = []
@@ -211,10 +168,9 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
             inside = False
         proj_rows.append(split.minus_coords(dec.minus_part))
     rank = Matrix(field, proj_rows).rank()
-    identities.append(LedgerIdentity(
-        "quadric_projection_injects", inside and rank == h0,
+    add("quadric_projection_injects", inside and rank == h0,
         f"projections {'lie' if inside else 'do not lie'} in the kernel; "
-        f"rank {rank} of {h0}"))
+        f"rank {rank} of {h0}")
 
     # (c) exact-sequence count via the residue-only map on the full
     # symmetric square (its rank equals the rank on all quadratic
@@ -223,11 +179,12 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
     residue_rank = datum.multiplication_table.residues.rank()
     dim_ker_residue = (3 * g - 3) - residue_rank
     rhs = h0 + dim_ker_residue - g
-    identities.append(LedgerIdentity(
-        "exact_sequence_count", kernel_report.dim_dual == rhs,
-        f"{kernel_report.dim_dual} = {h0} + {dim_ker_residue} - {g}"))
+    add("exact_sequence_count", kernel_report.dim_dual == rhs,
+        f"{kernel_report.dim_dual} = {h0} + {dim_ker_residue} - {g}")
 
-    note = ("residue-only kernel computed from ramification covector slots "
-            "only (base-fixed variant)")
-    return LedgerReport(tuple(identities), h0, kernel_report.dim_dual,
-                        excess, dim_ker_residue, note)
+    return {"identities": identities, "h0_quadrics": h0,
+            "dim_kernel_E_dual": kernel_report.dim_dual,
+            "branch_excess": excess,
+            "dim_kernel_residue_map": dim_ker_residue,
+            "note": "residue-only kernel computed from ramification covector "
+                    "slots only (base-fixed variant)"}

@@ -19,15 +19,13 @@ non-hyperelliptic covers and act as corruption detectors):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import IdentityViolated, NotInMinusSpace
 from .scalars import Matrix
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(NamedTuple):
     """An element of the dual parameter space: (gamma_1..gamma_n, gamma_s)."""
     gammas: tuple
     gamma_s: object
@@ -72,14 +70,12 @@ def codifferential_matrix(datum, split):
                   table.residues.rows + table.fiber_sum.rows).matmul(minus)
 
 
-@dataclass(frozen=True)
-class KernelEReport:
+class KernelEReport(NamedTuple):
     """Kernel data of the base-fixed codifferential."""
     dim_dual: int            # dim Ker over the tensor space
     dim_primal: int          # dim Ker of the map on tangent vectors
     basis: tuple             # lex coordinates of tensors spanning the kernel
     basis_minus_coords: tuple  # same vectors in minus-tensor coordinates
-    matrix: Matrix           # codifferential_matrix
 
 
 def kernel_E(datum, split):
@@ -90,8 +86,7 @@ def kernel_E(datum, split):
     the identity is unconditional for non-hyperelliptic covers.
     """
     g, n = datum.genus, datum.n_ramification
-    cmat = codifferential_matrix(datum, split)
-    gam = Matrix(datum.field, cmat.rows[:n])
+    gam = Matrix(datum.field, codifferential_matrix(datum, split).rows[:n])
     kernel = gam.kernel_basis()
     rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
@@ -106,11 +101,10 @@ def kernel_E(datum, split):
             "the identity requires 1")
     basis = tuple(split.minus_tensor(vec) for vec in kernel)
     return KernelEReport(len(kernel), dim_primal, basis,
-                         tuple(tuple(v) for v in kernel), cmat)
+                         tuple(tuple(v) for v in kernel))
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of the minimal-kernel criterion.
 
     ``dimension`` is "1" exactly when some kernel tensor has a nonzero
@@ -120,8 +114,7 @@ class CriterionReport:
     sampling).
     """
     dimension: str                   # "1" or ">=2"
-    witness: Optional[list]
-    witness_nu: Optional[object]
+    witness_nu: Optional[object]     # the witness's fiber sum
     nu_on_basis: tuple
     nu_on_pair_sums: tuple
     dim_kernel_E_dual: int
@@ -142,24 +135,13 @@ class CriterionReport:
 
 def kernel_full(datum, kernel_report):
     """Scan the base-fixed kernel for a tensor with nonzero fiber sum."""
-    basis = kernel_report.basis
-    nu_basis = tuple(nu(datum, b) for b in basis)
-    witness = None
-    witness_nu = None
-    for b, val in zip(basis, nu_basis):
-        if not val.is_zero():
-            witness, witness_nu = b, val
-            break
-    nu_sums = []
-    if witness is None:
-        # nu is linear, so each pair sum is a sum of basis values, all zero
-        nu_sums = [nu_basis[i] + nu_basis[j] for i in range(len(basis))
-                   for j in range(i + 1, len(basis))]
-    if witness is not None:
-        dimension = "1"
-        dim_full = kernel_report.dim_dual - 1
-    else:
-        dimension = ">=2"
-        dim_full = kernel_report.dim_dual
-    return CriterionReport(dimension, witness, witness_nu, nu_basis,
-                           tuple(nu_sums), kernel_report.dim_dual, dim_full)
+    nu_basis = tuple(nu(datum, b) for b in kernel_report.basis)
+    dim = kernel_report.dim_dual
+    witness_nu = next((val for val in nu_basis if not val.is_zero()), None)
+    if witness_nu is not None:
+        return CriterionReport("1", witness_nu, nu_basis, (), dim, dim - 1)
+    # nu is linear, so each pair sum is a sum of basis values, all zero
+    k = len(nu_basis)
+    nu_sums = tuple(nu_basis[i] + nu_basis[j] for i in range(k)
+                    for j in range(i + 1, k))
+    return CriterionReport(">=2", None, nu_basis, nu_sums, dim, dim)

@@ -1,7 +1,7 @@
 import copy
-import dataclasses
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,10 +47,10 @@ def test_build_refuses_to_write_an_unreadable_scalar(tmp_path, capsys,
     result = builder.build_cover(pirola_spec(precision=10))
     ratios = result.datum.fiber.ratios
     long = result.datum.field.scalar(10 ** MAX_SCALAR_LENGTH)
-    fiber = dataclasses.replace(result.datum.fiber, ratios=(
+    fiber = result.datum.fiber._replace(ratios=(
         (long,) + tuple(ratios[0][1:]),) + tuple(ratios[1:]))
-    monkeypatch.setattr(builder, "build_cover", lambda spec: dataclasses.replace(
-        result, datum=dataclasses.replace(result.datum, fiber=fiber)))
+    monkeypatch.setattr(builder, "build_cover", lambda spec: result._replace(
+        datum=result.datum._replace(fiber=fiber)))
     spec_path = _write_spec(tmp_path / "spec.json",
                             spec_to_json(pirola_spec(precision=10)))
     out, action_out = tmp_path / "datum.json", tmp_path / "action.json"
@@ -271,6 +271,29 @@ def test_analyze_genus_or_degree_above_limit_exits_2(tmp_path, capsys,
         capsys.readouterr().err
 
 
+def test_analyze_more_charts_than_riemann_hurwitz_allows_exits_2(tmp_path,
+                                                                 capsys):
+    """Every chart has index >= 2, so at most 2 * MAX_GENUS - 2 charts can
+    pass validation; the loader refuses more before parsing any chart, where
+    validation of 800 charts of window 200 at genus 16 would run for
+    seconds."""
+    g, cap = MAX_GENUS, 2 * MAX_GENUS - 2
+    empty = {"valuation": 0, "prec": MAX_WINDOW, "coeffs": []}
+    obj = {"field": {"cyclotomic_order": 1}, "genus": g, "degree": 2,
+           "basis_names": [f"b{i}" for i in range(g)],
+           "alpha_index_hint": None,
+           "charts": [{"label": f"a{j}", "index": 2, "alpha_pullback": empty,
+                       "forms": [empty] * g} for j in range(800)],
+           "fiber": {"labels": ["x1", "x2"], "ratios": [["1"] * g] * 2}}
+    path = tmp_path / "charts.json"
+    path.write_text(json.dumps(obj))
+    start = time.process_time()
+    assert main(["analyze", str(path)]) == 2
+    assert time.process_time() - start < 1
+    assert f"SchemaError: /charts: expected at most {cap} charts" in \
+        capsys.readouterr().err
+
+
 def test_analyze_chart_missing_a_form_exits_2(tmp_path, capsys,
                                               pirola_datum_obj):
     """The independence certificate reads g forms on every chart; a chart
@@ -401,6 +424,36 @@ def test_build_malformed_spec_exits_2(tmp_path, capsys, edit, message):
     spec_path = _write_spec(tmp_path / "spec.json", obj)
     assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
     assert f"SchemaError: {message}" in capsys.readouterr().err
+
+
+def test_build_singular_curve_exits_2(tmp_path, capsys):
+    obj = spec_to_json(pirola_spec(precision=10))
+    obj["E"] = {"A": "0", "B": "0"}
+    spec_path = _write_spec(tmp_path / "spec.json", obj)
+    assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
+    assert "singular curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("P,message", [
+    (["1000000000000000000000001", "1"],
+     "BuilderError: rational root search refused: the constant coefficient "
+     "of the norm polynomial has 160 bits, above the limit 1000000000000"),
+    (["5040", "0", "5040"], "PointOutsideField"),
+    (["720720", "1", "720720"],
+     "BuilderError: rational root search refused: 3645 x 3645 candidate "
+     "pairs on 5 coefficients make 66430125 steps, above the limit 50000"),
+], ids=["25-digit-constant", "content-5040", "720720"])
+def test_build_rational_root_search_is_bounded(tmp_path, capsys, P, message):
+    """The divisor search runs on the primitive norm polynomial and refuses
+    one whose end coefficients or candidate count are too large, so each of
+    these specs exits 2 in under a second (they stalled the build before)."""
+    spec_path = _write_spec(tmp_path / "spec.json", {
+        "E": {"A": "0", "B": "1"}, "h": {"P": P, "Q": []}, "N": 2,
+        "c": "auto", "precision": 12})
+    start = time.process_time()
+    assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
+    assert time.process_time() - start < 1
+    assert message in capsys.readouterr().err
 
 
 def test_analyze_datum_window_above_limit_exits_2(tmp_path, capsys,

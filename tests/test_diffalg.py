@@ -44,8 +44,7 @@ def test_eigenforms_have_zero_trace(pirola):
 
 
 def test_alpha_coords_solved_without_hint(pirola):
-    from dataclasses import replace
-    datum = replace(pirola.datum, alpha_index_hint=None)
+    datum = pirola.datum._replace(alpha_index_hint=None)
     split = trace_split(datum)
     assert list(split.alpha_coords) == list(pirola.split.alpha_coords)
 

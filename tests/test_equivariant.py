@@ -148,8 +148,8 @@ def _battery(bundle, action=None):
 
 def test_battery_all_pass(pirola):
     report = _battery(pirola)
-    assert report.ok
-    assert len(report.checks) == 7
+    assert report["ok"]
+    assert len(report["checks"]) == 7
 
 
 def test_battery_preconditions(biell4, pirola):

@@ -60,7 +60,7 @@ def test_dual_route_equivalence(all_bundles):
     for bundle in all_bundles.values():
         checks = functpoint_check(bundle.datum, bundle.split, bundle.quadrics)
         for c in checks:
-            assert c.agree and c.proof_identity_ok
+            assert c["agree"] and c["trace_identity"]
 
 
 def test_functpoint_rejects_non_kernel_input(pirola):
@@ -75,18 +75,18 @@ def test_halfgeo_verdicts(all_bundles):
     for name, bundle in all_bundles.items():
         crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.quadrics,
                                  bundle.criterion)
-        assert crit.qminus_in_all == expected_in_all[name]
-        assert crit.implies_dim1 == (not crit.qminus_in_all)
+        assert crit["qminus_in_all_quadrics"] == expected_in_all[name]
+        assert crit["implies_minimal_kernel"] == \
+            (not crit["qminus_in_all_quadrics"])
         if name == "bielliptic3":
-            assert "no quadrics" in crit.note
+            assert "no quadrics" in crit["note"]
 
 
 def test_halfgeo_consistency_guard(biell4):
     """A contradicting criterion report trips the consistency check."""
     fake = kernel_full(biell4.datum, biell4.kernel)
-    forged = type(fake)(">=2", None, None, fake.nu_on_basis,
-                        fake.nu_on_pair_sums, fake.dim_kernel_E_dual,
-                        fake.dim_kernel_E_dual)
+    forged = fake._replace(dimension=">=2", witness_nu=None,
+                           dim_kernel_full_dual=fake.dim_kernel_E_dual)
     with pytest.raises(ConsistencyViolated):
         halfgeo_criterion(biell4.datum, biell4.split, biell4.quadrics, forged)
 
@@ -99,12 +99,12 @@ def test_dimension_ledger_identities(all_bundles):
         led = dimension_ledger(bundle.datum, bundle.split, bundle.quadrics,
                                bundle.kernel)
         dim, h0, excess = expected[name]
-        assert led.ok, [i for i in led.identities if not i.holds]
-        assert led.dim_kernel_E_dual == dim
-        assert led.h0_quadrics == h0
-        assert led.excess == excess
-        assert led.dim_kernel_E_dual == led.h0_quadrics + \
-            led.dim_kernel_residue_map - bundle.datum.genus
+        assert all(i["holds"] for i in led["identities"]), led["identities"]
+        assert led["dim_kernel_E_dual"] == dim
+        assert led["h0_quadrics"] == h0
+        assert led["branch_excess"] == excess
+        assert led["dim_kernel_E_dual"] == led["h0_quadrics"] + \
+            led["dim_kernel_residue_map"] - bundle.datum.genus
 
 
 def test_residue_map_kernel_values(all_bundles):
@@ -113,4 +113,4 @@ def test_residue_map_kernel_values(all_bundles):
         led = dimension_ledger(bundle.datum, bundle.split, bundle.quadrics,
                                bundle.kernel)
         g, n = bundle.datum.genus, bundle.datum.n_ramification
-        assert led.dim_kernel_residue_map == (3 * g - 3) - (n - 1)
+        assert led["dim_kernel_residue_map"] == (3 * g - 3) - (n - 1)

@@ -1,6 +1,9 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -101,3 +104,14 @@ def test_no_unused_parameters():
         found += [f"{path.name}:{line}: {name}"
                   for line, name in _unused_parameters(tree)]
     assert found == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Records are NamedTuples, so a fresh ``import ellprym.cli`` pulls in
+    neither ``dataclasses`` nor the ``inspect`` it imports."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ellprym.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
