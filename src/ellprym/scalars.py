@@ -15,9 +15,25 @@ or ``*z^k``, joined by ``+`` with spaces allowed only around the ``+``.
 ``from_string`` reads that grammar only, with int, refusing any string longer
 than MAX_SCALAR_LENGTH before parsing; ``to_json`` refuses to write one.
 
-The linear algebra is deterministic: Gaussian elimination with the pivot
-always taken as the first nonzero entry in column order.  Magnitude-based
-pivoting would be meaningless over Q(zeta) and would break reproducibility.
+The linear algebra is deterministic.  ``Matrix.rref`` returns the unique
+reduced row echelon form, and it finds it in three steps (after Dixon,
+"Exact solution of linear equations using p-adic expansions", Numer. Math.
+40, 1982: structure modulo a word prime, then exact certification):
+1. each row is cleared to integers over one denominator and reduced modulo
+   the prime PRIME = 1 (mod 60060), where zeta_N maps to an element of order
+   N for every supported N; the rows independent of the rows before them
+   there are selected;
+2. the selected rows alone go through exact Gaussian elimination, the pivot
+   always the first nonzero entry in column order (magnitude-based pivoting
+   would be meaningless over Q(zeta) and would break reproducibility);
+3. every other row is checked exactly, in integers, to be the combination of
+   the reduced rows that its own pivot-column entries give, i.e. to vanish on
+   their kernel.  A row that fails joins the selection and step 2 runs again.
+The check is the certificate: the selected rows then span the row space, so
+the RREF, its pivots, ``kernel_basis``, ``rank`` and ``solve`` are those of the
+whole matrix.  A wrong selection modulo PRIME (a pivot or a denominator that
+PRIME divides) costs only another round, since each failed row raises the
+exact rank of the selection; at worst every row is selected.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (DivisionByZero, FieldError, NotAnNthPower, ParseError,
                      ScalarTooLong)
@@ -37,6 +54,11 @@ SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 # below Python's 4300-digit limit on int <-> str conversion, and the common
 # denominator, hence the cost of an inverse, is bounded too.
 MAX_SCALAR_LENGTH = 4000
+
+# The word prime of Matrix.rref's row selection.  PRIME - 1 is a multiple of
+# 60060 = lcm(SUPPORTED_ORDERS), so F_PRIME has an element of order N for
+# every supported N, and zeta_N maps there.
+PRIME = 4611686018427267781
 
 # One term of a scalar string, and the "+" between terms.  [0-9] matches
 # ASCII digits only; int() alone also takes "1_000", " 3" and other scripts'
@@ -87,9 +109,14 @@ def pmul(a, b):
 
 
 def peval(p, x):
-    """Value of p at x, by Horner's rule."""
-    acc = x - x
-    for c in reversed(p):
+    """Value of p at x, by Horner's rule from the leading coefficient.  An
+    empty or constant p starts from x - x, so that its value at a series is
+    a series."""
+    if len(p) < 2:
+        acc = x - x
+        return acc * x + p[0] if p else acc
+    acc = p[-1] * x + p[-2]
+    for c in reversed(p[:-2]):
         acc = acc * x + c
     return acc
 
@@ -190,6 +217,12 @@ class FieldSpec:
             q = next(p for p in range(2, s + 1) if s % p == 0)
             s //= q
             self._tower.append([pow(g, j * s, n) for j in range(1, q)])
+        # w^k for k < deg, w of order n mod PRIME: the image of z^k there
+        w = next(w for w in (pow(a, (PRIME - 1) // n, PRIME)
+                             for a in range(2, PRIME))
+                 if all(pow(w, n // q, PRIME) != 1
+                        for q in range(2, n + 1) if n % q == 0))
+        self._zeta_mod_p = [pow(w, k, PRIME) for k in range(deg)]
         cls._cache[n] = self
         return self
 
@@ -577,35 +610,31 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list).
 
-        Deterministic: the pivot is the first row with a nonzero entry in the
-        current column.  Entries are exact, so no magnitude heuristics apply.
+        Rows are selected modulo PRIME, eliminated exactly and certified
+        against every other row (module docstring); the result is the unique
+        RREF of the whole matrix, zero rows last.
         """
-        m = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r >= self.nrows:
+        field, rows = self.field, self.rows
+        cleared = [_cleared(row) for row in rows]
+        chosen = _independent_mod_p(field, cleared, self.ncols)
+        start = 0
+        while True:
+            red, pivots = _eliminate([rows[i] for i in chosen], self.ncols)
+            bad = _first_outside(field, cleared, set(chosen), red, pivots,
+                                 self.ncols, start)
+            if bad is None:
                 break
-            sel = None
-            for i in range(r, self.nrows):
-                if not m[i][c].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[r], m[sel] = m[sel], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, m), pivots
+            chosen.append(bad)
+            start = bad + 1
+        zero = field.zero()
+        red += [[zero] * self.ncols for _ in range(self.nrows - len(red))]
+        return Matrix(field, red), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Rank, by the rref of the transpose when that has fewer columns:
+        full column rank then leaves nothing to certify."""
+        tall = self.transpose() if self.ncols > self.nrows else self
+        return len(tall.rref()[1])
 
     def inverse(self):
         """Exact inverse of a square matrix, by rref of [M | I]."""
@@ -660,3 +689,92 @@ class Matrix:
         return "Matrix([" + ",\n        ".join(
             "[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
 
+
+def _cleared(row):
+    """A row times the lcm of its denominators, as power-basis int tuples."""
+    den = lcm(*(x.den for x in row))
+    return [x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
+            for x in row]
+
+
+def _independent_mod_p(field, cleared, ncols):
+    """Indices of the rows, in order, that modulo PRIME are independent of
+    the rows before them; stops at ncols of them.
+
+    Each kept row is stored with a 1 at its pivot column c, and zeros at the
+    pivot columns kept before it, so one pass in order reduces a new row.
+    Entries of a row under reduction stay below (ncols + 1) * PRIME^2 and are
+    brought mod PRIME once at the end.
+    """
+    zeta = field._zeta_mod_p
+    basis, chosen = [], []
+    for i, row in enumerate(cleared):
+        v = [sum(map(mul, x, zeta)) % PRIME for x in row]
+        for c, b in basis:
+            t = v[c] % PRIME
+            if t:
+                v = [x - t * y for x, y in zip(v, b)]
+        v = [x % PRIME for x in v]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, PRIME)
+        basis.append((c, [x * inv % PRIME for x in v]))
+        chosen.append(i)
+        if len(chosen) == ncols:
+            break
+    return chosen
+
+
+def _eliminate(rows, ncols):
+    """Exact Gauss-Jordan elimination, the pivot always the first row with a
+    nonzero entry in the current column; returns (nonzero rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _first_outside(field, cleared, chosen, red, pivots, ncols, start):
+    """The first row index from ``start`` on, outside ``chosen``, whose row a
+    is not sum_i a[pivots[i]] * red[i], or None.
+
+    Only the free columns f can differ.  With red over one denominator D,
+    B = D * red, the identity D * a[f] = sum_i a[pivots[i]] * B[i][f] is, on
+    the power basis, d integer dot products (d the field degree): coordinate
+    k of the sum pairs a[pivots[i]][j] with coordinate k of B[i][f] * z^j.
+    """
+    rest = [i for i in range(start, len(cleared)) if i not in chosen]
+    free = sorted(set(range(ncols)) - set(pivots))
+    if not rest or not free:
+        return None
+    d = field.degree
+    den = lcm(*(row[f].den for row in red for f in free))
+    columns = []
+    for f in free:
+        images = [field._fold([0] * j + [c * (den // x.den) for c in x.num])
+                  for x in (row[f] for row in red) for j in range(d)]
+        columns.append((f, [[im[k] for im in images] for k in range(d)]))
+    for i in rest:
+        a = cleared[i]
+        coords = [c for p in pivots for c in a[p]]
+        for f, column in columns:
+            if any(den * x != sum(map(mul, coords, col))
+                   for x, col in zip(a[f], column)):
+                return i
+    return None

@@ -170,17 +170,27 @@ class TruncatedSeries:
             self.field, lo,
             _kronecker(self.field, self.coeffs[:n], other.coeffs[:n], n), prec)
 
+    def __rmul__(self, scalar):
+        """scalar * self, for a Scalar or rational: an exact constant costs
+        no window width."""
+        return self.scale(scalar)
+
     def inverse(self):
         """Reciprocal of a series that is nonzero up to its precision.
 
         Newton iteration g <- g - g*(u*g - 1) for the unit part u, on the
         widths rel, ceil(rel/2), ..., 1 run upwards: a g correct below t^w
-        is correct below t^(2w) after one round.
+        is correct below t^(2w) after one round.  A monomial c*z^v needs no
+        rounds: its inverse is c^-1*z^-v, to the same relative precision.
         """
         if self.is_zero():
             raise DivisionByZeroSeries(
                 "inverse of a series that is zero to its precision")
         field, rel = self.field, self.relative_precision()
+        if len(self.coeffs) == 1:
+            return TruncatedSeries._make(field, -self.valuation,
+                                         [self.coeffs[0].inverse()],
+                                         rel - self.valuation)
         unit = TruncatedSeries._make(field, 0, self.coeffs, rel)
         g = TruncatedSeries._make(field, 0, [self.coeffs[0].inverse()], 1)
         schedule = [rel]

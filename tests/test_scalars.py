@@ -9,7 +9,7 @@ import pytest
 from ellprym.builder import _rational_roots
 from ellprym.errors import (DivisionByZero, FieldError, NotAnNthPower,
                             ParseError, ScalarTooLong)
-from ellprym.scalars import (MAX_SCALAR_LENGTH, SUPPORTED_ORDERS,
+from ellprym.scalars import (MAX_SCALAR_LENGTH, PRIME, SUPPORTED_ORDERS,
                              FieldSpec, Matrix, Scalar, integer_nth_root,
                              padd, pdivmod, peval, pmul, psub, ptrim,
                              rational_nth_root)
@@ -220,6 +220,176 @@ def test_to_json_writes_only_what_from_string_reads():
             too_long.to_json()
         with pytest.raises(ParseError, match="longer than"):
             Scalar.from_string(Q3, too_long.to_string())
+
+
+def exact_rref(M):
+    """Reference: exact Gauss-Jordan elimination on every row, the pivot the
+    first row with a nonzero entry in the current column (Matrix.rref before
+    it selected rows modulo PRIME)."""
+    m = [list(r) for r in M.rows]
+    pivots = []
+    r = 0
+    for c in range(M.ncols):
+        if r >= M.nrows:
+            break
+        sel = next((i for i in range(r, M.nrows) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(M.nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(M.field, m), pivots
+
+
+def _reference_kernel(M):
+    red, pivots = exact_rref(M)
+    basis = []
+    for f in (c for c in range(M.ncols) if c not in pivots):
+        v = [M.field.zero()] * M.ncols
+        v[f] = M.field.one()
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(M, rhs):
+    red, pivots = exact_rref(Matrix(M.field, [list(r) + [b] for r, b in
+                                              zip(M.rows, rhs)]))
+    if M.ncols in pivots:
+        return None
+    x = [M.field.zero()] * M.ncols
+    for i, p in enumerate(pivots):
+        x[p] = red.rows[i][M.ncols]
+    return x
+
+
+def _random_entry(rng, field, bits=8):
+    """A random element, zero about one time in four."""
+    if rng.random() < 0.25:
+        return field.zero()
+    return field.from_coefficients(
+        [F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+         for _ in range(field.degree)])
+
+
+def _random_matrix(rng, field, nrows, ncols, rank, bits=8):
+    """An nrows x ncols product of random nrows x rank and rank x ncols
+    factors, so of rank at most ``rank``."""
+    if rank == 0:
+        return Matrix.zero(field, nrows, ncols)
+    left = [[_random_entry(rng, field, bits) for _ in range(rank)]
+            for _ in range(nrows)]
+    right = [[_random_entry(rng, field, bits) for _ in range(ncols)]
+             for _ in range(rank)]
+    return Matrix(field, left).matmul(Matrix(field, right))
+
+
+def _sympy_rref(sympy, M, red):
+    """M's rref rows and pivots from sympy's DomainMatrix, and the rows of
+    red, both with entries in sympy's QQ or QQ(sqrt(-3)), where zeta_3 is
+    (-1 + sqrt(-3))/2."""
+    from sympy.polys.matrices import DomainMatrix
+    if M.field is Q:
+        dom, zeta = sympy.QQ, 1
+    else:
+        dom = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+        zeta = dom.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+
+    def convert(matrix):
+        return [[sum((dom.convert(sympy.Rational(c.numerator, c.denominator))
+                      * zeta ** k for k, c in enumerate(x.coeffs)), dom.zero)
+                 for x in row] for row in matrix.rows]
+
+    want, pivots = DomainMatrix(convert(M), (M.nrows, M.ncols), dom).rref()
+    return want.to_list(), list(pivots), convert(red)
+
+
+SHAPES = [(12, 4, 4), (12, 5, 3), (20, 6, 5), (4, 12, 4), (5, 12, 2),
+          (6, 6, 6), (6, 6, 4), (7, 7, 0), (1, 5, 1), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{m}x{n}r{r}" for m, n, r
+                                               in SHAPES])
+def test_rref_matches_exact_reference_and_sympy(field, shape):
+    """rref, rank, kernel_basis and solve against the full elimination, and
+    rref and rank against sympy, on tall, wide and square matrices of full
+    and deficient rank, at two heights."""
+    sympy = pytest.importorskip("sympy")
+    nrows, ncols, rank = shape
+    rng = random.Random(nrows * 1000 + ncols * 10 + rank + field.degree)
+    for bits in (8, 32):
+        M = _random_matrix(rng, field, nrows, ncols, rank, bits)
+        red, pivots = M.rref()
+        assert (red, pivots) == exact_rref(M)
+        want_rows, want_pivots, rows = _sympy_rref(sympy, M, red)
+        assert pivots == want_pivots and M.rank() == len(want_pivots)
+        assert rows == want_rows
+        assert M.kernel_basis() == _reference_kernel(M)
+        consistent = M.mul_vec([_random_entry(rng, field, bits)
+                                for _ in range(ncols)])
+        anything = [_random_entry(rng, field, bits) for _ in range(nrows)]
+        for rhs in (consistent, anything):
+            assert M.solve(rhs) == _reference_solve(M, rhs)
+        assert M.solve(consistent) is not None
+
+
+def _fooling_matrices(field):
+    """Matrices whose rank drops modulo PRIME: multiples of PRIME, and
+    denominators PRIME divides (cleared, the row is PRIME times another)."""
+    z, p = field.zeta(), field.scalar(PRIME)
+    yield [[p, 0], [0, 1], [0, 2]]
+    yield [[0, 1], [0, 2], [p, 0]]
+    yield [[0, 1], [p * z, 0], [0, 2]]
+    yield [[F(1, PRIME), 1], [1, 0], [2, 0]]
+    yield [[1, 0], [2, 0], [F(1, PRIME), 1]]
+    yield [[1, 0, 0], [0, 1, 0], [1, 1, F(1, PRIME * PRIME)],
+           [2, 2, 0], [p, p * z, p * p]]
+    yield [[p, 2 * p], [2 * p, 4 * p + p * p], [p * z, 2 * p * z]]
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_rref_corrects_a_selection_fooled_by_the_prime(field):
+    """A row the selection misses fails the exact check, joins it, and
+    every result is still that of the full elimination."""
+    for rows in _fooling_matrices(field):
+        for M in (Matrix(field, rows), Matrix(field, rows).transpose()):
+            assert M.rref() == exact_rref(M)
+            assert M.rank() == len(exact_rref(M)[1])
+            assert M.kernel_basis() == _reference_kernel(M)
+            rhs = [field.scalar(i + 1) for i in range(M.nrows)]
+            assert M.solve(rhs) == _reference_solve(M, rhs)
+    assert Matrix(field, [[PRIME, 0], [0, 1], [0, 2]]).rank() == 2
+    assert Matrix(field, [[0, 1], [0, 2], [PRIME, 0]]).rank() == 2
+    assert Matrix(field, [[1, 0], [2, 0], [F(1, PRIME), 1]]).rank() == 2
+
+
+def test_prime_maps_every_supported_field():
+    """PRIME is prime and 1 mod every supported N, and where zeta_N is not
+    rational, the field's image of it is a root of Phi_N of order N mod
+    PRIME, so reduction is a ring map."""
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(PRIME) and PRIME.bit_length() <= 64
+    for n in SUPPORTED_ORDERS:
+        assert (PRIME - 1) % n == 0
+        f = FieldSpec(n)
+        if f.degree == 1:
+            assert f._zeta_mod_p == [1]
+            continue
+        w = f._zeta_mod_p[1]
+        assert f._zeta_mod_p == [pow(w, k, PRIME) for k in range(f.degree)]
+        assert sum(c * pow(w, k, PRIME)
+                   for k, c in enumerate(f.minimal_polynomial)) % PRIME == 0
+        assert pow(w, n, PRIME) == 1
+        assert all(pow(w, n // q, PRIME) != 1
+                   for q in range(2, n + 1) if n % q == 0)
 
 
 # -- polynomial helpers -------------------------------------------------------

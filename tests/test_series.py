@@ -6,7 +6,7 @@ import pytest
 from ellprym.covering import _parse_series
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             SingularJacobian, ValuationError)
-from ellprym.scalars import FieldSpec, Scalar
+from ellprym.scalars import FieldSpec, Scalar, peval
 from ellprym.series import (TruncatedSeries, compose_all, newton_solve,
                             transform_form)
 
@@ -477,16 +477,53 @@ def _assert_matches_ring(series, p, shift=0):
 
 
 def test_inverse_against_sympy():
+    """Full-length series, and one-term series c*z^v, whose inverse
+    c^-1*z^-v takes no Newton rounds."""
     ring_series = pytest.importorskip("sympy.polys.ring_series")
     rng = random.Random(36)
     for v in (-2, 0, 1, 3):
         for rel in (1, 2, 3, 10, 17, 40, 41):
-            f = random_series(rng, Q, v, rel, v + rel, sparse=0.3)
-            z, unit = _sympy_ring(f)
-            inv = f.inverse()
-            assert inv.valuation == -v and inv.prec == rel - v
-            _assert_matches_ring(
-                inv, ring_series.rs_series_inversion(unit, z, rel), -v)
+            for length in (rel, 1):
+                f = random_series(rng, Q, v, length, v + rel, sparse=0.3)
+                z, unit = _sympy_ring(f)
+                inv = f.inverse()
+                assert inv.valuation == -v and inv.prec == rel - v
+                _assert_matches_ring(
+                    inv, ring_series.rs_series_inversion(unit, z, rel), -v)
+
+
+def _horner_from_zero(p, x):
+    """Reference: Horner's rule seeded with the zero x - x."""
+    acc = x - x
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_peval_at_a_series(field):
+    """peval starts Horner from the leading coefficient, and gives a series
+    at a series for the empty and constant polynomials too.  At valuation
+    >= 0 with Scalar coefficients it matches the zero-seeded rule, window
+    included.  With series coefficients the seed's window no longer cuts
+    the leading one, so the window may be wider; below the seeded one the
+    values agree."""
+    rng = random.Random(40)
+    for v in (0, 1, 2):
+        x = random_series(rng, field, v, 5, v + 7, sparse=0.3)
+        for degree in range(-1, 5):
+            scalars = [random_scalar(rng, field) for _ in range(degree + 1)]
+            series = [random_series(rng, field, rng.randint(0, 2), 4,
+                                    rng.randint(6, 12)) for _ in scalars]
+            for poly in (scalars, series):
+                got, want = peval(poly, x), _horner_from_zero(poly, x)
+                assert isinstance(got, TruncatedSeries)
+                assert got.prec >= want.prec
+                if poly is scalars:
+                    assert got.prec == want.prec
+                got = got.truncate(want.prec)
+                assert (got.valuation, got.coeffs) == \
+                    (want.valuation, want.coeffs)
 
 
 def test_reversion_against_sympy():
