@@ -390,26 +390,12 @@ def _place_sort_key(item):
 
 
 def _monomials_up_to(curve, M):
-    """Monomials 1, x, y, x^2, xy, ... with pole order at infinity <= M."""
-    f = curve.field
-    out = []
-    entries = []
-    i = 0
-    while 2 * i <= M:
-        entries.append((2 * i, i, 0))
-        i += 1
-    i = 0
-    while 2 * i + 3 <= M:
-        entries.append((2 * i + 3, i, 1))
-        i += 1
-    entries.sort()
-    for _, i, j in entries:
-        xs = [f.zero()] * i + [f.one()]
-        if j:
-            out.append(CurveFunction.make(curve, (), xs))
-        else:
-            out.append(CurveFunction.make(curve, xs))
-    return out
+    """Monomials 1, x, y, x^2, xy, ... with pole order at infinity <= M:
+    x^i has order 2i and y x^i has 2i + 3, one monomial per order m != 1."""
+    zero, one = curve.field.zero(), [curve.field.one()]
+    return [CurveFunction.make(curve, [zero] * (m // 2) + one) if m % 2 == 0
+            else CurveFunction.make(curve, (), [zero] * (m // 2 - 1) + one)
+            for m in range(M + 1) if m != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -632,21 +618,16 @@ def _build_chart(curve, h, place, N, window, plans):
     alpha_v = x_v.derivative().scale(N) / y_v
 
     def expand(vs, offset, target):
-        coeffs, exps = [], []
-        for i, cc in enumerate(vs.coeffs):
-            exps.append(N * (vs.valuation + i) + offset)
-            coeffs.append(cc)
         prec_u = N * vs.prec + offset
         if prec_u < target:
             raise PrecisionUnreachable(
                 f"achieved window {prec_u} < requested {target}")
-        if not exps:
+        if not vs.coeffs:
             return TruncatedSeries.zero(field, target)
-        lo = exps[0]
-        dense = [field.zero()] * (exps[-1] - lo + 1)
-        for e, cc in zip(exps, coeffs):
-            dense[e - lo] = cc
-        return TruncatedSeries(field, lo, dense, prec_u).truncate(target)
+        dense = [field.zero()] * (N * len(vs.coeffs) - N + 1)
+        dense[::N] = vs.coeffs
+        return TruncatedSeries(field, N * vs.valuation + offset, dense,
+                               prec_u).truncate(target)
 
     alpha_series = expand(alpha_v, N - 1, window)
     if alpha_series.valuation != N - 1:

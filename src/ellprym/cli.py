@@ -116,8 +116,7 @@ def _render_text(report, lines, prefix=""):
 
 
 def cmd_build(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = builder.spec_from_json(json.load(fh))
+    spec = builder.spec_from_json(covering.read_json(args.spec))
     if args.precision is not None:
         spec = spec._replace(precision=args.precision)
     result = builder.build_cover(spec)
@@ -138,8 +137,8 @@ def cmd_analyze(args):
     datum = covering.load(args.datum)
     action = None
     if args.action:
-        with open(args.action, "r", encoding="utf-8") as fh:
-            action = equivariant.CyclicAction.from_json(datum, json.load(fh))
+        action = equivariant.CyclicAction.from_json(
+            datum, covering.read_json(args.action))
     _dump(analyze_datum(datum, action), args.json, args.out)
     return 0
 
@@ -214,8 +213,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except IdentityError as exc:

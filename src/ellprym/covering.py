@@ -242,15 +242,7 @@ def validate(datum):
     # 2g-2 zeros, so with budget > 2g-2 a rank defect would be a genuine
     # linear dependence among the basis forms.
     if shape_ok and all(len(c.forms) == g for c in datum.charts):
-        rows = []
-        for i in range(g):
-            row = []
-            for j, c in enumerate(datum.charts):
-                row.extend(c.forms[i].coefficients_in(0, windows[j]))
-            for k in range(d):
-                row.append(datum.fiber.ratios[k][i])
-            rows.append(row)
-        rank = Matrix(datum.field, rows).rank() if rows else 0
+        rank = form_coefficients(datum).rank()
         add("independence_certificate",
             budget > 2 * g - 2 and rank == g,
             f"rank {rank} of g x {budget} coefficient matrix "
@@ -293,6 +285,16 @@ def validate(datum):
 
     return ValidationReport(tuple(findings), tuple(windows), budget,
                             2 * g - 2, 4 * g - 3)
+
+
+def form_coefficients(datum):
+    """The g x budget matrix of the basis forms' known data: row i holds the
+    coefficients of form i below each chart window, then its fiber ratios.
+    ``validate`` ranks it for the independence certificate."""
+    return Matrix(datum.field, [
+        [x for c in datum.charts
+         for x in c.forms[i].coefficients_in(0, c.window())] +
+        [row[i] for row in datum.fiber.ratios] for i in range(datum.genus)])
 
 
 def trace_vector(datum):
@@ -437,13 +439,19 @@ def save(datum, path):
         fh.write(text)
 
 
-def load(path):
+def read_json(path):
+    """The JSON value in a file.  A file that does not decode as JSON (bad
+    syntax or encoding, nesting too deep for the parser, an integer over
+    Python's digit limit) raises SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from None
-    return datum_from_json(obj)
+
+
+def load(path):
+    return datum_from_json(read_json(path))
 
 
 def reparametrized(datum, substitutions):
@@ -483,10 +491,8 @@ def change_basis(datum, matrix):
                     acc = acc + c.forms[k].scale(coef)
             new_forms.append(acc)
         charts.append(c._replace(forms=tuple(new_forms)))
-    ratios = tuple(
-        tuple(sum((row[k] * B.rows[k][i] for k in range(g)),
-                  datum.field.zero()) for i in range(g))
-        for row in datum.fiber.ratios)
+    Bt = B.transpose()
+    ratios = tuple(tuple(Bt.mul_vec(row)) for row in datum.fiber.ratios)
     return datum._replace(charts=tuple(charts),
                           fiber=datum.fiber._replace(ratios=ratios),
                           basis_names=tuple(f"b{i}" for i in range(g)),

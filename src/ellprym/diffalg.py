@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .covering import lex_pairs, require_valid, trace_vector
+from .covering import (form_coefficients, lex_pairs, require_valid,
+                       trace_vector)
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
 from .scalars import Matrix
@@ -63,21 +64,9 @@ def sym_square_matrix(A):
     another, S(A) does the same for tensors; with A the matrix of a linear
     map on forms it gives the image tensor.  S(AB) = S(A) S(B).
     """
-    field = A.field
-    index = {p: k for k, p in enumerate(lex_pairs(A.nrows))}
-    rows = [[field.zero()] * sym_dim(A.ncols) for _ in index]
-    for col, (i, j) in enumerate(lex_pairs(A.ncols)):
-        for a in range(A.nrows):
-            Aai = A.rows[a][i]
-            if Aai.is_zero():
-                continue
-            for b in range(A.nrows):
-                Abj = A.rows[b][j]
-                if Abj.is_zero():
-                    continue
-                row = rows[index[(a, b) if a <= b else (b, a)]]
-                row[col] = row[col] + Aai * Abj
-    return Matrix(field, rows)
+    cols = A.transpose().rows
+    return Matrix(A.field, [symmetric_product(cols[i], cols[j])
+                            for i, j in lex_pairs(A.ncols)]).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +170,10 @@ def _solve_alpha_coords(datum):
     stored alpha pullback series, which gives an overdetermined exact linear
     system with a unique solution once the independence certificate holds.
     """
-    field = datum.field
-    rows, rhs = [], []
-    for row in datum.fiber.ratios:
-        rows.append(list(row))
-        rhs.append(field.one())
-    for c in datum.charts:
-        w = c.window()
-        for e in range(w):
-            rows.append([s.coefficient(e) for s in c.forms])
-            rhs.append(c.alpha_pullback.coefficient(e))
-    sol = Matrix(field, rows).solve(rhs)
+    rhs = [x for c in datum.charts
+           for x in c.alpha_pullback.coefficients_in(0, c.window())]
+    rhs += [datum.field.one()] * datum.degree
+    sol = form_coefficients(datum).transpose().solve(rhs)
     if sol is None:
         raise ValidationFailed(
             "no basis combination matches the alpha pullback data")

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .covering import _expect, _parse_scalar, _parse_series
+from .covering import _expect, _parse_scalar, _parse_series, change_basis
 from .diffalg import gram, sym_square_matrix
 from .errors import FieldError, IdentityViolated, InputError, SchemaError
 from .geometry import evaluate_at_qminus
 from .scalars import Matrix
-from .series import TruncatedSeries, transform_form
+from .series import transform_form
 
 
 class CyclicAction(NamedTuple):
@@ -84,7 +84,9 @@ class CyclicAction(NamedTuple):
 
 
 def validate_action(datum, action):
-    """Check the action axioms against the datum; raises on failure."""
+    """Check the action axioms against the datum; raises on failure.  The
+    expected fiber rows and chart expansions are those of
+    ``change_basis(datum, action.matrix)``."""
     field = datum.field
     g = datum.genus
     N = action.order
@@ -96,26 +98,20 @@ def validate_action(datum, action):
         power = power.matmul(action.matrix)
     if power != Matrix.identity(field, g):
         raise IdentityViolated("generator matrix does not have the stated order")
+    expected = change_basis(datum, action.matrix)
     # ratio compatibility: r[sigma(k)] = r[k] . M
     R = datum.fiber.ratios
     for k in range(datum.degree):
-        lhs = R[action.fiber_permutation[k]]
-        rhs = action.matrix.transpose().mul_vec(list(R[k]))
-        if list(lhs) != rhs:
+        if R[action.fiber_permutation[k]] != expected.fiber.ratios[k]:
             raise IdentityViolated(
                 f"fiber ratios incompatible with the action at point {k}")
     # chart transport: expansions of pulled-back forms match the matrix
     for j, (target, rho) in enumerate(action.chart_moves):
-        src = datum.charts[target]
-        dst = datum.charts[j]
-        for i, transported in enumerate(transform_form(src.forms, rho)):
-            expect = TruncatedSeries.zero(field, transported.prec)
-            for a in range(g):
-                coef = action.matrix.rows[a][i]
-                if not coef.is_zero():
-                    expect = expect + dst.forms[a].scale(coef)
+        transported = transform_form(datum.charts[target].forms, rho)
+        for i, (t, expect) in enumerate(zip(transported,
+                                            expected.charts[j].forms)):
             # the difference is known to the narrower of the two windows
-            if not (transported - expect).is_zero():
+            if not (t - expect).is_zero():
                 raise IdentityViolated(
                     f"chart transport mismatch for form {i} at chart {j}")
     return True
@@ -341,18 +337,10 @@ def _known_point_functionals(datum):
 
 
 def _proportional(u, v):
-    """Exact projective equality of two nonzero vectors."""
-    pairs = list(zip(u, v))
-    for a, b in pairs:
-        if a.is_zero() != b.is_zero():
-            return False
-    ref = None
-    for a, b in pairs:
-        if not a.is_zero():
-            ratio = b / a
-            if ref is None:
-                ref = ratio
-            elif ratio != ref:
-                return False
-    return ref is not None
+    """Exact projective equality of two nonzero vectors: v[i] != 0 and
+    u[k] v[i] = v[k] u[i] for all k, u[i] the first nonzero entry of u."""
+    i = next((i for i, a in enumerate(u) if a), None)
+    if i is None or not v[i]:
+        return False
+    return all(a * v[i] == b * u[i] for a, b in zip(u, v))
 

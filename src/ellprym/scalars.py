@@ -186,7 +186,8 @@ def rational_nth_root(q, k):
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """The coefficient field Q(zeta_N); N = 1 means plain rationals."""
+    """The coefficient field Q(zeta_N); N = 1 means plain rationals.
+    __new__ keeps one instance per order, so fields compare by identity."""
 
     _cache = {}
 
@@ -229,13 +230,6 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self.cyclotomic_order})"
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and \
-            self.cyclotomic_order == other.cyclotomic_order
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.cyclotomic_order))
-
     # -- integer polynomials on the power basis ------------------------------
 
     def _fold(self, c):
@@ -261,7 +255,7 @@ class FieldSpec:
 
     def scalar(self, value):
         if isinstance(value, Scalar):
-            if value.field is not self and value.field != self:
+            if value.field is not self:
                 raise FieldError("scalar belongs to a different field")
             return value
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
@@ -342,7 +336,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise FieldError("mixed-field arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
@@ -576,19 +570,8 @@ class Matrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out)
+        cols = other.transpose()
+        return Matrix(self.field, [cols.mul_vec(row) for row in self.rows])
 
     def mul_vec(self, vec):
         zero = self.field.zero()

@@ -135,7 +135,7 @@ class TruncatedSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def _check_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise FieldError("mixed-field series arithmetic")
 
     def __add__(self, other):

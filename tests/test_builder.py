@@ -75,6 +75,20 @@ def test_divisor_with_two_torsion_multiplicity():
     assert div == {E.point(-1, 0): 2, INFINITY: -2}
 
 
+@pytest.mark.parametrize("c", [[0, 1], [1, 2], [2, 1]],
+                         ids=["zeta_3", "1+2zeta_3", "2+zeta_3"])
+def test_divisor_of_a_constant_multiple_is_unchanged(c):
+    """c h has the zeros of h.  For c = zeta_3 and 2 + zeta_3 the norm
+    polynomial of c h has non-rational coefficients, and its roots are found
+    through the product of its Galois conjugates; 1 + 2 zeta_3 = sqrt(-3)
+    has a rational square and keeps the norm rational."""
+    spec = pirola_spec()
+    E, h = spec.curve, spec.h
+    c = Q3.from_coefficients(c)
+    ch = CurveFunction.make(E, [c * a for a in h.P], [c * b for b in h.Q])
+    assert divisor_of(E, ch) == divisor_of(E, h)
+
+
 def _times(fn, P, Q=()):
     """fn * (P + yQ), reduced through y^2 = rhs."""
     rhs = fn.curve.rhs()

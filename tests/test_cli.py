@@ -333,7 +333,7 @@ def test_analyze_action_not_json_exits_2(tmp_path, capsys, pirola_built):
     action.write_text("not json")
     code = main(["analyze", str(pirola_built[0]), "--action", str(action)])
     assert code == 2
-    assert "error: JSONDecodeError" in capsys.readouterr().err
+    assert "error: SchemaError: : invalid JSON" in capsys.readouterr().err
 
 
 def test_build_spec_not_utf8_exits_2(tmp_path, capsys):
@@ -341,7 +341,24 @@ def test_build_spec_not_utf8_exits_2(tmp_path, capsys):
     spec.write_bytes(b"\xff\xfe{}")
     code = main(["build", str(spec), "--out", str(tmp_path / "d.json")])
     assert code == 2
-    assert "error: UnicodeDecodeError" in capsys.readouterr().err
+    assert "error: SchemaError: : invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, "1" * 5_000],
+                         ids=["deeply_nested", "long_integer"])
+@pytest.mark.parametrize("role", ["datum", "spec", "action"])
+def test_file_that_does_not_decode_as_json_exits_2(tmp_path, capsys,
+                                                    pirola_built, role, text):
+    """Nesting past the parser's recursion limit and an integer over
+    Python's 4300-digit limit are refused like bad syntax, for every file
+    the CLI reads."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {"datum": ["analyze", str(bad)],
+            "spec": ["build", str(bad), "--out", str(tmp_path / "d.json")],
+            "action": ["analyze", str(pirola_built[0]), "--action", str(bad)]}
+    assert main(argv[role]) == 2
+    assert "error: SchemaError: : invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "build", "demo"])

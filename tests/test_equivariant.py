@@ -1,11 +1,15 @@
 import pytest
 
 from ellprym.diffalg import multiply, sym_square_matrix, symmetric_product
-from ellprym.equivariant import (CyclicAction, eigenspaces, run_battery,
-                                 sym2_eigenspaces, validate_action)
+from ellprym.equivariant import (CyclicAction, _proportional, eigenspaces,
+                                 run_battery, sym2_eigenspaces,
+                                 validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
 from ellprym.series import TruncatedSeries, transform_form
+
+Q3 = FieldSpec(3)
+_Z = Q3.zeta()
 
 
 def test_action_validates(all_bundles):
@@ -44,6 +48,46 @@ def test_corrupted_action_detected(pirola):
                        pirola.action.fiber_permutation)
     with pytest.raises(IdentityViolated, match="chart transport mismatch"):
         validate_action(pirola.datum, bad)
+
+
+def test_action_failures_in_check_order(pirola):
+    """The generator's order is checked first, then the fiber, then the
+    charts; each message names the first failing point, form and chart."""
+    field, action = pirola.datum.field, pirola.action
+    moves = list(action.chart_moves)
+    moves[1] = (moves[1][0], moves[1][1].scale(field.zeta()))
+    bad_chart = action._replace(chart_moves=tuple(moves))
+    bad_fiber = bad_chart._replace(fiber_permutation=(0, 2, 1))
+    bad_order = bad_fiber._replace(matrix=Matrix(
+        field, [[2 * x for x in row] for row in action.matrix.rows]))
+    for bad, message in [
+            (bad_order, "generator matrix does not have the stated order"),
+            (bad_fiber, "fiber ratios incompatible with the action at point 0"),
+            (bad_chart, "chart transport mismatch for form 1 at chart 1")]:
+        with pytest.raises(IdentityViolated) as err:
+            validate_action(pirola.datum, bad)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("u,v,expected", [
+    ([1, 2, 0, _Z], [3 * _Z, 6 * _Z, 0, 3 * _Z * _Z], True),
+    ([0, 1, 2], [0, _Z, 2 * _Z], True),
+    ([1, 0, 2], [1, 1, 2], False),
+    ([1, 1, 2], [1, 0, 2], False),
+    ([0, 1], [1, 1], False),
+    ([1, 1], [0, 1], False),
+    ([1, 0, 2], [1, 0, 3], False),
+    ([_Z, 1], [1, _Z], False),
+    ([1, 2], [0, 0], False),
+    ([0, 0], [1, 1], False),
+    ([0, 0], [0, 0], False),
+], ids=["scaled", "scaled_leading_zero", "v_has_more_nonzeros",
+        "v_has_fewer_nonzeros", "u_leading_zero_only", "v_leading_zero_only",
+        "same_zeros_not_proportional", "same_zeros_other_ratio", "zero_v",
+        "zero_u", "both_zero"])
+def test_proportional_table(u, v, expected):
+    assert _proportional([Q3.scalar(x) for x in u],
+                         [Q3.scalar(x) for x in v]) is expected
 
 
 def test_eigenspace_dims(pirola):

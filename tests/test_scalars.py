@@ -291,24 +291,48 @@ def _random_matrix(rng, field, nrows, ncols, rank, bits=8):
     return Matrix(field, left).matmul(Matrix(field, right))
 
 
-def _sympy_rref(sympy, M, red):
-    """M's rref rows and pivots from sympy's DomainMatrix, and the rows of
-    red, both with entries in sympy's QQ or QQ(sqrt(-3)), where zeta_3 is
-    (-1 + sqrt(-3))/2."""
+def _to_sympy(sympy, matrix):
+    """A DomainMatrix over sympy's QQ or QQ(sqrt(-3)), where zeta_3 is
+    (-1 + sqrt(-3))/2, with the entries of matrix."""
     from sympy.polys.matrices import DomainMatrix
-    if M.field is Q:
+    if matrix.field is Q:
         dom, zeta = sympy.QQ, 1
     else:
         dom = sympy.QQ.algebraic_field(sympy.sqrt(-3))
         zeta = dom.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+    rows = [[sum((dom.convert(sympy.Rational(c.numerator, c.denominator))
+                  * zeta ** k for k, c in enumerate(x.coeffs)), dom.zero)
+             for x in row] for row in matrix.rows]
+    return DomainMatrix(rows, (matrix.nrows, matrix.ncols), dom)
 
-    def convert(matrix):
-        return [[sum((dom.convert(sympy.Rational(c.numerator, c.denominator))
-                      * zeta ** k for k, c in enumerate(x.coeffs)), dom.zero)
-                 for x in row] for row in matrix.rows]
 
-    want, pivots = DomainMatrix(convert(M), (M.nrows, M.ncols), dom).rref()
-    return want.to_list(), list(pivots), convert(red)
+def _sympy_rref(sympy, M, red):
+    """M's rref rows and pivots from sympy's DomainMatrix, and the rows of
+    red, both with entries in sympy's QQ or QQ(sqrt(-3))."""
+    want, pivots = _to_sympy(sympy, M).rref()
+    return want.to_list(), list(pivots), _to_sympy(sympy, red).to_list()
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_matmul_matches_sympy(field):
+    """matmul against sympy's DomainMatrix product on seeded rectangular
+    factors, each with a zero row and a zero column."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31 + field.degree)
+    for m, k, n in [(3, 4, 5), (5, 2, 3), (2, 6, 4), (4, 4, 4)]:
+        factors = []
+        for rows, cols in ((m, k), (k, n)):
+            entries = [[_random_entry(rng, field, 16) for _ in range(cols)]
+                       for _ in range(rows)]
+            zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+            factors.append(Matrix(field, [
+                [0 if i == zero_row or j == zero_col else x
+                 for j, x in enumerate(row)] for i, row in enumerate(entries)]))
+        A, B = factors
+        product = A.matmul(B)
+        assert (product.nrows, product.ncols) == (m, n)
+        want = _to_sympy(sympy, A) * _to_sympy(sympy, B)
+        assert _to_sympy(sympy, product).to_list() == want.to_list()
 
 
 SHAPES = [(12, 4, 4), (12, 5, 3), (20, 6, 5), (4, 12, 4), (5, 12, 2),
