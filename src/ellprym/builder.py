@@ -622,12 +622,14 @@ def _build_chart(curve, h, place, N, window, plans):
         if prec_u < target:
             raise PrecisionUnreachable(
                 f"achieved window {prec_u} < requested {target}")
-        if not vs.coeffs:
+        if not vs.num:
             return TruncatedSeries.zero(field, target)
-        dense = [field.zero()] * (N * len(vs.coeffs) - N + 1)
-        dense[::N] = vs.coeffs
-        return TruncatedSeries(field, N * vs.valuation + offset, dense,
-                               prec_u).truncate(target)
+        d = field.degree
+        dense = [0] * (N * len(vs.num) - (N - 1) * d)
+        for r in range(d):
+            dense[r::N * d] = vs.num[r::d]
+        return TruncatedSeries._make(field, N * vs.valuation + offset, dense,
+                                     vs.den, prec_u, True).truncate(target)
 
     alpha_series = expand(alpha_v, N - 1, window)
     if alpha_series.valuation != N - 1:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import SchemaError, ValidationFailed
-from .scalars import FieldSpec, Matrix, Scalar
-from .series import TruncatedSeries, transform_form
+from .scalars import MAX_SCALAR_LENGTH, FieldSpec, Matrix, Scalar
+from .series import MAX_DENOMINATOR, TruncatedSeries, transform_form
 
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
@@ -117,8 +118,8 @@ class CoveringDatum(_DatumFields):
             inv_alpha = c.alpha_pullback.inverse()
             products = [(c.forms[i] * c.forms[j]).truncate(w)
                         for i, j in pairs]
-            charts.append(Matrix(fld, [[s.coefficient(e) for s in products]
-                                       for e in range(w)]))
+            charts.append(Matrix(fld, list(zip(*(s.coefficients_in(0, w)
+                                                 for s in products)))))
             # 1/alpha starts at u^-v, so only the terms of f_i f_j below u^v
             # reach the residue
             v = c.alpha_pullback.valuation
@@ -360,6 +361,12 @@ def _parse_series(field, obj, pointer):
     raw = _expect(obj, "coeffs", list, pointer)
     coeffs = [_parse_scalar(field, s, f"{pointer}/coeffs/{i}")
               for i, s in enumerate(raw)]
+    den = 1
+    for i, c in enumerate(coeffs):
+        den = lcm(den, c.den)
+        if den >= MAX_DENOMINATOR:
+            raise SchemaError(f"{pointer}/coeffs/{i}", "common denominator "
+                              f"over {MAX_SCALAR_LENGTH} digits")
     try:
         return TruncatedSeries(field, v, coeffs, p)
     except ValueError as exc:

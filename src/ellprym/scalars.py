@@ -230,6 +230,10 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self.cyclotomic_order})"
 
+    def __reduce__(self):
+        """Copies and pickles go through __new__, to the cached instance."""
+        return FieldSpec, (self.cyclotomic_order,)
+
     # -- integer polynomials on the power basis ------------------------------
 
     def _fold(self, c):

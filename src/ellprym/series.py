@@ -7,71 +7,97 @@ products and quotients) and consumers fail loudly with InsufficientPrecision
 instead of silently truncating; the downstream kernel computations rely on
 certified windows.
 
-Representation: ``coeffs[0]`` is the coefficient at exponent ``valuation``
-and is nonzero unless the series is the tracked-precision zero series, in
-which case ``coeffs`` is empty and ``valuation == prec``.
+Representation: as FLINT's ``fmpq_poly``, and as a Scalar, a series is one
+flat list ``num`` of integers over one ``den`` > 0 with gcd(den, *num) = 1:
+the d = field.degree power-basis integers of the coefficient at exponent
+``valuation``, then those of each next exponent.  The first and the last
+coefficient are nonzero, except in the tracked-precision zero series, whose
+``num`` is empty, ``den`` 1 and ``valuation == prec``.  Sums, scaling,
+shifts, truncation and the derivative are integer list operations; Scalars
+are made only where coefficients are read (``coefficients_in``, and through
+it ``coefficient``, ``coeffs``, ``to_json`` and ``repr``).
 
-Algorithms: a product is one big-integer product by Kronecker substitution
-(Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 44(10), 2009): each operand over one
-common denominator, its coefficients packed into the slots of one integer,
-and only the coefficients inside the result window read back.  ``inverse``
-is Newton iteration g <- g*(2 - u*g) at doubling widths over that product.
-Composition is Brent-Kung baby-step/giant-step (Brent & Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978).
-``compose_all`` forms the baby and giant powers of one inner series once for
-a list of outer series, and each outer keeps its own window; ``compose`` is
-its one-element case, and ``transform_form`` changes the parameter of a list
-of 1-forms through it.  Reversion and ``newton_solve`` are Newton iterations
-whose rounds work only at the precision they make correct, plus one guard
-coefficient.  Result windows are fixed by the inputs' windows alone, never by
-the evaluation scheme.  Reversions and Newton solutions are checked exactly
-at their full window before they are returned.
+Algorithms: a product with a one-term operand is a scaling.  Any other is
+one big-integer product by Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 44(10), 2009) of the two packed ``num`` lists, read back
+only inside the result window, over the product of the denominators.
+``inverse`` is Newton iteration g <- g*(2 - u*g) at doubling widths.
+Composition is Brent-Kung baby-step/giant-step (Brent & Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 25(4), 1978).
+``compose_all`` forms and packs the baby and giant powers of one inner
+series once for a list of outer series, and each outer keeps its own
+window; ``compose`` is its one-element case, and ``transform_form`` changes
+the parameter of a list of 1-forms through it.  Reversion and
+``newton_solve`` are Newton iterations whose rounds work only at the
+precision they make correct, plus one guard coefficient.  Result windows
+are fixed by the inputs' windows alone, never by the evaluation scheme.
+Reversions and Newton solutions are checked exactly at their full window
+before they are returned.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
-                     SingularJacobian, ValuationError)
-from .scalars import Scalar, peval
+                     ScalarTooLong, SingularJacobian, ValuationError)
+from .scalars import MAX_SCALAR_LENGTH, Scalar, peval
+
+# A series' common denominator, like a scalar string, has at most
+# MAX_SCALAR_LENGTH digits.  covering's loader refuses a longer one before
+# putting the coefficients over it, and to_json refuses to write one, so
+# loading a series costs at most its length times an integer of this size.
+MAX_DENOMINATOR = 10 ** MAX_SCALAR_LENGTH
 
 
 class TruncatedSeries:
 
-    __slots__ = ("field", "valuation", "coeffs", "prec")
+    __slots__ = ("field", "valuation", "num", "den", "prec")
 
     def __init__(self, field, valuation, coeffs, prec):
         coeffs = [field.scalar(c) for c in coeffs]
         valuation, prec = int(valuation), int(prec)
         if valuation + len(coeffs) > prec:
             raise ValueError("coefficients extend beyond the stated precision")
-        s = TruncatedSeries._make(field, valuation, coeffs, prec)
-        self.field, self.valuation, self.coeffs, self.prec = \
-            field, s.valuation, s.coeffs, prec
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        lead = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+        # Scalars in lowest terms stay so over the lcm of their denominators
+        den = math.lcm(*(c.den for c in coeffs))
+        self.field, self.num, self.den, self.prec = field, [
+            x * (den // c.den) for c in coeffs[lead:] for x in c.num], den, prec
+        self.valuation = valuation + lead if coeffs else prec
 
     @classmethod
-    def _make(cls, field, valuation, coeffs, prec):
-        """The series of a list of the field's Scalars, with no coercion:
-        leading and trailing zeros are stripped, and the zero series has
-        valuation prec."""
-        start, stop = 0, len(coeffs)
-        while start < stop and coeffs[start].is_zero():
-            start += 1
-        while stop > start and coeffs[stop - 1].is_zero():
-            stop -= 1
+    def _make(cls, field, valuation, num, den, prec, lowest=False):
+        """The series of a flat int list num over den > 0, with no coercion.
+        Unless ``lowest``, zero coefficients are stripped from both ends and
+        num/den is brought to lowest terms."""
+        if not lowest:
+            d, start, stop = field.degree, 0, len(num)
+            while start < stop and not num[start]:
+                start += 1
+            while stop > start and not num[stop - 1]:
+                stop -= 1
+            start -= start % d
+            if start or stop < len(num):
+                num = num[start:stop + -stop % d]
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [x // g for x in num], den // g
+            valuation = valuation + start // d if num else prec
         self = object.__new__(cls)
-        self.field, self.prec = field, prec
-        self.coeffs = tuple(coeffs[start:stop])
-        self.valuation = valuation + start if start < stop else prec
+        self.field, self.valuation, self.num, self.den, self.prec = \
+            field, valuation, num, den, prec
         return self
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, field, prec):
-        return cls(field, prec, [], prec)
+        return cls._make(field, prec, [], 1, prec, True)
 
     @classmethod
     def monomial(cls, field, exponent, coeff, prec):
@@ -92,45 +118,54 @@ class TruncatedSeries:
 
     def is_zero(self):
         """True when no nonzero coefficient is known (within the window)."""
-        return not self.coeffs
+        return not self.num
 
     def relative_precision(self):
         return self.prec - self.valuation
 
     def coefficient(self, exponent):
-        if exponent >= self.prec:
-            raise InsufficientPrecision(
-                f"coefficient at exponent {exponent} outside window "
-                f"[{self.valuation}, {self.prec})")
-        if exponent < self.valuation or \
-                exponent - self.valuation >= len(self.coeffs):
-            return self.field.zero()
-        return self.coeffs[exponent - self.valuation]
+        return self.coefficients_in(exponent, exponent + 1)[0]
 
     def coefficients_in(self, start, stop):
-        """Known coefficients for exponents start..stop-1 (stop <= prec)."""
-        return [self.coefficient(e) for e in range(start, stop)]
+        """Known coefficients for exponents start..stop-1 (stop <= prec), as
+        Scalars made in one pass."""
+        if stop > max(start, self.prec):
+            raise InsufficientPrecision(
+                f"coefficient at exponent {max(start, self.prec)} outside "
+                f"window [{self.valuation}, {self.prec})")
+        field, num, den, d = self.field, self.num, self.den, self.field.degree
+        zero = field.zero()
+        return [Scalar._make(field, tuple(num[i:i + d]), den)
+                if 0 <= i < len(num) else zero
+                for i in range((start - self.valuation) * d,
+                               (stop - self.valuation) * d, d)]
+
+    @property
+    def coeffs(self):
+        """The coefficients from the valuation on, as a tuple of Scalars."""
+        v = self.valuation
+        return tuple(self.coefficients_in(
+            v, v + len(self.num) // self.field.degree))
 
     def truncate(self, new_prec):
         if new_prec > self.prec:
             raise InsufficientPrecision(
                 f"cannot extend window from {self.prec} to {new_prec}")
-        keep = [c for i, c in enumerate(self.coeffs)
-                if self.valuation + i < new_prec]
-        return TruncatedSeries(self.field, min(self.valuation, new_prec),
-                               keep, new_prec)
+        keep = max(0, new_prec - self.valuation) * self.field.degree
+        return TruncatedSeries._make(
+            self.field, min(self.valuation, new_prec), self.num[:keep],
+            self.den, new_prec, keep >= len(self.num))
 
     def shift(self, k):
         """Multiply by z^k (exact)."""
-        return TruncatedSeries(self.field, self.valuation + k, self.coeffs,
-                               self.prec + k)
+        return TruncatedSeries._make(self.field, self.valuation + k, self.num,
+                                     self.den, self.prec + k, True)
 
     def scale(self, scalar):
-        scalar = self.field.scalar(scalar)
-        if scalar.is_zero():
-            return TruncatedSeries.zero(self.field, self.prec)
-        return TruncatedSeries(self.field, self.valuation,
-                               [scalar * c for c in self.coeffs], self.prec)
+        c = self.field.scalar(scalar)
+        return TruncatedSeries._make(self.field, self.valuation,
+                                     _times(self.field, self.num, c.num),
+                                     self.den * c.den, self.prec)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -141,34 +176,46 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             # a scalar is an exact constant: it costs no window width
-            other = TruncatedSeries(self.field, 0, [other], max(self.prec, 1))
+            c = self.field.scalar(other)
+            other = TruncatedSeries._make(self.field, 0, list(c.num), c.den,
+                                          max(self.prec, 1))
         self._check_field(other)
-        prec = min(self.prec, other.prec)
-        lo = min(self.valuation, other.valuation, prec)
-        out = [self.field.zero()] * (prec - lo)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs[:max(0, prec - s.valuation)],
-                                  s.valuation - lo):
-                out[i] = out[i] + c if out[i] else c
-        return TruncatedSeries._make(self.field, lo, out, prec)
+        prec, d = min(self.prec, other.prec), self.field.degree
+        a, b = (self, other) if self.valuation <= other.valuation else \
+            (other, self)
+        x = a.num[:max(0, prec - a.valuation) * d]
+        y = b.num[:max(0, prec - b.valuation) * d]
+        den = a.den
+        if den != b.den:
+            g = math.gcd(den, b.den)
+            x, y = [v * (b.den // g) for v in x], [v * (den // g) for v in y]
+            den = den // g * b.den
+        i = (b.valuation - a.valuation) * d
+        out = x + [0] * (i + len(y) - len(x))
+        out[i:i + len(y)] = map(operator.add, out[i:i + len(y)], y)
+        return TruncatedSeries._make(self.field, a.valuation, out, den, prec)
 
     def __neg__(self):
-        return TruncatedSeries(self.field, self.valuation,
-                               [-c for c in self.coeffs], self.prec)
+        return TruncatedSeries._make(self.field, self.valuation,
+                                     [-x for x in self.num], self.den,
+                                     self.prec, True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """A one-term operand scales the other; any other product is one
+        Kronecker product (`_kronecker`)."""
         self._check_field(other)
+        field, d = self.field, self.field.degree
         prec = min(self.valuation + other.prec, other.valuation + self.prec)
         lo = self.valuation + other.valuation
         n = prec - lo
-        if n <= 0 or not self.coeffs or not other.coeffs:
-            return TruncatedSeries._make(self.field, prec, [], prec)
-        return TruncatedSeries._make(
-            self.field, lo,
-            _kronecker(self.field, self.coeffs[:n], other.coeffs[:n], n), prec)
+        if n <= 0 or not self.num or not other.num:
+            return TruncatedSeries.zero(field, prec)
+        a, b = sorted((self.num[:n * d], other.num[:n * d]), key=len)
+        num = _times(field, b, a) if len(a) == d else _kronecker(field, a, b, n)
+        return TruncatedSeries._make(field, lo, num, self.den * other.den, prec)
 
     def __rmul__(self, scalar):
         """scalar * self, for a Scalar or rational: an exact constant costs
@@ -186,18 +233,17 @@ class TruncatedSeries:
         if self.is_zero():
             raise DivisionByZeroSeries(
                 "inverse of a series that is zero to its precision")
-        field, rel = self.field, self.relative_precision()
-        if len(self.coeffs) == 1:
-            return TruncatedSeries._make(field, -self.valuation,
-                                         [self.coeffs[0].inverse()],
-                                         rel - self.valuation)
-        unit = TruncatedSeries._make(field, 0, self.coeffs, rel)
-        g = TruncatedSeries._make(field, 0, [self.coeffs[0].inverse()], 1)
+        field, rel, d = self.field, self.relative_precision(), self.field.degree
+        lead = Scalar._make(field, tuple(self.num[:d]), self.den).inverse()
+        g = TruncatedSeries._make(field, 0, list(lead.num), lead.den, 1, True)
+        if len(self.num) == d:
+            return _rewindow(g, rel).shift(-self.valuation)
+        unit = TruncatedSeries._make(field, 0, self.num, self.den, rel, True)
         schedule = [rel]
         while schedule[-1] > 1:
             schedule.append(-(-schedule[-1] // 2))
         for known in reversed(schedule[:-1]):
-            g = TruncatedSeries._make(field, 0, g.coeffs, known)
+            g = _rewindow(g, known)
             g = g - g * (unit * g - 1)
         return g.shift(-self.valuation)
 
@@ -208,12 +254,10 @@ class TruncatedSeries:
         return self * other.inverse()
 
     def derivative(self):
-        out = []
-        lo = self.valuation - 1
-        for i, c in enumerate(self.coeffs):
-            e = self.valuation + i
-            out.append(c * e)
-        return TruncatedSeries(self.field, lo, out, self.prec - 1)
+        v, d = self.valuation, self.field.degree
+        return TruncatedSeries._make(self.field, v - 1, [
+            x * (v + i // d) for i, x in enumerate(self.num)], self.den,
+            self.prec - 1)
 
     # -- analytic operations ------------------------------------------------------
 
@@ -245,7 +289,7 @@ class TruncatedSeries:
                 f"reversion requires valuation 1, got {self.valuation}")
         rel = self.relative_precision()
         ident = TruncatedSeries.identity(self.field, rel + 1)
-        g = ident.scale(self.coeffs[0].inverse()).truncate(2)
+        g = ident.scale(self.coefficient(1).inverse()).truncate(2)
         schedule = [rel + 1]
         while schedule[-1] > 2:
             schedule.append(-(-schedule[-1] // 2))
@@ -254,7 +298,7 @@ class TruncatedSeries:
         for good, known in zip(schedule, schedule[1:]):
             # g is correct below z^good, so err = O(z^good) and the quotient
             # err / self'(g) needs self'(g) below z^(known - good) only
-            g = TruncatedSeries(self.field, g.valuation, g.coeffs, known)
+            g = _rewindow(g, known)
             f_g, dg = compose_all(
                 [self.truncate(known), deriv.truncate(known - good)], g)
             err = f_g - ident.truncate(known)
@@ -268,16 +312,20 @@ class TruncatedSeries:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
+        """The coefficients as scalar strings; a series whose common
+        denominator the loader would refuse raises ScalarTooLong."""
+        if self.den >= MAX_DENOMINATOR:
+            raise ScalarTooLong(f"series denominator of {self.den.bit_length()}"
+                                f" bits has over {MAX_SCALAR_LENGTH} digits")
         return {"valuation": self.valuation,
                 "prec": self.prec,
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and
-                self.field == other.field and
-                self.valuation == other.valuation and
-                self.coeffs == other.coeffs and
-                self.prec == other.prec)
+                self.field is other.field and
+                (self.valuation, self.prec, self.den, self.num) ==
+                (other.valuation, other.prec, other.den, other.num))
 
     def __repr__(self):
         if self.is_zero():
@@ -298,15 +346,16 @@ def compose_all(outers, inner):
     """[outer(inner) for outer in outers], for inner of valuation >= 1 and
     outers of valuation >= 0.
 
-    Each outer z^lo * q(z) is evaluated as q(inner) * inner^lo, with q(inner)
-    by Brent-Kung baby-step/giant-step: about 2*sqrt(m) series products for
-    the m terms of q that reach the window, where Horner needs m.  With
-    k = ceil(sqrt(m)) for the longest q, the baby powers inner^0..inner^(k-1)
-    and the giant step inner^k are formed once for the whole list, at the
-    widest window any outer needs.  Each outer keeps its own window,
-    min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg) for
-    vg = inner.valuation, as a term-by-term Horner evaluation would give, and
-    the shared powers are cut to it before use.
+    Each outer z^lo * q(z) is q(inner) * inner^lo.  With k = ceil(sqrt(m))
+    for the longest q, of m terms, the baby powers inner^0..inner^(k-1) and
+    the giant step inner^k are formed once, at the widest window any outer
+    needs, and the baby powers packed once over one denominator: each block
+    of k terms of q is one integer dot product, read back as far as its
+    outer's window, and the blocks are joined by Horner in the giant step.
+    A monomial inner c*z^vg needs no powers (`_monomial_compose`).  Each
+    outer keeps its own window, min(vg * outer.prec, inner.prec +
+    (outer.valuation - 1) * vg) for vg = inner.valuation, as a term-by-term
+    Horner evaluation would give.
     """
     for outer in outers:
         outer._check_field(inner)
@@ -314,7 +363,7 @@ def compose_all(outers, inner):
             raise ValuationError("composition requires outer valuation >= 0")
     if inner.is_zero() or inner.valuation < 1:
         raise ValuationError("composition requires inner valuation >= 1")
-    field, vg = inner.field, inner.valuation
+    field, vg, d = inner.field, inner.valuation, inner.field.degree
     plans = []
     for outer in outers:
         # error from outer truncation is O(inner^prec); error from inner
@@ -323,82 +372,143 @@ def compose_all(outers, inner):
         # only the terms with e*vg < prec reach the window, and q(inner) is
         # needed below z^(prec - lo*vg)
         lo = outer.valuation
-        q = outer.coefficients_in(lo, min(outer.prec, -(-prec // vg)))
-        plans.append((prec, lo, q))
-    widths = [prec - lo * vg for prec, lo, q in plans if q]
-    if widths:
-        width, m = max(widths), max(len(p[2]) for p in plans)
+        q = outer.num[:max(0, min(outer.prec, -(-prec // vg)) - lo) * d]
+        plans.append((prec, lo, q, outer.den))
+    widths = [prec - lo * vg for prec, lo, q, _ in plans if q]
+    if widths and len(inner.num) > d:
+        width, m = max(widths), max(len(p[2]) for p in plans) // d
         k = math.isqrt(m - 1) + 1
         step = inner.truncate(width)
-        powers = [TruncatedSeries(field, 0, [field.one()], width)]
+        powers = [TruncatedSeries._make(field, 0, [1] + [0] * (d - 1), 1,
+                                        width, True)]
         while len(powers) < k + (m > k):
             powers.append((powers[-1] * step).truncate(width))
+        den = math.lcm(*(p.den for p in powers[:k]))
+        baby = [(p.valuation, [x * (den // p.den) for x in p.num])
+                for p in powers[:k]]
+        # B = 8*w bits: both heights, the terms per slot, a sign bit
+        w = (max(max(map(abs, v)).bit_length() for _, v in baby) +
+             max(max(map(abs, q), default=0) for _, _, q, _ in plans
+                 ).bit_length() + (k * d).bit_length() + 8) // 8
+        packed = [_pack(field, v, w) << 8 * w * (2 * d - 1) * e
+                  for e, v in baby]
     out = []
-    for prec, lo, q in plans:
-        if not q:
-            out.append(TruncatedSeries.zero(field, prec))
+    for prec, lo, q, qden in plans:
+        if not q or len(inner.num) == d:
+            out.append(_monomial_compose(field, prec, lo, q, qden, inner)
+                       if q else TruncatedSeries.zero(field, prec))
             continue
-        w = prec - lo * vg
-        table = powers if w == width else [p.truncate(w) for p in powers]
-        blocks = []
-        for start in range(0, len(q), k):
-            block = TruncatedSeries.zero(field, w)
-            for c, p in zip(q[start:start + k], table):
-                if not c.is_zero():
-                    block = block + p.scale(c)
-            blocks.append(block)
-        result = blocks.pop()
-        while blocks:
-            result = (result * table[k]).truncate(w) + blocks.pop()
+        n = prec - lo * vg
+        giant = powers[k].truncate(n) if len(q) > k * d else None
+        # term j of q as the integer of its d slots
+        cs = q if d == 1 else [_pack(field, q[i:i + d], w)
+                               for i in range(0, len(q), d)]
+        result = None
+        for start in reversed(range(0, len(cs), k)):
+            dot = sum(c * x for c, x in zip(cs[start:start + k], packed) if c)
+            block = TruncatedSeries._make(field, 0, _unpack(field, dot, w, n),
+                                          qden * den, n)
+            result = block if result is None else \
+                (result * giant).truncate(n) + block
         for _ in range(lo):
             result = result * inner
         out.append(result.truncate(min(prec, result.prec)))
     return out
 
 
-def _kronecker(field, a, b, n):
-    """The first n coefficients of the product of coefficient lists a, b.
+def _monomial_compose(field, prec, lo, q, den, inner):
+    """The outer z^lo*q/den of `compose_all` at a monomial inner c*z^vg:
+    a_e*z^e goes to a_e*c^e*z^(e*vg), over den*c.den^top for the top
+    exponent, so a_e*num(c)^e is scaled by c.den^(top - e)."""
+    d, vg, c, cden = field.degree, inner.valuation, inner.num, inner.den
+    top, power = lo + len(q) // d - 1, [1] + [0] * (d - 1)
+    for _ in range(lo):
+        power = field._mul(power, c)
+    out = [0] * ((prec - lo * vg) * d)
+    for j in range(0, len(q), d):
+        scale = cden ** (top - lo - j // d)
+        out[j * vg:j * vg + d] = [x * scale for x in
+                                  field._mul(q[j:j + d], power)]
+        power = field._mul(power, c)
+    return TruncatedSeries._make(field, lo * vg, out, den * cden ** top, prec)
 
-    Each operand goes over the lcm of its denominators, and power-basis
-    integer k of its coefficient i into the slot at bit (i*(2d-1) + k)*B
-    for d = field.degree; one integer product then puts t^e z^m in slot
-    e*(2d-1) + m, as in FLINT's fmpz_poly_mul.  A slot holds any product
-    coefficient with its sign, since at most min(len)*d terms add up in
-    one.  Slots are read back with the borrow of the slot below, and each
-    row of 2d-1 slots is folded onto the power basis.
-    """
+
+def _times(field, num, c):
+    """The flat coefficients num, each times the power-basis ints c."""
     d = field.degree
-    stride, pad = 2 * d - 1, (0,) * (d - 1)
-    dens = [math.lcm(*(c.den for c in s)) for s in (a, b)]
-    vals = [[x * (den // c.den) for c in s for x in c.num + pad]
-            for s, den in zip((a, b), dens)]
-    # B = 8*w bits: both heights, the terms per coefficient, a sign bit
-    w = (sum(max(map(abs, v)).bit_length() for v in vals) +
-         (min(len(a), len(b)) * d).bit_length() + 8) // 8
-    # two's complement slots, less the 2^B that each negative one adds
-    one, zero = b"\1" + bytes(w - 1), bytes(w)
-    x, y = [int.from_bytes(b"".join(c.to_bytes(w, "little", signed=True)
-                                    for c in v), "little") -
-            (int.from_bytes(b"".join(one if c < 0 else zero for c in v),
-                            "little") << 8 * w) for v in vals]
+    if d == 1:
+        return [x * c[0] for x in num]
+    cols = [num[k::d] for k in range(d)]
+    prod = [[0] * len(cols[0])] * (2 * d - 1)
+    for m, y in enumerate(c):
+        if y:
+            for k, col in enumerate(cols, m):
+                prod[k] = [a + y * b for a, b in zip(prod[k], col)]
+    return _fold_columns(field, prod)
+
+
+def _fold_columns(field, cols):
+    """The flat power-basis ints of coefficients given as columns: cols[k]
+    lists the ints at z^k (k < 2d - 1) of every coefficient in turn."""
+    d, n = field.degree, field.cyclotomic_order
+    for k in range(d, len(cols)):
+        for j, e in field._powers[k % n]:
+            cols[j] = [a + e * b for a, b in zip(cols[j], cols[k])]
+    out = [0] * (d * len(cols[0]))
+    for j in range(d):
+        out[j::d] = cols[j]
+    return out
+
+
+def _pack(field, num, w):
+    """The integer sum of slot * 2^(8*w*index) whose w-byte signed slots hold
+    the flat coefficients num: z^k of coefficient i in slot i*(2d-1) + k for
+    d = field.degree, the other d - 1 slots of each row zero.  Each slot is
+    written offset by half its range, and the offsets taken off at once."""
+    d, half = field.degree, 1 << 8 * w - 1
+    if d > 1:
+        pad = (0,) * (d - 1)
+        num = [x for i in range(0, len(num), d) for x in (*num[i:i + d], *pad)]
+    return int.from_bytes(b"".join([(c + half).to_bytes(w, "little")
+                                    for c in num]), "little") - \
+        int.from_bytes((bytes(w - 1) + b"\x80") * len(num), "little")
+
+
+def _unpack(field, x, w, n):
+    """The first n coefficients, flat, of an integer laid out as by `_pack`
+    whose slots lie in [-2^(8*w-1), 2^(8*w-1)).  With the offsets added back
+    no slot borrows from the next, so each is read alone; each row of 2d-1
+    slots is then folded onto the power basis."""
+    stride, half = 2 * field.degree - 1, 1 << 8 * w - 1
     size = n * stride * w
-    raw = (x * y & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    half, full, borrow, slots = 1 << (8 * w - 1), 1 << 8 * w, 0, []
-    for i in range(0, size, w):
-        u = int.from_bytes(raw[i:i + w], "little") + borrow
-        borrow = u >= half
-        slots.append(u - full if borrow else u)
-    den = dens[0] * dens[1]
-    return [Scalar._make(field, field._fold(slots[i:i + stride]), den)
-            for i in range(0, len(slots), stride)]
+    x += int.from_bytes((bytes(w - 1) + b"\x80") * (n * stride), "little")
+    raw = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    slots = [int.from_bytes(raw[i:i + w], "little") - half
+             for i in range(0, size, w)]
+    if stride == 1:
+        return slots
+    return _fold_columns(field, [slots[k::stride] for k in range(stride)])
+
+
+def _kronecker(field, a, b, n):
+    """The first n coefficients, flat, of the product of the flat
+    coefficient lists a and b, each taken over its own denominator: one
+    integer product of the packed operands puts t^e z^m in slot
+    e*(2d-1) + m, as in FLINT's fmpz_poly_mul.  A slot holds any product
+    coefficient with its sign, since at most min(len(a), len(b)) terms add
+    up in one."""
+    # B = 8*w bits: both heights, the terms per coefficient, a sign bit
+    w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() +
+         min(len(a), len(b)).bit_length() + 8) // 8
+    return _unpack(field, _pack(field, a, w) * _pack(field, b, w), w, n)
 
 
 def _rewindow(s, prec):
     """s cut to the window prec, or extended to it with zero coefficients."""
-    if prec <= s.prec:
+    if prec < s.prec:
         return s.truncate(prec)
-    return TruncatedSeries(s.field, s.valuation if s.coeffs else prec,
-                           s.coeffs, prec)
+    return TruncatedSeries._make(s.field, s.valuation if s.num else prec,
+                                 s.num, s.den, prec, True)
 
 
 def newton_solve(coeffs_in_y, seed, target_prec):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from collections import Counter
@@ -46,6 +48,24 @@ def test_mixed_field_arithmetic_rejected():
 def test_unsupported_order_rejected():
     with pytest.raises(FieldError):
         FieldSpec(9)
+
+
+def test_copy_and_pickle_return_the_cached_field():
+    """Fields compare by identity, so a copied or unpickled field must be
+    the one instance of its order, and copying must leave every other
+    order's instance as it was."""
+    before = {n: (repr(FieldSpec(n)), FieldSpec(n).degree)
+              for n in SUPPORTED_ORDERS}
+    for n in SUPPORTED_ORDERS:
+        field = FieldSpec(n)
+        assert copy.copy(field) is field
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+        x = field.zeta() + F(1, 3)
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+        assert (copy.deepcopy(x) - x).is_zero()
+    assert {n: (repr(FieldSpec(n)), FieldSpec(n).degree)
+            for n in SUPPORTED_ORDERS} == before
 
 
 @pytest.mark.parametrize("order,degree", [(1, 1), (2, 1), (3, 2), (4, 2),

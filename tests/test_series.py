@@ -274,6 +274,140 @@ def test_product_at_the_height_bound(field):
                 assert f * g == schoolbook_mul(f, g), (k, length, sa, sb)
 
 
+def over_denominator(rng, field, length, den):
+    """A series of the given length whose coefficients lie over divisors of
+    den, so that its one common denominator is den or a divisor of it."""
+    divisors = [q for q in range(1, den + 1) if den % q == 0]
+    coeffs = [Scalar(field, [F(rng.randint(-9, 9), rng.choice(divisors))
+                             for _ in range(field.degree)])
+              for _ in range(length)]
+    coeffs[0] = coeffs[0] or field.one()
+    v = rng.randint(-3, 3)
+    return TruncatedSeries(field, v, coeffs, v + length + rng.randint(0, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q3", "Q5", "Q13"])
+def test_product_of_operands_over_different_denominators(field):
+    """Denominators coprime, sharing a factor, dividing one another, and
+    cancelling against the numerators of the product."""
+    rng = random.Random(20261101 + field.degree)
+    for da, db in ((3, 5), (12, 18), (4, 8), (7, 1), (30, 7), (2, 2)):
+        for _ in range(8 if field.degree < 12 else 2):
+            f = over_denominator(rng, field, rng.randint(1, 9), da)
+            g = over_denominator(rng, field, rng.randint(1, 9), db)
+            assert f * g == schoolbook_mul(f, g), (f, g)
+            assert g * f == schoolbook_mul(g, f), (f, g)
+            # (db z^v) * g: every denominator of g cancels or shrinks
+            h = TruncatedSeries.monomial(field, 2, field.scalar(db),
+                                         max(g.prec, 3))
+            assert h * g == schoolbook_mul(h, g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q3", "Q5", "Q13"])
+def test_product_with_a_one_term_operand(field):
+    """c*z^v times a series, for negative, zero and positive v, on either
+    side, with a wide or a narrow window on the one term; and a long
+    operand whose product window keeps only its first term."""
+    rng = random.Random(20261102 + field.degree)
+    for v in (-3, -1, 0, 2, 5):
+        for extra in (0, 1, 6):
+            c = signed_scalar(rng, field, rng.randint(1, 40)) or field.one()
+            one = TruncatedSeries(field, v, [c], v + 1 + extra)
+            for _ in range(4):
+                g = signed_series(rng, field)
+                assert one * g == schoolbook_mul(one, g), (one, g)
+                assert g * one == schoolbook_mul(g, one), (one, g)
+    f = random_series(rng, field, 0, 6, 6)
+    g = random_series(rng, field, 1, 1, 2)
+    assert f * g == schoolbook_mul(f, g) == \
+        TruncatedSeries(field, 1, [f.coefficient(0) * g.coefficient(1)], 2)
+
+
+def coefficientwise_add(f, g):
+    """Reference: f + g coefficient by coefficient over Scalars."""
+    prec = min(f.prec, g.prec)
+    lo = min(f.valuation, g.valuation, prec)
+    return TruncatedSeries(f.field, lo, [f.coefficient(e) + g.coefficient(e)
+                                         if e < f.prec and e < g.prec else 0
+                                         for e in range(lo, prec)], prec)
+
+
+def _known(s, e):
+    """The coefficient of s at e, zero outside its window."""
+    return s.coefficient(e) if e < s.prec else s.field.zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q3", "Q5", "Q13"])
+def test_sum_matches_coefficientwise_reference(field):
+    """Windows and valuations that differ, operands that lie wholly beyond
+    the other's window, zero series, and sums that cancel at either end."""
+    rng = random.Random(20261103 + field.degree)
+    for _ in range(150 if field.degree < 12 else 40):
+        f, g = signed_series(rng, field), signed_series(rng, field)
+        want = coefficientwise_add(f, g)
+        assert f + g == want == g + f, (f, g)
+        assert f - g == coefficientwise_add(f, -g)
+        for e in range(want.valuation, want.prec):
+            assert want.coefficient(e) == _known(f, e) + _known(g, e)
+        c = signed_scalar(rng, field, 8)
+        const = TruncatedSeries(field, 0, [c], max(f.prec, 1))
+        assert f + c == coefficientwise_add(f, const), (f, c)
+        # cancelling the leading and the trailing known coefficient
+        lead = TruncatedSeries(field, f.valuation, [f.coefficient(f.valuation)]
+                               if not f.is_zero() else [], f.prec)
+        assert f - lead == coefficientwise_add(f, -lead)
+        assert f - f == TruncatedSeries.zero(field, f.prec)
+
+
+MONOMIAL_FIELDS = [Q, Q3, FieldSpec(13)]
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=["Q", "Q3", "Q13"])
+def test_compose_with_a_monomial_inner_series(field):
+    """c*z and c*z^2 with c not a unit, over its own denominator, into
+    outers over other denominators, with the inner's window narrower or
+    wider than the outers'; each result matches Horner."""
+    rng = random.Random(20261104 + field.degree)
+    size = 12 if field.degree < 12 else 6
+    for vg in (1, 2):
+        for _ in range(4):
+            # an odd half on 1 of the integral basis: c is no unit
+            c = Scalar(field, [F(2 * rng.randint(-3, 3) + 1, 2)] +
+                       [F(rng.randint(-5, 5), rng.choice((1, 3, 9)))
+                        for _ in range(field.degree - 1)])
+            inner = TruncatedSeries.monomial(field, vg, c,
+                                             vg + rng.randint(1, size + 4))
+            outers = [over_denominator(rng, field, rng.randint(1, size),
+                                       rng.choice((1, 4, 15))).shift(3)
+                      for _ in range(3)]
+            outers += [TruncatedSeries.zero(field, 2),
+                       TruncatedSeries(field, 0, [c], 1)]
+            got = compose_all(outers, inner)
+            for outer, result in zip(outers, got):
+                expect = horner_compose(outer, inner)
+                assert result == expect, (outer, inner)
+                assert result.prec == expect.prec
+                assert outer.compose(inner) == expect
+            moved = transform_form(outers, inner)
+            assert moved == [r * inner.derivative() for r in got]
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_compose_over_different_denominators(field):
+    """Outers over several denominators share one packed power table of an
+    inner over another; long outers make several baby-step blocks."""
+    rng = random.Random(20261105 + field.degree)
+    for den_in in (1, 6, 35):
+        inner = over_denominator(rng, field, 8, den_in)
+        inner = TruncatedSeries(field, 1, inner.coeffs, 9 + rng.randint(0, 20))
+        outers = [over_denominator(rng, field, rng.randint(1, 30), den)
+                  for den in (1, 2, 9, 10, 49)]
+        outers = [TruncatedSeries(field, rng.randint(0, 2), s.coeffs,
+                                  s.prec + 5) for s in outers]
+        for outer, result in zip(outers, compose_all(outers, inner)):
+            assert result == horner_compose(outer, inner), (outer, inner)
+
+
 @pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
 def test_compose_matches_horner_reference(field):
     rng = random.Random(20261018 + field.degree)
