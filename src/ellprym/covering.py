@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import SchemaError, ValidationFailed
-from .scalars import MAX_SCALAR_LENGTH, FieldSpec, Matrix, Scalar
-from .series import MAX_DENOMINATOR, TruncatedSeries, transform_form
+from .scalars import FieldSpec, Matrix, Scalar
+from .series import TruncatedSeries, transform_form
 
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
@@ -361,12 +360,6 @@ def _parse_series(field, obj, pointer):
     raw = _expect(obj, "coeffs", list, pointer)
     coeffs = [_parse_scalar(field, s, f"{pointer}/coeffs/{i}")
               for i, s in enumerate(raw)]
-    den = 1
-    for i, c in enumerate(coeffs):
-        den = lcm(den, c.den)
-        if den >= MAX_DENOMINATOR:
-            raise SchemaError(f"{pointer}/coeffs/{i}", "common denominator "
-                              f"over {MAX_SCALAR_LENGTH} digits")
     try:
         return TruncatedSeries(field, v, coeffs, p)
     except ValueError as exc:

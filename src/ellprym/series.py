@@ -42,14 +42,8 @@ import math
 import operator
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
-                     ScalarTooLong, SingularJacobian, ValuationError)
-from .scalars import MAX_SCALAR_LENGTH, Scalar, peval
-
-# A series' common denominator, like a scalar string, has at most
-# MAX_SCALAR_LENGTH digits.  covering's loader refuses a longer one before
-# putting the coefficients over it, and to_json refuses to write one, so
-# loading a series costs at most its length times an integer of this size.
-MAX_DENOMINATOR = 10 ** MAX_SCALAR_LENGTH
+                     SingularJacobian, ValuationError)
+from .scalars import Scalar, peval
 
 
 class TruncatedSeries:
@@ -312,11 +306,6 @@ class TruncatedSeries:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
-        """The coefficients as scalar strings; a series whose common
-        denominator the loader would refuse raises ScalarTooLong."""
-        if self.den >= MAX_DENOMINATOR:
-            raise ScalarTooLong(f"series denominator of {self.den.bit_length()}"
-                                f" bits has over {MAX_SCALAR_LENGTH} digits")
         return {"valuation": self.valuation,
                 "prec": self.prec,
                 "coeffs": [c.to_json() for c in self.coeffs]}
@@ -438,26 +427,8 @@ def _times(field, num, c):
     d = field.degree
     if d == 1:
         return [x * c[0] for x in num]
-    cols = [num[k::d] for k in range(d)]
-    prod = [[0] * len(cols[0])] * (2 * d - 1)
-    for m, y in enumerate(c):
-        if y:
-            for k, col in enumerate(cols, m):
-                prod[k] = [a + y * b for a, b in zip(prod[k], col)]
-    return _fold_columns(field, prod)
-
-
-def _fold_columns(field, cols):
-    """The flat power-basis ints of coefficients given as columns: cols[k]
-    lists the ints at z^k (k < 2d - 1) of every coefficient in turn."""
-    d, n = field.degree, field.cyclotomic_order
-    for k in range(d, len(cols)):
-        for j, e in field._powers[k % n]:
-            cols[j] = [a + e * b for a, b in zip(cols[j], cols[k])]
-    out = [0] * (d * len(cols[0]))
-    for j in range(d):
-        out[j::d] = cols[j]
-    return out
+    return [x for i in range(0, len(num), d)
+            for x in field._mul(num[i:i + d], c)]
 
 
 def _pack(field, num, w):
@@ -478,7 +449,7 @@ def _unpack(field, x, w, n):
     """The first n coefficients, flat, of an integer laid out as by `_pack`
     whose slots lie in [-2^(8*w-1), 2^(8*w-1)).  With the offsets added back
     no slot borrows from the next, so each is read alone; each row of 2d-1
-    slots is then folded onto the power basis."""
+    slots is then folded onto the power basis (`FieldSpec._fold`)."""
     stride, half = 2 * field.degree - 1, 1 << 8 * w - 1
     size = n * stride * w
     x += int.from_bytes((bytes(w - 1) + b"\x80") * (n * stride), "little")
@@ -487,7 +458,8 @@ def _unpack(field, x, w, n):
              for i in range(0, size, w)]
     if stride == 1:
         return slots
-    return _fold_columns(field, [slots[k::stride] for k in range(stride)])
+    return [y for i in range(0, len(slots), stride)
+            for y in field._fold(slots[i:i + stride])]
 
 
 def _kronecker(field, a, b, n):

@@ -1,6 +1,4 @@
 import json
-import random
-import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +7,7 @@ from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
                               datum_from_json, datum_to_json, lex_pairs,
                               load, save, validate)
-from ellprym.errors import ScalarTooLong, SchemaError
+from ellprym.errors import SchemaError
 from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec
 from ellprym.series import TruncatedSeries
 
@@ -133,38 +131,18 @@ def test_series_window_limit_is_inclusive():
         assert err.value.pointer == f"/s/{key}"
 
 
-def test_series_common_denominator_limit():
-    """A series' common denominator has at most MAX_SCALAR_LENGTH digits:
-    the loader refuses the coefficient that takes it over, the writer
-    refuses such a series, and one at the limit round-trips."""
-    def obj(k):
-        return {"valuation": 0, "prec": 2,
-                "coeffs": [f"1/{2 ** k}", f"1/{5 ** k}"]}
-    at_limit = _parse_series(Q, obj(MAX_SCALAR_LENGTH - 1), "/s")
-    assert at_limit.den == 10 ** (MAX_SCALAR_LENGTH - 1)
-    assert _parse_series(Q, at_limit.to_json(), "/s") == at_limit
-    with pytest.raises(SchemaError) as err:
-        _parse_series(Q, obj(MAX_SCALAR_LENGTH), "/s")
-    assert err.value.pointer == "/s/coeffs/1"
-    over = TruncatedSeries(Q, 0, [F(1, 2 ** MAX_SCALAR_LENGTH),
-                                  F(1, 5 ** MAX_SCALAR_LENGTH)], 2)
-    with pytest.raises(ScalarTooLong):
-        over.to_json()
-
-
-def test_series_of_long_coprime_denominators_is_refused_fast():
-    """MAX_WINDOW coefficients over distinct 3,900-digit denominators would
-    put the series over a 780,000-digit one; the loader stops at the
-    second coefficient instead."""
-    rng = random.Random(5)
-    obj = {"valuation": 0, "prec": MAX_WINDOW, "coeffs": [
-        f"1/{rng.randrange(10 ** 3899, 10 ** 3900) | 1}"
-        for _ in range(MAX_WINDOW)]}
-    start = time.perf_counter()
-    with pytest.raises(SchemaError) as err:
-        _parse_series(Q, obj, "/s")
-    assert time.perf_counter() - start < 2
-    assert err.value.pointer == "/s/coeffs/1"
+def test_series_common_denominator_is_not_limited():
+    """Only each coefficient's string is limited: a series whose
+    coefficients' common denominator has more than MAX_SCALAR_LENGTH
+    digits loads, reads back exactly and round-trips."""
+    obj = {"valuation": 0, "prec": 2, "coeffs": [
+        f"1/{2 ** MAX_SCALAR_LENGTH}", f"1/{5 ** MAX_SCALAR_LENGTH}"]}
+    s = _parse_series(Q, obj, "/s")
+    assert s.den == 10 ** MAX_SCALAR_LENGTH
+    assert [c.rational_value() for c in s.coeffs] == [
+        F(1, 2 ** MAX_SCALAR_LENGTH), F(1, 5 ** MAX_SCALAR_LENGTH)]
+    assert s.to_json() == obj
+    assert _parse_series(Q, s.to_json(), "/s") == s
 
 
 def test_load_invalid_json(tmp_path):
