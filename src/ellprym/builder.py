@@ -7,9 +7,10 @@ divisor point is a zero; its order must be divisible by N (unramified
 layer) or equal 1 (total ramification) -- the only shapes this builder
 supports.
 
-Construction is purely algebraic.  Charts use w as the local parameter;
-the base uniformizer is re-expressed through it by reverting the local
-series of h, so no transcendental coordinate ever appears.  The
+Construction is purely algebraic.  Charts use w as the local parameter.
+Over a simple zero of h, v = w^N = h is a uniformizer, and x and y are
+expanded in v by one Newton lift of the curve equation and h = v together
+(`lift`), so no transcendental coordinate ever appears.  The
 differential basis consists of f * w^(-k) * (pullback of dx/y) with f
 running over Riemann-Roch bases of explicit divisors; holomorphy of every
 emitted form is re-proved from its chart expansions rather than trusted
@@ -33,10 +34,11 @@ from .equivariant import CyclicAction
 from .errors import (BuilderError, DimensionMismatch, FieldError,
                      FieldTooSmall, InputError, NotAnNthPower,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
-                     UnsupportedOrder, UnsupportedRamification)
+                     SingularJacobian, UnsupportedOrder,
+                     UnsupportedRamification)
 from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
                       psub, ptrim, rational_nth_root)
-from .series import TruncatedSeries, compose_all, newton_solve
+from .series import TruncatedSeries, _rewindow
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 
@@ -190,33 +192,69 @@ class CurveFunction(NamedTuple):
 # local expansions on the base curve
 # ---------------------------------------------------------------------------
 
+def lift(curve, place, fn, prec):
+    """Expansions (X(v), Y(v)) of x and y at a finite place in the local
+    parameter v = fn, known below v^prec: Y^2 = X^3 + AX + B and
+    fn(X, Y) = v.
+
+    Newton's method on F = (Y^2 - rhs(X), P(X) + Y Q(X) - v) for
+    fn = P(x) + y Q(x) (the implicit function theorem; von zur Gathen &
+    Gerhard, "Modern Computer Algebra", ch. 9), from the place, on the
+    widths of `TruncatedSeries.inverse`: X and Y correct below v^good are
+    correct below v^known after one round.  Up to sign the Jacobian's
+    determinant is e = 2y fn_x + rhs'(x) fn_y, the derivative of fn along
+    the curve's tangent (2y, rhs'(x)), so it is a unit exactly when fn is a
+    uniformizer at the place; otherwise SingularJacobian is raised.  As
+    F = O(v^good), the correction needs the Jacobian only below
+    v^(known - good), and known - good <= good: it is formed at width good,
+    and 1/e is carried from round to round by one Newton step there.  Both
+    equations are checked exactly at full width.
+    """
+    field = curve.field
+    rhs, P, Q = curve.rhs(), fn.P, fn.Q
+    drhs, dP, dQ = ([c * k for k, c in enumerate(p)][1:] for p in (rhs, P, Q))
+
+    def jacobian(X, Y):
+        """fn_x, fn_y and rhs' at (X, Y), and e."""
+        fx = peval(dP, X) + Y * peval(dQ, X)
+        fy, rx = peval(Q, X), peval(drhs, X)
+        return fx, fy, rx, (Y * fx).scale(2) + rx * fy
+
+    X, Y = (TruncatedSeries.from_coefficients(field, 0, [c], 1)
+            for c in (place.x, place.y))
+    e = jacobian(X, Y)[3]
+    if e.valuation:
+        raise SingularJacobian(f"{fn} is not a uniformizer at {place}")
+    inv = e.inverse()
+    v = TruncatedSeries.identity(field, prec + 1)
+    schedule = [prec]
+    while schedule[-1] > 1:
+        schedule.append(-(-schedule[-1] // 2))
+    good = 1
+    for known in reversed(schedule[:-1]):
+        fx, fy, rx, e = jacobian(X, Y)
+        inv = _rewindow(inv, good)
+        inv = inv - inv * (e * inv - 1)
+        X, Y = _rewindow(X, known), _rewindow(Y, known)
+        F1 = Y * Y - peval(rhs, X)
+        F2 = fn.series_from_xy(X, Y) - v.truncate(known)
+        X, Y = ((X + inv * (fy * F1 - (Y * F2).scale(2))).truncate(known),
+                (Y - inv * (fx * F1 + rx * F2)).truncate(known))
+        good = known
+    if not ((Y * Y - peval(rhs, X)).is_zero() and
+            (fn.series_from_xy(X, Y) - v).is_zero()):
+        raise AssertionError("lift verification failed")
+    return X, Y
+
+
 def base_series(curve, place, prec):
     """Expansions of (x, y) in the designated uniformizer t at a finite
-    place, known below t^prec.
-
-    Not 2-torsion: t = x - x0.  2-torsion: t = y (the x-line is tangent
-    there).  Newton works one coefficient past the ones it makes correct,
-    so the equations are built to prec + 1.
-    """
-    f = curve.field
-    big = prec + 1
-
-    def const(c):
-        return TruncatedSeries.from_coefficients(f, 0, [c], big)
-
-    if place.y.is_zero():
-        # t = y; solve X^3 + A X + (B - t^2) = 0 near x0
-        t2 = TruncatedSeries.monomial(f, 2, f.one(), big + 2)
-        coeffs = [const(curve.B) - t2, const(curve.A), const(f.zero()),
-                  const(f.one())]
-        seed = TruncatedSeries.from_coefficients(f, 0, [place.x], 1)
-        return (newton_solve(coeffs, seed, prec),
-                TruncatedSeries.identity(f, big).truncate(prec))
-    # t = x - x0; y = sqrt(f(x0 + t)) with sign chosen by the seed
-    x = TruncatedSeries.identity(f, big) + place.x
-    coeffs = [-peval(curve.rhs(), x), const(f.zero()), const(f.one())]
-    seed = TruncatedSeries.from_coefficients(f, 0, [place.y], 1)
-    return x.truncate(prec), newton_solve(coeffs, seed, prec)
+    place, known below t^prec: `lift` with t = x - x0, or t = y at a
+    2-torsion point, where the x-line is tangent."""
+    one = curve.field.one()
+    t = CurveFunction.make(curve, (), [one]) if place.y.is_zero() else \
+        CurveFunction.make(curve, [-place.x, one])
+    return lift(curve, place, t, prec)
 
 
 def valuation_at(fn, place):
@@ -606,15 +644,10 @@ def _build_chart(curve, h, place, N, window, plans):
     field = curve.field
     # A form f * w^-k * alpha has offset N - 1 - k >= 0, so its window in w
     # is reached once the v-series are known below v^ceil(window / N).  The
-    # base expansions lose one coefficient to each of: composing a
-    # valuation-0 series with t(v), the derivative of x in alpha, and the
-    # division by y, which has valuation 1 at a 2-torsion point.
-    x_t, y_t = base_series(curve, place, -(-window // N) + 3)
-    h_t = h.series_from_xy(x_t, y_t)
-    if h_t.valuation != 1:
-        raise BuilderError(
-            f"cover function valuation {h_t.valuation} at {place} is not 1")
-    x_v, y_v = compose_all([x_t, y_t], h_t.reversion())
+    # expansions lose one coefficient to each of: the derivative of x in
+    # alpha, and the division by y, which has valuation 1 at a 2-torsion
+    # point.
+    x_v, y_v = lift(curve, place, h, -(-window // N) + 2)
     alpha_v = x_v.derivative().scale(N) / y_v
 
     def expand(vs, offset, target):

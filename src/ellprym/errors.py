@@ -39,7 +39,8 @@ class NotAnNthPower(InputError):
 
 
 class SingularJacobian(InputError):
-    """Newton iteration seeded at a point where the derivative is not a unit."""
+    """A local expansion asked for in a function that is not a uniformizer
+    at the place: Newton's Jacobian is not a unit there."""
 
 
 class ValuationError(InputError):

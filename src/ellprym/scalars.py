@@ -33,7 +33,10 @@ The check is the certificate: the selected rows then span the row space, so
 the RREF, its pivots, ``kernel_basis``, ``rank`` and ``solve`` are those of the
 whole matrix.  A wrong selection modulo PRIME (a pivot or a denominator that
 PRIME divides) costs only another round, since each failed row raises the
-exact rank of the selection; at worst every row is selected.
+exact rank of the selection; at worst every row is selected.  When step 1
+selects as many rows as there are columns, their minor is nonzero modulo
+PRIME, hence nonzero: the rank is full and the RREF is [I; 0], so steps 2
+and 3 are skipped.
 """
 
 from __future__ import annotations
@@ -488,16 +491,15 @@ class Scalar:
     # -- serialization ------------------------------------------------------------
 
     def to_string(self):
+        """Each nonzero coordinate p/q in lowest terms (p alone for q = 1)
+        times z^k, joined by " + "; "0" for zero."""
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, x in enumerate(self.num):
+            if not x:
                 continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*z")
-            else:
-                terms.append(f"{c}*z^{k}")
+            g = gcd(x, self.den)
+            c = f"{x // g}" if g == self.den else f"{x // g}/{self.den // g}"
+            terms.append(c if k == 0 else f"{c}*z" if k == 1 else f"{c}*z^{k}")
         return " + ".join(terms) if terms else "0"
 
     def to_json(self):
@@ -604,6 +606,14 @@ class Matrix:
         field, rows = self.field, self.rows
         cleared = [_cleared(row) for row in rows]
         chosen = _independent_mod_p(field, cleared, self.ncols)
+        zero = field.zero()
+        if len(chosen) == self.ncols:
+            # full column rank (module docstring): the RREF is [I; 0]
+            one = field.one()
+            return Matrix(field, [[one if i == j else zero
+                                   for j in range(self.ncols)]
+                                  for i in range(self.nrows)]), \
+                list(range(self.ncols))
         start = 0
         while True:
             red, pivots = _eliminate([rows[i] for i in chosen], self.ncols)
@@ -613,7 +623,6 @@ class Matrix:
                 break
             chosen.append(bad)
             start = bad + 1
-        zero = field.zero()
         red += [[zero] * self.ncols for _ in range(self.nrows - len(red))]
         return Matrix(field, red), pivots
 

@@ -28,12 +28,10 @@ algorithms for manipulating formal power series", J. ACM 25(4), 1978).
 ``compose_all`` forms and packs the baby and giant powers of one inner
 series once for a list of outer series, and each outer keeps its own
 window; ``compose`` is its one-element case, and ``transform_form`` changes
-the parameter of a list of 1-forms through it.  Reversion and
-``newton_solve`` are Newton iterations whose rounds work only at the
-precision they make correct, plus one guard coefficient.  Result windows
-are fixed by the inputs' windows alone, never by the evaluation scheme.
-Reversions and Newton solutions are checked exactly at their full window
-before they are returned.
+the parameter of a list of 1-forms through it.  Result windows are fixed by
+the inputs' windows alone, never by the evaluation scheme.  Local
+expansions of a curve are not made here: ``builder.lift`` solves for them
+by Newton's method on these operations.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ import math
 import operator
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
-                     SingularJacobian, ValuationError)
-from .scalars import Scalar, peval
+                     ValuationError)
+from .scalars import Scalar
 
 
 class TruncatedSeries:
@@ -268,41 +266,6 @@ class TruncatedSeries:
         """self(inner), for inner of valuation >= 1; see `compose_all`."""
         return compose_all([self], inner)[0]
 
-    def reversion(self):
-        """Compositional inverse g with self(g) = z, for valuation exactly 1.
-
-        Newton iteration g <- g - (self(g) - z) / self'(g) on a top-down
-        precision schedule: the target t = self.prec, then ceil(t/2), ...
-        down to 2, run upwards.  Each round at most doubles the correct window
-        of the one before, composes only the part of self that reaches it, and
-        the last round lands on t exactly.  The result window is self.prec,
-        and self(g) = z is checked at full width before g is returned.
-        """
-        if self.valuation != 1:
-            raise ValuationError(
-                f"reversion requires valuation 1, got {self.valuation}")
-        rel = self.relative_precision()
-        ident = TruncatedSeries.identity(self.field, rel + 1)
-        g = ident.scale(self.coefficient(1).inverse()).truncate(2)
-        schedule = [rel + 1]
-        while schedule[-1] > 2:
-            schedule.append(-(-schedule[-1] // 2))
-        deriv = self.derivative()
-        schedule.reverse()
-        for good, known in zip(schedule, schedule[1:]):
-            # g is correct below z^good, so err = O(z^good) and the quotient
-            # err / self'(g) needs self'(g) below z^(known - good) only
-            g = _rewindow(g, known)
-            f_g, dg = compose_all(
-                [self.truncate(known), deriv.truncate(known - good)], g)
-            err = f_g - ident.truncate(known)
-            g = (g - err / dg).truncate(known)
-        check = self.compose(g)
-        window = min(check.prec, rel + 1)
-        if not (check - ident.truncate(window)).truncate(window).is_zero():
-            raise AssertionError("reversion verification failed")
-        return g
-
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
@@ -481,37 +444,6 @@ def _rewindow(s, prec):
         return s.truncate(prec)
     return TruncatedSeries._make(s.field, s.valuation if s.num else prec,
                                  s.num, s.den, prec, True)
-
-
-def newton_solve(coeffs_in_y, seed, target_prec):
-    """Series solution of F(z, y) = 0 by Newton iteration.
-
-    ``coeffs_in_y`` lists the coefficients of F as a polynomial in y, each a
-    TruncatedSeries in z known at least to target_prec + 1, since every
-    round works one coefficient past the ones it makes correct; a shorter
-    window ends in InsufficientPrecision.  The seed must satisfy F(seed) = 0
-    within its own window and dF/dy(seed) must be a unit.
-    """
-    dcoeffs = [c.scale(k) for k, c in enumerate(coeffs_in_y) if k]
-    residual = peval(coeffs_in_y, seed)
-    if not residual.truncate(min(seed.prec, residual.prec)).is_zero():
-        raise ValueError("seed does not satisfy the equation to its precision")
-    deriv = peval(dcoeffs, seed)
-    if deriv.is_zero() or deriv.valuation != 0:
-        raise SingularJacobian(
-            "dF/dy at the seed is not a unit; Newton cannot start")
-
-    y = _rewindow(seed, target_prec + 1)
-    known = max(1, seed.prec - seed.valuation)
-    while known < target_prec:
-        known = min(2 * known, target_prec)
-        y = _rewindow(y, known + 1)
-        correction = peval(coeffs_in_y, y) / peval(dcoeffs, y)
-        y = (y - correction).truncate(known + 1)
-    y = y.truncate(target_prec)
-    if not peval(coeffs_in_y, y).truncate(target_prec).is_zero():
-        raise AssertionError("Newton result fails the equation to target precision")
-    return y
 
 
 def transform_form(series_list, substitution):

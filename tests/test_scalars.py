@@ -385,6 +385,38 @@ def test_rref_matches_exact_reference_and_sympy(field, shape):
         assert M.solve(consistent) is not None
 
 
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q(zeta_3)"])
+def test_rref_at_full_column_rank_eliminates_nothing(field, monkeypatch):
+    """Tall and square matrices of full column rank, at two heights: the
+    selection modulo PRIME has ncols rows, so the result [I; 0], the one of
+    the full elimination and of sympy, comes with no elimination and no
+    certificate."""
+    sympy = pytest.importorskip("sympy")
+    import ellprym.scalars as scalars
+    rng = random.Random(20261018 + field.degree)
+    cases = []
+    for nrows, ncols in ((12, 4), (20, 6), (6, 6), (5, 1), (30, 2)):
+        for bits in (8, 32):
+            # a product of random factors may lose rank: draw again
+            want = None
+            while want is None or want[1] != list(range(ncols)):
+                M = _random_matrix(rng, field, nrows, ncols, ncols, bits)
+                want = exact_rref(M)
+            cases.append((M, want))
+
+    def refuse(*args):
+        raise AssertionError("eliminated at full column rank")
+
+    monkeypatch.setattr(scalars, "_eliminate", refuse)
+    monkeypatch.setattr(scalars, "_first_outside", refuse)
+    for M, want in cases:
+        red, pivots = M.rref()
+        assert (red, pivots) == want
+        want_rows, want_pivots, rows = _sympy_rref(sympy, M, red)
+        assert pivots == want_pivots and rows == want_rows
+        assert M.rank() == M.ncols
+
+
 def _fooling_matrices(field):
     """Matrices whose rank drops modulo PRIME: multiples of PRIME, and
     denominators PRIME divides (cleared, the row is PRIME times another)."""
@@ -553,6 +585,34 @@ def _samples(order):
     field = FieldSpec(order)
     return [_random_element(rng, field, digits) for digits in (1, 1, 3, 40)] \
         + [_at_limit(rng, field)]
+
+
+def _fraction_string(x):
+    """Reference: to_string through a Fraction per coordinate."""
+    terms = []
+    for k, c in enumerate(F(n, x.den) for n in x.num):
+        if c:
+            terms.append(str(c) if k == 0 else f"{c}*z" if k == 1 else
+                         f"{c}*z^{k}")
+    return " + ".join(terms) if terms else "0"
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_to_string_matches_fraction_reference(order):
+    """The samples and their negatives, each with one coordinate zeroed in
+    turn, integers, unit fractions on z^k, and zero."""
+    field = FieldSpec(order)
+    xs = _samples(order)
+    xs += [-x for x in xs]
+    xs += [field.from_coefficients([0 if i == k else c
+                                    for i, c in enumerate(x.coeffs)])
+           for x in xs for k in range(field.degree)]
+    xs += [field.zero(), field.scalar(-7), field.scalar(F(-3, 4))]
+    xs += [field.from_coefficients([F(1, k + 2) if i == k else 0
+                                    for i in range(field.degree)])
+           for k in range(field.degree)]
+    for x in xs:
+        assert x.to_string() == _fraction_string(x)
 
 
 def _unit_fractions_at_limit(rng, field):

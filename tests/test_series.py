@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellprym.builder import (INFINITY, CurveFunction, EllipticCurve,
+                             _place_sort_key, base_series, bielliptic_spec,
+                             divisor_of, lift, pirola_spec)
 from ellprym.covering import _parse_series
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             SingularJacobian, ValuationError)
 from ellprym.scalars import FieldSpec, Scalar, peval
-from ellprym.series import (TruncatedSeries, compose_all, newton_solve,
+from ellprym.series import (TruncatedSeries, _rewindow, compose_all,
                             transform_form)
 
 Q = FieldSpec(1)
@@ -75,6 +78,103 @@ def test_coefficient_outside_window():
         S(0, [1], 3).coefficient(5)
 
 
+# -- reference chart path: newton_solve, reversion, then compose_all ---------
+#
+# The builder's local expansions before `lift`: (x, y) in t by newton_solve,
+# then h(t) reverted and composed into them.  The tests below check this path
+# against independent oracles, and `lift` against it.
+
+def newton_solve(coeffs_in_y, seed, target_prec):
+    """Series solution of F(z, y) = 0 by Newton iteration.
+
+    ``coeffs_in_y`` lists the coefficients of F as a polynomial in y, each a
+    TruncatedSeries in z known at least to target_prec + 1, since every
+    round works one coefficient past the ones it makes correct; a shorter
+    window ends in InsufficientPrecision.  The seed must satisfy F(seed) = 0
+    within its own window and dF/dy(seed) must be a unit.
+    """
+    dcoeffs = [c.scale(k) for k, c in enumerate(coeffs_in_y) if k]
+    residual = peval(coeffs_in_y, seed)
+    if not residual.truncate(min(seed.prec, residual.prec)).is_zero():
+        raise ValueError("seed does not satisfy the equation to its precision")
+    deriv = peval(dcoeffs, seed)
+    if deriv.is_zero() or deriv.valuation != 0:
+        raise SingularJacobian(
+            "dF/dy at the seed is not a unit; Newton cannot start")
+    y = _rewindow(seed, target_prec + 1)
+    known = max(1, seed.prec - seed.valuation)
+    while known < target_prec:
+        known = min(2 * known, target_prec)
+        y = _rewindow(y, known + 1)
+        correction = peval(coeffs_in_y, y) / peval(dcoeffs, y)
+        y = (y - correction).truncate(known + 1)
+    y = y.truncate(target_prec)
+    if not peval(coeffs_in_y, y).truncate(target_prec).is_zero():
+        raise AssertionError("Newton result fails the equation")
+    return y
+
+
+def reversion(f):
+    """Compositional inverse g with f(g) = z, for valuation exactly 1.
+
+    Newton iteration g <- g - (f(g) - z) / f'(g) on a top-down precision
+    schedule: the target t = f.prec, then ceil(t/2), ... down to 2, run
+    upwards.  The result window is f.prec, and f(g) = z is checked at full
+    width before g is returned.
+    """
+    if f.valuation != 1:
+        raise ValuationError(
+            f"reversion requires valuation 1, got {f.valuation}")
+    rel = f.relative_precision()
+    ident = TruncatedSeries.identity(f.field, rel + 1)
+    g = ident.scale(f.coefficient(1).inverse()).truncate(2)
+    schedule = [rel + 1]
+    while schedule[-1] > 2:
+        schedule.append(-(-schedule[-1] // 2))
+    deriv = f.derivative()
+    schedule.reverse()
+    for good, known in zip(schedule, schedule[1:]):
+        g = _rewindow(g, known)
+        f_g, dg = compose_all(
+            [f.truncate(known), deriv.truncate(known - good)], g)
+        g = (g - (f_g - ident.truncate(known)) / dg).truncate(known)
+    check = f.compose(g)
+    window = min(check.prec, rel + 1)
+    if not (check - ident.truncate(window)).truncate(window).is_zero():
+        raise AssertionError("reversion verification failed")
+    return g
+
+
+def reference_base_series(curve, place, prec):
+    """(x, y) in t = x - x0, or t = y at a 2-torsion point, by newton_solve
+    on equations built one coefficient past prec."""
+    f = curve.field
+    big = prec + 1
+
+    def const(c):
+        return TruncatedSeries.from_coefficients(f, 0, [c], big)
+
+    if place.y.is_zero():
+        t2 = TruncatedSeries.monomial(f, 2, f.one(), big + 2)
+        coeffs = [const(curve.B) - t2, const(curve.A), const(f.zero()),
+                  const(f.one())]
+        seed = TruncatedSeries.from_coefficients(f, 0, [place.x], 1)
+        return (newton_solve(coeffs, seed, prec),
+                TruncatedSeries.identity(f, big).truncate(prec))
+    x = TruncatedSeries.identity(f, big) + place.x
+    coeffs = [-peval(curve.rhs(), x), const(f.zero()), const(f.one())]
+    seed = TruncatedSeries.from_coefficients(f, 0, [place.y], 1)
+    return x.truncate(prec), newton_solve(coeffs, seed, prec)
+
+
+def reference_chart(curve, h, place, prec):
+    """(x, y) in v = h below v^prec at a simple zero of h: the expansions in
+    t one coefficient further, composed with the reversion of h(t)."""
+    x_t, y_t = reference_base_series(curve, place, prec + 1)
+    h_t = h.series_from_xy(x_t, y_t)
+    return [s.truncate(prec) for s in compose_all([x_t, y_t], reversion(h_t))]
+
+
 def test_newton_binomial_series():
     big = 12
     coeffs = [S(0, [-1, -1], big), TruncatedSeries.zero(Q, big), S(0, [1], big)]
@@ -112,18 +212,18 @@ def test_newton_singular_jacobian():
 
 def test_reversion_identity():
     f = S(1, [1], 7)
-    assert f.reversion() == S(1, [1], 7)
+    assert reversion(f) == S(1, [1], 7)
 
 
 def test_reversion_scaling():
-    g = S(1, [2], 7).reversion()
+    g = reversion(S(1, [2], 7))
     assert g.coefficient(1) == Q.scalar(F(1, 2))
 
 
 def test_reversion_against_lagrange_inversion():
     """Independent oracle: g_n = [z^(n-1)] (z/f)^n / n."""
     f = S(1, [1, 1], 9)  # z + z^2
-    g = f.reversion()
+    g = reversion(f)
     unit = f / S(1, [1], 12)       # f/z
     for n in range(1, 8):
         power = S(0, [1], 10)
@@ -138,7 +238,7 @@ def test_reversion_against_lagrange_inversion():
 
 def test_reversion_requires_valuation_one():
     with pytest.raises(ValuationError):
-        S(2, [1], 6).reversion()
+        reversion(S(2, [1], 6))
 
 
 def test_reversion_round_trip():
@@ -147,7 +247,7 @@ def test_reversion_round_trip():
         coeffs = [F(rng.choice([1, 2, 3]))] + \
             [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
         f = S(1, coeffs, 8)
-        assert (f.reversion().reversion() - f).truncate(8).is_zero()
+        assert (reversion(reversion(f)) - f).truncate(8).is_zero()
 
 
 def test_residue_reparametrization_invariance():
@@ -539,10 +639,10 @@ def test_reversion_window_sound():
     rng = random.Random(32)
     for field in (Q, Q3):
         f = random_series(rng, field, 1, 20, 21)
-        wide = f.reversion()
+        wide = reversion(f)
         assert wide.prec == 21
         for cut in (2, 3, 5, 8, 13):
-            narrow = f.truncate(cut).reversion()
+            narrow = reversion(f.truncate(cut))
             assert narrow.prec == cut
             _assert_agrees_on(narrow, wide)
 
@@ -666,7 +766,73 @@ def test_reversion_against_sympy():
     for n in (2, 5, 9, 14):
         f = random_series(rng, Q, 1, n, n + 1, sparse=0.3)
         z, unit = _sympy_ring(f)
-        g = f.reversion()
+        g = reversion(f)
         assert g.prec == n + 1
         _assert_matches_ring(
             g, ring_series.rs_series_reversion(unit * z, z, n + 1, z))
+
+
+# -- builder.lift against the reference chart path --------------------------------
+
+FIXTURES = {"pirola": pirola_spec, "double3": lambda: bielliptic_spec(3),
+            "double4": lambda: bielliptic_spec(4)}
+
+
+def _ramification_places(spec):
+    div = divisor_of(spec.curve, spec.h)
+    return [p for p, v in sorted(div.items(), key=_place_sort_key) if v == 1]
+
+
+@pytest.mark.parametrize("name, window", [("pirola", 40), ("pirola", 80),
+                                          ("double3", 40), ("double4", 40)])
+def test_lift_matches_reference_chart(name, window):
+    """Every chart of a stock fixture, at the width the builder lifts to:
+    coefficients and windows identical to the reference path's."""
+    spec = FIXTURES[name]()
+    prec = -(-window // spec.order) + 2
+    for place in _ramification_places(spec):
+        got = lift(spec.curve, place, spec.h, prec)
+        assert list(got) == reference_chart(spec.curve, spec.h, place, prec)
+        assert [s.prec for s in got] == [prec, prec]
+
+
+def _finite_places():
+    """2-torsion and other places on y^2 = x^3 + 1 over Q and Q(zeta_3) and
+    on y^2 = x^3 - 2x + 1 over Q, and every finite place of the double-cover
+    fixtures' divisors."""
+    for field in (Q, Q3):
+        curve = EllipticCurve(field, field.zero(), field.one())
+        for x, y in ((-1, 0), (0, 1), (0, -1), (2, 3), (2, -3)):
+            yield curve, curve.point(x, y)
+    curve = EllipticCurve(Q, Q.scalar(-2), Q.one())
+    for x, y in ((1, 0), (0, 1), (0, -1)):
+        yield curve, curve.point(x, y)
+    for name in ("double3", "double4"):
+        spec = FIXTURES[name]()
+        yield from ((spec.curve, p) for p in divisor_of(spec.curve, spec.h)
+                    if p is not INFINITY)
+
+
+@pytest.mark.parametrize("prec", [1, 3, 8, 17])
+def test_base_series_matches_reference(prec):
+    for curve, place in _finite_places():
+        assert base_series(curve, place, prec) == \
+            reference_base_series(curve, place, prec), place
+
+
+def test_lift_refuses_a_function_with_a_double_zero():
+    """On y^2 = x^3 + 1, x + 1 has a double zero at the 2-torsion point
+    (-1, 0), and y - 1 a triple one at the flex (0, 1): neither is a
+    uniformizer there, so the Jacobian is no unit.  x and y themselves are
+    uniformizers at those points and lift."""
+    for field in (Q, Q3):
+        curve = EllipticCurve(field, field.zero(), field.one())
+        flex, torsion = curve.point(0, 1), curve.point(-1, 0)
+        for place, bad, good in ((torsion, ([1, 1],), ((), [1])),
+                                 (flex, ([-1], [1]), ([0, 1],))):
+            for prec in (1, 2, 9):
+                with pytest.raises(SingularJacobian):
+                    lift(curve, place, CurveFunction.make(curve, *bad), prec)
+                x, y = lift(curve, place, CurveFunction.make(curve, *good),
+                            prec)
+                assert (x.prec, y.prec) == (prec, prec)
