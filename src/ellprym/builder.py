@@ -261,15 +261,18 @@ def valuation_at(fn, place):
     """Exact valuation of a nonzero curve function P(x) + y Q(x) at a place.
 
     At infinity x and y have poles of orders 2 and 3, so P and yQ have poles
-    of different parity there and cannot cancel.  The function has as many
-    zeros as poles, so at a finite place one expansion one coefficient past
-    that pole order decides.
+    of different parity there and cannot cancel.  At a finite place where
+    it does not vanish it has valuation 0.  Elsewhere, as it has as many
+    zeros as poles, one expansion one coefficient past that pole order
+    decides.
     """
     if fn.is_zero():
         raise InputError("the zero function has no valuation")
     pole = max(2 * len(fn.P) - 2, 2 * len(fn.Q) + 1 if fn.Q else 0)
     if place is INFINITY:
         return -pole
+    if fn.evaluate(place):
+        return 0
     x, y = base_series(fn.curve, place, pole + 1)
     return fn.series_from_xy(x, y).valuation
 
