@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import SchemaError, ValidationFailed
-from .scalars import FieldSpec, Matrix, Scalar
+from .scalars import FieldSpec, Matrix, Scalar, _over_lcm
 from .series import TruncatedSeries, transform_form
 
 # Largest chart window taken from untrusted input: it bounds the valuation
@@ -108,27 +108,27 @@ class CoveringDatum(_DatumFields):
         This is the only place where chart products f_i f_j and fiber
         products r_i r_j are formed.
         """
-        fld = self.field
-        g = self.genus
-        pairs = lex_pairs(g)
+        fld, pairs = self.field, lex_pairs(self.genus)
         charts, residues = [], []
         for c in self.charts:
-            w = c.window()
-            inv_alpha = c.alpha_pullback.inverse()
+            w, v = c.window(), c.alpha_pullback.valuation
             products = [(c.forms[i] * c.forms[j]).truncate(w)
                         for i, j in pairs]
-            charts.append(Matrix(fld, list(zip(*(s.coefficients_in(0, w)
-                                                 for s in products)))))
+            # column p holds the coefficients of product p below u^w
+            charts.append(Matrix._make(fld, [(s.ints_in(0, w), s.den)
+                                             for s in products]).transpose())
             # 1/alpha starts at u^-v, so only the terms of f_i f_j below u^v
-            # reach the residue
-            v = c.alpha_pullback.valuation
+            # reach the residue, and they meet only u^-v..u^-1 of 1/alpha:
+            # the v terms that alpha's own first v terms, u^v..u^(2v-1),
+            # determine
+            inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
             residues.append([(s.truncate(v) * inv_alpha).residue()
                              for s in products])
-        fiber = [[r[i] * r[j] for i, j in pairs] for r in self.fiber.ratios]
-        fiber_sum = [sum(col, fld.zero()) for col in zip(*fiber)]
-        return MultiplicationTable(tuple(charts), Matrix(fld, residues),
-                                   Matrix(fld, fiber),
-                                   Matrix(fld, [fiber_sum]))
+        fiber = Matrix(fld, [[r[i] * r[j] for i, j in pairs]
+                             for r in self.fiber.ratios])
+        return MultiplicationTable(
+            tuple(charts), Matrix(fld, residues), fiber,
+            Matrix(fld, [[1] * self.degree]).matmul(fiber))
 
 
 class MultiplicationTable(NamedTuple):
@@ -291,10 +291,11 @@ def form_coefficients(datum):
     """The g x budget matrix of the basis forms' known data: row i holds the
     coefficients of form i below each chart window, then its fiber ratios.
     ``validate`` ranks it for the independence certificate."""
-    return Matrix(datum.field, [
-        [x for c in datum.charts
-         for x in c.forms[i].coefficients_in(0, c.window())] +
-        [row[i] for row in datum.fiber.ratios] for i in range(datum.genus)])
+    return Matrix._make(datum.field, [_over_lcm(
+        [(c.forms[i].ints_in(0, c.window()), c.forms[i].den)
+         for c in datum.charts] +
+        [(row[i].num, row[i].den) for row in datum.fiber.ratios])
+        for i in range(datum.genus)])
 
 
 def trace_vector(datum):
@@ -477,23 +478,14 @@ def change_basis(datum, matrix):
     same linear combinations.  The alpha index hint is dropped because the
     pullback form need not stay a basis vector.
     """
-    g = datum.genus
-    B = matrix
-    charts = []
-    for c in datum.charts:
-        new_forms = []
-        for i in range(g):
-            acc = TruncatedSeries.zero(datum.field,
-                                       min(s.prec for s in c.forms))
-            for k in range(g):
-                coef = B.rows[k][i]
-                if not coef.is_zero():
-                    acc = acc + c.forms[k].scale(coef)
-            new_forms.append(acc)
-        charts.append(c._replace(forms=tuple(new_forms)))
-    Bt = B.transpose()
+    Bt = matrix.transpose()
+    cols = Bt.rows
+    charts = tuple(c._replace(forms=tuple(
+        sum((s.scale(x) for s, x in zip(c.forms, col) if x),
+            TruncatedSeries.zero(datum.field, min(s.prec for s in c.forms)))
+        for col in cols)) for c in datum.charts)
     ratios = tuple(tuple(Bt.mul_vec(row)) for row in datum.fiber.ratios)
-    return datum._replace(charts=tuple(charts),
+    return datum._replace(charts=charts,
                           fiber=datum.fiber._replace(ratios=ratios),
-                          basis_names=tuple(f"b{i}" for i in range(g)),
+                          basis_names=tuple(f"b{i}" for i in range(datum.genus)),
                           alpha_index_hint=None)

@@ -26,7 +26,7 @@ from .covering import (form_coefficients, lex_pairs, require_valid,
                        trace_vector)
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
-from .scalars import Matrix
+from .scalars import Matrix, _flat
 from .series import TruncatedSeries
 
 
@@ -120,8 +120,7 @@ class TraceSplit(NamedTuple):
     def minus_tensor(self, coords):
         """The tensor with these coordinates over the symmetric square of
         the trace-zero basis; inverse of minus_coords on that square."""
-        zero = self.change.field.zero()
-        return self.sym_change.mul_vec([zero] * self.genus + list(coords))
+        return self.sym_change[:, self.genus:].mul_vec(coords)
 
 
 def trace_split(datum):
@@ -151,8 +150,7 @@ def trace_split(datum):
             f"trace of the pullback form is {tr_alpha}, expected degree {d}")
 
     # the adapted basis is invertible exactly when the splitting is direct
-    cols = [alpha] + minus
-    change = Matrix(field, [[v[i] for v in cols] for i in range(g)])
+    change = Matrix(field, [alpha] + minus).transpose()
     try:
         change_inv = change.inverse()
     except ValueError:
@@ -201,10 +199,12 @@ def multiply(datum, phi):
     Per chart the expansion of the product differential; per fiber point the
     value divided by the square of the base pullback, which is the double
     sum of Phi_ij times the two ratio values.  Both are read off the datum's
-    multiplication table.
+    multiplication table, each chart series as integer products of its rows
+    with the tensor.  A tensor of the wrong length raises ValueError.
     """
-    table = datum.multiplication_table
-    charts = tuple(TruncatedSeries(datum.field, 0, m.mul_vec(phi), m.nrows)
+    table, field = datum.multiplication_table, datum.field
+    vec = _flat(field, phi)
+    charts = tuple(TruncatedSeries._make(field, 0, *m._apply(*vec), m.nrows)
                    for m in table.charts)
     return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(phi)))
 
@@ -226,8 +226,7 @@ def multiply_matrix(datum):
     chart coefficients followed by the fiber values.
     """
     table = datum.multiplication_table
-    rows = [row for m in table.charts for row in m.rows] + table.fiber.rows
-    return Matrix(datum.field, rows)
+    return Matrix.stack([*table.charts, table.fiber])
 
 
 def quadric_kernel(datum):

@@ -184,11 +184,12 @@ def sym2_eigenspaces(split, eig):
     # restriction to the trace-zero square: conjugate the generator into the
     # adapted frame of the split and take the lower block
     conj = split.change_inv.matmul(M).matmul(split.change)
+    rows = conj.rows
     for i in range(1, split.genus):
-        if not conj.rows[0][i].is_zero() or not conj.rows[i][0].is_zero():
+        if not rows[0][i].is_zero() or not rows[i][0].is_zero():
             raise IdentityViolated(
                 "action does not preserve the trace splitting")
-    minus_mat = Matrix(M.field, [row[1:] for row in conj.rows[1:]])
+    minus_mat = conj[1:, 1:]
     minus = _decompose(sym_square_matrix(minus_mat), eig.order, eig.relabeled)
     return SymSquareEigen(full, minus)
 

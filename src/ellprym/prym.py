@@ -64,10 +64,8 @@ def codifferential_matrix(datum, split):
     """Rows: the residue slots t_1..t_n, then s; columns: the lex basis of
     the symmetric square of the trace-zero space."""
     table = datum.multiplication_table
-    g = split.genus
-    minus = Matrix(datum.field, [row[g:] for row in split.sym_change.rows])
-    return Matrix(datum.field,
-                  table.residues.rows + table.fiber_sum.rows).matmul(minus)
+    return Matrix.stack([table.residues, table.fiber_sum]).matmul(
+        split.sym_change[:, split.genus:])
 
 
 class KernelEReport(NamedTuple):
@@ -86,7 +84,7 @@ def kernel_E(datum, split):
     the identity is unconditional for non-hyperelliptic covers.
     """
     g, n = datum.genus, datum.n_ramification
-    gam = Matrix(datum.field, codifferential_matrix(datum, split).rows[:n])
+    gam = codifferential_matrix(datum, split)[:n, :]
     kernel = gam.kernel_basis()
     rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1

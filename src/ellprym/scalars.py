@@ -15,28 +15,31 @@ or ``*z^k``, joined by ``+`` with spaces allowed only around the ``+``.
 ``from_string`` reads that grammar only, with int, refusing any string longer
 than MAX_SCALAR_LENGTH before parsing; ``to_json`` refuses to write one.
 
-The linear algebra is deterministic.  ``Matrix.rref`` returns the unique
-reduced row echelon form, and it finds it in three steps (after Dixon,
-"Exact solution of linear equations using p-adic expansions", Numer. Math.
-40, 1982: structure modulo a word prime, then exact certification):
-1. each row is cleared to integers over one denominator and reduced modulo
-   the prime PRIME = 1 (mod 60060), where zeta_N maps to an element of order
-   N for every supported N; the rows independent of the rows before them
-   there are selected;
-2. the selected rows alone go through exact Gaussian elimination, the pivot
-   always the first nonzero entry in column order (magnitude-based pivoting
-   would be meaningless over Q(zeta) and would break reproducibility);
-3. every other row is checked exactly, in integers, to be the combination of
-   the reduced rows that its own pivot-column entries give, i.e. to vanish on
-   their kernel.  A row that fails joins the selection and step 2 runs again.
+The linear algebra is deterministic.  A Matrix keeps each row in the same
+layout as a Scalar: the power-basis integers of all its entries in one flat
+list over one positive denominator, in lowest terms; Scalars are made only
+where entries are read.  ``Matrix.rref`` returns the unique reduced row
+echelon form, and it finds it in three steps (after Dixon, "Exact solution
+of linear equations using p-adic expansions", Numer. Math. 40, 1982:
+structure modulo a word prime, then exact certification):
+1. each row's integers are mapped modulo the prime PRIME = 1 (mod 60060),
+   where zeta_N maps to an element of order N for every supported N; the
+   rows independent of the rows before them there are selected;
+2. the selected rows alone go through exact Gauss-Jordan elimination on
+   their integers, the pivot always the first nonzero entry in column order
+   (magnitude-based pivoting would be meaningless over Q(zeta) and would
+   break reproducibility);
+3. every other row is checked exactly, in integers, to vanish on the kernel
+   of the reduced rows, i.e. to be the combination of them that its own
+   pivot-column entries give.  A row that fails joins the selection and
+   step 2 runs again.
 The check is the certificate: the selected rows then span the row space, so
 the RREF, its pivots, ``kernel_basis``, ``rank`` and ``solve`` are those of the
 whole matrix.  A wrong selection modulo PRIME (a pivot or a denominator that
 PRIME divides) costs only another round, since each failed row raises the
-exact rank of the selection; at worst every row is selected.  When step 1
-selects as many rows as there are columns, their minor is nonzero modulo
-PRIME, hence nonzero: the rank is full and the RREF is [I; 0], so steps 2
-and 3 are skipped.
+exact rank of the selection; at worst every row is selected.  The selected
+rows are independent, so once there are as many of them as columns their
+rank is full and the RREF is [I; 0]: steps 2 and 3 are skipped.
 """
 
 from __future__ import annotations
@@ -314,24 +317,20 @@ class Scalar:
     __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field, coeffs):
-        q = [Fraction(x) for x in coeffs]
-        den = lcm(*(x.denominator for x in q))
-        num = [x.numerator * (den // x.denominator) for x in q]
+        num, den = _flat(FieldSpec(1), coeffs)
         s = Scalar._make(field, field._fold(num + [0] * field.degree), den)
         self.field, self.num, self.den, self._hash = field, s.num, s.den, None
 
     @classmethod
     def _make(cls, field, num, den, lowest=False):
-        """num/den for an integer tuple num on the power basis and an integer
-        den != 0, brought to lowest terms with den > 0 unless ``lowest``."""
+        """num/den for integers num (a list or tuple) on the power basis and
+        an integer den != 0, brought to lowest terms with den > 0 unless
+        ``lowest``."""
         if not lowest:
-            g = gcd(den, *num)
-            if den < 0:
-                g = -g
-            if g != 1:
-                num, den = tuple(x // g for x in num), den // g
+            num, den = _lowest(num, den)
         self = object.__new__(cls)
-        self.field, self.num, self.den, self._hash = field, num, den, None
+        self.field, self.den, self._hash = field, den, None
+        self.num = tuple(num)
         return self
 
     @property
@@ -373,7 +372,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._make(self.field, tuple(-x for x in self.num), self.den,
+        return Scalar._make(self.field, [-x for x in self.num], self.den,
                             lowest=True)
 
     def __sub__(self, other):
@@ -409,7 +408,7 @@ class Scalar:
         if not y.is_rational() or not y:
             raise AssertionError("cyclotomic polynomial not coprime to element")
         p = reduce(Scalar.__mul__, qs, f.one()).num
-        return Scalar._make(f, tuple(self.den * x for x in p), y.num[0])
+        return Scalar._make(f, [self.den * x for x in p], y.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -537,10 +536,61 @@ class Scalar:
         num = [0] * field.degree
         for p, q, power in terms:
             num[power] += p * (den // q)
-        return Scalar._make(field, tuple(num), den)
+        return Scalar._make(field, num, den)
 
     def __repr__(self):
         return self.to_string()
+
+
+# ---------------------------------------------------------------------------
+# flat integer vectors over one denominator
+#
+# A Scalar, a TruncatedSeries and each row of a Matrix are power-basis
+# integers, d = field.degree of them per entry, over one positive
+# denominator in lowest terms.  These are the steps the three share.
+# ---------------------------------------------------------------------------
+
+def _lowest(num, den):
+    """num/den for integers num over den != 0: both divided by their gcd,
+    signed so that den > 0.  num comes back as it was when the gcd is 1,
+    and as a new list otherwise."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return [x // g for x in num], den // g
+
+
+def _over_lcm(parts):
+    """The (num, den) parts as one flat list over the lcm of their
+    denominators: (num, den), in lowest terms when every part is."""
+    den = lcm(*(e for _, e in parts))
+    num = []
+    for n, e in parts:
+        num += n if e == den else [x * (den // e) for x in n]
+    return num, den
+
+
+def _flat(field, entries):
+    """Scalars, ints or Fractions as flat ints over one denominator."""
+    return _over_lcm([(x.num, x.den) for x in map(field.scalar, entries)])
+
+
+def _times(field, num, c):
+    """The flat ints num, each entry times the power-basis ints c."""
+    d = field.degree
+    if d == 1:
+        return [x * c[0] for x in num]
+    return [x for i in range(0, len(num), d)
+            for x in field._mul(num[i:i + d], c)]
+
+
+def _scalars(field, num, den):
+    """The Scalars of the flat ints num over den, d = field.degree at a time."""
+    d = field.degree
+    return [Scalar._make(field, num[i:i + d], den)
+            for i in range(0, len(num), d)]
 
 
 # ---------------------------------------------------------------------------
@@ -548,51 +598,125 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense exact matrix over a FieldSpec."""
+    """Dense exact matrix over a FieldSpec.
+
+    ``int_rows`` holds one pair (num, den) per row: the power-basis integers
+    of the row's entries in one flat list (entry j at j*d .. j*d + d - 1,
+    d = field.degree), over one den > 0 with gcd(den, *num) = 1, the layout
+    of a Scalar and of a TruncatedSeries.  Products, eliminations and
+    slices work on these integers.  Scalars are made only where entries are
+    read: the ``rows`` view and the vectors that ``mul_vec``,
+    ``kernel_basis`` and ``solve`` return.  A matrix is never changed once
+    made, so matrices may share rows.
+    """
+
+    __slots__ = ("field", "int_rows")
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = [[field.scalar(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        self.int_rows = [_flat(field, row) for row in rows]
+        if len({len(n) for n, _ in self.int_rows}) > 1:
             raise ValueError("ragged matrix")
 
     @classmethod
+    def _make(cls, field, int_rows, lowest=False):
+        """The matrix of (num, den) rows, each brought to lowest terms unless
+        ``lowest``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.int_rows = int_rows if lowest else \
+            [_lowest(n, e) for n, e in int_rows]
+        return self
+
+    @property
+    def nrows(self):
+        return len(self.int_rows)
+
+    @property
+    def ncols(self):
+        return len(self.int_rows[0][0]) // self.field.degree \
+            if self.int_rows else 0
+
+    @property
+    def rows(self):
+        """The entries as Scalars, made afresh on each read, in tuples."""
+        return tuple(tuple(_scalars(self.field, n, e))
+                     for n, e in self.int_rows)
+
+    @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)]
-                           for i in range(n)])
+        m = cls.zero(field, n, n)
+        for i, (row, _) in enumerate(m.int_rows):
+            row[i * field.degree] = 1
+        return m
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._make(field, [([0] * (ncols * field.degree), 1)
+                                 for _ in range(nrows)], True)
+
+    @staticmethod
+    def stack(blocks):
+        """The rows of the matrices in the list ``blocks``, in order."""
+        return Matrix._make(blocks[0].field,
+                            [r for b in blocks for r in b.int_rows], True)
+
+    def __getitem__(self, key):
+        """The block self[rows, cols] for two slices of unit step."""
+        rows, cols = key
+        d = self.field.degree
+        start, stop, _ = cols.indices(self.ncols)
+        return Matrix._make(self.field, [(n[start * d:stop * d], e)
+                                         for n, e in self.int_rows[rows]])
+
+    def _beside(self, other):
+        """[self | other], each row over the lcm of its two denominators."""
+        return Matrix._make(self.field, [_over_lcm(pair) for pair in
+                                         zip(self.int_rows, other.int_rows)],
+                            True)
 
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
+        """Every row put over the lcm of all the row denominators, then read
+        by columns."""
+        d, step = self.field.degree, self.ncols * self.field.degree
+        num, den = _over_lcm(self.int_rows)
+        strided = [num[j::step] for j in range(step)]
+        return Matrix._make(self.field, [
+            ([x for t in zip(*strided[j:j + d]) for x in t], den)
+            for j in range(0, step, d)])
 
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = other.transpose()
-        return Matrix(self.field, [cols.mul_vec(row) for row in self.rows])
+        return Matrix._make(self.field, [cols._apply(*r)
+                                         for r in self.int_rows])
 
     def mul_vec(self, vec):
-        zero = self.field.zero()
+        return _scalars(self.field, *self._apply(*_flat(self.field, vec)))
+
+    def _apply(self, v, vden):
+        """self times the column v/vden of flat ints, as flat ints over one
+        denominator: (num, den).  Coordinate k of an entry's product sums,
+        over a + b = k, the integer dot products of coordinate a of the row
+        with coordinate b of v; one fold per entry brings it onto the power
+        basis."""
+        field, d = self.field, self.field.degree
+        if len(v) != self.ncols * d:
+            raise ValueError("shape mismatch")
         out = []
-        for i in range(self.nrows):
-            acc = zero
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if not a.is_zero():
-                    acc = acc + a * vec[k]
-            out.append(acc)
-        return out
+        for n, e in self.int_rows:
+            acc = [0] * (2 * d - 1)
+            for a in range(d):
+                for b in range(d):
+                    acc[a + b] += sum(map(mul, n[a::d], v[b::d]))
+            out.append((field._fold(acc), e))
+        num, den = _over_lcm(out)
+        return num, den * vden
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.field is other.field and \
+            self.int_rows == other.int_rows
 
     # -- elimination ------------------------------------------------------------
 
@@ -601,30 +725,27 @@ class Matrix:
 
         Rows are selected modulo PRIME, eliminated exactly and certified
         against every other row (module docstring); the result is the unique
-        RREF of the whole matrix, zero rows last.
+        RREF of the whole matrix, zero rows last.  The selected rows are
+        independent, so once there are ncols of them the rank is full and
+        the RREF is [I; 0].
         """
-        field, rows = self.field, self.rows
-        cleared = [_cleared(row) for row in rows]
-        chosen = _independent_mod_p(field, cleared, self.ncols)
-        zero = field.zero()
-        if len(chosen) == self.ncols:
-            # full column rank (module docstring): the RREF is [I; 0]
-            one = field.one()
-            return Matrix(field, [[one if i == j else zero
-                                   for j in range(self.ncols)]
-                                  for i in range(self.nrows)]), \
-                list(range(self.ncols))
+        field, ncols = self.field, self.ncols
+        chosen = _independent_mod_p(field, self.int_rows, ncols)
         start = 0
-        while True:
-            red, pivots = _eliminate([rows[i] for i in chosen], self.ncols)
-            bad = _first_outside(field, cleared, set(chosen), red, pivots,
-                                 self.ncols, start)
+        while len(chosen) < ncols:
+            red, pivots = _eliminate(
+                field, [self.int_rows[i] for i in chosen], ncols)
+            bad = _first_outside(field, self.int_rows, set(chosen), red,
+                                 pivots, ncols, start)
             if bad is None:
                 break
             chosen.append(bad)
             start = bad + 1
-        red += [[zero] * self.ncols for _ in range(self.nrows - len(red))]
-        return Matrix(field, red), pivots
+        else:
+            red, pivots = Matrix.identity(field, ncols).int_rows, \
+                list(range(ncols))
+        zero = Matrix.zero(field, self.nrows - len(red), ncols)
+        return Matrix._make(field, red + zero.int_rows, True), pivots
 
     def rank(self):
         """Rank, by the rref of the transpose when that has fewer columns:
@@ -635,31 +756,16 @@ class Matrix:
     def inverse(self):
         """Exact inverse of a square matrix, by rref of [M | I]."""
         n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        red, pivots = Matrix(self.field, [list(r) + i for r, i in
-                                          zip(self.rows, ident.rows)]).rref()
+        red, pivots = self._beside(Matrix.identity(self.field, n)).rref()
         if pivots != list(range(n)):
             raise ValueError("matrix not invertible")
-        return Matrix(self.field, [row[n:] for row in red.rows])
+        return red[:, n:]
 
     def kernel_basis(self):
-        """Basis of the right kernel, reduced column echelon convention.
-
-        For each free column f (in ascending order) the basis vector has a 1
-        in slot f, the negated reduced coefficients in the pivot slots, and
-        zeros elsewhere.  Output is deterministic and satisfies rank-nullity.
-        """
+        """Basis of the right kernel, reduced column echelon convention
+        (`_kernel`); deterministic, and checked against rank-nullity."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        one, zero = self.field.one(), self.field.zero()
-        basis = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
-            basis.append(v)
+        basis = _kernel(self.field, red.int_rows, pivots, self.ncols)
         if len(basis) != self.ncols - len(pivots):
             raise AssertionError("rank-nullity violated")
         return basis
@@ -668,109 +774,97 @@ class Matrix:
         """Exact solution of self * x = rhs, or None if inconsistent.
 
         When the system is underdetermined, free variables are set to zero
-        (deterministic by the rref convention).
+        (deterministic by the rref convention): x is the kernel vector of
+        [self | -rhs] for its last column, cut before that column, and the
+        system is inconsistent exactly when that column is a pivot.
         """
-        aug = Matrix(self.field,
-                     [list(r) + [b] for r, b in zip(self.rows, rhs)])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        zero = self.field.zero()
-        x = [zero] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][self.ncols]
-        return x
+        if len(rhs) != self.nrows:
+            raise ValueError("shape mismatch")
+        basis = self._beside(Matrix(self.field, [[-b] for b in rhs])
+                             ).kernel_basis()
+        return basis[-1][:-1] if basis and basis[-1][-1] else None
 
     def __repr__(self):
-        return "Matrix([" + ",\n        ".join(
-            "[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
+        return f"Matrix({[list(r) for r in self.rows]})"
 
 
-def _cleared(row):
-    """A row times the lcm of its denominators, as power-basis int tuples."""
-    den = lcm(*(x.den for x in row))
-    return [x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
-            for x in row]
+def _kernel(field, red, pivots, ncols):
+    """The right kernel of the (num, den) rows red of an RREF with these
+    pivots, as Scalar vectors: for each free column f, in ascending order, a
+    1 in slot f, minus column f of red in the pivot slots, zeros elsewhere."""
+    d, basis = field.degree, []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [field.zero()] * ncols
+            v[f] = field.one()
+            for (n, e), p in zip(red, pivots):
+                v[p] = Scalar._make(field, [-x for x in n[f * d:f * d + d]], e)
+            basis.append(v)
+    return basis
 
 
-def _independent_mod_p(field, cleared, ncols):
-    """Indices of the rows, in order, that modulo PRIME are independent of
-    the rows before them; stops at ncols of them.
+def _independent_mod_p(field, rows, ncols):
+    """Indices of the (num, den) rows, in order, that modulo PRIME are
+    independent of the rows before them; stops at ncols of them.
 
-    Each kept row is stored with a 1 at its pivot column c, and zeros at the
-    pivot columns kept before it, so one pass in order reduces a new row.
-    Entries of a row under reduction stay below (ncols + 1) * PRIME^2 and are
-    brought mod PRIME once at the end.
+    A basis of the kernel of the rows kept so far is kept modulo PRIME,
+    from the unit vectors on: a row is independent exactly when it does not
+    vanish on it.  Keeping a row a with a.k0 != 0 drops k0 and turns every
+    other k into k - (a.k) k0 / (a.k0).  The kernel vectors are written on
+    the power basis, entry j as its coordinate times the images of 1,
+    zeta_N, ... in F_PRIME, so a row's flat ints pair with them directly.
     """
-    zeta = field._zeta_mod_p
-    basis, chosen = [], []
-    for i, row in enumerate(cleared):
-        v = [sum(map(mul, x, zeta)) % PRIME for x in row]
-        for c, b in basis:
-            t = v[c] % PRIME
-            if t:
-                v = [x - t * y for x, y in zip(v, b)]
-        v = [x % PRIME for x in v]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
+    d = field.degree
+    kernel = [[z if j // d == i else 0 for j, z in
+               enumerate(field._zeta_mod_p * ncols)] for i in range(ncols)]
+    chosen = []
+    for i, (row, _) in enumerate(rows):
+        dots = [sum(map(mul, row, k)) % PRIME for k in kernel]
+        j = next((j for j, t in enumerate(dots) if t), None)
+        if j is None:
             continue
-        inv = pow(v[c], -1, PRIME)
-        basis.append((c, [x * inv % PRIME for x in v]))
+        inv = pow(dots.pop(j), -1, PRIME)
+        k0 = [x * inv % PRIME for x in kernel.pop(j)]
+        kernel = [[(x - t * y) % PRIME for x, y in zip(k, k0)]
+                  for k, t in zip(kernel, dots)]
         chosen.append(i)
-        if len(chosen) == ncols:
+        if not kernel:
             break
     return chosen
 
 
-def _eliminate(rows, ncols):
-    """Exact Gauss-Jordan elimination, the pivot always the first row with a
-    nonzero entry in the current column; returns (nonzero rows, pivots)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
+def _eliminate(field, rows, ncols):
+    """Exact Gauss-Jordan elimination of (num, den) rows, the pivot always
+    the first row with a nonzero entry in the current column; returns
+    (rows, pivots), any zero rows last.
+
+    Each step is integer list work on the flat rows.  The pivot row n/e is
+    divided by its entry n[c]/e as n times the inverse of n[c].  With that
+    row now p/q, its entry c equal to 1, a row n/e whose entry c is f/e
+    becomes (n*q - f*p) / (e*q).  Every row is kept in lowest terms.
+    """
+    d, m, pivots = field.degree, list(rows), []
     for c in range(ncols):
-        if r >= len(m):
-            break
-        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        r, entry = len(pivots), slice(c * d, c * d + d)
+        sel = next((i for i in range(r, len(m)) if any(m[i][0][entry])), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        n = m[r][0]
+        inv = Scalar._make(field, n[entry], 1).inverse()
+        m[r] = p, q = _lowest(_times(field, n, inv.num), inv.den)
+        for i, (n, e) in enumerate(m):
+            if i != r and any(n[entry]):
+                m[i] = _lowest([x * q - y for x, y in
+                                zip(n, _times(field, p, n[entry]))], e * q)
         pivots.append(c)
-        r += 1
-    return m[:r], pivots
+    return m, pivots
 
 
-def _first_outside(field, cleared, chosen, red, pivots, ncols, start):
-    """The first row index from ``start`` on, outside ``chosen``, whose row a
-    is not sum_i a[pivots[i]] * red[i], or None.
-
-    Only the free columns f can differ.  With red over one denominator D,
-    B = D * red, the identity D * a[f] = sum_i a[pivots[i]] * B[i][f] is, on
-    the power basis, d integer dot products (d the field degree): coordinate
-    k of the sum pairs a[pivots[i]][j] with coordinate k of B[i][f] * z^j.
-    """
-    rest = [i for i in range(start, len(cleared)) if i not in chosen]
-    free = sorted(set(range(ncols)) - set(pivots))
-    if not rest or not free:
-        return None
-    d = field.degree
-    den = lcm(*(row[f].den for row in red for f in free))
-    columns = []
-    for f in free:
-        images = [field._fold([0] * j + [c * (den // x.den) for c in x.num])
-                  for x in (row[f] for row in red) for j in range(d)]
-        columns.append((f, [[im[k] for im in images] for k in range(d)]))
-    for i in rest:
-        a = cleared[i]
-        coords = [c for p in pivots for c in a[p]]
-        for f, column in columns:
-            if any(den * x != sum(map(mul, coords, col))
-                   for x, col in zip(a[f], column)):
-                return i
-    return None
+def _first_outside(field, rows, chosen, red, pivots, ncols, start):
+    """The first index from ``start`` on, outside ``chosen``, of the (num,
+    den) rows whose row does not vanish on the kernel of the RREF rows red,
+    or None; such a row is not sum_i a[pivots[i]] * red[i]."""
+    kernel = Matrix(field, _kernel(field, red, pivots, ncols))
+    return next((i for i in range(start, len(rows)) if i not in chosen and
+                 any(kernel._apply(*rows[i])[0])), None)

@@ -14,8 +14,9 @@ the d = field.degree power-basis integers of the coefficient at exponent
 coefficient are nonzero, except in the tracked-precision zero series, whose
 ``num`` is empty, ``den`` 1 and ``valuation == prec``.  Sums, scaling,
 shifts, truncation and the derivative are integer list operations; Scalars
-are made only where coefficients are read (``coefficients_in``, and through
-it ``coefficient``, ``coeffs``, ``to_json`` and ``repr``).
+are made only where coefficients are read (``coefficients_in``,
+``coefficient`` and ``coeffs``, and through them ``to_json`` and ``repr``).
+``ints_in`` reads a window as integers over ``den``, with no Scalars.
 
 Algorithms: a product with a one-term operand is a scaling.  Any other is
 one big-integer product by Kronecker substitution (Harvey, "Faster
@@ -41,7 +42,7 @@ import operator
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
                      ValuationError)
-from .scalars import Scalar
+from .scalars import Scalar, _flat, _lowest, _scalars, _times
 
 
 class TruncatedSeries:
@@ -49,18 +50,12 @@ class TruncatedSeries:
     __slots__ = ("field", "valuation", "num", "den", "prec")
 
     def __init__(self, field, valuation, coeffs, prec):
-        coeffs = [field.scalar(c) for c in coeffs]
         valuation, prec = int(valuation), int(prec)
         if valuation + len(coeffs) > prec:
             raise ValueError("coefficients extend beyond the stated precision")
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        lead = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
-        # Scalars in lowest terms stay so over the lcm of their denominators
-        den = math.lcm(*(c.den for c in coeffs))
-        self.field, self.num, self.den, self.prec = field, [
-            x * (den // c.den) for c in coeffs[lead:] for x in c.num], den, prec
-        self.valuation = valuation + lead if coeffs else prec
+        s = TruncatedSeries._make(field, valuation, *_flat(field, coeffs), prec)
+        self.field, self.valuation, self.num, self.den, self.prec = \
+            field, s.valuation, s.num, s.den, prec
 
     @classmethod
     def _make(cls, field, valuation, num, den, prec, lowest=False):
@@ -76,9 +71,7 @@ class TruncatedSeries:
             start -= start % d
             if start or stop < len(num):
                 num = num[start:stop + -stop % d]
-            g = math.gcd(den, *num)
-            if g != 1:
-                num, den = [x // g for x in num], den // g
+            num, den = _lowest(num, den)
             valuation = valuation + start // d if num else prec
         self = object.__new__(cls)
         self.field, self.valuation, self.num, self.den, self.prec = \
@@ -121,23 +114,23 @@ class TruncatedSeries:
     def coefficients_in(self, start, stop):
         """Known coefficients for exponents start..stop-1 (stop <= prec), as
         Scalars made in one pass."""
+        return _scalars(self.field, self.ints_in(start, stop), self.den)
+
+    def ints_in(self, start, stop):
+        """The flat ints, over ``den``, of the known coefficients for
+        exponents start..stop-1 (stop <= prec), zeros outside ``num``."""
         if stop > max(start, self.prec):
             raise InsufficientPrecision(
                 f"coefficient at exponent {max(start, self.prec)} outside "
                 f"window [{self.valuation}, {self.prec})")
-        field, num, den, d = self.field, self.num, self.den, self.field.degree
-        zero = field.zero()
-        return [Scalar._make(field, tuple(num[i:i + d]), den)
-                if 0 <= i < len(num) else zero
-                for i in range((start - self.valuation) * d,
-                               (stop - self.valuation) * d, d)]
+        d = self.field.degree
+        lo, size = (start - self.valuation) * d, (stop - start) * d
+        return ([0] * -lo + self.num[max(0, lo):] + [0] * size)[:size]
 
     @property
     def coeffs(self):
         """The coefficients from the valuation on, as a tuple of Scalars."""
-        v = self.valuation
-        return tuple(self.coefficients_in(
-            v, v + len(self.num) // self.field.degree))
+        return tuple(_scalars(self.field, self.num, self.den))
 
     def truncate(self, new_prec):
         if new_prec > self.prec:
@@ -226,7 +219,7 @@ class TruncatedSeries:
             raise DivisionByZeroSeries(
                 "inverse of a series that is zero to its precision")
         field, rel, d = self.field, self.relative_precision(), self.field.degree
-        lead = Scalar._make(field, tuple(self.num[:d]), self.den).inverse()
+        lead = Scalar._make(field, self.num[:d], self.den).inverse()
         g = TruncatedSeries._make(field, 0, list(lead.num), lead.den, 1, True)
         if len(self.num) == d:
             return _rewindow(g, rel).shift(-self.valuation)
@@ -383,15 +376,6 @@ def _monomial_compose(field, prec, lo, q, den, inner):
                                   field._mul(q[j:j + d], power)]
         power = field._mul(power, c)
     return TruncatedSeries._make(field, lo * vg, out, den * cden ** top, prec)
-
-
-def _times(field, num, c):
-    """The flat coefficients num, each times the power-basis ints c."""
-    d = field.degree
-    if d == 1:
-        return [x * c[0] for x in num]
-    return [x for i in range(0, len(num), d)
-            for x in field._mul(num[i:i + d], c)]
 
 
 def _pack(field, num, w):

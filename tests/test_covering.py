@@ -64,7 +64,7 @@ def test_multiplication_table_columns_follow_lex_pairs(pirola):
         datum.genus * (datum.genus + 1) // 2
     table = datum.multiplication_table
     for row, r in zip(table.fiber.rows, datum.fiber.ratios):
-        assert row == [r[i] * r[j] for i, j in pairs]
+        assert list(row) == [r[i] * r[j] for i, j in pairs]
     for matrix, chart in zip(table.charts, datum.charts):
         f, w = chart.forms, chart.window()
         for p, (i, j) in enumerate(pairs):

@@ -3,11 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellprym.builder import bielliptic_spec, build_cover
+from ellprym.covering import lex_pairs, reparametrized
 from ellprym.diffalg import (gram, multiply, multiply_matrix, quadric_kernel,
                              sym_dim, sym_square_matrix, symmetric_product,
                              trace_split)
 from ellprym.errors import InsufficientPrecision
-from ellprym.scalars import FieldSpec, Matrix
+from ellprym.scalars import FieldSpec, Matrix, Scalar
+from ellprym.series import TruncatedSeries
+from test_scalars import reference_mul_vec
 
 
 def alpha_tensor(bundle):
@@ -58,6 +62,96 @@ def test_multiply_alpha_squared(pirola):
         window = min(s.prec, square.prec)
         assert (s.truncate(window) - square.truncate(window)).is_zero()
     assert all(v == datum.field.one() for v in data.fiber)
+
+
+def reference_multiply(datum, phi):
+    """`multiply` as it was while matrices held Scalars: the chart matrices
+    read from the products with coefficients_in, each chart series formed
+    with the Scalar-row mul_vec of tests/test_scalars.py."""
+    field, pairs = datum.field, lex_pairs(datum.genus)
+    charts = []
+    for c in datum.charts:
+        w = c.window()
+        products = [(c.forms[i] * c.forms[j]).truncate(w) for i, j in pairs]
+        m = Matrix(field, list(zip(*(s.coefficients_in(0, w)
+                                     for s in products))))
+        charts.append(TruncatedSeries(field, 0, reference_mul_vec(m, phi), w))
+    fiber = Matrix(field, [[r[i] * r[j] for i, j in pairs]
+                           for r in datum.fiber.ratios])
+    return charts, reference_mul_vec(fiber, phi)
+
+
+def dense_datum(datum, seed):
+    """Every chart moved to u -> +-u + c2 u^2 + c3 u^3, drawn as the dense
+    benchmark input draws them, so that every chart coefficient is nonzero
+    and the chart series are over mixed denominators."""
+    rng, field, subs = random.Random(seed), datum.field, {}
+    for j, chart in enumerate(datum.charts):
+        w = chart.window()
+        coeffs = [field.scalar(rng.choice((1, -1)))]
+        coeffs += [field.scalar(F(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                  rng.randint(1, 3))) for _ in range(2)]
+        subs[j] = TruncatedSeries.from_coefficients(
+            field, 1, coeffs + [field.zero()] * (w - 3), w + 1)
+    return reparametrized(datum, subs)
+
+
+def test_multiply_matches_scalar_reference(all_bundles):
+    """multiply against the Scalar-row reference on the three fixtures and
+    the seed-1 dense datum, for the quadric, alpha . alpha and random
+    tensors with zeros."""
+    rng = random.Random(17)
+    datums = [b.datum for b in all_bundles.values()]
+    datums.append(dense_datum(all_bundles["bielliptic4"].datum, 1))
+    for datum in datums:
+        field, size = datum.field, sym_dim(datum.genus)
+        split = trace_split(datum)
+        tensors = [list(q) for q in quadric_kernel(datum).basis]
+        tensors.append(symmetric_product(list(split.alpha_coords),
+                                         list(split.alpha_coords)))
+        for _ in range(3):
+            tensors.append([field.scalar(F(rng.randint(-9, 9),
+                                           rng.randint(1, 9)))
+                            if rng.random() < 0.7 else field.zero()
+                            for _ in range(size)])
+        for phi in tensors:
+            data = multiply(datum, phi)
+            charts, fiber = reference_multiply(datum, phi)
+            assert list(data.charts) == charts
+            assert list(data.fiber) == fiber
+
+
+def test_multiply_refuses_a_tensor_of_the_wrong_length(biell4):
+    """On the dense datum, a tensor with one coordinate too many or too few
+    is refused, not cut to the table's width (which reported a zero image
+    for the quadric with a 7 appended)."""
+    datum = dense_datum(biell4.datum, 1)
+    quadric = list(biell4.quadrics.basis[0])
+    assert multiply(datum, quadric).is_zero()
+    for phi in (quadric + [datum.field.scalar(7)], quadric[:-1]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            multiply(datum, phi)
+
+
+def test_table_and_multiply_box_no_chart_coefficient(monkeypatch):
+    """Work bound: building the multiplication table and one multiply make
+    as many Scalars for the genus-4 double cover at chart window 10 as at
+    window 40, so none is made per chart coefficient."""
+    counts = []
+    make = Scalar._make.__func__
+
+    def counting(cls, *args, **kwargs):
+        counts[-1] += 1
+        return make(cls, *args, **kwargs)
+
+    for window in (10, 40):
+        datum = build_cover(bielliptic_spec(4, window)).datum
+        phi = [datum.field.scalar(F(i + 1, 2)) for i in range(sym_dim(4))]
+        counts.append(0)
+        monkeypatch.setattr(Scalar, "_make", classmethod(counting))
+        multiply(datum, phi)
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
 
 
 def test_multiply_zero(pirola):
@@ -135,12 +229,12 @@ def test_pirola_quadric_structure(pirola):
     assert not e11.is_zero()
     normalized = Matrix(field, [[x * e11.inverse() for x in row]
                                 for row in G.rows])
-    expect = Matrix.zero(field, 4, 4)
-    expect.rows[1][1] = field.one()
+    expect = [[field.zero()] * 4 for _ in range(4)]
+    expect[1][1] = field.one()
     half = field.scalar(1) / field.scalar(2)
-    expect.rows[0][2] = -half
-    expect.rows[2][0] = -half
-    assert normalized == expect
+    expect[0][2] = -half
+    expect[2][0] = -half
+    assert normalized == Matrix(field, expect)
 
 
 def _random_matrix(rng, field, nrows, ncols):

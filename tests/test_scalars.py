@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 import random
 import time
@@ -311,16 +312,22 @@ def _random_matrix(rng, field, nrows, ncols, rank, bits=8):
     return Matrix(field, left).matmul(Matrix(field, right))
 
 
+@functools.lru_cache(maxsize=None)
+def _sympy_cyclotomic(order):
+    """sympy's cyclotomic field QQ<zeta> of this order, and its zeta."""
+    import sympy
+    dom = sympy.QQ.cyclotomic_field(order)
+    return dom, dom.from_sympy(dom.ext.as_expr())
+
+
 def _to_sympy(sympy, matrix):
-    """A DomainMatrix over sympy's QQ or QQ(sqrt(-3)), where zeta_3 is
-    (-1 + sqrt(-3))/2, with the entries of matrix."""
+    """A DomainMatrix over sympy's QQ, or over its cyclotomic field QQ<zeta>
+    for field degree > 1, with the entries of matrix."""
     from sympy.polys.matrices import DomainMatrix
-    if matrix.field is Q:
-        dom, zeta = sympy.QQ, 1
-    else:
-        dom = sympy.QQ.algebraic_field(sympy.sqrt(-3))
-        zeta = dom.from_sympy((-1 + sympy.sqrt(-3)) / 2)
-    rows = [[sum((dom.convert(sympy.Rational(c.numerator, c.denominator))
+    field = matrix.field
+    dom, zeta = (sympy.QQ, 1) if field.degree == 1 else \
+        _sympy_cyclotomic(field.cyclotomic_order)
+    rows = [[sum((dom.convert(sympy.QQ(c.numerator, c.denominator))
                   * zeta ** k for k, c in enumerate(x.coeffs)), dom.zero)
              for x in row] for row in matrix.rows]
     return DomainMatrix(rows, (matrix.nrows, matrix.ncols), dom)
@@ -445,6 +452,105 @@ def test_rref_corrects_a_selection_fooled_by_the_prime(field):
     assert Matrix(field, [[PRIME, 0], [0, 1], [0, 2]]).rank() == 2
     assert Matrix(field, [[0, 1], [0, 2], [PRIME, 0]]).rank() == 2
     assert Matrix(field, [[1, 0], [2, 0], [F(1, PRIME), 1]]).rank() == 2
+
+
+Q5 = FieldSpec(5)
+
+
+def reference_mul_vec(M, vec):
+    """Matrix.mul_vec as it was while rows were lists of Scalars: one Scalar
+    product and sum per nonzero entry."""
+    zero = M.field.zero()
+    out = []
+    for row in M.rows:
+        acc = zero
+        for a, x in zip(row, vec):
+            if not a.is_zero():
+                acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def reference_matmul(A, B):
+    """Matrix.matmul as it was: each row of the product the reference
+    mul_vec of B's transpose, taken here on B's boxed rows."""
+    cols = Matrix(B.field, list(zip(*B.rows)))
+    return Matrix(A.field, [reference_mul_vec(cols, row) for row in A.rows])
+
+
+def _mixed_matrix(rng, field, nrows, ncols):
+    """Random entries, each coordinate over its own random denominator, so
+    every row mixes denominators; one row is zero."""
+    rows = [[_random_entry(rng, field, 12) for _ in range(ncols)]
+            for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = [0] * ncols
+    return Matrix(field, rows)
+
+
+INT_SHAPES = [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1), (6, 6)]
+
+
+@pytest.mark.parametrize("field", [Q, Q3, Q5], ids=["Q", "Q3", "Q5"])
+@pytest.mark.parametrize("shape", INT_SHAPES,
+                         ids=[f"{m}x{n}" for m, n in INT_SHAPES])
+def test_integer_rows_match_scalar_references_and_sympy(field, shape):
+    """The integer-row Matrix against the Scalar-row references (mul_vec,
+    matmul, exact_rref and the kernel and solve built on it) and against
+    sympy's DomainMatrix (products, rref, rank and inverse), on tall, wide
+    and square matrices with mixed denominators and a zero row, of full and
+    deficient rank."""
+    sympy = pytest.importorskip("sympy")
+    nrows, ncols = shape
+    rng = random.Random(1000 * nrows + 10 * ncols + field.degree)
+    for M in (_mixed_matrix(rng, field, nrows, ncols),
+              _random_matrix(rng, field, nrows, ncols,
+                             max(1, min(nrows, ncols) - 1), 12)):
+        v = [_random_entry(rng, field, 12) for _ in range(ncols)]
+        image = M.mul_vec(v)
+        assert image == reference_mul_vec(M, v)
+        column = Matrix(field, [[x] for x in v])
+        assert _to_sympy(sympy, Matrix(field, [[x] for x in image])
+                         ).to_list() == \
+            (_to_sympy(sympy, M) * _to_sympy(sympy, column)).to_list()
+        B = _mixed_matrix(rng, field, ncols, 3)
+        product = M.matmul(B)
+        assert product == reference_matmul(M, B)
+        assert _to_sympy(sympy, product).to_list() == \
+            (_to_sympy(sympy, M) * _to_sympy(sympy, B)).to_list()
+        red, pivots = M.rref()
+        assert (red, pivots) == exact_rref(M)
+        want_rows, want_pivots, rows = _sympy_rref(sympy, M, red)
+        assert pivots == want_pivots and rows == want_rows
+        assert M.rank() == M.transpose().rank() == len(want_pivots)
+        assert M.kernel_basis() == _reference_kernel(M)
+        for rhs in (image, [_random_entry(rng, field, 12)
+                            for _ in range(nrows)]):
+            assert M.solve(rhs) == _reference_solve(M, rhs)
+        assert M.solve(image) is not None
+        if nrows == ncols and len(pivots) == ncols:
+            inverse = M.inverse()
+            assert _to_sympy(sympy, inverse).to_list() == \
+                _to_sympy(sympy, M).inv().to_list()
+            assert reference_matmul(M, inverse) == Matrix.identity(field,
+                                                                   ncols)
+        elif nrows == ncols:
+            with pytest.raises(ValueError, match="not invertible"):
+                M.inverse()
+
+
+def test_solve_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix(Q, [[1, 2], [3, 4]]).solve([1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix(Q, [[1, 2], [3, 4]]).solve([1, 2, 3])
+
+
+def test_mul_vec_refuses_a_vector_of_the_wrong_length():
+    M = Matrix(Q3, [[1, 2], [3, Q3.zeta()]])
+    for vec in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            M.mul_vec(vec)
+    assert M.mul_vec([1, 0]) == [Q3.one(), Q3.scalar(3)]
 
 
 def test_prime_maps_every_supported_field():
