@@ -10,11 +10,12 @@ supports.
 Construction is purely algebraic.  Charts use w as the local parameter.
 Over a simple zero of h, v = w^N = h is a uniformizer, and x and y are
 expanded in v by one Newton lift of the curve equation and h = v together
-(`lift`), so no transcendental coordinate ever appears.  The
-differential basis consists of f * w^(-k) * (pullback of dx/y) with f
-running over Riemann-Roch bases of explicit divisors; holomorphy of every
-emitted form is re-proved from its chart expansions rather than trusted
-from the divisor recipe.
+(`lift`), which also gives dx/y = 2 dv/e for e its Jacobian determinant;
+no transcendental coordinate ever appears.  The differential basis
+consists of f * w^(-k) * (pullback of dx/y) with f running over
+Riemann-Roch bases of explicit divisors; holomorphy of every emitted form
+is re-proved from its chart expansions rather than trusted from the
+divisor recipe.
 
 Deck-transformation convention: the generator sends w to zeta_N * w, acts
 diagonally on the basis, fixes each ramification chart (reparametrizing the
@@ -38,7 +39,7 @@ from .errors import (BuilderError, DimensionMismatch, FieldError,
                      UnsupportedRamification)
 from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
                       psub, ptrim, rational_nth_root)
-from .series import TruncatedSeries, _rewindow
+from .series import TruncatedSeries, _rewindow, _widths
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
 
@@ -193,22 +194,21 @@ class CurveFunction(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def lift(curve, place, fn, prec):
-    """Expansions (X(v), Y(v)) of x and y at a finite place in the local
-    parameter v = fn, known below v^prec: Y^2 = X^3 + AX + B and
-    fn(X, Y) = v.
+    """Expansions X(v), Y(v) of x and y at a finite place in the local
+    parameter v = fn, and D(v) with dx/y = D dv, all known below v^prec.
 
     Newton's method on F = (Y^2 - rhs(X), P(X) + Y Q(X) - v) for
     fn = P(x) + y Q(x) (the implicit function theorem; von zur Gathen &
-    Gerhard, "Modern Computer Algebra", ch. 9), from the place, on the
-    widths of `TruncatedSeries.inverse`: X and Y correct below v^good are
-    correct below v^known after one round.  Up to sign the Jacobian's
-    determinant is e = 2y fn_x + rhs'(x) fn_y, the derivative of fn along
-    the curve's tangent (2y, rhs'(x)), so it is a unit exactly when fn is a
-    uniformizer at the place; otherwise SingularJacobian is raised.  As
-    F = O(v^good), the correction needs the Jacobian only below
-    v^(known - good), and known - good <= good: it is formed at width good,
-    and 1/e is carried from round to round by one Newton step there.  Both
-    equations are checked exactly at full width.
+    Gerhard, "Modern Computer Algebra", ch. 9), from the place, on
+    `_widths`: X and Y correct below v^good are correct below v^known after
+    one round.  Up to sign the Jacobian's determinant is e = 2y fn_x +
+    rhs'(x) fn_y, the derivative of fn along the tangent (2y, rhs'(x)), a
+    unit exactly when fn is a uniformizer at the place; otherwise
+    SingularJacobian is raised.  As known - good <= good, a round needs the
+    Jacobian and 1/e only below v^good, so each round ends by forming them
+    at the width just reached, 1/e by one Newton step.  Differentiating
+    F = 0 in v gives dX/dv = 2Y/e, so D = 2/e.  F = 0 and e D = 2 are
+    checked exactly at full width.
     """
     field = curve.field
     rhs, P, Q = curve.rhs(), fn.P, fn.Q
@@ -222,29 +222,26 @@ def lift(curve, place, fn, prec):
 
     X, Y = (TruncatedSeries.from_coefficients(field, 0, [c], 1)
             for c in (place.x, place.y))
-    e = jacobian(X, Y)[3]
+    fx, fy, rx, e = jacobian(X, Y)
     if e.valuation:
         raise SingularJacobian(f"{fn} is not a uniformizer at {place}")
     inv = e.inverse()
     v = TruncatedSeries.identity(field, prec + 1)
-    schedule = [prec]
-    while schedule[-1] > 1:
-        schedule.append(-(-schedule[-1] // 2))
-    good = 1
-    for known in reversed(schedule[:-1]):
-        fx, fy, rx, e = jacobian(X, Y)
-        inv = _rewindow(inv, good)
-        inv = inv - inv * (e * inv - 1)
+    for known in _widths(prec):
         X, Y = _rewindow(X, known), _rewindow(Y, known)
         F1 = Y * Y - peval(rhs, X)
         F2 = fn.series_from_xy(X, Y) - v.truncate(known)
         X, Y = ((X + inv * (fy * F1 - (Y * F2).scale(2))).truncate(known),
                 (Y - inv * (fx * F1 + rx * F2)).truncate(known))
-        good = known
+        fx, fy, rx, e = jacobian(X, Y)
+        inv = _rewindow(inv, known)
+        inv = inv - inv * (e * inv - 1)
+    D = inv.scale(2)
     if not ((Y * Y - peval(rhs, X)).is_zero() and
-            (fn.series_from_xy(X, Y) - v).is_zero()):
+            (fn.series_from_xy(X, Y) - v).is_zero() and
+            (e * D - 2).is_zero()):
         raise AssertionError("lift verification failed")
-    return X, Y
+    return X, Y, D
 
 
 def base_series(curve, place, prec):
@@ -254,7 +251,7 @@ def base_series(curve, place, prec):
     one = curve.field.one()
     t = CurveFunction.make(curve, (), [one]) if place.y.is_zero() else \
         CurveFunction.make(curve, [-place.x, one])
-    return lift(curve, place, t, prec)
+    return lift(curve, place, t, prec)[:2]
 
 
 def valuation_at(fn, place):
@@ -646,12 +643,9 @@ def _build_chart(curve, h, place, N, window, plans):
     """
     field = curve.field
     # A form f * w^-k * alpha has offset N - 1 - k >= 0, so its window in w
-    # is reached once the v-series are known below v^ceil(window / N).  The
-    # expansions lose one coefficient to each of: the derivative of x in
-    # alpha, and the division by y, which has valuation 1 at a 2-torsion
-    # point.
-    x_v, y_v = lift(curve, place, h, -(-window // N) + 2)
-    alpha_v = x_v.derivative().scale(N) / y_v
+    # is reached once the v-series are known below v^ceil(window / N).
+    x_v, y_v, d_v = lift(curve, place, h, -(-window // N))
+    alpha_v = d_v.scale(N)
 
     def expand(vs, offset, target):
         prec_u = N * vs.prec + offset

@@ -220,9 +220,11 @@ def validate(datum):
                 f"alpha pullback valuation {c.alpha_pullback.valuation} != "
                 f"index-1 = {c.index - 1}")
         for i, s in enumerate(c.forms):
-            if not s.is_zero() and s.valuation < 0:
+            if s.valuation < 0:     # for a zero series, prec < 0
                 ok = False
-                msgs.append(f"form {i} has a pole (valuation {s.valuation})")
+                msgs.append(f"form {i} is not known below exponent 0"
+                            if s.is_zero() else
+                            f"form {i} has a pole (valuation {s.valuation})")
         if len(c.forms) != g:
             ok = False
             msgs.append(f"{len(c.forms)} form expansions, expected g = {g}")

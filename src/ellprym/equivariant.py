@@ -235,7 +235,7 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
     single_char_ok = quadrics.dimension == 1
     if single_char_ok:
         G = quadrics.basis[0]
-        comps = _character_components(G, eig.generator, eig.order)
+        comps = _character_components(G, sym2.full.generator, eig.order)
         nonzero = [c for c in range(3)
                    if not all(x.is_zero() for x in comps[c])]
         single_char_ok = nonzero in ([1], [2])
@@ -303,14 +303,14 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
                        "family itself is background and never computed here"}
 
 
-def _character_components(G, M, N):
-    """Projections of a tensor onto the N character spaces of generator M."""
-    field = M.field
+def _character_components(G, sym_M, N):
+    """Projections of a tensor onto the N character spaces of the generator
+    whose symmetric square is sym_M."""
+    field = sym_M.field
     zeta = field.root_of_unity(N)
     inv_N = field.scalar(N).inverse()
     # (g^k)* G, for k = 0..N-1
     images = [list(G)]
-    sym_M = sym_square_matrix(M)
     while len(images) < N:
         images.append(sym_M.mul_vec(images[-1]))
     return [[inv_N * sum((zeta ** ((-c * k) % N) * img[p]

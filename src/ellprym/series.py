@@ -124,7 +124,7 @@ class TruncatedSeries:
                 f"coefficient at exponent {max(start, self.prec)} outside "
                 f"window [{self.valuation}, {self.prec})")
         d = self.field.degree
-        lo, size = (start - self.valuation) * d, (stop - start) * d
+        lo, size = (start - self.valuation) * d, max(0, stop - start) * d
         return ([0] * -lo + self.num[max(0, lo):] + [0] * size)[:size]
 
     @property
@@ -210,9 +210,9 @@ class TruncatedSeries:
     def inverse(self):
         """Reciprocal of a series that is nonzero up to its precision.
 
-        Newton iteration g <- g - g*(u*g - 1) for the unit part u, on the
-        widths rel, ceil(rel/2), ..., 1 run upwards: a g correct below t^w
-        is correct below t^(2w) after one round.  A monomial c*z^v needs no
+        Newton iteration g <- g - g*(u*g - 1) for the unit part u, on
+        `_widths`: a g correct below t^w is correct below t^(2w) after one
+        round.  A monomial c*z^v needs no
         rounds: its inverse is c^-1*z^-v, to the same relative precision.
         """
         if self.is_zero():
@@ -224,10 +224,7 @@ class TruncatedSeries:
         if len(self.num) == d:
             return _rewindow(g, rel).shift(-self.valuation)
         unit = TruncatedSeries._make(field, 0, self.num, self.den, rel, True)
-        schedule = [rel]
-        while schedule[-1] > 1:
-            schedule.append(-(-schedule[-1] // 2))
-        for known in reversed(schedule[:-1]):
+        for known in _widths(rel):
             g = _rewindow(g, known)
             g = g - g * (unit * g - 1)
         return g.shift(-self.valuation)
@@ -420,6 +417,11 @@ def _kronecker(field, a, b, n):
     w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() +
          min(len(a), len(b)).bit_length() + 8) // 8
     return _unpack(field, _pack(field, a, w) * _pack(field, b, w), w, n)
+
+
+def _widths(prec):
+    """Newton's rounds from width 1: ..., ceil(prec/4), ceil(prec/2), prec."""
+    return _widths(-(-prec // 2)) + [prec] if prec > 1 else []
 
 
 def _rewindow(s, prec):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellprym import builder
 from ellprym.builder import (INFINITY, CurveFunction, CyclicCoverSpec,
                              EllipticCurve, Point, base_series,
                              bielliptic_spec, build_cover, divisor_of,
@@ -14,6 +15,7 @@ from ellprym.errors import (FieldTooSmall, InputError, PointOutsideField,
                             PrecisionUnreachable, UnsupportedOrder,
                             UnsupportedRamification)
 from ellprym.scalars import FieldSpec, Scalar, padd, pmul, psub
+from ellprym.series import TruncatedSeries
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -233,8 +235,8 @@ def test_bielliptic_cover_relations_on_charts(biell4):
 @pytest.mark.parametrize("make", [pirola_spec, lambda w: bielliptic_spec(3, w)],
                          ids=["pirola", "bielliptic3"])
 def test_chart_windows_are_the_request(make):
-    """The base precision ceil(window / N) + 3 reaches every requested
-    window exactly, through 2-torsion branch points (pirola) and others
+    """The lift width ceil(window / N) reaches every requested window
+    exactly, through 2-torsion branch points (pirola) and others
     (bielliptic3).  A window below the index N cannot show alpha's zero of
     order N - 1 and is refused before any chart is built."""
     for window in (1, 2, 3, 4, 5, 13):
@@ -249,6 +251,40 @@ def test_chart_windows_are_the_request(make):
         assert [c.window() for c in datum.charts] == \
             [window] * datum.n_ramification
         assert validate(datum).ok
+
+
+@pytest.mark.parametrize("make", [pirola_spec, lambda w: bielliptic_spec(3, w)],
+                         ids=["pirola", "double3"])
+def test_each_chart_is_one_lift_with_one_inverse(make, monkeypatch):
+    """Each chart at window 40 is one lift to exactly ceil(40 / N), and the
+    lift's seed 1/e is its only series inverse: dx/y comes from the lift."""
+    spec = make(40)
+    inverses, widths = [], []
+    inverse, lift, build_chart = (TruncatedSeries.inverse, builder.lift,
+                                  builder._build_chart)
+
+    def counted_inverse(s):
+        inverses[-1] += 1
+        return inverse(s)
+
+    def recorded_lift(curve, place, fn, prec):
+        widths.append(prec)
+        return lift(curve, place, fn, prec)
+
+    def counted_chart(*args):
+        inverses.append(0)
+        monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+        monkeypatch.setattr(builder, "lift", recorded_lift)
+        try:
+            return build_chart(*args)
+        finally:
+            monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+            monkeypatch.setattr(builder, "lift", lift)
+
+    monkeypatch.setattr(builder, "_build_chart", counted_chart)
+    n = build_cover(spec).datum.n_ramification
+    assert inverses == [1] * n
+    assert widths == [-(-40 // spec.order)] * n
 
 
 def test_bielliptic_genus_counts(biell4, biell3):

@@ -304,6 +304,29 @@ def test_analyze_chart_missing_a_form_exits_2(tmp_path, capsys,
     assert "3 form expansions, expected g = 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form, prec", [(0, -5), (1, -1), (3, -40)])
+def test_analyze_form_unknown_below_zero_exits_2(tmp_path, capsys, form, prec):
+    """A form that is zero only below a negative exponent says nothing about
+    a pole there: the chart rule flags it, and the independence certificate
+    reads one coefficient per exponent of each chart window, so its matrix
+    has rank at most g."""
+    g = 4
+    obj = covering.datum_to_json(
+        builder.build_cover(bielliptic_spec(g, 40)).datum)
+
+    def edit(obj):
+        obj["charts"][0]["forms"][form] = {"valuation": prec, "prec": prec,
+                                           "coeffs": []}
+    assert _analyze_edited(tmp_path, obj, edit) == 2
+    assert f"chart_valuations[0]: form {form} is not known below exponent 0" \
+        in capsys.readouterr().err
+    findings = covering.validate(
+        covering.load(tmp_path / "edited.json")).findings
+    detail = next(f.detail for f in findings
+                  if f.name == "independence_certificate")
+    assert int(detail.split()[1]) <= g
+
+
 @pytest.mark.parametrize("names", [["x"], ["x", "y", "z", 4]],
                          ids=["short", "not-str"])
 def test_analyze_basis_names_not_genus_strings_exits_2(tmp_path, capsys,

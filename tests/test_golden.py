@@ -3,14 +3,19 @@
 Each digest is the sha256 of ``json.dumps(analyze_datum(datum, action),
 indent=2, sort_keys=True) + "\\n"`` for a stock fixture at its default chart
 windows.  Any change to the analysis layer must reproduce them exactly.
+``DATUMS`` pins the builder's output at windows the reports do not reach:
+13 (odd, and 1 mod 3) and 80.
 """
 
 import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
+from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.cli import analyze_datum
-from ellprym.covering import reparametrized
+from ellprym.covering import datum_to_json, reparametrized
 from ellprym.series import TruncatedSeries
 
 GOLDEN = {
@@ -24,12 +29,41 @@ GOLDEN = {
                                     "f58afdd42d97678ce929e82b26036c28"),
 }
 
+# (name, window): the byte length and sha256 of the datum JSON as
+# `covering.save` writes it, and of the action JSON as `ellprym build
+# --action-out` writes it
+DATUMS = {
+    ("pirola", 13): (
+        (5271, "df7294f446a4aa8258aa1619624c838d"
+               "a9e6d3986bda73a87806420696a1cb79"),
+        (786, "2ed038f30f8e422108ac59e7173b9d44"
+              "59e8b2e8eb01dace0ca6df10e0b9faaa")),
+    ("pirola", 80): (
+        (27857, "7615d009f65257c8467b10e0443dc167"
+                "617d940b6ba229bc8bd3460813c3a0eb"),
+        (786, "2f90883fe506f42412248be96012a1ab"
+              "ca3f94909cfe2a1f84912e939c56f64e")),
+    ("double3", 13): (
+        (7559, "5dbbc57876d1aaf4e43789a01e9d2cc8"
+               "ce508610c12a7d0ad859870e924babb6"),
+        (825, "3f6024b6071f18c34e5017c0145b6302"
+              "bd371eb2be6837422b31c4a5f703a609")),
+    ("double3", 80): (
+        (106296, "81ca63ccba49655d1a52594c6a3818b2"
+                 "b95fc47b8cae44dfc16d0d267a224972"),
+        (825, "fba38dbc90c80d4daacf8cd7272cbc44"
+              "820c25c6aad8730d7557125ed4ed7edd")),
+}
+SPECS = {"pirola": pirola_spec, "double3": lambda w: bielliptic_spec(3, w)}
+
+
+def _json_digest(obj):
+    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return len(data), hashlib.sha256(data).hexdigest()
+
 
 def _digest(datum, action):
-    text = json.dumps(analyze_datum(datum, action), indent=2,
-                      sort_keys=True) + "\n"
-    data = text.encode("utf-8")
-    return len(data), hashlib.sha256(data).hexdigest()
+    return _json_digest(analyze_datum(datum, action))
 
 
 def test_stock_reports_match_golden(all_bundles):
@@ -56,3 +90,10 @@ def test_reparametrized_report_matches_stock(biell4):
                        for e in range(s.valuation, chart.window()))
     assert _digest(moved, None) == GOLDEN["bielliptic4_no_action"]
     assert _digest(datum, None) == GOLDEN["bielliptic4_no_action"]
+
+
+@pytest.mark.parametrize("name, window", sorted(DATUMS))
+def test_built_datum_matches_golden(name, window):
+    result = build_cover(SPECS[name](window))
+    assert (_json_digest(datum_to_json(result.datum)),
+            _json_digest(result.action.to_json())) == DATUMS[name, window]

@@ -32,6 +32,24 @@ def test_laurent_quotient():
     assert out.coefficient(-1) == Q.one()
 
 
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+@pytest.mark.parametrize("valuation", [0, 2, -3])
+def test_window_reads_give_one_coefficient_per_exponent(field, valuation):
+    """ints_in and coefficients_in read max(0, stop - start) coefficients:
+    none for an empty or reversed window, zeros outside the known terms."""
+    terms = [F(1, 2), 2, 0, 3, 4, 5, F(-6, 7)]
+    s = S(valuation, terms, field=field)
+    top = valuation + len(terms)
+    for start, stop in ((0, -2), (3, 3), (top, valuation), (valuation, top),
+                        (valuation - 3, valuation + 2), (valuation + 4, top),
+                        (top - 1, top), (-9, top)):
+        want = [field.scalar(terms[e - valuation])
+                if valuation <= e < top else field.zero()
+                for e in range(start, stop)]
+        assert s.coefficients_in(start, stop) == want
+        assert len(s.ints_in(start, stop)) == len(want) * field.degree
+
+
 def test_geometric_series():
     out = S(0, [1], 8) / S(0, [1, -1], 8)
     assert out == S(0, [1] * 8, 8)
@@ -787,13 +805,18 @@ def _ramification_places(spec):
                                           ("double3", 40), ("double4", 40)])
 def test_lift_matches_reference_chart(name, window):
     """Every chart of a stock fixture, at the width the builder lifts to:
-    coefficients and windows identical to the reference path's."""
+    X and Y identical to the reference path's, and D to its X'/Y, all
+    known to the full width.  The reference is taken two coefficients
+    further, since X'/Y loses one to the derivative and one more to the
+    division at a 2-torsion branch point, where Y has valuation 1."""
     spec = FIXTURES[name]()
-    prec = -(-window // spec.order) + 2
+    prec = -(-window // spec.order)
     for place in _ramification_places(spec):
-        got = lift(spec.curve, place, spec.h, prec)
-        assert list(got) == reference_chart(spec.curve, spec.h, place, prec)
-        assert [s.prec for s in got] == [prec, prec]
+        X, Y, D = lift(spec.curve, place, spec.h, prec)
+        x, y = reference_chart(spec.curve, spec.h, place, prec + 2)
+        dx_y = x.derivative() / y
+        assert [X, Y, D] == [s.truncate(prec) for s in (x, y, dx_y)]
+        assert [s.prec for s in (X, Y, D)] == [prec] * 3
 
 
 def _finite_places():
@@ -833,6 +856,6 @@ def test_lift_refuses_a_function_with_a_double_zero():
             for prec in (1, 2, 9):
                 with pytest.raises(SingularJacobian):
                     lift(curve, place, CurveFunction.make(curve, *bad), prec)
-                x, y = lift(curve, place, CurveFunction.make(curve, *good),
-                            prec)
-                assert (x.prec, y.prec) == (prec, prec)
+                x, y, d = lift(curve, place,
+                               CurveFunction.make(curve, *good), prec)
+                assert (x.prec, y.prec, d.prec) == (prec, prec, prec)
