@@ -212,8 +212,8 @@ class TruncatedSeries:
 
         Newton iteration g <- g - g*(u*g - 1) for the unit part u, on
         `_widths`: a g correct below t^w is correct below t^(2w) after one
-        round.  A monomial c*z^v needs no
-        rounds: its inverse is c^-1*z^-v, to the same relative precision.
+        round.  A monomial c*z^v needs no rounds: its inverse is c^-1*z^-v,
+        to the same relative precision.
         """
         if self.is_zero():
             raise DivisionByZeroSeries(
