@@ -29,9 +29,8 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 from .covering import (MAX_FUNCTION_TERMS, MAX_WINDOW, CoveringDatum,
-                       FiberChart, RamificationChart, _expect, _optional,
-                       _parse_scalar, require_valid)
-from .equivariant import CyclicAction
+                       CyclicAction, FiberChart, RamificationChart, _expect,
+                       _optional, _parse_scalar, require_valid)
 from .errors import (BuilderError, DimensionMismatch, FieldError,
                      FieldTooSmall, InputError, NotAnNthPower,
                      PointOutsideField, PrecisionUnreachable, SchemaError,

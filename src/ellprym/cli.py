@@ -137,7 +137,7 @@ def cmd_analyze(args):
     datum = covering.load(args.datum)
     action = None
     if args.action:
-        action = equivariant.CyclicAction.from_json(
+        action = covering.CyclicAction.from_json(
             datum, covering.read_json(args.action))
     _dump(analyze_datum(datum, action), args.json, args.out)
     return 0

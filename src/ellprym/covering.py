@@ -13,6 +13,9 @@ truncation windows are wide enough for the exact linear algebra: a section
 of the square of the canonical bundle has degree 4g-4, so if the known
 coefficient budget exceeds that bound, vanishing of all known data forces
 the section to vanish identically.
+
+The deck action of a cyclic cover is read and written here too, beside the
+datum it acts on: ``CyclicAction`` and its JSON format.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import SchemaError, ValidationFailed
+from .errors import FieldError, ParseError, SchemaError, ValidationFailed
 from .scalars import FieldSpec, Matrix, Scalar, _over_lcm
 from .series import TruncatedSeries, transform_form
 
@@ -349,7 +352,7 @@ def _expect_strings(obj, key, count, pointer):
 def _parse_scalar(field, text, pointer):
     try:
         return Scalar.from_string(field, text)
-    except Exception as exc:
+    except ParseError as exc:
         raise SchemaError(pointer, str(exc)) from None
 
 
@@ -396,7 +399,7 @@ def datum_from_json(obj):
     order = _expect(fobj, "cyclotomic_order", int, "/field")
     try:
         fld = FieldSpec(order)
-    except Exception as exc:
+    except FieldError as exc:
         raise SchemaError("/field/cyclotomic_order", str(exc)) from None
     genus = _expect(obj, "genus", int, "")
     degree = _expect(obj, "degree", int, "")
@@ -491,3 +494,62 @@ def change_basis(datum, matrix):
                           fiber=datum.fiber._replace(ratios=ratios),
                           basis_names=tuple(f"b{i}" for i in range(datum.genus)),
                           alpha_index_hint=None)
+
+
+class CyclicAction(NamedTuple):
+    """Action of a cyclic deck group of the given order.
+
+    ``matrix`` is the generator acting on the form basis by pullback;
+    ``chart_moves`` lists, per chart, the target chart index together with
+    the local reparametrization series; ``fiber_permutation`` sends fiber
+    point k to its image.
+    """
+    order: int
+    matrix: Matrix
+    chart_moves: tuple   # ((target_index, reparam TruncatedSeries), ...)
+    fiber_permutation: tuple
+
+    def to_json(self):
+        return {
+            "order": self.order,
+            "matrix": [[x.to_json() for x in row] for row in self.matrix.rows],
+            "charts": [{"target": t, "reparam": s.to_json()}
+                       for (t, s) in self.chart_moves],
+            "fiber_permutation": list(self.fiber_permutation),
+        }
+
+    @classmethod
+    def from_json(cls, datum, obj):
+        """Parse an action, checking its shape against the datum it acts on:
+        a g x g matrix, one move per chart with a target chart index, and a
+        permutation of the fiber."""
+        field, g, n = datum.field, datum.genus, len(datum.charts)
+        order = _expect(obj, "order", int, "")
+        if order < 2:
+            raise SchemaError("/order", "expected int >= 2")
+        rows = _expect(obj, "matrix", list, "")
+        if len(rows) != g or not all(
+                isinstance(row, list) and len(row) == g for row in rows):
+            raise SchemaError("/matrix", f"expected {g} x {g} strings")
+        matrix = Matrix(field, [[_parse_scalar(field, s, f"/matrix/{i}/{j}")
+                                 for j, s in enumerate(row)]
+                                for i, row in enumerate(rows)])
+        charts = _expect(obj, "charts", list, "")
+        if len(charts) != n:
+            raise SchemaError("/charts", f"expected {n} chart moves")
+        moves = []
+        for j, move in enumerate(charts):
+            ptr = f"/charts/{j}"
+            target = _expect(move, "target", int, ptr)
+            if not 0 <= target < n:
+                raise SchemaError(f"{ptr}/target",
+                                  f"expected a chart index below {n}")
+            moves.append((target, _parse_series(
+                field, _expect(move, "reparam", dict, ptr), f"{ptr}/reparam")))
+        perm = _expect(obj, "fiber_permutation", list, "")
+        if not all(type(k) is int for k in perm) or \
+                sorted(perm) != list(range(datum.degree)):
+            raise SchemaError(
+                "/fiber_permutation",
+                f"expected a permutation of 0..{datum.degree - 1}")
+        return cls(order, matrix, tuple(moves), tuple(perm))

@@ -1,9 +1,10 @@
-"""Cyclic deck-group actions and the degree-3 Galois verification battery.
+"""Checks of a cyclic deck-group action and the degree-3 Galois battery.
 
 The deck group acts on 1-forms by pullback; on chart data the generator is a
 permutation of charts together with a unit reparametrization on each matched
-chart, and on the fiber a permutation of the points.  All of these are
-validated against the datum before use.
+chart, and on the fiber a permutation of the points.  The action record and
+its file format are ``covering.CyclicAction``; `validate_action` checks it
+against the datum before use.
 
 Character labeling convention: for order 3 the generator is normalized (by
 replacing it with its square if necessary) so that the eigenspace of the
@@ -16,71 +17,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .covering import _expect, _parse_scalar, _parse_series, change_basis
+from .covering import change_basis
 from .diffalg import gram, sym_square_matrix
-from .errors import FieldError, IdentityViolated, InputError, SchemaError
+from .errors import FieldError, IdentityViolated, InputError
 from .geometry import evaluate_at_qminus
 from .scalars import Matrix
 from .series import transform_form
-
-
-class CyclicAction(NamedTuple):
-    """Action of a cyclic deck group of the given order.
-
-    ``matrix`` is the generator acting on the form basis by pullback;
-    ``chart_moves`` lists, per chart, the target chart index together with
-    the local reparametrization series; ``fiber_permutation`` sends fiber
-    point k to its image.
-    """
-    order: int
-    matrix: Matrix
-    chart_moves: tuple   # ((target_index, reparam TruncatedSeries), ...)
-    fiber_permutation: tuple
-
-    def to_json(self):
-        return {
-            "order": self.order,
-            "matrix": [[x.to_json() for x in row] for row in self.matrix.rows],
-            "charts": [{"target": t, "reparam": s.to_json()}
-                       for (t, s) in self.chart_moves],
-            "fiber_permutation": list(self.fiber_permutation),
-        }
-
-    @classmethod
-    def from_json(cls, datum, obj):
-        """Parse an action, checking its shape against the datum it acts on:
-        a g x g matrix, one move per chart with a target chart index, and a
-        permutation of the fiber."""
-        field, g, n = datum.field, datum.genus, len(datum.charts)
-        order = _expect(obj, "order", int, "")
-        if order < 2:
-            raise SchemaError("/order", "expected int >= 2")
-        rows = _expect(obj, "matrix", list, "")
-        if len(rows) != g or not all(
-                isinstance(row, list) and len(row) == g for row in rows):
-            raise SchemaError("/matrix", f"expected {g} x {g} strings")
-        matrix = Matrix(field, [[_parse_scalar(field, s, f"/matrix/{i}/{j}")
-                                 for j, s in enumerate(row)]
-                                for i, row in enumerate(rows)])
-        charts = _expect(obj, "charts", list, "")
-        if len(charts) != n:
-            raise SchemaError("/charts", f"expected {n} chart moves")
-        moves = []
-        for j, move in enumerate(charts):
-            ptr = f"/charts/{j}"
-            target = _expect(move, "target", int, ptr)
-            if not 0 <= target < n:
-                raise SchemaError(f"{ptr}/target",
-                                  f"expected a chart index below {n}")
-            moves.append((target, _parse_series(
-                field, _expect(move, "reparam", dict, ptr), f"{ptr}/reparam")))
-        perm = _expect(obj, "fiber_permutation", list, "")
-        if not all(type(k) is int for k in perm) or \
-                sorted(perm) != list(range(datum.degree)):
-            raise SchemaError(
-                "/fiber_permutation",
-                f"expected a permutation of 0..{datum.degree - 1}")
-        return cls(order, matrix, tuple(moves), tuple(perm))
 
 
 def validate_action(datum, action):

@@ -11,8 +11,7 @@ from ellprym import builder, covering
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
-                              MAX_WINDOW)
-from ellprym.equivariant import CyclicAction
+                              MAX_WINDOW, CyclicAction)
 from ellprym.scalars import MAX_SCALAR_LENGTH
 
 

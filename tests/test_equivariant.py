@@ -1,9 +1,9 @@
 import pytest
 
+from ellprym.covering import CyclicAction
 from ellprym.diffalg import multiply, sym_square_matrix, symmetric_product
-from ellprym.equivariant import (CyclicAction, _proportional, eigenspaces,
-                                 run_battery, sym2_eigenspaces,
-                                 validate_action)
+from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
+                                 sym2_eigenspaces, validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
 from ellprym.series import TruncatedSeries, transform_form
