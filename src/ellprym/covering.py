@@ -216,6 +216,9 @@ def validate(datum):
         if c.index < 2:
             ok = False
             msgs.append(f"index {c.index} < 2 is not a ramification point")
+        if c.index > d:
+            ok = False
+            msgs.append(f"index {c.index} > degree {d}")
         if c.alpha_pullback.is_zero() or \
                 c.alpha_pullback.valuation != c.index - 1:
             ok = False
@@ -521,7 +524,8 @@ class CyclicAction(NamedTuple):
     @classmethod
     def from_json(cls, datum, obj):
         """Parse an action, checking its shape against the datum it acts on:
-        a g x g matrix, one move per chart with a target chart index, and a
+        a g x g matrix, one move per chart with a target chart index and a
+        reparametrization of valuation 1 known to the chart's window, and a
         permutation of the fiber."""
         field, g, n = datum.field, datum.genus, len(datum.charts)
         order = _expect(obj, "order", int, "")
@@ -544,8 +548,14 @@ class CyclicAction(NamedTuple):
             if not 0 <= target < n:
                 raise SchemaError(f"{ptr}/target",
                                   f"expected a chart index below {n}")
-            moves.append((target, _parse_series(
-                field, _expect(move, "reparam", dict, ptr), f"{ptr}/reparam")))
+            rho = _parse_series(field, _expect(move, "reparam", dict, ptr),
+                                f"{ptr}/reparam")
+            # a local parameter known as far as the chart's forms are
+            window = datum.charts[j].window()
+            if rho.is_zero() or rho.valuation != 1 or rho.prec < window:
+                raise SchemaError(f"{ptr}/reparam", "expected valuation 1 and "
+                                  f"prec at least the chart window {window}")
+            moves.append((target, rho))
         perm = _expect(obj, "fiber_permutation", list, "")
         if not all(type(k) is int for k in perm) or \
                 sorted(perm) != list(range(datum.degree)):

@@ -34,11 +34,14 @@ def validate_action(datum, action):
     N = action.order
     if not field.contains_root_of_unity(N):
         raise FieldError(f"field lacks a primitive {N}-th root of unity")
-    # (generator)^N = identity on forms
-    power = Matrix.identity(field, g)
-    for _ in range(N):
+    # (generator)^N = identity on forms, and no lower power is
+    identity = power = Matrix.identity(field, g)
+    for k in range(1, N + 1):
         power = power.matmul(action.matrix)
-    if power != Matrix.identity(field, g):
+        if k < N and power == identity:
+            raise IdentityViolated(
+                f"generator matrix has order {k}, not the stated {N}")
+    if power != identity:
         raise IdentityViolated("generator matrix does not have the stated order")
     expected = change_basis(datum, action.matrix)
     # ratio compatibility: r[sigma(k)] = r[k] . M

@@ -412,6 +412,14 @@ def _set(key, value):
     return lambda obj: obj.update({key: value})
 
 
+def _reparams(**members):
+    """Set these members of every chart move's reparametrization."""
+    def edit(obj):
+        for move in obj["charts"]:
+            move["reparam"].update(members)
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (_pop("charts"), "/charts: missing required member"),
     (_set("order", 0), "/order: expected int >= 2"),
@@ -430,9 +438,16 @@ def _set(key, value):
     (lambda obj: obj["charts"][1]["reparam"].update(valuation=-10 ** 6),
      "/charts/1/reparam/valuation: expected absolute value at most "
      f"{MAX_WINDOW}"),
+    (_reparams(valuation=2), "/charts/0/reparam: expected valuation 1 and "
+     "prec at least the chart window 10"),
+    (_reparams(valuation=0), "/charts/0/reparam: expected valuation 1 and "
+     "prec at least the chart window 10"),
+    (_reparams(prec=2), "/charts/0/reparam: expected valuation 1 and prec "
+     "at least the chart window 10"),
 ], ids=["missing-member", "order-0", "order-bool", "matrix-rows",
         "matrix-entry", "no-charts", "target-range", "perm-short",
-        "perm-bool", "window-above-limit"])
+        "perm-bool", "window-above-limit", "reparam-valuation-2",
+        "reparam-valuation-0", "reparam-below-window"])
 def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
                                           edit, message):
     datum_path, action_path = pirola_built
@@ -442,6 +457,18 @@ def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
     action.write_text(json.dumps(obj))
     assert main(["analyze", str(datum_path), "--action", str(action)]) == 2
     assert f"SchemaError: {message}" in capsys.readouterr().err
+
+
+def test_analyze_action_of_lower_order_exits_3(tmp_path, capsys,
+                                                pirola_built):
+    datum_path, action_path = pirola_built
+    obj = json.loads(action_path.read_text())
+    obj["order"] = 6
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(obj))
+    assert main(["analyze", str(datum_path), "--action", str(action)]) == 3
+    assert ("IdentityViolated: generator matrix has order 3, not the stated "
+            "6") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -504,6 +531,19 @@ def test_analyze_datum_window_above_limit_exits_2(tmp_path, capsys,
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
     assert ("SchemaError: /charts/0/alpha_pullback/prec: expected absolute "
             f"value at most {MAX_WINDOW}") in capsys.readouterr().err
+
+
+def test_analyze_index_above_degree_exits_2(tmp_path, capsys,
+                                            pirola_datum_obj):
+    """Cut to one fiber point, the degree-3 pirola datum passes every other
+    check, but no point of a degree-1 cover has ramification index 3."""
+    def edit(obj):
+        obj["degree"] = 1
+        obj["fiber"]["labels"] = obj["fiber"]["labels"][:1]
+        obj["fiber"]["ratios"] = obj["fiber"]["ratios"][:1]
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert "chart_valuations[0]: index 3 > degree 1;" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build", "demo"])

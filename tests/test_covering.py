@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellprym import covering
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
                               datum_from_json, datum_to_json, lex_pairs,
                               load, save, validate)
 from ellprym.errors import SchemaError
-from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec
+from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Scalar
 from ellprym.series import TruncatedSeries
 
 Q = FieldSpec(1)
@@ -44,6 +45,14 @@ def test_index_one_chart_rejected():
     report = validate(datum)
     assert any(f.name.startswith("chart_valuations") and not f.passed
                for f in report.findings)
+
+
+def test_index_above_degree_rejected():
+    """No point of a degree-2 cover has ramification index 3."""
+    report = validate(_fake_datum(genus=4, indices=(3, 3), degree=2))
+    details = {f.name: f.detail for f in report.failures()}
+    assert details["chart_valuations[0]"] == "index 3 > degree 2"
+    assert details["chart_valuations[1]"] == "index 3 > degree 2"
 
 
 def test_validate_never_aborts_early():
@@ -150,3 +159,22 @@ def test_load_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load(path)
+
+
+def _fail(*_):
+    raise AssertionError("internal fault")
+
+
+@pytest.mark.parametrize("patch", [
+    lambda mp: mp.setattr(Scalar, "from_string", staticmethod(_fail)),
+    lambda mp: mp.setattr(covering, "FieldSpec", _fail),
+], ids=["scalar", "field"])
+def test_internal_fault_while_loading_is_not_a_schema_error(pirola,
+                                                            monkeypatch,
+                                                            patch):
+    """The loader turns only the callees' ParseError and FieldError into a
+    SchemaError; any other exception passes through unchanged."""
+    obj = datum_to_json(pirola.datum)
+    patch(monkeypatch)
+    with pytest.raises(AssertionError, match="internal fault"):
+        datum_from_json(obj)

@@ -25,6 +25,14 @@ def test_action_round_trip(pirola):
     assert validate_action(pirola.datum, back)
 
 
+def test_built_actions_load_back_equal(all_bundles):
+    """The builder writes each reparametrization to its chart's window, so
+    the reader's window rule takes every built action back unchanged."""
+    for bundle in all_bundles.values():
+        assert CyclicAction.from_json(
+            bundle.datum, bundle.action.to_json()) == bundle.action
+
+
 def test_generator_order(pirola):
     field = pirola.datum.field
     M = pirola.action.matrix
@@ -67,6 +75,14 @@ def test_action_failures_in_check_order(pirola):
         with pytest.raises(IdentityViolated) as err:
             validate_action(pirola.datum, bad)
         assert str(err.value) == message
+
+
+def test_action_of_lower_order_refused(pirola):
+    """An order-3 generator stated to have order 6 is refused at the power
+    where the identity appears, not only checked for M^6 = I."""
+    with pytest.raises(IdentityViolated) as err:
+        validate_action(pirola.datum, pirola.action._replace(order=6))
+    assert str(err.value) == "generator matrix has order 3, not the stated 6"
 
 
 @pytest.mark.parametrize("u,v,expected", [

@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import ellprym
 
 PACKAGE = Path(ellprym.__file__).parent
@@ -106,12 +108,29 @@ def test_no_unused_parameters():
     assert found == []
 
 
+def _fresh_modules(module):
+    """The names in ``sys.modules`` after ``import module`` in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Records are NamedTuples, so a fresh ``import ellprym.cli`` pulls in
     neither ``dataclasses`` nor the ``inspect`` it imports."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, ellprym.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert {"dataclasses", "inspect"} & _fresh_modules("ellprym.cli") == set()
+
+
+@pytest.mark.parametrize("module,closure", [
+    ("builder", {"builder", "covering", "errors", "scalars", "series"}),
+    ("covering", {"covering", "errors", "scalars", "series"}),
+])
+def test_input_layer_imports_no_analysis_module(module, closure):
+    """The builder and the datum and action formats stand below the
+    analysis: a fresh import of each loads exactly these package modules."""
+    loaded = _fresh_modules(f"ellprym.{module}")
+    assert {m[len("ellprym."):] for m in loaded
+            if m.startswith("ellprym.")} == closure
