@@ -36,8 +36,8 @@ from .errors import (BuilderError, DimensionMismatch, FieldError,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
                      SingularJacobian, UnsupportedOrder,
                      UnsupportedRamification)
-from .scalars import (FieldSpec, Matrix, Scalar, padd, pdivmod, peval, pmul,
-                      psub, ptrim, rational_nth_root)
+from .scalars import (FieldSpec, Matrix, Scalar, pdivmod, peval, pmul, psub,
+                      ptrim)
 from .series import TruncatedSeries, _rewindow, _widths
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
@@ -57,14 +57,14 @@ MAX_ROOT_SEARCH_STEPS = 50_000
 # ---------------------------------------------------------------------------
 
 def _rational_roots(poly):
-    """All rational roots, with multiplicity, of a polynomial over Q.
+    """All rational roots, with multiplicity, of a list of Fractions.
 
     Candidates p/q follow the rational root theorem on the primitive integer
     polynomial (denominators cleared, content divided out): p runs over the
     divisors of the constant term, q over those of the leading coefficient,
     +p/q before -p/q.  A search above the module's limits is refused.
     """
-    work = ptrim([c.rational_value() for c in poly])
+    work = ptrim(list(poly))
     roots = []
     while work and not work[0]:     # factor out x^m
         roots.append(Fraction(0))
@@ -300,21 +300,14 @@ def divisor_of(curve, fn):
 
 
 def _collect_affine(curve, fn, div, outside):
-    """Enter the affine zeros of a curve function into div; they lie over
-    the roots of the norm P^2 - rhs * Q^2."""
+    """Enter the affine zeros of a curve function into div.  They lie over
+    the rational roots of the norm N = P^2 - rhs * Q^2, which are roots of
+    each coordinate N_k in Q[x] of N: the first nonzero N_k is searched."""
     f = curve.field
     norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
     if not norm:
         raise BuilderError("norm polynomial vanished; function is degenerate")
-    work = norm
-    if not all(c.is_rational() for c in norm):
-        # multiply the Galois conjugates to reach rational coefficients
-        n = f.cyclotomic_order
-        for a in range(2, n + 1):
-            if gcd(a, n) == 1:
-                work = pmul(work, [c.galois(a) for c in norm])
-        if not all(c.is_rational() for c in work):
-            raise BuilderError("Galois norm is not rational")
+    work = next(filter(any, zip(*(c.coeffs for c in norm))))
     leftover_degree = len(norm) - 1
     for x0 in sorted(set(_rational_roots(work))):
         x0s = f.scalar(x0)
@@ -325,24 +318,15 @@ def _collect_affine(curve, fn, div, outside):
                 break
             mult += 1
         if not mult:
-            continue  # root of a conjugate factor only
+            continue  # root of N_k only
         leftover_degree -= mult
-        fx = peval(curve.rhs(), x0s)
-        if fx.is_zero():
-            pt = Point(x0s, f.zero())
-            v = valuation_at(fn, pt)
-            if v != mult:
-                raise BuilderError(
-                    f"2-torsion valuation {v} inconsistent with norm "
-                    f"multiplicity {mult} at x = {x0}")
-            div[pt] = v
-            continue
-        y0 = _rational_sqrt_in_field(fx)
-        if y0 is None:
+        try:
+            points = _points_over(curve, x0s)
+        except NotAnNthPower:
+            fx = peval(curve.rhs(), x0s)
             outside.append(f"y^2 - ({fx.to_string()}) at x = {x0}")
             continue
-        for yy in (y0, -y0):
-            pt = Point(x0s, yy)
+        for pt in points:
             v = valuation_at(fn, pt)
             if v:
                 div[pt] = v
@@ -357,12 +341,11 @@ def _collect_affine(curve, fn, div, outside):
             f"[{', '.join(c.to_string() for c in norm)}]")
 
 
-def _rational_sqrt_in_field(value):
-    """Square root of a rational field element, if rational; else None."""
-    if not value.is_rational():
-        return None
-    r = rational_nth_root(value.rational_value(), 2)
-    return None if r is None else value.field.scalar(r)
+def _points_over(curve, x):
+    """The curve points with abscissa x: one at 2-torsion, two otherwise.
+    NotAnNthPower if their ordinate has no designated root in the field."""
+    y = peval(curve.rhs(), x).nth_root_rational(2)
+    return [Point(x, y)] if y.is_zero() else [Point(x, y), Point(x, -y)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +377,13 @@ def riemann_roch_basis(curve, divisor):
         series = [m.series_from_xy(x, y) for m in monomials]
         for e in range(-mult):
             constraints.append([s.coefficient(e) for s in series])
-    if constraints:
-        kernel = Matrix(f, constraints).kernel_basis()
-    else:
-        kernel = [[f.one() if i == j else f.zero()
-                   for i in range(len(monomials))]
-                  for j in range(len(monomials))]
+    # the monomials come in pole order, so x^i and y x^i in ascending i
     basis = []
-    for vec in kernel:
+    for vec in Matrix(f, constraints or [[f.zero()] * len(monomials)]
+                      ).kernel_basis():
         P, Q = [], []
         for coef, mono in zip(vec, monomials):
-            if coef.is_zero():
-                continue
-            if mono.Q:
-                Q = padd(Q, [c * coef for c in mono.Q])
-            else:
-                P = padd(P, [c * coef for c in mono.P])
+            (Q if mono.Q else P).append(coef)
         basis.append(CurveFunction.make(curve, P, Q))
     deg = sum(divisor.values())
     expected = deg if deg >= 1 else (1 if not any(divisor.values()) else None)
@@ -455,21 +429,6 @@ class BuildResult(NamedTuple):
     root_value: Scalar               # designated N-th root of h(c)
     basis_plan: tuple                # (k, CurveFunction) per basis form
     eigen_dims: tuple                # dim L(D_k) per character exponent k
-
-    def probe_fiber(self, point):
-        """Ratio rows over a second unramified fiber (for cross-validation).
-
-        The point must be admissible like the base point: on the curve, h
-        nonzero there and an exact N-th power.
-        """
-        curve = self.spec.curve
-        if not curve.contains(point) or point is INFINITY:
-            raise InputError("probe point must be an affine curve point")
-        value = self.spec.h.evaluate(point)
-        if value.is_zero():
-            raise InputError("probe point is a branch point")
-        root = value.nth_root_rational(self.spec.order)
-        return _fiber_rows(self.basis_plan, point, root, self.spec.order)
 
 
 def _fiber_rows(plans, point, root, N):
@@ -585,23 +544,12 @@ def _fn_name(fn):
 
 def _resolve_base_point(spec, divisor):
     """Find or check the fiber base point; returns (point, designated root)."""
-    curve, h, N = spec.curve, spec.h, spec.order
+    curve = spec.curve
     if isinstance(spec.base_point, Point):
         c = spec.base_point
         if not curve.contains(c):
             raise InputError(f"base point {c} is not on the curve")
-        if c in divisor:
-            raise InputError(f"base point {c} is a branch point")
-        value = h.evaluate(c)
-        if value.is_zero():
-            raise InputError("cover function vanishes at the base point")
-        try:
-            root = value.nth_root_rational(N)
-        except NotAnNthPower as exc:
-            raise FieldTooSmall(
-                f"h(c) = {value} is not an exact {N}-th power; rescale the "
-                "cover function or extend the field") from exc
-        return c, root
+        return c, _fiber_root(spec, divisor, c)
     if spec.base_point != "auto":
         raise InputError("base point must be a Point or the string 'auto'")
     if not (curve.A.is_rational() and curve.B.is_rational()):
@@ -610,26 +558,34 @@ def _resolve_base_point(spec, divisor):
     for m in range(1, 51):
         candidates.extend([Fraction(m), Fraction(-m)])
     for xq in candidates:
-        fx = peval(curve.rhs(), curve.field.scalar(xq))
-        y0 = _rational_sqrt_in_field(fx)
-        if y0 is None:
+        try:
+            points = _points_over(curve, curve.field.scalar(xq))
+        except NotAnNthPower:
             continue
-        ys = [y0] if y0.is_zero() else [y0, -y0]
-        for y in ys:
-            c = Point(curve.field.scalar(xq), y)
-            if c in divisor:
-                continue
-            value = h.evaluate(c)
-            if value.is_zero():
-                continue
+        for c in points:
             try:
-                root = value.nth_root_rational(N)
-            except NotAnNthPower:
+                return c, _fiber_root(spec, divisor, c)
+            except InputError:
                 continue
-            return c, root
     raise FieldTooSmall(
         "no admissible base point with an exact root found in the search "
         "range; supply one explicitly or rescale the cover function")
+
+
+def _fiber_root(spec, divisor, c):
+    """The designated N-th root of h(c) at a curve point c admissible as a
+    fiber base point: off the divisor, h(c) != 0 and an exact N-th power."""
+    if c in divisor:
+        raise InputError(f"base point {c} is a branch point")
+    value = spec.h.evaluate(c)
+    if value.is_zero():
+        raise InputError("cover function vanishes at the base point")
+    try:
+        return value.nth_root_rational(spec.order)
+    except NotAnNthPower as exc:
+        raise FieldTooSmall(
+            f"h(c) = {value} is not an exact {spec.order}-th power; rescale "
+            "the cover function or extend the field") from exc
 
 
 def _build_chart(curve, h, place, N, window, plans):

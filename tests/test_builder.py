@@ -332,8 +332,10 @@ def test_base_point_must_be_admissible():
 
 def test_probe_fiber_second_point(biell4):
     """A disjoint probe fiber for brute-force re-evaluation of quadrics."""
-    curve = biell4.spec.curve
-    probe = biell4.result.probe_fiber(curve.point(6, -15))
+    curve, h = biell4.spec.curve, biell4.spec.h
+    point = curve.point(6, -15)
+    probe = builder._fiber_rows(biell4.result.basis_plan, point,
+                                h.evaluate(point).nth_root_rational(2), 2)
     assert len(probe) == 2
     G = gram(curve.field, 4, biell4.quadrics.basis[0])
     for row in probe:
