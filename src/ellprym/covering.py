@@ -287,6 +287,14 @@ def validate(datum):
                 if not col_ones:
                     ok = False
                     msg += "; alpha column of ratios is not all ones"
+            # the hinted form is taken as alpha, so it must be on the charts
+            if 0 <= hint < g and all(len(c.forms) == g for c in datum.charts):
+                off = [j for j, c in enumerate(datum.charts)
+                       if not (c.forms[hint] - c.alpha_pullback).is_zero()]
+                if off:
+                    ok = False
+                    msg += (f"; form {hint} differs from the alpha pullback "
+                            f"at charts {off}")
         add("trace_consistency", ok, msg)
     else:
         add("trace_consistency", False, "fiber shape invalid")

@@ -81,14 +81,28 @@ def test_divisor_with_two_torsion_multiplicity():
                          ids=["zeta_3", "1+2zeta_3", "2+zeta_3"])
 def test_divisor_of_a_constant_multiple_is_unchanged(c):
     """c h has the zeros of h.  For c = zeta_3 and 2 + zeta_3 the norm
-    polynomial of c h has non-rational coefficients, and its roots are found
-    through the product of its Galois conjugates; 1 + 2 zeta_3 = sqrt(-3)
-    has a rational square and keeps the norm rational."""
+    polynomial of c h has non-rational coefficients, and its roots are
+    searched on its first nonzero coordinate polynomial over Q;
+    1 + 2 zeta_3 = sqrt(-3) has a rational square and keeps the norm
+    rational."""
     spec = pirola_spec()
     E, h = spec.curve, spec.h
     c = Q3.from_coefficients(c)
     ch = CurveFunction.make(E, [c * a for a in h.P], [c * b for b in h.Q])
     assert divisor_of(E, ch) == divisor_of(E, h)
+
+
+@pytest.mark.parametrize("c", [[1], [0, 1]], ids=["1", "zeta_3"])
+def test_divisor_of_a_multiple_of_x_minus_2000(c):
+    """The zeros of x - 2000 lie over y^2 = 8000000001, which is not a
+    square.  The norm of zeta_3 (x - 2000) is zeta_3^2 (x - 2000)^2; its
+    Galois product had a 44-bit constant, above the root search's limit,
+    while each of its coordinate polynomials is -(x - 2000)^2."""
+    E = _curve_q3()
+    c = Q3.from_coefficients(c)
+    with pytest.raises(PointOutsideField) as err:
+        divisor_of(E, CurveFunction.make(E, [c * -2000, c]))
+    assert err.value.factors == ['y^2 - (8000000001) at x = 2000']
 
 
 def _times(fn, P, Q=()):

@@ -546,6 +546,34 @@ def test_analyze_index_above_degree_exits_2(tmp_path, capsys,
         capsys.readouterr().err
 
 
+def _hint_with_ones(k):
+    def edit(obj):
+        obj["alpha_index_hint"] = k
+        for row in obj["fiber"]["ratios"]:
+            row[k] = "1"
+    return edit
+
+
+def _hint_swapped(obj):
+    obj["alpha_index_hint"] = 1
+    for row in obj["fiber"]["ratios"]:
+        row[0], row[1] = row[1], row[0]
+
+
+@pytest.mark.parametrize("edit,k", [
+    (_hint_with_ones(1), 1), (_hint_with_ones(2), 2), (_hint_with_ones(3), 3),
+    (_hint_swapped, 1)], ids=["ones-1", "ones-2", "ones-3", "swap-0-1"])
+def test_analyze_hint_not_the_pullback_on_charts_exits_2(
+        tmp_path, capsys, pirola_datum_obj, edit, k):
+    """A hinted form whose fiber column is all ones but whose chart series
+    are not the alpha pullback is refused by validation.  Unchecked, hint 3
+    exited 0 with a report from the wrong alpha, and the others exited 3."""
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert (f"trace_consistency: trace vector nonzero; form {k} differs from "
+            "the alpha pullback at charts [0, 1, 2]") in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["build", "demo"])
 def test_precision_flag_above_limit_exits_2(tmp_path, capsys, command):
     assert MAX_WINDOW >= 80

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -64,18 +65,42 @@ def _references(node):
             yield n.name
 
 
-def test_no_dead_private_definitions():
-    """A private definition must be used somewhere in the package besides
-    its own body; one that only tests call is dead code."""
+def _unreferenced(definitions):
+    """``file:line: name`` of each definition, given per module tree, whose
+    name the package references only inside its own body."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     total = Counter(ref for tree in trees.values()
                     for ref in _references(tree))
-    dead = [f"{name}: {defn}"
+    return [f"{name}:{node.lineno}: {defn}"
             for name, tree in trees.items()
-            for defn, node in _private_definitions(tree)
+            for defn, node in definitions(tree)
             if total[defn] == Counter(_references(node))[defn]]
-    assert dead == []
+
+
+def test_no_dead_private_definitions():
+    """A private definition must be used somewhere in the package besides
+    its own body; one that only tests call is dead code."""
+    assert _unreferenced(_private_definitions) == []
+
+
+def _public_definitions(tree):
+    """Functions, methods and classes, at any depth, not named ``_...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_"):
+            yield node.name, node
+
+
+def test_no_test_only_public_definitions():
+    """A public function, method or class must be used in the package
+    besides its own body, or be named in ``perfbench/*.py``, whose inputs
+    and traced spans use the library; one that only tests call does not
+    belong in the package."""
+    bench = {word for path in (PACKAGE.parents[1] / "perfbench").glob("*.py")
+             for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    assert [entry for entry in _unreferenced(_public_definitions)
+            if entry.rsplit(" ", 1)[1] not in bench] == []
 
 
 def _unused_parameters(tree):
