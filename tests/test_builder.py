@@ -336,11 +336,12 @@ def test_base_point_must_be_admissible():
     E = _curve_q3()
     h = CurveFunction.make(E, [F(1, 2), F(1, 2)], [F(-1, 2)])
     spec = CyclicCoverSpec(E, h, 3, E.point(0, 1))   # branch point
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"base point \(0, 1\) is a branch"):
         build_cover(spec)
     # h(2, -3) = 3 is not a cube: demand an exact root
     spec = CyclicCoverSpec(E, h, 3, E.point(2, -3))
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(FieldTooSmall,
+                       match=r"h\(c\) = 3 is not an exact 3-th power"):
         build_cover(spec)
 
 
