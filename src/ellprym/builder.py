@@ -24,7 +24,6 @@ local parameter by a root of unity) and rotates the fiber.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
@@ -36,8 +35,8 @@ from .errors import (BuilderError, DimensionMismatch, FieldError,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
                      SingularJacobian, UnsupportedOrder,
                      UnsupportedRamification)
-from .scalars import (FieldSpec, Matrix, Scalar, pdivmod, peval, pmul, psub,
-                      ptrim)
+from .scalars import (FieldSpec, Matrix, Scalar, _over_lcm, pdivmod, peval,
+                      pmul, psub, ptrim)
 from .series import TruncatedSeries, _rewindow, _widths
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
@@ -57,22 +56,21 @@ MAX_ROOT_SEARCH_STEPS = 50_000
 # ---------------------------------------------------------------------------
 
 def _rational_roots(poly):
-    """All rational roots, with multiplicity, of a list of Fractions.
+    """The distinct rational roots of a list of ints, in ascending order,
+    as pairs (p, q) in lowest terms with q > 0.
 
-    Candidates p/q follow the rational root theorem on the primitive integer
-    polynomial (denominators cleared, content divided out): p runs over the
-    divisors of the constant term, q over those of the leading coefficient,
-    +p/q before -p/q.  A search above the module's limits is refused.
+    Candidates p/q follow the rational root theorem on the primitive part:
+    p runs over the divisors of the constant term, q over those of the
+    leading coefficient, both signs of each pair tested by homogeneous
+    Horner, sum c_i p^i q^(n-i).  A search above the module's limits is
+    refused.
     """
     work = ptrim(list(poly))
-    roots = []
+    roots = [(0, 1)] if work and not work[0] else []
     while work and not work[0]:     # factor out x^m
-        roots.append(Fraction(0))
         work.pop(0)
     if len(work) <= 1:
         return roots
-    den = lcm(*(c.denominator for c in work))
-    work = [int(c * den) for c in work]
     content = gcd(*work)
     work = [c // content for c in work]
     for name, c in (("constant", work[0]), ("leading", work[-1])):
@@ -90,13 +88,15 @@ def _rational_roots(poly):
             f"the limit {MAX_ROOT_SEARCH_STEPS}")
     for p in ps:
         for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                while not peval(work, cand):
-                    roots.append(cand)
-                    work = pdivmod(work, [-cand, Fraction(1)])[0]
-                    if len(work) <= 1:
-                        return roots
-    return roots
+            if gcd(p, q) == 1:
+                for s in (p, -p):
+                    acc, qk = 0, 1
+                    for c in reversed(work):
+                        acc, qk = acc * s + c * qk, qk * q
+                    if not acc:
+                        roots.append((s, q))
+    den = lcm(*(q for _, q in roots))
+    return sorted(roots, key=lambda r: r[0] * (den // r[1]))
 
 
 def _divisors(n):
@@ -283,6 +283,8 @@ def divisor_of(curve, fn):
     Points whose coordinates do not lie in the field are reported through
     PointOutsideField together with their defining polynomials, so the
     caller may extend the field.  Degrees always sum to zero (checked).
+    The places come in ascending order of x, then of y (both rational),
+    with infinity last.
     """
     if fn.is_zero():
         raise InputError("zero function has no divisor")
@@ -303,17 +305,18 @@ def _collect_affine(curve, fn, div, outside):
     """Enter the affine zeros of a curve function into div.  They lie over
     the rational roots of the norm N = P^2 - rhs * Q^2, which are roots of
     each coordinate N_k in Q[x] of N: the first nonzero N_k is searched."""
-    f = curve.field
+    f, d = curve.field, curve.field.degree
     norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
     if not norm:
         raise BuilderError("norm polynomial vanished; function is degenerate")
-    work = next(filter(any, zip(*(c.coeffs for c in norm))))
+    num, _ = _over_lcm([(c.num, c.den) for c in norm])
+    work = next(filter(any, (num[k::d] for k in range(d))))
     leftover_degree = len(norm) - 1
-    for x0 in sorted(set(_rational_roots(work))):
-        x0s = f.scalar(x0)
+    for p, q in _rational_roots(work):
+        x0 = Scalar._make(f, (p,) + (0,) * (d - 1), q, lowest=True)
         mult, probe = 0, norm
         while True:
-            probe, rem = pdivmod(probe, [-x0s, f.one()])
+            probe, rem = pdivmod(probe, [-x0, f.one()])
             if rem:
                 break
             mult += 1
@@ -321,12 +324,12 @@ def _collect_affine(curve, fn, div, outside):
             continue  # root of N_k only
         leftover_degree -= mult
         try:
-            points = _points_over(curve, x0s)
+            points = _points_over(curve, x0)
         except NotAnNthPower:
-            fx = peval(curve.rhs(), x0s)
+            fx = peval(curve.rhs(), x0)
             outside.append(f"y^2 - ({fx.to_string()}) at x = {x0}")
             continue
-        for pt in points:
+        for pt in reversed(points):     # ascending y, as y0 > 0
             v = valuation_at(fn, pt)
             if v:
                 div[pt] = v
@@ -370,7 +373,7 @@ def riemann_roch_basis(curve, divisor):
         return []
     monomials = _monomials_up_to(curve, M)
     constraints = []
-    for place, mult in sorted(divisor.items(), key=_place_sort_key):
+    for place, mult in divisor.items():
         if place is INFINITY or not mult:
             continue
         x, y = base_series(curve, place, -mult)
@@ -391,13 +394,6 @@ def riemann_roch_basis(curve, divisor):
         raise DimensionMismatch(
             f"Riemann-Roch space has dimension {len(basis)}, expected {expected}")
     return basis
-
-
-def _place_sort_key(item):
-    place, _ = item
-    if place is INFINITY:
-        return (1, (), ())
-    return (0, place.x.coeffs, place.y.coeffs)
 
 
 def _monomials_up_to(curve, M):
@@ -466,8 +462,7 @@ def build_cover(spec):
             raise UnsupportedRamification(
                 f"valuation {v} at {place}: need v = 1 or {N} | v")
     # the pole at infinity has order 2 deg P or 2 deg Q + 3, never 1
-    ram = [place for place, v in sorted(div.items(), key=_place_sort_key)
-           if v == 1]
+    ram = [place for place, v in div.items() if v == 1]
     r = len(ram)
     if r == 0:
         raise UnsupportedRamification("cover is unramified; no data to build")
@@ -554,10 +549,7 @@ def _resolve_base_point(spec, divisor):
         raise InputError("base point must be a Point or the string 'auto'")
     if not (curve.A.is_rational() and curve.B.is_rational()):
         raise InputError("automatic base point search needs rational A, B")
-    candidates = [Fraction(0)]
-    for m in range(1, 51):
-        candidates.extend([Fraction(m), Fraction(-m)])
-    for xq in candidates:
+    for xq in [0] + [s for m in range(1, 51) for s in (m, -m)]:
         try:
             points = _points_over(curve, curve.field.scalar(xq))
         except NotAnNthPower:
@@ -706,7 +698,7 @@ def pirola_spec(precision=None):
     """
     field = FieldSpec(3)
     curve = EllipticCurve(field, field.zero(), field.one())
-    half = Fraction(1, 2)
+    half = field.one() / 2
     h = CurveFunction.make(curve, [half, half], [-half])
     return CyclicCoverSpec(curve, h, 3, "auto", precision)
 

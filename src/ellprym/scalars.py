@@ -7,7 +7,8 @@ Products reduce by a per-field integer table of z^m mod Phi_N (Phi_N is monic).
 Inverses go through the norm: with P the product of the conjugates z -> z^a,
 a != 1 a unit mod N, num*P is an integer and x^-1 = den*P / (num*P).
 The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are the
-package's only polynomial code, used over Fraction for Phi_N and over Scalar.
+package's only polynomial code, used over int for Phi_N and over Scalar;
+pdivmod divides by monic polynomials only.
 
 A scalar string is what ``to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``: terms
 ``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by ``*z``
@@ -45,7 +46,6 @@ rank is full and the RREF is [I; 0]: steps 2 and 3 are skipped.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
@@ -76,9 +76,9 @@ _TERM_SEP = re.compile(r" *\+ *")
 # ---------------------------------------------------------------------------
 # polynomial helpers (dense, low-to-high coefficient lists)
 #
-# Coefficients may be of any exact type with + - * / whose elements are
-# falsy exactly when zero, such as Fraction and Scalar.  Zero is taken from
-# the inputs, so no bare int 0 enters a list of Scalars.
+# Coefficients may be of any exact ring type whose elements are falsy
+# exactly when zero, such as int and Scalar.  Zero is taken from the
+# inputs, so no bare int 0 enters a list of Scalars.
 # ---------------------------------------------------------------------------
 
 def ptrim(p):
@@ -128,13 +128,12 @@ def peval(p, x):
 
 
 def pdivmod(a, b):
-    """(q, r) with a = q*b + r and deg r < deg b; b is trimmed and nonzero."""
+    """(q, r) with a = q*b + r and deg r < deg b, for a monic b."""
     r = ptrim(list(a))
-    lead = b[-1]
-    q = [lead - lead] * (len(r) - len(b) + 1)
+    q = [b[0] - b[0]] * (len(r) - len(b) + 1)
     while len(r) >= len(b):
         shift = len(r) - len(b)
-        coef = q[shift] = r[-1] / lead
+        coef = q[shift] = r[-1]
         for i in range(len(b) - 1):
             r[shift + i] -= coef * b[i]
         r.pop()
@@ -144,7 +143,7 @@ def pdivmod(a, b):
 
 def _cyclotomic(n):
     """Coefficients of the n-th cyclotomic polynomial, by recursive division."""
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly, r = pdivmod(poly, _cyclotomic(d))
@@ -167,26 +166,6 @@ def integer_nth_root(n, k):
         x = y
 
 
-def rational_nth_root(q, k):
-    """The rational k-th root of a Fraction, or None if there is none.
-
-    For odd k the sign passes to the root; for even k a negative radicand
-    has no real root and None is returned.
-    """
-    if q == 0:
-        return Fraction(0)
-    sign = 1
-    if q < 0:
-        if k % 2 == 0:
-            return None
-        sign, q = -1, -q
-    num, den = q.numerator, q.denominator
-    rn, rd = integer_nth_root(num, k), integer_nth_root(den, k)
-    if rn ** k != num or rd ** k != den:
-        return None
-    return Fraction(sign * rn, rd)
-
-
 # ---------------------------------------------------------------------------
 # field specification
 # ---------------------------------------------------------------------------
@@ -206,7 +185,7 @@ class FieldSpec:
                 f"unsupported cyclotomic order {n}; supported: {SUPPORTED_ORDERS}")
         self = super().__new__(cls)
         self.cyclotomic_order = n
-        self.minimal_polynomial = mod = tuple(int(c) for c in _cyclotomic(n))
+        self.minimal_polynomial = mod = tuple(_cyclotomic(n))
         self.degree = deg = len(mod) - 1
         # z^m mod Phi_N for 0 <= m < N (all powers, as z^N = 1), as rows (j, c)
         self._powers, row = [], [1] + [0] * (deg - 1)
@@ -264,22 +243,20 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def scalar(self, value):
+        """value as an element: a Scalar of this field, or a rational with
+        ``numerator`` and ``denominator``, such as an int or a Fraction."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldError("scalar belongs to a different field")
             return value
-        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return Scalar._make(self, (q.numerator,) + (0,) * (self.degree - 1),
-                            q.denominator)
+        return Scalar._make(self, (value.numerator,) + (0,) * (self.degree - 1),
+                            value.denominator)
 
     def zero(self):
         return self.scalar(0)
 
     def one(self):
         return self.scalar(1)
-
-    def from_coefficients(self, coeffs):
-        return Scalar(self, coeffs)
 
     def zeta(self):
         """The designated generator zeta_N (equal to 1 for N = 1, -1 for N = 2)."""
@@ -333,11 +310,6 @@ class Scalar:
         self.num = tuple(num)
         return self
 
-    @property
-    def coeffs(self):
-        """The coordinates on the power basis, as Fractions."""
-        return tuple(Fraction(x, self.den) for x in self.num)
-
     # -- coercion -------------------------------------------------------------
 
     def _coerce(self, other):
@@ -345,7 +317,7 @@ class Scalar:
             if other.field is not self.field:
                 raise FieldError("mixed-field arithmetic")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.field.scalar(other)
         return NotImplemented
 
@@ -439,25 +411,23 @@ class Scalar:
     def is_rational(self):
         return not any(self.num[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise FieldError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def nth_root_rational(self, k):
         """Designated k-th root: the real rational root of a rational element.
 
-        Deterministic by construction.  Elements outside the rational subfield
-        (or without a rational real root) raise NotAnNthPower, instructing the
-        caller to extend the field or rescale.
+        Deterministic by construction: for odd k the sign passes to the
+        root.  Elements outside the rational subfield (or without a rational
+        real root, as a negative one for even k) raise NotAnNthPower,
+        instructing the caller to extend the field or rescale.
         """
         if not self.is_rational():
             raise NotAnNthPower(
                 f"{self} is not in the rational subfield; no designated root")
-        root = rational_nth_root(self.rational_value(), k)
-        if root is None:
+        p, q = self.num[0], self.den
+        a, b = integer_nth_root(abs(p), k), integer_nth_root(q, k)
+        if p < 0 and k % 2 == 0 or a ** k != abs(p) or b ** k != q:
             raise NotAnNthPower(f"{self} has no rational {k}-th root")
-        return self.field.scalar(root)
+        return Scalar._make(self.field, (-a if p < 0 else a,) + self.num[1:],
+                            b, lowest=True)
 
     def galois(self, a):
         """Image under the Galois automorphism z -> z^a (gcd(a, N) = 1)."""
@@ -468,7 +438,7 @@ class Scalar:
         return Scalar._make(f, f._fold(c), self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self._coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -476,11 +446,11 @@ class Scalar:
             (other.field, other.num, other.den)
 
     def __hash__(self):
-        """Equal values hash alike: a rational element as the Fraction it
-        equals (so as an int when integral), any other by its coordinates."""
+        """Equal values hash alike: an integral element as the int it
+        equals, any other by its coordinates."""
         if self._hash is None:
-            self._hash = hash(Fraction(self.num[0], self.den)
-                              if self.is_rational() else
+            self._hash = hash(self.num[0] if self.den == 1 and
+                              self.is_rational() else
                               (self.field.cyclotomic_order, self.num, self.den))
         return self._hash
 
@@ -573,7 +543,8 @@ def _over_lcm(parts):
 
 
 def _flat(field, entries):
-    """Scalars, ints or Fractions as flat ints over one denominator."""
+    """Scalars or rationals (`FieldSpec.scalar`) as flat ints over one
+    denominator."""
     return _over_lcm([(x.num, x.den) for x in map(field.scalar, entries)])
 
 

@@ -87,7 +87,7 @@ def test_divisor_of_a_constant_multiple_is_unchanged(c):
     rational."""
     spec = pirola_spec()
     E, h = spec.curve, spec.h
-    c = Q3.from_coefficients(c)
+    c = Scalar(Q3, c)
     ch = CurveFunction.make(E, [c * a for a in h.P], [c * b for b in h.Q])
     assert divisor_of(E, ch) == divisor_of(E, h)
 
@@ -99,7 +99,7 @@ def test_divisor_of_a_multiple_of_x_minus_2000(c):
     Galois product had a 44-bit constant, above the root search's limit,
     while each of its coordinate polynomials is -(x - 2000)^2."""
     E = _curve_q3()
-    c = Q3.from_coefficients(c)
+    c = Scalar(Q3, c)
     with pytest.raises(PointOutsideField) as err:
         divisor_of(E, CurveFunction.make(E, [c * -2000, c]))
     assert err.value.factors == ['y^2 - (8000000001) at x = 2000']

@@ -238,7 +238,8 @@ def test_pirola_quadric_structure(pirola):
 
 
 def _random_matrix(rng, field, nrows, ncols):
-    return Matrix(field, [[field.from_coefficients(
+    return Matrix(field, [[Scalar(
+        field,
         [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree)])
         for _ in range(ncols)] for _ in range(nrows)])
 

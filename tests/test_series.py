@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from ellprym.builder import (INFINITY, CurveFunction, EllipticCurve,
-                             _place_sort_key, base_series, bielliptic_spec,
-                             divisor_of, lift, pirola_spec)
+                             base_series, bielliptic_spec, divisor_of, lift,
+                             pirola_spec)
 from ellprym.covering import _parse_series
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             SingularJacobian, ValuationError)
@@ -247,7 +247,7 @@ def test_reversion_against_lagrange_inversion():
         power = S(0, [1], 10)
         for _ in range(n):
             power = power / unit
-        expect = power.coefficient(n - 1) * F(1, n)
+        expect = power.coefficient(n - 1) * Q.scalar(F(1, n))
         assert g.coefficient(n) == expect
     assert g.coefficient(1) == Q.one()
     assert g.coefficient(2) == Q.scalar(-1)
@@ -692,8 +692,7 @@ def test_compose_against_sympy():
 
     def poly(s):
         return sympy.Poly(sum(
-            (sympy.Rational(c.rational_value().numerator,
-                            c.rational_value().denominator) *
+            (sympy.Rational(c.num[0], c.den) *
              z ** (s.valuation + k) for k, c in enumerate(s.coeffs)),
             sympy.Integer(0)), z)
 
@@ -706,8 +705,8 @@ def test_compose_against_sympy():
             exact = poly(outer).compose(poly(inner))
             for e in range(got.prec):
                 want = exact.coeff_monomial(z ** e)
-                assert got.coefficient(e).rational_value() == \
-                    F(int(want.p), int(want.q))
+                assert got.coefficient(e) == \
+                    Q.scalar(F(int(want.p), int(want.q)))
 
 
 def _sympy_ring(s):
@@ -715,8 +714,7 @@ def _sympy_ring(s):
     from sympy import QQ
     from sympy.polys.rings import ring
     R, z = ring("z", QQ)
-    return z, sum((QQ(c.rational_value().numerator,
-                      c.rational_value().denominator) * z ** k
+    return z, sum((QQ(c.num[0], c.den) * z ** k
                    for k, c in enumerate(s.coeffs)), R.zero)
 
 
@@ -724,8 +722,8 @@ def _assert_matches_ring(series, p, shift=0):
     """series has the coefficients of z^shift * p below its window."""
     for e in range(series.valuation, series.prec):
         want = p.coeff(p.ring.gens[0] ** (e - shift)) if e >= shift else 0
-        assert series.coefficient(e).rational_value() == \
-            F(int(want.numerator), int(want.denominator))
+        assert series.coefficient(e) == \
+            Q.scalar(F(int(want.numerator), int(want.denominator)))
 
 
 def test_inverse_against_sympy():
@@ -798,7 +796,7 @@ FIXTURES = {"pirola": pirola_spec, "double3": lambda: bielliptic_spec(3),
 
 def _ramification_places(spec):
     div = divisor_of(spec.curve, spec.h)
-    return [p for p, v in sorted(div.items(), key=_place_sort_key) if v == 1]
+    return [p for p, v in div.items() if v == 1]
 
 
 @pytest.mark.parametrize("name, window", [("pirola", 40), ("pirola", 80),
