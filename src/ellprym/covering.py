@@ -375,12 +375,12 @@ def _parse_series(field, obj, pointer):
             raise SchemaError(f"{pointer}/{key}",
                               f"expected absolute value at most {MAX_WINDOW}")
     raw = _expect(obj, "coeffs", list, pointer)
-    coeffs = [_parse_scalar(field, s, f"{pointer}/coeffs/{i}")
-              for i, s in enumerate(raw)]
-    try:
-        return TruncatedSeries(field, v, coeffs, p)
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from None
+    if v + len(raw) > p:
+        raise SchemaError(pointer,
+                          "coefficients extend beyond the stated precision")
+    return TruncatedSeries(field, v, [
+        _parse_scalar(field, s, f"{pointer}/coeffs/{i}")
+        for i, s in enumerate(raw)], p)
 
 
 def datum_to_json(datum):
@@ -433,15 +433,24 @@ def datum_from_json(obj):
         alpha = _parse_series(fld, _expect(cobj, "alpha_pullback", dict, ptr),
                               f"{ptr}/alpha_pullback")
         forms_raw = _expect(cobj, "forms", list, ptr)
+        if len(forms_raw) > MAX_GENUS:
+            raise SchemaError(f"{ptr}/forms",
+                              f"expected at most {MAX_GENUS} forms")
         forms = tuple(_parse_series(fld, s, f"{ptr}/forms/{i}")
                       for i, s in enumerate(forms_raw))
         charts.append(RamificationChart(label, index, alpha, forms))
     fobj2 = _expect(obj, "fiber", dict, "")
     labels = _expect_strings(fobj2, "labels", degree, "/fiber")
     ratios_raw = _expect(fobj2, "ratios", list, "/fiber")
+    if len(ratios_raw) > MAX_DEGREE:
+        raise SchemaError("/fiber/ratios",
+                          f"expected at most {MAX_DEGREE} rows")
     for k, row in enumerate(ratios_raw):
         if not isinstance(row, list):
             raise SchemaError(f"/fiber/ratios/{k}", "expected list")
+        if len(row) > MAX_GENUS:
+            raise SchemaError(f"/fiber/ratios/{k}",
+                              f"expected at most {MAX_GENUS} entries")
     ratios = tuple(
         tuple(_parse_scalar(fld, s, f"/fiber/ratios/{k}/{i}")
               for i, s in enumerate(row))
@@ -565,7 +574,8 @@ class CyclicAction(NamedTuple):
                                   f"prec at least the chart window {window}")
             moves.append((target, rho))
         perm = _expect(obj, "fiber_permutation", list, "")
-        if not all(type(k) is int for k in perm) or \
+        if len(perm) != datum.degree or not all(
+                type(k) is int for k in perm) or \
                 sorted(perm) != list(range(datum.degree)):
             raise SchemaError(
                 "/fiber_permutation",

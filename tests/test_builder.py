@@ -27,6 +27,46 @@ def _curve_q3():
 
 # -- divisors -----------------------------------------------------------------
 
+def _fraction_key(item):
+    """Reference order of divisor places: (x, y) as Fractions, infinity
+    last."""
+    place, _ = item
+    if place is INFINITY:
+        return (1,)
+    return (0, F(place.x.num[0], place.x.den), F(place.y.num[0], place.y.den))
+
+
+def test_divisor_places_ascend_with_infinity_last():
+    """On curves over Q through two random points with fractional
+    coordinates, (x - x1)(x - x2) has both points above each root, and
+    (y - l)(x - x1), l the line through the points, a double zero at one
+    of them and a simple zero at the other point above x1.  The divisor's
+    places come in the reference order."""
+    rng = random.Random(21)
+    both = 0
+    for _ in range(20):
+        (x1, y1), (x2, y2) = [(F(rng.randint(-7, 7), rng.randint(1, 4)),
+                               F(rng.randint(1, 7), rng.randint(1, 4)))
+                              for _ in range(2)]
+        if x1 == x2:
+            continue
+        A = (y1 ** 2 - x1 ** 3 - y2 ** 2 + x2 ** 3) / (x1 - x2)
+        B = y1 ** 2 - x1 ** 3 - A * x1
+        E = EllipticCurve(Q, Q.scalar(A), Q.scalar(B))
+        m = (y2 - y1) / (x2 - x1)
+        k = y1 - m * x1
+        for h in (CurveFunction.make(E, [x1 * x2, -x1 - x2, 1]),
+                  CurveFunction.make(E, [k * x1, m * x1 - k, -m], [-x1, 1])):
+            try:
+                items = list(divisor_of(E, h).items())
+            except PointOutsideField:
+                continue
+            assert items == sorted(items, key=_fraction_key)
+            xs = [p.x for p, _ in items if p is not INFINITY]
+            both += len(set(xs)) < len(xs)
+    assert both >= 10
+
+
 def test_divisor_of_line_section():
     """Zeros from x^3 - x^2 - 2x = 0, checked against series valuations."""
     E = _curve_q3()
@@ -329,6 +369,16 @@ def test_unsupported_ramification_rejected():
     h = CurveFunction.make(E, [1, 2, 1])          # (x+1)^2
     spec = CyclicCoverSpec(E, h, 3, "auto")
     with pytest.raises(UnsupportedRamification):
+        build_cover(spec)
+
+
+def test_unsupported_ramification_names_the_first_place_in_order():
+    """x^2 on y^2 = x^3 + 9 has valuation 2 at both (0, 3) and (0, -3);
+    the refusal names the first in the divisor's order."""
+    E = EllipticCurve(Q3, Q3.zero(), Q3.scalar(9))
+    spec = CyclicCoverSpec(E, CurveFunction.make(E, [0, 0, 1]), 3, "auto")
+    with pytest.raises(UnsupportedRamification,
+                       match=r"^valuation 2 at \(0, -3\): need v = 1 or 3"):
         build_cover(spec)
 
 

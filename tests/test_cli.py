@@ -12,7 +12,7 @@ from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
                               MAX_WINDOW, CyclicAction)
-from ellprym.scalars import MAX_SCALAR_LENGTH
+from ellprym.scalars import MAX_SCALAR_LENGTH, Scalar
 
 
 def _write_spec(path, obj):
@@ -293,6 +293,41 @@ def test_analyze_more_charts_than_riemann_hurwitz_allows_exits_2(tmp_path,
         capsys.readouterr().err
 
 
+# A valid scalar string that only the edits below write into a datum.
+SENTINEL = "31/37"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj["charts"][0]["alpha_pullback"].update(
+        coeffs=[SENTINEL] * 1000 + ["bad"]),
+     "/charts/0/alpha_pullback: coefficients extend beyond the stated "
+     "precision"),
+    (lambda obj: obj["charts"][0].update(forms=[
+        {"valuation": 0, "prec": 1, "coeffs": [SENTINEL]}] * (MAX_GENUS + 1)),
+     f"/charts/0/forms: expected at most {MAX_GENUS} forms"),
+    (lambda obj: obj["fiber"].update(
+        ratios=[[SENTINEL] * 4] * (MAX_DEGREE + 1)),
+     f"/fiber/ratios: expected at most {MAX_DEGREE} rows"),
+    (lambda obj: obj["fiber"]["ratios"][2].extend([SENTINEL] * MAX_GENUS),
+     f"/fiber/ratios/2: expected at most {MAX_GENUS} entries"),
+], ids=["series-beyond-prec", "forms", "ratio-rows", "ratio-entries"])
+def test_analyze_oversized_list_is_refused_before_parsing(
+        tmp_path, capsys, monkeypatch, pirola_datum_obj, edit, message):
+    """Each list is refused by its length before any element is parsed: no
+    SENTINEL string reaches Scalar.from_string.  A series too long for its
+    precision is refused so even when it also holds a malformed string."""
+    assert SENTINEL not in json.dumps(pirola_datum_obj)
+    parsed, from_string = [], Scalar.from_string
+
+    def counting(field, text):
+        parsed.append(text)
+        return from_string(field, text)
+    monkeypatch.setattr(Scalar, "from_string", staticmethod(counting))
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert f"SchemaError: {message}" in capsys.readouterr().err
+    assert SENTINEL not in parsed
+
+
 def test_analyze_chart_missing_a_form_exits_2(tmp_path, capsys,
                                               pirola_datum_obj):
     """The independence certificate reads g forms on every chart; a chart
@@ -435,6 +470,8 @@ def _reparams(**members):
      "/fiber_permutation: expected a permutation of 0..2"),
     (_set("fiber_permutation", [1, True, 0]),
      "/fiber_permutation: expected a permutation of 0..2"),
+    (_set("fiber_permutation", [0, 1, 2, "x"]),
+     "/fiber_permutation: expected a permutation of 0..2"),
     (lambda obj: obj["charts"][1]["reparam"].update(valuation=-10 ** 6),
      "/charts/1/reparam/valuation: expected absolute value at most "
      f"{MAX_WINDOW}"),
@@ -446,7 +483,7 @@ def _reparams(**members):
      "at least the chart window 10"),
 ], ids=["missing-member", "order-0", "order-bool", "matrix-rows",
         "matrix-entry", "no-charts", "target-range", "perm-short",
-        "perm-bool", "window-above-limit", "reparam-valuation-2",
+        "perm-bool", "perm-long", "window-above-limit", "reparam-valuation-2",
         "reparam-valuation-0", "reparam-below-window"])
 def test_analyze_malformed_action_exits_2(tmp_path, capsys, pirola_built,
                                           edit, message):

@@ -55,27 +55,46 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _references(node):
+def _class_names(trees):
+    return {n.name for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef)}
+
+
+def _references(node, classes):
+    """Names, attributes and imported names under node.  An attribute of a
+    name that is a package class is qualified by it, ``Class.attr``."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            owner = n.value.id if isinstance(n.value, ast.Name) else None
+            yield f"{owner}.{n.attr}" if owner in classes else n.attr
         elif isinstance(n, ast.alias):
             yield n.name
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unreferenced(definitions):
-    """``file:line: name`` of each definition, given per module tree, whose
-    name the package references only inside its own body."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    """``file:line: name`` of each definition, given per module tree as
+    (name, node) with a method named ``Class.method``, that the package
+    references only inside its own body.  A method counts as referenced by
+    its bare name, or qualified by its own class."""
+    trees = _package_trees()
+    classes = _class_names(trees)
     total = Counter(ref for tree in trees.values()
-                    for ref in _references(tree))
+                    for ref in _references(tree, classes))
+
+    def count(refs, defn):
+        return refs[defn] + (refs[defn.split(".")[1]] if "." in defn else 0)
     return [f"{name}:{node.lineno}: {defn}"
             for name, tree in trees.items()
             for defn, node in definitions(tree)
-            if total[defn] == Counter(_references(node))[defn]]
+            if count(total, defn) ==
+            count(Counter(_references(node, classes)), defn)]
 
 
 def test_no_dead_private_definitions():
@@ -85,22 +104,33 @@ def test_no_dead_private_definitions():
 
 
 def _public_definitions(tree):
-    """Functions, methods and classes, at any depth, not named ``_...``."""
+    """Functions, methods and classes, at any depth, not named ``_...``;
+    a method as ``Class.method``."""
+    methods = {id(m): f"{c.name}.{m.name}" for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for m in c.body
+               if isinstance(m, ast.FunctionDef)}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                 not node.name.startswith("_"):
-            yield node.name, node
+            yield methods.get(id(node), node.name), node
 
 
 def test_no_test_only_public_definitions():
     """A public function, method or class must be used in the package
     besides its own body, or be named in ``perfbench/*.py``, whose inputs
     and traced spans use the library; one that only tests call does not
-    belong in the package."""
+    belong in the package.  A perfbench word names a method only when a
+    single class defines a method of that name."""
     bench = {word for path in (PACKAGE.parents[1] / "perfbench").glob("*.py")
              for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    methods = Counter(defn.split(".")[1] for tree in _package_trees().values()
+                      for defn, _ in _public_definitions(tree) if "." in defn)
+
+    def exempt(defn):
+        bare = defn.split(".")[-1]
+        return bare in bench and ("." not in defn or methods[bare] == 1)
     assert [entry for entry in _unreferenced(_public_definitions)
-            if entry.rsplit(" ", 1)[1] not in bench] == []
+            if not exempt(entry.rsplit(" ", 1)[1])] == []
 
 
 def _unused_parameters(tree):
@@ -147,6 +177,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Records are NamedTuples, so a fresh ``import ellprym.cli`` pulls in
     neither ``dataclasses`` nor the ``inspect`` it imports."""
     assert {"dataclasses", "inspect"} & _fresh_modules("ellprym.cli") == set()
+
+
+@pytest.mark.parametrize("module", ["cli", "builder", "covering"])
+def test_import_leaves_out_fractions(module):
+    """Scalar is the package's one rational type, so a fresh import loads
+    neither ``fractions`` nor the ``decimal`` and ``numbers`` it imports."""
+    assert {"fractions", "decimal", "numbers"} & \
+        _fresh_modules(f"ellprym.{module}") == set()
+
+
+def test_no_fraction_in_the_package():
+    """No name, attribute or import in the package is Fraction or
+    fractions."""
+    assert [name for name, tree in _package_trees().items()
+            if {"Fraction", "fractions"} & set(_references(tree, ()))] == []
 
 
 @pytest.mark.parametrize("module,closure", [
