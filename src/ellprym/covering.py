@@ -574,8 +574,8 @@ class CyclicAction(NamedTuple):
                                   f"prec at least the chart window {window}")
             moves.append((target, rho))
         perm = _expect(obj, "fiber_permutation", list, "")
-        if len(perm) != datum.degree or not all(
-                type(k) is int for k in perm) or \
+        if len(perm) != datum.degree or \
+                not all(type(k) is int for k in perm) or \
                 sorted(perm) != list(range(datum.degree)):
             raise SchemaError(
                 "/fiber_permutation",
