@@ -225,7 +225,7 @@ def lift(curve, place, fn, prec):
     if e.valuation:
         raise SingularJacobian(f"{fn} is not a uniformizer at {place}")
     inv = e.inverse()
-    v = TruncatedSeries.identity(field, prec + 1)
+    v = TruncatedSeries(field, 1, [field.one()], prec + 1)
     for known in _widths(prec):
         X, Y = _rewindow(X, known), _rewindow(Y, known)
         F1 = Y * Y - peval(rhs, X)
@@ -517,7 +517,7 @@ def build_cover(spec):
                     [[(zeta ** (-plans[i][0]) if i == j else field.zero())
                       for j in range(len(plans))]
                      for i in range(len(plans))])
-    moves = [(j, TruncatedSeries.monomial(field, 1, zeta, chart.window()))
+    moves = [(j, TruncatedSeries(field, 1, [zeta], chart.window()))
              for j, chart in enumerate(charts)]
     perm = tuple((kk + 1) % N for kk in range(N))
     action = CyclicAction(N, matrix, tuple(moves), perm)

@@ -95,7 +95,7 @@ def _write(text, out):
 
 def _dump(report, json_mode, out=None):
     if json_mode:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = covering.json_text(report)
     else:
         lines = []
         _render_text(report, lines)
@@ -124,9 +124,7 @@ def cmd_build(args):
     action = result.action.to_json() if args.action_out else None
     covering.save(result.datum, args.out)
     if action is not None:
-        with open(args.action_out, "w", encoding="utf-8") as fh:
-            json.dump(action, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(covering.json_text(action), args.action_out)
     print(f"wrote covering datum to {args.out} "
           f"(genus {result.datum.genus}, degree {result.datum.degree}, "
           f"base point {result.base_point})")

@@ -383,6 +383,13 @@ def _parse_series(field, obj, pointer):
         for i, s in enumerate(raw)], p)
 
 
+def _series_to_json(s):
+    """The JSON object of a series that `_parse_series` reads: its valuation,
+    its precision and its coefficients from the valuation on."""
+    return {"valuation": s.valuation, "prec": s.prec,
+            "coeffs": [c.to_json() for c in s.coeffs]}
+
+
 def datum_to_json(datum):
     return {
         "field": {"cyclotomic_order": datum.field.cyclotomic_order},
@@ -393,8 +400,8 @@ def datum_to_json(datum):
         "charts": [
             {"label": c.label,
              "index": c.index,
-             "alpha_pullback": c.alpha_pullback.to_json(),
-             "forms": [s.to_json() for s in c.forms]}
+             "alpha_pullback": _series_to_json(c.alpha_pullback),
+             "forms": [_series_to_json(s) for s in c.forms]}
             for c in datum.charts
         ],
         "fiber": {
@@ -459,8 +466,14 @@ def datum_from_json(obj):
                          FiberChart(labels, ratios), names, hint)
 
 
+def json_text(obj):
+    """The one JSON text format of every file and report the package
+    writes: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save(datum, path):
-    text = json.dumps(datum_to_json(datum), indent=2, sort_keys=True) + "\n"
+    text = json_text(datum_to_json(datum))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -483,10 +496,10 @@ def load(path):
 def reparametrized(datum, substitutions):
     """Re-express chart series through new local parameters.
 
-    ``substitutions`` maps chart index to a series phi with valuation 1 and
-    invertible linear coefficient; chart series s(u) du become
-    s(phi(v)) phi'(v) dv.  Kernel dimensions computed downstream are
-    invariant under this operation.
+    ``substitutions`` maps chart index to a local parameter phi, a series of
+    valuation exactly 1 (``transform_form`` raises ValuationError on any
+    other); chart series s(u) du become s(phi(v)) phi'(v) dv.  Kernel
+    dimensions computed downstream are invariant under this operation.
     """
     charts = list(datum.charts)
     for j, phi in substitutions.items():
@@ -533,7 +546,7 @@ class CyclicAction(NamedTuple):
         return {
             "order": self.order,
             "matrix": [[x.to_json() for x in row] for row in self.matrix.rows],
-            "charts": [{"target": t, "reparam": s.to_json()}
+            "charts": [{"target": t, "reparam": _series_to_json(s)}
                        for (t, s) in self.chart_moves],
             "fiber_permutation": list(self.fiber_permutation),
         }

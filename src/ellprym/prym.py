@@ -30,9 +30,6 @@ class Covector(NamedTuple):
     gammas: tuple
     gamma_s: object
 
-    def is_zero(self):
-        return all(x.is_zero() for x in self.gammas + (self.gamma_s,))
-
 
 def in_minus_sym(split, phi):
     """Exact membership test for the symmetric square of the trace-zero space.

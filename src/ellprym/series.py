@@ -15,7 +15,8 @@ coefficient are nonzero, except in the tracked-precision zero series, whose
 ``num`` is empty, ``den`` 1 and ``valuation == prec``.  Sums, scaling,
 shifts, truncation and the derivative are integer list operations; Scalars
 are made only where coefficients are read (``coefficients_in``,
-``coefficient`` and ``coeffs``, and through them ``to_json`` and ``repr``).
+``coefficient`` and ``coeffs``, and through them ``repr`` and the JSON
+writer in ``covering``).
 ``ints_in`` reads a window as integers over ``den``, with no Scalars.
 
 Algorithms: a product with a one-term operand is a scaling.  Any other is
@@ -24,13 +25,16 @@ polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 44(10), 2009) of the two packed ``num`` lists, read back
 only inside the result window, over the product of the denominators.
 ``inverse`` is Newton iteration g <- g*(2 - u*g) at doubling widths.
-Composition is Brent-Kung baby-step/giant-step (Brent & Kung, "Fast
-algorithms for manipulating formal power series", J. ACM 25(4), 1978).
-``compose_all`` forms and packs the baby and giant powers of one inner
-series once for a list of outer series, and each outer keeps its own
-window; ``compose`` is its one-element case, and ``transform_form`` changes
-the parameter of a list of 1-forms through it.  Result windows are fixed by
-the inputs' windows alone, never by the evaluation scheme.  Local
+
+Composition is a change of local parameter: the inner series is a local
+parameter u = phi(v), of valuation exactly 1, and ``transform_form`` is
+the entry point that moves a list of 1-forms through it, as residues are
+invariant under it.  ``compose_all`` evaluates the outers by Brent-Kung
+baby-step/giant-step (Brent & Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 25(4), 1978): the baby and giant powers of
+phi are formed and packed once for the whole list, and each outer keeps
+its own window; a one-term phi = c*v needs no powers.  Result windows are
+fixed by the inputs' windows alone, never by the evaluation scheme.  Local
 expansions of a curve are not made here: ``builder.lift`` solves for them
 by Newton's method on these operations.
 """
@@ -85,28 +89,16 @@ class TruncatedSeries:
         return cls._make(field, prec, [], 1, prec, True)
 
     @classmethod
-    def monomial(cls, field, exponent, coeff, prec):
-        return cls(field, exponent, [coeff], prec)
-
-    @classmethod
     def from_coefficients(cls, field, start_exponent, coeffs, prec=None):
         if prec is None:
             prec = start_exponent + len(coeffs)
         return cls(field, start_exponent, coeffs, prec)
-
-    @classmethod
-    def identity(cls, field, prec):
-        """The series z, known to the given precision."""
-        return cls.monomial(field, 1, field.one(), prec)
 
     # -- basics ---------------------------------------------------------------
 
     def is_zero(self):
         """True when no nonzero coefficient is known (within the window)."""
         return not self.num
-
-    def relative_precision(self):
-        return self.prec - self.valuation
 
     def coefficient(self, exponent):
         return self.coefficients_in(exponent, exponent + 1)[0]
@@ -211,18 +203,18 @@ class TruncatedSeries:
         """Reciprocal of a series that is nonzero up to its precision.
 
         Newton iteration g <- g - g*(u*g - 1) for the unit part u, on
-        `_widths`: a g correct below t^w is correct below t^(2w) after one
-        round.  A monomial c*z^v needs no rounds: its inverse is c^-1*z^-v,
-        to the same relative precision.
+        `_widths` from the inverse of the leading coefficient: a g correct
+        below t^w is correct below t^(2w) after one round.  The result has
+        the relative precision of self; for a one-term u every round's
+        residual u*g - 1 is zero.
         """
         if self.is_zero():
             raise DivisionByZeroSeries(
                 "inverse of a series that is zero to its precision")
-        field, rel, d = self.field, self.relative_precision(), self.field.degree
+        field, d = self.field, self.field.degree
+        rel = self.prec - self.valuation
         lead = Scalar._make(field, self.num[:d], self.den).inverse()
         g = TruncatedSeries._make(field, 0, list(lead.num), lead.den, 1, True)
-        if len(self.num) == d:
-            return _rewindow(g, rel).shift(-self.valuation)
         unit = TruncatedSeries._make(field, 0, self.num, self.den, rel, True)
         for known in _widths(rel):
             g = _rewindow(g, known)
@@ -252,17 +244,6 @@ class TruncatedSeries:
             return self.field.zero()
         return self.coefficient(-1)
 
-    def compose(self, inner):
-        """self(inner), for inner of valuation >= 1; see `compose_all`."""
-        return compose_all([self], inner)[0]
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self):
-        return {"valuation": self.valuation,
-                "prec": self.prec,
-                "coeffs": [c.to_json() for c in self.coeffs]}
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and
                 self.field is other.field and
@@ -285,8 +266,8 @@ class TruncatedSeries:
 
 
 def compose_all(outers, inner):
-    """[outer(inner) for outer in outers], for inner of valuation >= 1 and
-    outers of valuation >= 0.
+    """[outer(inner) for outer in outers], for a local parameter inner, of
+    valuation exactly 1, and outers of valuation >= 0.
 
     Each outer z^lo * q(z) is q(inner) * inner^lo.  With k = ceil(sqrt(m))
     for the longest q, of m terms, the baby powers inner^0..inner^(k-1) and
@@ -294,29 +275,26 @@ def compose_all(outers, inner):
     needs, and the baby powers packed once over one denominator: each block
     of k terms of q is one integer dot product, read back as far as its
     outer's window, and the blocks are joined by Horner in the giant step.
-    A monomial inner c*z^vg needs no powers (`_monomial_compose`).  Each
-    outer keeps its own window, min(vg * outer.prec, inner.prec +
-    (outer.valuation - 1) * vg) for vg = inner.valuation, as a term-by-term
-    Horner evaluation would give.
+    A one-term inner c*z needs no powers (`_monomial_compose`).  Each outer
+    keeps its own window, min(outer.prec, inner.prec + outer.valuation - 1),
+    as a term-by-term Horner evaluation would give.
     """
     for outer in outers:
         outer._check_field(inner)
         if outer.valuation < 0:
             raise ValuationError("composition requires outer valuation >= 0")
-    if inner.is_zero() or inner.valuation < 1:
-        raise ValuationError("composition requires inner valuation >= 1")
-    field, vg, d = inner.field, inner.valuation, inner.field.degree
+    if inner.is_zero() or inner.valuation != 1:
+        raise ValuationError("composition requires inner valuation 1")
+    field, d = inner.field, inner.field.degree
     plans = []
     for outer in outers:
-        # error from outer truncation is O(inner^prec); error from inner
-        # truncation is O(z^(inner.prec + (v-1)*vg))
-        prec = min(vg * outer.prec, inner.prec + (outer.valuation - 1) * vg)
-        # only the terms with e*vg < prec reach the window, and q(inner) is
-        # needed below z^(prec - lo*vg)
+        # error from outer truncation is O(z^outer.prec); error from inner
+        # truncation is O(z^(inner.prec + lo - 1)); q(inner) is needed below
+        # z^(prec - lo)
         lo = outer.valuation
-        q = outer.num[:max(0, min(outer.prec, -(-prec // vg)) - lo) * d]
-        plans.append((prec, lo, q, outer.den))
-    widths = [prec - lo * vg for prec, lo, q, _ in plans if q]
+        prec = min(outer.prec, inner.prec + lo - 1)
+        plans.append((prec, lo, outer.num[:max(0, prec - lo) * d], outer.den))
+    widths = [prec - lo for prec, lo, q, _ in plans if q]
     if widths and len(inner.num) > d:
         width, m = max(widths), max(len(p[2]) for p in plans) // d
         k = math.isqrt(m - 1) + 1
@@ -340,7 +318,7 @@ def compose_all(outers, inner):
             out.append(_monomial_compose(field, prec, lo, q, qden, inner)
                        if q else TruncatedSeries.zero(field, prec))
             continue
-        n = prec - lo * vg
+        n = prec - lo
         giant = powers[k].truncate(n) if len(q) > k * d else None
         # term j of q as the integer of its d slots
         cs = q if d == 1 else [_pack(field, q[i:i + d], w)
@@ -359,20 +337,19 @@ def compose_all(outers, inner):
 
 
 def _monomial_compose(field, prec, lo, q, den, inner):
-    """The outer z^lo*q/den of `compose_all` at a monomial inner c*z^vg:
-    a_e*z^e goes to a_e*c^e*z^(e*vg), over den*c.den^top for the top
-    exponent, so a_e*num(c)^e is scaled by c.den^(top - e)."""
-    d, vg, c, cden = field.degree, inner.valuation, inner.num, inner.den
+    """The outer z^lo*q/den of `compose_all` at a one-term inner c*z:
+    a_e*z^e goes to a_e*c^e*z^e, over den*c.den^top for the top exponent,
+    so a_e*num(c)^e is scaled by c.den^(top - e)."""
+    d, c, cden = field.degree, inner.num, inner.den
     top, power = lo + len(q) // d - 1, [1] + [0] * (d - 1)
     for _ in range(lo):
         power = field._mul(power, c)
-    out = [0] * ((prec - lo * vg) * d)
+    out = []
     for j in range(0, len(q), d):
         scale = cden ** (top - lo - j // d)
-        out[j * vg:j * vg + d] = [x * scale for x in
-                                  field._mul(q[j:j + d], power)]
+        out += [x * scale for x in field._mul(q[j:j + d], power)]
         power = field._mul(power, c)
-    return TruncatedSeries._make(field, lo * vg, out, den * cden ** top, prec)
+    return TruncatedSeries._make(field, lo, out, den * cden ** top, prec)
 
 
 def _pack(field, num, w):
@@ -433,13 +410,14 @@ def _rewindow(s, prec):
 
 
 def transform_form(series_list, substitution):
-    """Rewrite 1-form coefficients under one parameter substitution.
+    """Rewrite 1-form coefficients under one change of local parameter.
 
-    If a form is s(z) dz and z = phi(u), its new coefficient series is
-    s(phi(u)) * phi'(u).  Residues are invariant under this operation, which
-    is what licenses arbitrary local parameters in covering data.  All the
-    series go through one `compose_all`, so they share its powers of phi
-    while each keeps its own window, and phi' is formed once.
+    If a form is s(z) dz and z = phi(u), with phi of valuation 1, its new
+    coefficient series is s(phi(u)) * phi'(u).  Residues are invariant under
+    this operation, which is what licenses arbitrary local parameters in
+    covering data.  All the series go through one `compose_all`, so they
+    share its powers of phi while each keeps its own window, and phi' is
+    formed once.
     """
     d = substitution.derivative()
     return [s * d for s in compose_all(series_list, substitution)]

@@ -6,9 +6,9 @@ import pytest
 from ellprym import covering
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
-                              datum_from_json, datum_to_json, lex_pairs,
+                              _series_to_json, datum_from_json, datum_to_json, lex_pairs,
                               load, save, validate)
-from ellprym.errors import SchemaError
+from ellprym.errors import SchemaError, ValuationError
 from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Scalar
 from ellprym.series import TruncatedSeries
 
@@ -150,8 +150,8 @@ def test_series_common_denominator_is_not_limited():
     assert s.den == 10 ** MAX_SCALAR_LENGTH
     assert [F(c.num[0], c.den) for c in s.coeffs] == [
         F(1, 2 ** MAX_SCALAR_LENGTH), F(1, 5 ** MAX_SCALAR_LENGTH)]
-    assert s.to_json() == obj
-    assert _parse_series(Q, s.to_json(), "/s") == s
+    assert _series_to_json(s) == obj
+    assert _parse_series(Q, _series_to_json(s), "/s") == s
 
 
 def test_load_invalid_json(tmp_path):
@@ -178,3 +178,13 @@ def test_internal_fault_while_loading_is_not_a_schema_error(pirola,
     patch(monkeypatch)
     with pytest.raises(AssertionError, match="internal fault"):
         datum_from_json(obj)
+
+
+def test_reparametrized_refuses_a_substitution_of_valuation_2():
+    """A chart substitution is a change of local parameter, of valuation 1;
+    one of valuation 2 is refused by the composition under it."""
+    datum = _fake_datum()
+    for phi in (_series(2, [1], 9), _series(2, [1, 3, 1], 9)):
+        with pytest.raises(ValuationError,
+                           match="^composition requires inner valuation 1$"):
+            covering.reparametrized(datum, {0: phi})

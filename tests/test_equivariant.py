@@ -6,7 +6,7 @@ from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
                                  sym2_eigenspaces, validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
-from ellprym.series import TruncatedSeries, transform_form
+from ellprym.series import TruncatedSeries, compose_all, transform_form
 
 Q3 = FieldSpec(3)
 _Z = Q3.zeta()
@@ -126,7 +126,7 @@ def test_trivial_action_single_eigenspace(biell4):
     field = biell4.datum.field
     ident = CyclicAction(
         1, Matrix.identity(field, 4),
-        tuple((j, TruncatedSeries.identity(field, c.window()))
+        tuple((j, TruncatedSeries(field, 1, [field.one()], c.window()))
               for j, c in enumerate(biell4.datum.charts)),
         tuple(range(2)))
     dec = eigenspaces(ident, field)
@@ -251,7 +251,8 @@ def test_squared_generator_report_matches_stock(pirola):
     moves = action.chart_moves
     squared = CyclicAction(
         3, action.matrix.matmul(action.matrix),
-        tuple((moves[t][0], moves[t][1].compose(rho)) for t, rho in moves),
+        tuple((moves[t][0], compose_all([moves[t][1]], rho)[0])
+              for t, rho in moves),
         tuple(action.fiber_permutation[k] for k in action.fiber_permutation))
     stock = analyze_datum(pirola.datum, action)
     report = analyze_datum(pirola.datum, squared)

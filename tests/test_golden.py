@@ -53,8 +53,16 @@ DATUMS = {
                  "b95fc47b8cae44dfc16d0d267a224972"),
         (825, "fba38dbc90c80d4daacf8cd7272cbc44"
               "820c25c6aad8730d7557125ed4ed7edd")),
+    # both points above each of x = -2, 0 and 3 are ramified, so this pins
+    # the chart order within one x: a@(-2,-1) before a@(-2,1), and so on
+    ("double4", 13): (
+        (12411, "5267b055256c672bbc8ffc359c0c1d8e"
+                "15cfe4941291090da56a3100f3f44816"),
+        (1211, "812f5d143d0a01e53ed3c27a8308faa5"
+               "9be97d59a424f8efee7697707122c98b")),
 }
-SPECS = {"pirola": pirola_spec, "double3": lambda w: bielliptic_spec(3, w)}
+SPECS = {"pirola": pirola_spec, "double3": lambda w: bielliptic_spec(3, w),
+         "double4": lambda w: bielliptic_spec(4, w)}
 
 
 def _json_digest(obj):

@@ -1,16 +1,21 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import ellprym
+from ellprym import builder, covering
+from ellprym.cli import main
 
 PACKAGE = Path(ellprym.__file__).parent
 
@@ -131,6 +136,79 @@ def test_no_test_only_public_definitions():
         return bare in bench and ("." not in defn or methods[bare] == 1)
     assert [entry for entry in _unreferenced(_public_definitions)
             if not exempt(entry.rsplit(" ", 1)[1])] == []
+
+
+def _shared_methods():
+    """{"Class.method": code} for each public method whose name two or more
+    package classes define; the code object is the one a call runs, also
+    for a classmethod, staticmethod or property."""
+    owners = {}
+    for name, tree in _package_trees().items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, ast.FunctionDef) and \
+                            not m.name.startswith("_"):
+                        owners.setdefault(m.name, []).append(
+                            (name[:-len(".py")], cls.name))
+    shared = {}
+    for method, classes in owners.items():
+        for module, cls in classes if len(classes) > 1 else ():
+            raw = vars(getattr(importlib.import_module(f"ellprym.{module}"),
+                               cls))[method]
+            if isinstance(raw, (classmethod, staticmethod)):
+                raw = raw.__func__
+            elif isinstance(raw, property):
+                raw = raw.fget
+            elif isinstance(raw, cached_property):
+                raw = raw.func
+            shared[f"{cls}.{method}"] = raw.__code__
+    return shared
+
+
+def _profiled_calls(runs):
+    """The code objects that the CLI runs, one argv each, call."""
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add(frame.f_code)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in runs:
+            assert main(argv) == 0, argv
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_shared_method_names_are_all_reached(tmp_path, capsys):
+    """A method whose name other package classes define too is reached only
+    through an attribute of that name, so the static guards above count
+    every unqualified ``.name`` for it.  Each such method must run in the
+    demo at window 13, a build of the genus-3 double cover with its action
+    and the analysis of both, and the analysis of the genus-4 double cover
+    without one, or be referenced as ``Class.method`` in the package."""
+    spec, datum4 = tmp_path / "spec.json", tmp_path / "double4.json"
+    spec.write_text(json.dumps(
+        builder.spec_to_json(builder.bielliptic_spec(3, 10))))
+    covering.save(builder.build_cover(builder.bielliptic_spec(4, 10)).datum,
+                  datum4)
+    datum, action = tmp_path / "datum.json", tmp_path / "action.json"
+    called = _profiled_calls([
+        ["demo-pirola", "--precision", "13", "--out",
+         str(tmp_path / "demo.txt")],
+        ["build", str(spec), "--out", str(datum), "--action-out", str(action)],
+        ["analyze", str(datum), "--action", str(action), "--json"],
+        ["analyze", str(datum4)]])
+    capsys.readouterr()
+    trees = _package_trees()
+    classes = _class_names(trees)
+    referenced = {ref for tree in trees.values()
+                  for ref in _references(tree, classes)}
+    assert sorted(defn for defn, code in _shared_methods().items()
+                  if code not in called and defn not in referenced) == []
 
 
 def _unused_parameters(tree):
