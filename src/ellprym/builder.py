@@ -219,8 +219,7 @@ def lift(curve, place, fn, prec):
         fy, rx = peval(Q, X), peval(drhs, X)
         return fx, fy, rx, (Y * fx).scale(2) + rx * fy
 
-    X, Y = (TruncatedSeries.from_coefficients(field, 0, [c], 1)
-            for c in (place.x, place.y))
+    X, Y = (TruncatedSeries(field, 0, [c], 1) for c in (place.x, place.y))
     fx, fy, rx, e = jacobian(X, Y)
     if e.valuation:
         raise SingularJacobian(f"{fn} is not a uniformizer at {place}")

@@ -1,4 +1,6 @@
-"""Static checks on the package source, using only the standard library."""
+"""Checks on the package source, using only the standard library: static
+checks of its syntax trees, the modules a fresh import loads, and the
+methods that profiled CLI runs reach."""
 
 import ast
 import importlib
@@ -153,7 +155,9 @@ def _shared_methods():
                             (name[:-len(".py")], cls.name))
     shared = {}
     for method, classes in owners.items():
-        for module, cls in classes if len(classes) > 1 else ():
+        if len(classes) < 2:
+            continue
+        for module, cls in classes:
             raw = vars(getattr(importlib.import_module(f"ellprym.{module}"),
                                cls))[method]
             if isinstance(raw, (classmethod, staticmethod)):
