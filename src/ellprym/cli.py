@@ -70,7 +70,7 @@ def analyze_datum(datum, action=None):
         equivariant.validate_action(datum, action)
         if not equivariant.action_fixes_alpha(split, action):
             raise IdentityError("action does not fix the pullback form line")
-        eig = equivariant.eigenspaces(action, datum.field)
+        eig = equivariant.eigenspaces(action)
         s2 = equivariant.sym2_eigenspaces(split, eig)
         report["equivariant"] = {
             "order": action.order,

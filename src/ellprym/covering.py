@@ -423,6 +423,8 @@ def datum_from_json(obj):
     degree = _expect(obj, "degree", int, "")
     for key, val, cap in (("genus", genus, MAX_GENUS),
                           ("degree", degree, MAX_DEGREE)):
+        if val < 0:
+            raise SchemaError(f"/{key}", "expected at least 0")
         if val > cap:
             raise SchemaError(f"/{key}", f"expected at most {cap}")
     names = _expect_strings(obj, "basis_names", genus, "")

@@ -6,7 +6,8 @@ at the base point.  Its kernel is the trace-zero subspace, the tangent space
 of the Prym variety, and the pullback line is a canonical complement.
 
 The multiplication map sends a symmetric 2-tensor of 1-forms to a quadratic
-differential, realized here as chart expansions plus fiber values.  Its
+differential, realized here as the rows of ``multiply_matrix``: the chart
+coefficients, chart by chart, then the values at the fiber points.  Its
 kernel is the space of quadrics through the canonically embedded cover; for
 non-hyperelliptic covers that space has dimension (g-2)(g-3)/2 and the map
 has rank 3g-3 (classical projective normality), both asserted exactly.
@@ -26,8 +27,7 @@ from .covering import (form_coefficients, lex_pairs, require_valid,
                        trace_vector)
 from .errors import (DimensionMismatch, IdentityViolated,
                      InsufficientPrecision, ValidationFailed)
-from .scalars import Matrix, _flat
-from .series import TruncatedSeries
+from .scalars import Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -181,33 +181,6 @@ def _solve_alpha_coords(datum):
 # ---------------------------------------------------------------------------
 # multiplication map
 # ---------------------------------------------------------------------------
-
-class QuadDifferentialData(NamedTuple):
-    """A quadratic differential in the coefficient model: chart series + fiber values."""
-    charts: tuple   # one du^2-coefficient series per ramification chart
-    fiber: tuple    # values of (section / alpha^2) at the fiber points
-
-    def is_zero(self):
-        return all(s.is_zero() for s in self.charts) and \
-            all(x.is_zero() for x in self.fiber)
-
-
-def multiply(datum, phi):
-    """Image of a symmetric 2-tensor, given by lex coordinates, under the
-    multiplication map.
-
-    Per chart the expansion of the product differential; per fiber point the
-    value divided by the square of the base pullback, which is the double
-    sum of Phi_ij times the two ratio values.  Both are read off the datum's
-    multiplication table, each chart series as integer products of its rows
-    with the tensor.  A tensor of the wrong length raises ValueError.
-    """
-    table, field = datum.multiplication_table, datum.field
-    vec = _flat(field, phi)
-    charts = tuple(TruncatedSeries._make(field, 0, *m._apply(*vec), m.nrows)
-                   for m in table.charts)
-    return QuadDifferentialData(charts, tuple(table.fiber.mul_vec(phi)))
-
 
 class QuadricSpace(NamedTuple):
     """Basis of the space of quadrics through the canonical model, as lex

@@ -77,7 +77,7 @@ class EigenDecomposition(NamedTuple):
     generator: Matrix   # the matrix decomposed
 
 
-def eigenspaces(action, field):
+def eigenspaces(action):
     """Eigenspace decomposition of the generator matrix on forms.
 
     For order 3 the labeling is normalized so that exponent 1 carries the
@@ -86,10 +86,10 @@ def eigenspaces(action, field):
     carries the generator it decomposed and the flag, and the symmetric
     squares and the battery use that generator.
     """
-    if not field.contains_root_of_unity(action.order):
+    M = action.matrix
+    if not M.field.contains_root_of_unity(action.order):
         raise FieldError(
             f"field lacks a primitive {action.order}-th root of unity")
-    M = action.matrix
     dec = _decompose(M, action.order, False)
     if action.order == 3 and dec.dims[1] < dec.dims[2]:
         dec = _decompose(M.matmul(M), action.order, True)

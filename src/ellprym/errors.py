@@ -108,10 +108,6 @@ class ValidationFailed(InputError):
     """A covering datum failed validation checks."""
 
 
-class NotInMinusSpace(InputError):
-    """Tensor argument is not supported on the trace-zero subspace."""
-
-
 class DimensionMismatch(IdentityError):
     """Computed space dimension contradicts the expected exact value."""
 

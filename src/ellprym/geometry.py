@@ -16,16 +16,20 @@ fiber, the coefficient route reads off the pure pullback coefficient in
 adapted coordinates.  Both must vanish together; the proof-level identity
 (fiber sum = minus the trace ratio of the mixed component) is asserted
 exactly as well.
+
+The dimension ledger's identity (b) reads the residue rows of the
+multiplication table: the trace-zero part of a quadric lies in the kernel
+of the base-fixed codifferential exactly when those rows annihilate it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diffalg import multiply, symmetric_product
+from .diffalg import multiply_matrix, symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
-from .prym import codifferential, nu
+from .prym import nu
 from .scalars import Matrix
 
 
@@ -66,13 +70,15 @@ def functpoint_check(datum, split, quadrics):
     the coefficient route (value at the distinguished point), whether both
     vanish together (``agree``) and whether the fiber sum is minus the trace
     ratio of the mixed part (``trace_identity``).  Precondition: each tensor
-    actually lies in the kernel of the multiplication map (verified here
-    against the certified coefficient model).  The equivalence of the two
-    routes is unconditional, so any disagreement raises EquivalenceViolated.
+    actually lies in the kernel of the multiplication map (verified here:
+    ``multiply_matrix``, the certified coefficient model, annihilates it).
+    The equivalence of the two routes is unconditional, so any disagreement
+    raises EquivalenceViolated.
     """
+    M = multiply_matrix(datum)
     results = []
     for idx, G in enumerate(quadrics.basis):
-        if not multiply(datum, G).is_zero():
+        if not M.annihilates(G):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
         dec = decompose_quadric(split, G)
@@ -159,12 +165,12 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
         f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}")
 
     # (b) quadric projections inject into the kernel
+    residues = datum.multiplication_table.residues
     proj_rows = []
     inside = True
     for G in quadrics.basis:
         dec = decompose_quadric(split, G)
-        cov = codifferential(datum, split, dec.minus_part)
-        if not all(x.is_zero() for x in cov.gammas):
+        if not residues.annihilates(dec.minus_part):
             inside = False
         proj_rows.append(split.minus_coords(dec.minus_part))
     rank = Matrix(field, proj_rows).rank()

@@ -1,10 +1,14 @@
 """Codifferential of the Prym period map and its kernel dimensions.
 
 For a trace-zero symmetric 2-tensor the codifferential covector has one
-residue slot per ramification point and one fiber-sum slot:
+residue slot per ramification point and one fiber-sum slot; they are the
+rows of ``codifferential_matrix``:
 
     slot t_j : residue at a_j of (product differential / base pullback)
     slot s   : sum over the fiber of (product differential / base pullback^2)
+
+The ``residues`` and ``fiber_sum`` rows of the multiplication table are the
+same slots on the lex coordinates of any tensor.
 
 The 2*pi*i normalization that appears in some residue formulations is
 dropped throughout; kernels and ranks are scaling invariant, so every
@@ -21,35 +25,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import IdentityViolated, NotInMinusSpace
+from .errors import IdentityViolated
 from .scalars import Matrix
-
-
-class Covector(NamedTuple):
-    """An element of the dual parameter space: (gamma_1..gamma_n, gamma_s)."""
-    gammas: tuple
-    gamma_s: object
-
-
-def in_minus_sym(split, phi):
-    """Exact membership test for the symmetric square of the trace-zero space.
-
-    A symmetric array Phi lies in that square exactly when Phi . tau = 0,
-    that is when its adapted pullback part, the first g adapted
-    coordinates, vanishes.
-    """
-    return all(x.is_zero() for x in split.adapted(phi)[:split.genus])
-
-
-def codifferential(datum, split, phi):
-    """The covector of a tensor in the symmetric square of the trace-zero
-    space; the residue rows of the multiplication table extend it to any
-    tensor."""
-    if not in_minus_sym(split, phi):
-        raise NotInMinusSpace(
-            "tensor has a component along the pullback form")
-    return Covector(tuple(datum.multiplication_table.residues.mul_vec(phi)),
-                    nu(datum, phi))
 
 
 def nu(datum, beta):

@@ -666,6 +666,11 @@ class Matrix:
     def mul_vec(self, vec):
         return _scalars(self.field, *self._apply(*_flat(self.field, vec)))
 
+    def annihilates(self, vec):
+        """Whether self times vec is zero, decided on the integers without
+        making a Scalar.  A vector of the wrong length raises ValueError."""
+        return not any(self._apply(*_flat(self.field, vec))[0])
+
     def _apply(self, v, vden):
         """self times the column v/vden of flat ints, as flat ints over one
         denominator: (num, den).  Coordinate k of an entry's product sums,

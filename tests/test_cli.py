@@ -270,6 +270,19 @@ def test_analyze_genus_or_degree_above_limit_exits_2(tmp_path, capsys,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("genus", -1), ("degree", -2)])
+def test_analyze_negative_genus_or_degree_exits_2(tmp_path, capsys,
+                                                  pirola_datum_obj, key,
+                                                  value):
+    """A negative genus or degree is refused at its own member, not at the
+    list whose length it sets (basis_names, fiber labels)."""
+    def edit(obj):
+        obj[key] = value
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert f"SchemaError: /{key}: expected at least 0" in \
+        capsys.readouterr().err
+
+
 def test_analyze_more_charts_than_riemann_hurwitz_allows_exits_2(tmp_path,
                                                                  capsys):
     """Every chart has index >= 2, so at most 2 * MAX_GENUS - 2 charts can

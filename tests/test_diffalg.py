@@ -5,9 +5,8 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
 from ellprym.covering import lex_pairs, reparametrized
-from ellprym.diffalg import (gram, multiply, multiply_matrix, quadric_kernel,
-                             sym_dim, sym_square_matrix, symmetric_product,
-                             trace_split)
+from ellprym.diffalg import (gram, multiply_matrix, quadric_kernel, sym_dim,
+                             sym_square_matrix, symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.scalars import FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
@@ -53,21 +52,35 @@ def test_alpha_coords_solved_without_hint(pirola):
     assert list(split.alpha_coords) == list(pirola.split.alpha_coords)
 
 
+def image(datum, phi):
+    """The image of phi under the multiplication map, read off the rows of
+    multiply_matrix: one du^2-coefficient series per chart, cut at the
+    chart windows, then the fiber values."""
+    values = multiply_matrix(datum).mul_vec(phi)
+    charts, start = [], 0
+    for c in datum.charts:
+        w = c.window()
+        charts.append(TruncatedSeries(datum.field, 0,
+                                      values[start:start + w], w))
+        start += w
+    return charts, values[start:]
+
+
 def test_multiply_alpha_squared(pirola):
     """alpha . alpha maps to the squared pullback series and all-ones fiber."""
     datum = pirola.datum
-    data = multiply(datum, alpha_tensor(pirola))
-    for chart, s in zip(datum.charts, data.charts):
+    charts, fiber = image(datum, alpha_tensor(pirola))
+    for chart, s in zip(datum.charts, charts):
         square = chart.alpha_pullback * chart.alpha_pullback
         window = min(s.prec, square.prec)
         assert (s.truncate(window) - square.truncate(window)).is_zero()
-    assert all(v == datum.field.one() for v in data.fiber)
+    assert all(v == datum.field.one() for v in fiber)
 
 
 def reference_multiply(datum, phi):
-    """`multiply` as it was while matrices held Scalars: the chart matrices
-    read from the products with coefficients_in, each chart series formed
-    with the Scalar-row mul_vec of tests/test_scalars.py."""
+    """The multiplication map as it was while matrices held Scalars: the
+    chart matrices read from the products with coefficients_in, each chart
+    series formed with the Scalar-row mul_vec of tests/test_scalars.py."""
     field, pairs = datum.field, lex_pairs(datum.genus)
     charts = []
     for c in datum.charts:
@@ -97,14 +110,15 @@ def dense_datum(datum, seed):
 
 
 def test_multiply_matches_scalar_reference(all_bundles):
-    """multiply against the Scalar-row reference on the three fixtures and
-    the seed-1 dense datum, for the quadric, alpha . alpha and random
-    tensors with zeros."""
+    """multiply_matrix against the Scalar-row reference on the three
+    fixtures and the seed-1 dense datum, for the quadric, alpha . alpha and
+    random tensors with zeros; annihilates agrees with the image."""
     rng = random.Random(17)
     datums = [b.datum for b in all_bundles.values()]
     datums.append(dense_datum(all_bundles["bielliptic4"].datum, 1))
     for datum in datums:
         field, size = datum.field, sym_dim(datum.genus)
+        M = multiply_matrix(datum)
         split = trace_split(datum)
         tensors = [list(q) for q in quadric_kernel(datum).basis]
         tensors.append(symmetric_product(list(split.alpha_coords),
@@ -115,10 +129,11 @@ def test_multiply_matches_scalar_reference(all_bundles):
                             if rng.random() < 0.7 else field.zero()
                             for _ in range(size)])
         for phi in tensors:
-            data = multiply(datum, phi)
             charts, fiber = reference_multiply(datum, phi)
-            assert list(data.charts) == charts
-            assert list(data.fiber) == fiber
+            assert image(datum, phi) == (charts, fiber)
+            assert M.annihilates(phi) == (
+                all(s.is_zero() for s in charts) and
+                all(x.is_zero() for x in fiber))
 
 
 def test_multiply_refuses_a_tensor_of_the_wrong_length(biell4):
@@ -127,16 +142,18 @@ def test_multiply_refuses_a_tensor_of_the_wrong_length(biell4):
     for the quadric with a 7 appended)."""
     datum = dense_datum(biell4.datum, 1)
     quadric = list(biell4.quadrics.basis[0])
-    assert multiply(datum, quadric).is_zero()
+    M = multiply_matrix(datum)
+    assert M.annihilates(quadric)
     for phi in (quadric + [datum.field.scalar(7)], quadric[:-1]):
         with pytest.raises(ValueError, match="shape mismatch"):
-            multiply(datum, phi)
+            M.annihilates(phi)
 
 
 def test_table_and_multiply_box_no_chart_coefficient(monkeypatch):
-    """Work bound: building the multiplication table and one multiply make
-    as many Scalars for the genus-4 double cover at chart window 10 as at
-    window 40, so none is made per chart coefficient."""
+    """Work bound: building the multiplication table and testing one
+    tensor against it with annihilates make as many Scalars for the genus-4
+    double cover at chart window 10 as at window 40, so none is made per
+    chart coefficient."""
     counts = []
     make = Scalar._make.__func__
 
@@ -149,35 +166,36 @@ def test_table_and_multiply_box_no_chart_coefficient(monkeypatch):
         phi = [datum.field.scalar(F(i + 1, 2)) for i in range(sym_dim(4))]
         counts.append(0)
         monkeypatch.setattr(Scalar, "_make", classmethod(counting))
-        multiply(datum, phi)
+        multiply_matrix(datum).annihilates(phi)
         monkeypatch.undo()
     assert counts[0] == counts[1]
 
 
 def test_multiply_zero(pirola):
-    data = multiply(pirola.datum, [pirola.datum.field.zero()] * 10)
-    assert data.is_zero()
+    assert multiply_matrix(pirola.datum).annihilates(
+        [pirola.datum.field.zero()] * 10)
 
 
 def test_multiply_bilinear(pirola):
     field = pirola.datum.field
     a = alpha_tensor(pirola)
     b = pirola.quadrics.basis[0]
-    lhs = multiply(pirola.datum, [x + y for x, y in zip(a, b)])
-    ra = multiply(pirola.datum, a)
-    rb = multiply(pirola.datum, b)
-    for s, sa, sb in zip(lhs.charts, ra.charts, rb.charts):
+    charts, fiber = image(pirola.datum, [x + y for x, y in zip(a, b)])
+    charts_a, fiber_a = image(pirola.datum, a)
+    charts_b, fiber_b = image(pirola.datum, b)
+    for s, sa, sb in zip(charts, charts_a, charts_b):
         window = min(s.prec, sa.prec, sb.prec)
         assert (s.truncate(window) -
                 (sa + sb).truncate(window)).is_zero()
-    assert list(lhs.fiber) == [x + y for x, y in zip(ra.fiber, rb.fiber)]
+    assert fiber == [x + y for x, y in zip(fiber_a, fiber_b)]
 
 
 def test_unique_quadric_maps_to_zero(pirola):
     """The single quadric through the genus-4 model kills all data."""
     assert pirola.quadrics.dimension == 1
-    data = multiply(pirola.datum, pirola.quadrics.basis[0])
-    assert data.is_zero()
+    charts, fiber = image(pirola.datum, pirola.quadrics.basis[0])
+    assert all(s.is_zero() for s in charts)
+    assert all(x.is_zero() for x in fiber)
 
 
 def test_quadric_dimensions(all_bundles):

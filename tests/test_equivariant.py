@@ -1,12 +1,13 @@
 import pytest
 
 from ellprym.covering import CyclicAction
-from ellprym.diffalg import multiply, sym_square_matrix, symmetric_product
+from ellprym.diffalg import sym_square_matrix, symmetric_product
 from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
                                  sym2_eigenspaces, validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
 from ellprym.series import TruncatedSeries, compose_all, transform_form
+from test_diffalg import image
 
 Q3 = FieldSpec(3)
 _Z = Q3.zeta()
@@ -107,17 +108,16 @@ def test_proportional_table(u, v, expected):
 
 
 def test_eigenspace_dims(pirola):
-    dec = eigenspaces(pirola.action, pirola.datum.field)
+    dec = eigenspaces(pirola.action)
     assert dec.dims == (1, 2, 1)
     assert not dec.relabeled
 
 
 def test_eigenspace_relabeling_normalization(pirola):
     """Feeding the squared generator must produce the same labeled dims."""
-    field = pirola.datum.field
     sq = CyclicAction(3, pirola.action.matrix.matmul(pirola.action.matrix),
                       pirola.action.chart_moves, (2, 0, 1))
-    dec = eigenspaces(sq, field)
+    dec = eigenspaces(sq)
     assert dec.dims == (1, 2, 1)
     assert dec.relabeled
 
@@ -129,12 +129,12 @@ def test_trivial_action_single_eigenspace(biell4):
         tuple((j, TruncatedSeries(field, 1, [field.one()], c.window()))
               for j, c in enumerate(biell4.datum.charts)),
         tuple(range(2)))
-    dec = eigenspaces(ident, field)
+    dec = eigenspaces(ident)
     assert dec.dims == (4,)
 
 
 def test_bielliptic_eigenspaces(biell4):
-    dec = eigenspaces(biell4.action, biell4.datum.field)
+    dec = eigenspaces(biell4.action)
     assert dec.dims == (1, 3)   # invariants = pullback, anti-invariants = minus
 
 
@@ -142,12 +142,11 @@ def test_eigenspaces_need_root_of_unity(biell4):
     q = FieldSpec(1)
     fake = CyclicAction(3, Matrix.identity(q, 2), (), ())
     with pytest.raises(FieldError):
-        eigenspaces(fake, q)
+        eigenspaces(fake)
 
 
 def _sym2(bundle):
-    return sym2_eigenspaces(
-        bundle.split, eigenspaces(bundle.action, bundle.datum.field))
+    return sym2_eigenspaces(bundle.split, eigenspaces(bundle.action))
 
 
 def test_sym2_eigendims(pirola):
@@ -157,7 +156,8 @@ def test_sym2_eigendims(pirola):
 
 
 def test_multiply_equivariance(pirola):
-    """multiply(g* phi) equals the action-transported multiply(phi).
+    """The image of g* phi under the multiplication map equals the
+    action-transported image of phi.
 
     g* phi has coefficient array M Phi M^T; chart j of the transport is the
     product at the move's target chart, rewritten as a quadratic
@@ -167,16 +167,14 @@ def test_multiply_equivariance(pirola):
     action = pirola.action
     for phi in (pirola.quadrics.basis[0], pirola.kernel.basis[0],
                 pirola.kernel.basis[2]):
-        lhs = multiply(pirola.datum,
-                       sym_square_matrix(action.matrix).mul_vec(phi))
-        data = multiply(pirola.datum, phi)
-        for a, (target, rho) in zip(lhs.charts, action.chart_moves):
-            b = transform_form([data.charts[target]], rho)[0] * \
-                rho.derivative()
+        lhs, lhs_fiber = image(pirola.datum,
+                               sym_square_matrix(action.matrix).mul_vec(phi))
+        charts, fiber = image(pirola.datum, phi)
+        for a, (target, rho) in zip(lhs, action.chart_moves):
+            b = transform_form([charts[target]], rho)[0] * rho.derivative()
             window = min(a.prec, b.prec)
             assert (a.truncate(window) - b.truncate(window)).is_zero()
-        assert lhs.fiber == tuple(data.fiber[k]
-                                  for k in action.fiber_permutation)
+        assert lhs_fiber == [fiber[k] for k in action.fiber_permutation]
 
 
 def test_eigendims_invariant_under_basis_change(pirola):
@@ -195,12 +193,12 @@ def test_eigendims_invariant_under_basis_change(pirola):
     conj = Binv.matmul(pirola.action.matrix).matmul(B)
     moved = CyclicAction(3, conj, pirola.action.chart_moves,
                          pirola.action.fiber_permutation)
-    dec = eigenspaces(moved, field)
+    dec = eigenspaces(moved)
     assert dec.dims == (1, 2, 1)
 
 
 def _battery(bundle, action=None):
-    eig = eigenspaces(bundle.action, bundle.datum.field)
+    eig = eigenspaces(bundle.action)
     return run_battery(bundle.datum, action or bundle.action, bundle.split,
                        eig, sym2_eigenspaces(bundle.split, eig),
                        bundle.quadrics, bundle.kernel, bundle.criterion)

@@ -1,6 +1,6 @@
 import pytest
 
-from ellprym.diffalg import symmetric_product
+from ellprym.diffalg import QuadricSpace, symmetric_product
 from ellprym.errors import ConsistencyViolated, InputError
 from ellprym.geometry import (decompose_quadric, dimension_ledger,
                               evaluate_at_qminus, functpoint_check,
@@ -105,6 +105,20 @@ def test_dimension_ledger_identities(all_bundles):
         assert led["branch_excess"] == excess
         assert led["dim_kernel_E_dual"] == led["h0_quadrics"] + \
             led["dim_kernel_residue_map"] - bundle.datum.genus
+
+
+def test_ledger_flags_a_projection_outside_the_kernel(pirola):
+    """eta_1 . eta_2 is trace-zero with residues (-4, 6, -2), so passed as
+    the one quadric its projection is itself and leaves the kernel of the
+    base-fixed codifferential: identity (b) fails and says so."""
+    field = pirola.datum.field
+    phi = [field.one() if k == 5 else field.zero() for k in range(10)]
+    led = dimension_ledger(pirola.datum, pirola.split, QuadricSpace((phi,)),
+                           pirola.kernel)
+    (b,) = [i for i in led["identities"]
+            if i["name"] == "quadric_projection_injects"]
+    assert not b["holds"]
+    assert b["detail"] == "projections do not lie in the kernel; rank 1 of 1"
 
 
 def test_residue_map_kernel_values(all_bundles):

@@ -1,8 +1,5 @@
-import pytest
-
 from ellprym.diffalg import symmetric_product
-from ellprym.errors import NotInMinusSpace
-from ellprym.prym import codifferential, codifferential_matrix, nu
+from ellprym.prym import codifferential_matrix, nu
 from ellprym.scalars import Matrix
 
 
@@ -42,43 +39,25 @@ def test_residues_match_base_curve_oracle(pirola):
 
 
 def test_zero_tensor_maps_to_zero(pirola):
-    phi = [pirola.datum.field.zero()] * 10
-    cov = codifferential(pirola.datum, pirola.split, phi)
-    assert all(x.is_zero() for x in cov.gammas) and cov.gamma_s.is_zero()
-
-
-def test_minus_membership_enforced(pirola):
-    field = pirola.datum.field
-    phi = symmetric_product(list(pirola.split.alpha_coords),
-                            list(pirola.split.alpha_coords))
-    with pytest.raises(NotInMinusSpace):
-        codifferential(pirola.datum, pirola.split, phi)
-
-
-def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
-    """Orbit sums of root-of-unity ratios cancel the fiber slot."""
-    datum, split = pirola.datum, pirola.split
-    for a in range(3):
-        for b in range(a, 3):
-            phi = symmetric_product(split.minus_basis[a],
-                                    split.minus_basis[b])
-            cov = codifferential(datum, split, phi)
-            # invariant tensors pair character 1 with character 2 factors;
-            # the fiber slot vanishes unless the characters cancel, which
-            # over a single-orbit fiber happens only for the pairs (e1, ei)
-            assert cov.gamma_s == nu(datum, phi)
+    cmat = codifferential_matrix(pirola.datum, pirola.split)
+    assert cmat.annihilates([pirola.datum.field.zero()] * cmat.ncols)
+    assert nu(pirola.datum, [pirola.datum.field.zero()] * 10).is_zero()
 
 
 def test_gamma_s_equals_nu_exactly(all_bundles):
+    """Two routes to the fiber-sum slot of a tensor in the symmetric square
+    of the trace-zero forms: nu on its lex coordinates, and the last row of
+    codifferential_matrix on its coordinates over that square."""
     for bundle in all_bundles.values():
         datum, split = bundle.datum, bundle.split
+        cmat = codifferential_matrix(datum, split)
         m = len(split.minus_basis)
         for a in range(m):
             for b in range(a, m):
                 phi = symmetric_product(split.minus_basis[a],
                                         split.minus_basis[b])
-                cov = codifferential(datum, split, phi)
-                assert cov.gamma_s == nu(datum, phi)
+                assert nu(datum, phi) == \
+                    cmat.mul_vec(split.minus_coords(phi))[-1]
 
 
 def test_nu_of_alpha_squared_is_degree(all_bundles):
@@ -99,8 +78,7 @@ def test_kernel_E_identity(all_bundles):
         assert ke.dim_primal == 1
         # every kernel tensor has vanishing residue slots
         for phi in ke.basis:
-            cov = codifferential(bundle.datum, bundle.split, phi)
-            assert all(x.is_zero() for x in cov.gammas)
+            assert bundle.datum.multiplication_table.residues.annihilates(phi)
 
 
 def test_global_residue_relation(all_bundles):

@@ -558,6 +558,46 @@ def test_mul_vec_refuses_a_vector_of_the_wrong_length():
     assert M.mul_vec([1, 0]) == [Q3.one(), Q3.scalar(3)]
 
 
+@pytest.mark.parametrize("field", [Q, Q3, FieldSpec(13)],
+                         ids=["Q", "Q3", "Q13"])
+def test_annihilates_matches_mul_vec(field, monkeypatch):
+    """Oracle: M.annihilates(v) is all(x.is_zero() for x in M.mul_vec(v)),
+    on kernel vectors, their combinations and random vectors of deficient
+    and mixed-denominator matrices, and on a product whose one nonzero
+    coordinate is the last power-basis coordinate of the last entry.  It
+    refuses a vector of the wrong length and makes no Scalar from Scalar
+    input."""
+    rng = random.Random(4200 + field.degree)
+    top = field.zeta() ** (field.degree - 1)
+    corner = Matrix(field, [[0, 0], [0, top]])
+    cases = [(corner, [field.zero(), field.one()]),
+             (corner, [field.one(), field.zero()])]
+    for nrows, ncols in ((5, 3), (3, 5), (4, 4), (4, 1)):
+        for M in (_mixed_matrix(rng, field, nrows, ncols),
+                  _random_matrix(rng, field, nrows, ncols,
+                                 max(1, min(nrows, ncols) - 1), 4)):
+            kernel = M.kernel_basis()
+            cases += [(M, v) for v in kernel]
+            cases.append((M, [sum((_random_entry(rng, field) * x
+                                   for x in col), field.zero())
+                              for col in zip(*kernel)] if kernel else
+                          [field.zero()] * ncols))
+            cases.append((M, [_random_entry(rng, field)
+                              for _ in range(ncols)]))
+    verdicts = [all(x.is_zero() for x in M.mul_vec(v)) for M, v in cases]
+    assert True in verdicts and False in verdicts
+    made = []
+    monkeypatch.setattr(Scalar, "_make", classmethod(
+        lambda cls, *args, **kwargs: made.append(args)))
+    assert [M.annihilates(v) for M, v in cases] == verdicts
+    assert made == []
+    monkeypatch.undo()
+    for M, v in cases:
+        for vec in (v + [field.one()], v[:-1]):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                M.annihilates(vec)
+
+
 def test_prime_maps_every_supported_field():
     """PRIME is prime and 1 mod every supported N, and where zeta_N is not
     rational, the field's image of it is a root of Phi_N of order N mod

@@ -245,6 +245,36 @@ def test_no_unused_parameters():
     assert found == []
 
 
+def _private_reach(tree):
+    """(line, name) of each ``_`` name imported from another package module
+    and of each call of a ``_`` attribute other than NamedTuple's
+    ``_replace``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.level or (node.module or "").startswith("ellprym")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr.startswith("_") and not attr.startswith("__") and \
+                    attr != "_replace":
+                yield node.lineno, f".{attr}"
+
+
+def test_analysis_layer_uses_only_public_names():
+    """The analysis modules and the CLI use the lower layers through their
+    public names: no private import, constructor or method (``_flat``,
+    ``._make``, ``._apply``) reaches into the flat-integer layout."""
+    found = [f"{module}.py:{line} {name}"
+             for module in ("diffalg", "prym", "geometry", "equivariant",
+                            "cli")
+             for line, name in _private_reach(ast.parse(
+                 (PACKAGE / f"{module}.py").read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def _fresh_modules(module):
     """The names in ``sys.modules`` after ``import module`` in a fresh
     interpreter."""
