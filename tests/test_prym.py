@@ -60,6 +60,21 @@ def test_gamma_s_equals_nu_exactly(all_bundles):
                     cmat.mul_vec(split.minus_coords(phi))[-1]
 
 
+def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
+    """Orbit sums of root-of-unity ratios cancel the fiber slot."""
+    datum, split = pirola.datum, pirola.split
+    cmat = codifferential_matrix(datum, split)
+    for a in range(3):
+        for b in range(a, 3):
+            phi = symmetric_product(split.minus_basis[a],
+                                    split.minus_basis[b])
+            gamma_s = cmat.mul_vec(split.minus_coords(phi))[-1]
+            # invariant tensors pair character 1 with character 2 factors;
+            # the fiber slot vanishes unless the characters cancel, which
+            # over a single-orbit fiber happens only for the pairs (e1, ei)
+            assert gamma_s == nu(datum, phi)
+
+
 def test_nu_of_alpha_squared_is_degree(all_bundles):
     for bundle in all_bundles.values():
         datum, split = bundle.datum, bundle.split
