@@ -40,9 +40,10 @@ def analyze_datum(datum, action=None):
     quad = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
     crit = prym.kernel_full(datum, ke)
-    checks = geometry.functpoint_check(datum, split, quad)
-    point = geometry.halfgeo_criterion(datum, split, quad, crit)
-    ledger = geometry.dimension_ledger(datum, split, quad, ke)
+    decs = [geometry.decompose_quadric(split, G) for G in quad.basis]
+    checks = geometry.functpoint_check(datum, split, decs)
+    point = geometry.halfgeo_criterion(datum, decs, crit)
+    ledger = geometry.dimension_ledger(datum, decs, ke)
 
     g, n = datum.genus, datum.n_ramification
     report["dims"] = {
@@ -81,7 +82,7 @@ def analyze_datum(datum, action=None):
         }
         if datum.genus == 4 and action.order == 3 and datum.degree == 3:
             report["equivariant"]["battery"] = equivariant.run_battery(
-                datum, action, split, eig, s2, quad, ke, crit)
+                datum, action, eig, s2, decs, ke, crit)
     return report
 
 

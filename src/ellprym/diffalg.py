@@ -86,10 +86,12 @@ class TraceSplit(NamedTuple):
     adapted ones.  In adapted coordinates the distinguished point is
     (1:0:...:0) and the distinguished hyperplane is the zero locus of the
     zeroth coordinate.  ``sym_change`` and ``sym_change_inv`` are the maps
-    they induce on tensors.  Of the adapted lex coordinates of a tensor, the
-    first g belong to the pairs (0, j): they are the pullback part
-    alpha . omega.  The rest, pairs (i, j) with 1 <= i <= j, are the lex
-    coordinates over the symmetric square of the trace-zero basis.
+    they induce on tensors; ``geometry.decompose_quadric`` alone applies
+    ``sym_change_inv``, once per quadric.  Of the adapted lex coordinates of
+    a tensor, the first g belong to the pairs (0, j): they are the pullback
+    part alpha . omega, and the zeroth is the value at the distinguished
+    point.  The rest, pairs (i, j) with 1 <= i <= j, are the lex coordinates
+    over the symmetric square of the trace-zero basis.
     """
     tau: tuple
     minus_basis: tuple
@@ -108,18 +110,9 @@ class TraceSplit(NamedTuple):
         return sum((t * v for t, v in zip(self.tau, vec)),
                    self.change.field.zero())
 
-    def adapted(self, phi):
-        """Lex coordinates of the tensor phi over the adapted basis."""
-        return self.sym_change_inv.mul_vec(phi)
-
-    def minus_coords(self, phi):
-        """Coordinates of phi over the symmetric square of the trace-zero
-        basis; its pullback part is dropped."""
-        return self.adapted(phi)[self.genus:]
-
     def minus_tensor(self, coords):
         """The tensor with these coordinates over the symmetric square of
-        the trace-zero basis; inverse of minus_coords on that square."""
+        the trace-zero basis."""
         return self.sym_change[:, self.genus:].mul_vec(coords)
 
 

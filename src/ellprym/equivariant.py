@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .covering import change_basis
 from .diffalg import gram, sym_square_matrix
 from .errors import FieldError, IdentityViolated, InputError
-from .geometry import evaluate_at_qminus
 from .scalars import Matrix
 from .series import transform_form
 
@@ -143,11 +142,13 @@ def sym2_eigenspaces(split, eig):
 # the degree-3 Galois battery
 # ---------------------------------------------------------------------------
 
-def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
+def run_battery(datum, action, eig, sym2, decs, kernel_report,
                 criterion_report):
     """The seven exactness checks for the genus-4 cyclic cubic cover family;
     returns the report's ``battery`` dict, whose ``checks`` list holds one
     name, verdict and detail line per check and whose ``ok`` says all pass.
+    ``decs`` holds the `geometry.decompose_quadric` of each basis quadric;
+    check (2) reads ``adapted[0]`` and check (4) ``adapted[g:]``.
 
     Preconditions, checked here: genus 4, degree 3, an action of order 3
     whose fiber permutation is a single 3-cycle (Galois cover of degree 3).
@@ -177,28 +178,28 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
 
     # (1) a single quadric, concentrated in one nontrivial character
     iso_detail = []
-    single_char_ok = quadrics.dimension == 1
+    single_char_ok = len(decs) == 1
     if single_char_ok:
-        G = quadrics.basis[0]
+        G = decs[0].tensor
         comps = _character_components(G, sym2.full.generator, eig.order)
         nonzero = [c for c in range(3)
                    if not all(x.is_zero() for x in comps[c])]
         single_char_ok = nonzero in ([1], [2])
         iso_detail.append(f"character components nonzero at exponents {nonzero}")
     add("unique_quadric_single_nontrivial_character", single_char_ok,
-        f"h0 = {quadrics.dimension}; " + "; ".join(iso_detail))
+        f"h0 = {len(decs)}; " + "; ".join(iso_detail))
 
     # (2) the quadric passes through the distinguished point
-    if quadrics.dimension == 1:
-        val = evaluate_at_qminus(split, quadrics.basis[0])
+    if len(decs) == 1:
+        val = decs[0].adapted[0]
         add("quadric_contains_distinguished_point", val.is_zero(),
             f"coefficient of squared pullback = {val}")
     else:
         add("quadric_contains_distinguished_point", False, "no unique quadric")
 
     # (3) cone of rank 3 with vertex off the known curve points
-    if quadrics.dimension == 1:
-        G = quadrics.basis[0]
+    if len(decs) == 1:
+        G = decs[0].tensor
         vertex = gram(field, g, G).kernel_basis()
         rank = g - len(vertex)
         off_curve = True
@@ -211,7 +212,7 @@ def run_battery(datum, action, split, eig, sym2, quadrics, kernel_report,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
             f"vertex off known curve points: {off_curve}")
         # (4) tangency: restriction to the distinguished hyperplane has rank 1
-        block_rank = gram(field, g - 1, split.minus_coords(G)).rank()
+        block_rank = gram(field, g - 1, decs[0].adapted[g:]).rank()
         add("hyperplane_restriction_rank_one", block_rank == 1,
             f"restricted gram rank {block_rank} "
             "(double line: tangent hyperplane, collinear ramification)")

@@ -3,12 +3,13 @@ the dual-route vanishing equivalence and the dimension bookkeeping.
 
 Linear forms on the canonical space are 1-forms; the hyperplanes defined by
 all trace-zero forms meet in a single distinguished point, and the pullback
-form cuts the distinguished hyperplane.  Every function here reads both off
-the adapted coordinates that the trace split carries (``TraceSplit.change``,
-whose zeroth column is the pullback form): the point is (1:0:...:0) and the
-hyperplane is the zero locus of the zeroth coordinate.  Whether the
-distinguished point lies on every quadric through the cover decides, one
-way, that the period-map kernel is minimal.
+form cuts the distinguished hyperplane.  `decompose_quadric` takes each
+quadric once to the adapted coordinates of the trace split, where the point
+is (1:0:...:0) and the hyperplane is the zero locus of the zeroth
+coordinate; the later stages read ``adapted[0]``, the value at the point,
+and ``adapted[g:]``, the coordinates over the trace-zero square.  Whether
+the distinguished point lies on every quadric through the cover decides,
+one way, that the period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
 the fiber-sum route evaluates the trace-zero part of a quadric over the
@@ -35,13 +36,19 @@ from .scalars import Matrix
 
 class QuadricDecomposition(NamedTuple):
     """G = G_minus + alpha . omega under the direct sum decomposition."""
+    tensor: list  # lex coordinates of G
+    adapted: list  # lex coordinates of G over the adapted basis
     minus_part: list  # lex coordinates of the trace-zero part
     omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
 def decompose_quadric(split, G):
-    """Unique decomposition of a tensor into trace-zero plus mixed parts."""
-    adapted = split.adapted(G)
+    """Unique decomposition of a tensor into trace-zero plus mixed parts.
+
+    The package's one change of a tensor to adapted coordinates: the first
+    g give omega, led by the value at the distinguished point, and the rest
+    are the trace-zero part over the trace-zero square."""
+    adapted = split.sym_change_inv.mul_vec(G)
     g = split.genus
     omega = split.change.mul_vec(adapted[:g])
     minus_part = split.minus_tensor(adapted[g:])
@@ -50,21 +57,12 @@ def decompose_quadric(split, G):
     if any(not (m + a - x).is_zero()
            for m, a, x in zip(minus_part, alpha_sym, G)):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(minus_part, tuple(omega))
+    return QuadricDecomposition(G, adapted, minus_part, tuple(omega))
 
 
-def evaluate_at_qminus(split, G):
-    """Value of the quadric at the distinguished point.
-
-    This is the coefficient of the squared pullback form in adapted
-    coordinates; it vanishes exactly when the point lies on the quadric.
-    """
-    return split.adapted(G)[0]
-
-
-def functpoint_check(datum, split, quadrics):
-    """Dual-route vanishing check for every basis quadric; returns the
-    report's list of checks.
+def functpoint_check(datum, split, decs):
+    """Dual-route vanishing check for every basis quadric, given by its
+    `decompose_quadric`; returns the report's list of checks.
 
     Each entry holds the fiber route (fiber sum of the trace-zero part),
     the coefficient route (value at the distinguished point), whether both
@@ -77,13 +75,12 @@ def functpoint_check(datum, split, quadrics):
     """
     M = multiply_matrix(datum)
     results = []
-    for idx, G in enumerate(quadrics.basis):
-        if not M.annihilates(G):
+    for idx, dec in enumerate(decs):
+        if not M.annihilates(dec.tensor):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
-        dec = decompose_quadric(split, G)
         lhs = nu(datum, dec.minus_part)
-        rhs = evaluate_at_qminus(split, G)
+        rhs = dec.adapted[0]
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
         agree = (lhs.is_zero() == rhs.is_zero())
@@ -98,24 +95,23 @@ def functpoint_check(datum, split, quadrics):
     return results
 
 
-def halfgeo_criterion(datum, split, quadrics, criterion_report):
-    """One-directional geometric criterion; returns the report's
-    ``distinguished_point`` dict.
+def halfgeo_criterion(datum, decs, criterion_report):
+    """One-directional geometric criterion on the `decompose_quadric` of
+    each basis quadric; returns the report's ``distinguished_point`` dict.
 
     If the distinguished point avoids some quadric through the cover, the
     period-map kernel is minimal; the report cross-asserts this against the
     kernel scan.  When the point lies on every quadric no conclusion is
     drawn (the converse is open for general ramification; for covers whose
     ramification indices are all 2 the converse holds and is surfaced as an
-    informational note only).
+    informational note only).  The value at the point is ``adapted[0]``.
     """
-    values = [evaluate_at_qminus(split, G) for G in quadrics.basis]
-    qminus_in_all = all(v.is_zero() for v in values)
+    qminus_in_all = all(dec.adapted[0].is_zero() for dec in decs)
     if not qminus_in_all and criterion_report.dimension != "1":
         raise ConsistencyViolated(
             "distinguished point avoids a quadric but the kernel scan "
             f"reported dimension {criterion_report.dimension}")
-    if quadrics.dimension == 0:
+    if not decs:
         note = ("no quadrics through the cover: the empty intersection "
                 "contains the distinguished point vacuously; no conclusion")
     elif qminus_in_all:
@@ -133,15 +129,17 @@ def halfgeo_criterion(datum, split, quadrics, criterion_report):
             "implies_minimal_kernel": not qminus_in_all, "note": note}
 
 
-def dimension_ledger(datum, split, quadrics, kernel_report):
-    """Exact dimension bookkeeping identities; returns the report's
-    ``ledger`` dict, whose ``identities`` list holds one name, truth value
-    and detail line per identity.
+def dimension_ledger(datum, decs, kernel_report):
+    """Exact dimension bookkeeping identities over the `decompose_quadric`
+    of each basis quadric; returns the report's ``ledger`` dict, whose
+    ``identities`` list holds one name, truth value and detail line per
+    identity.
 
     (a) dim Ker(base-fixed codifferential) - h0(quadrics) equals the branch
         excess (2g-2) - n;
     (b) projecting each basis quadric to the trace-zero square lands in the
-        kernel and the projections stay independent;
+        kernel and the projections, read as ``adapted[g:]``, stay
+        independent;
     (c) dim Ker(base-fixed codifferential) = h0(quadrics)
         + dim Ker(residue-only map on all quadratic differentials) - g.
 
@@ -152,7 +150,7 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
     """
     field = datum.field
     g = datum.genus
-    h0 = quadrics.dimension
+    h0 = len(decs)
     excess = datum.reduced_branch_excess()
     identities = []
 
@@ -168,11 +166,10 @@ def dimension_ledger(datum, split, quadrics, kernel_report):
     residues = datum.multiplication_table.residues
     proj_rows = []
     inside = True
-    for G in quadrics.basis:
-        dec = decompose_quadric(split, G)
+    for dec in decs:
         if not residues.annihilates(dec.minus_part):
             inside = False
-        proj_rows.append(split.minus_coords(dec.minus_part))
+        proj_rows.append(dec.adapted[g:])
     rank = Matrix(field, proj_rows).rank()
     add("quadric_projection_injects", inside and rank == h0,
         f"projections {'lie' if inside else 'do not lie'} in the kernel; "

@@ -89,9 +89,7 @@ class TruncatedSeries:
         return cls._make(field, prec, [], 1, prec, True)
 
     @classmethod
-    def from_coefficients(cls, field, start_exponent, coeffs, prec=None):
-        if prec is None:
-            prec = start_exponent + len(coeffs)
+    def from_coefficients(cls, field, start_exponent, coeffs, prec):
         return cls(field, start_exponent, coeffs, prec)
 
     # -- basics ---------------------------------------------------------------

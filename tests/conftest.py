@@ -2,6 +2,7 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.diffalg import quadric_kernel, trace_split
+from ellprym.geometry import decompose_quadric
 from ellprym.prym import kernel_E, kernel_full
 
 
@@ -15,6 +16,8 @@ class Bundle:
         self.action = self.result.action
         self.split = trace_split(self.datum)
         self.quadrics = quadric_kernel(self.datum)
+        self.decs = [decompose_quadric(self.split, G)
+                     for G in self.quadrics.basis]
         self.kernel = kernel_E(self.datum, self.split)
         self.criterion = kernel_full(self.datum, self.kernel)
 

@@ -84,7 +84,7 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
     """Both vanishing routes agree and the trace identity holds exactly."""
     count = 0
     for name, bundle in all_bundles.items():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.quadrics)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
             count += 1
@@ -99,12 +99,11 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
 def test_criterion_5_geometric_consistency(all_bundles):
     """Never: point off all quadrics together with a non-minimal verdict."""
     for name, bundle in all_bundles.items():
-        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.quadrics,
-                                 bundle.criterion)
+        crit = halfgeo_criterion(bundle.datum, bundle.decs, bundle.criterion)
         if not crit["qminus_in_all_quadrics"]:
             assert bundle.criterion.dimension == "1"
     b4 = all_bundles["bielliptic4"]
-    crit4 = halfgeo_criterion(b4.datum, b4.split, b4.quadrics, b4.criterion)
+    crit4 = halfgeo_criterion(b4.datum, b4.decs, b4.criterion)
     assert crit4["qminus_in_all_quadrics"] is False
     assert b4.criterion.dimension == "1"
     assert not b4.criterion.witness_nu.is_zero()

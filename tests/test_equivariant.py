@@ -199,9 +199,9 @@ def test_eigendims_invariant_under_basis_change(pirola):
 
 def _battery(bundle, action=None):
     eig = eigenspaces(bundle.action)
-    return run_battery(bundle.datum, action or bundle.action, bundle.split,
-                       eig, sym2_eigenspaces(bundle.split, eig),
-                       bundle.quadrics, bundle.kernel, bundle.criterion)
+    return run_battery(bundle.datum, action or bundle.action, eig,
+                       sym2_eigenspaces(bundle.split, eig), bundle.decs,
+                       bundle.kernel, bundle.criterion)
 
 
 def test_battery_all_pass(pirola):

@@ -1,11 +1,14 @@
 import pytest
 
-from ellprym.diffalg import QuadricSpace, symmetric_product
-from ellprym.errors import ConsistencyViolated, InputError
+from ellprym import diffalg
+from ellprym.cli import analyze_datum
+from ellprym.diffalg import symmetric_product
+from ellprym.errors import (ConsistencyViolated, EquivalenceViolated,
+                            InputError)
 from ellprym.geometry import (decompose_quadric, dimension_ledger,
-                              evaluate_at_qminus, functpoint_check,
-                              halfgeo_criterion)
+                              functpoint_check, halfgeo_criterion)
 from ellprym.prym import kernel_full
+from ellprym.scalars import Matrix
 
 
 def alpha_sq(bundle):
@@ -42,10 +45,21 @@ def test_decomposition_reconstructs_any_tensor(pirola):
     assert rebuilt == phi
 
 
+def test_decomposition_refuses_a_wrong_inverse(pirola):
+    """The exact reconstruction check catches a tensor inverse that does not
+    invert sym_change: twice the true one rebuilds 2G."""
+    inv = pirola.split.sym_change_inv
+    split = pirola.split._replace(sym_change_inv=Matrix(
+        inv.field, [[x + x for x in row] for row in inv.rows]))
+    with pytest.raises(AssertionError, match="failed to reconstruct"):
+        decompose_quadric(split, pirola.quadrics.basis[0])
+
+
 def test_evaluate_at_distinguished_point(pirola):
     one = pirola.datum.field.one()
-    assert evaluate_at_qminus(pirola.split, alpha_sq(pirola)) == one
-    assert evaluate_at_qminus(pirola.split, minus_elem(pirola)).is_zero()
+    assert decompose_quadric(pirola.split, alpha_sq(pirola)).adapted[0] == one
+    assert decompose_quadric(pirola.split,
+                             minus_elem(pirola)).adapted[0].is_zero()
 
 
 def test_pirola_quadric_contains_point(pirola):
@@ -53,28 +67,36 @@ def test_pirola_quadric_contains_point(pirola):
     G = pirola.quadrics.basis[0]
     dec = decompose_quadric(pirola.split, G)
     assert pirola.split.trace_ratio(dec.omega).is_zero()
-    assert evaluate_at_qminus(pirola.split, G).is_zero()
+    assert dec.adapted[0].is_zero()
 
 
 def test_dual_route_equivalence(all_bundles):
     for bundle in all_bundles.values():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.quadrics)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
 
 
 def test_functpoint_rejects_non_kernel_input(pirola):
-    fake = type(pirola.quadrics)(basis=(alpha_sq(pirola),))
+    fake = [decompose_quadric(pirola.split, alpha_sq(pirola))]
     with pytest.raises(InputError):
         functpoint_check(pirola.datum, pirola.split, fake)
+
+
+def test_functpoint_refuses_routes_that_disagree(pirola):
+    """A decomposition whose value at the distinguished point is nonzero
+    while its fiber sum vanishes trips the dual-route check."""
+    dec = pirola.decs[0]
+    forged = dec._replace(adapted=[pirola.datum.field.one()] + dec.adapted[1:])
+    with pytest.raises(EquivalenceViolated):
+        functpoint_check(pirola.datum, pirola.split, [forged])
 
 
 def test_halfgeo_verdicts(all_bundles):
     expected_in_all = {"pirola": True, "bielliptic4": False,
                        "bielliptic3": True}
     for name, bundle in all_bundles.items():
-        crit = halfgeo_criterion(bundle.datum, bundle.split, bundle.quadrics,
-                                 bundle.criterion)
+        crit = halfgeo_criterion(bundle.datum, bundle.decs, bundle.criterion)
         assert crit["qminus_in_all_quadrics"] == expected_in_all[name]
         assert crit["implies_minimal_kernel"] == \
             (not crit["qminus_in_all_quadrics"])
@@ -88,7 +110,7 @@ def test_halfgeo_consistency_guard(biell4):
     forged = fake._replace(dimension=">=2", witness_nu=None,
                            dim_kernel_full_dual=fake.dim_kernel_E_dual)
     with pytest.raises(ConsistencyViolated):
-        halfgeo_criterion(biell4.datum, biell4.split, biell4.quadrics, forged)
+        halfgeo_criterion(biell4.datum, biell4.decs, forged)
 
 
 def test_dimension_ledger_identities(all_bundles):
@@ -96,8 +118,7 @@ def test_dimension_ledger_identities(all_bundles):
     expected = {"pirola": (4, 1, 3), "bielliptic4": (1, 1, 0),
                 "bielliptic3": (0, 0, 0)}
     for name, bundle in all_bundles.items():
-        led = dimension_ledger(bundle.datum, bundle.split, bundle.quadrics,
-                               bundle.kernel)
+        led = dimension_ledger(bundle.datum, bundle.decs, bundle.kernel)
         dim, h0, excess = expected[name]
         assert all(i["holds"] for i in led["identities"]), led["identities"]
         assert led["dim_kernel_E_dual"] == dim
@@ -113,7 +134,8 @@ def test_ledger_flags_a_projection_outside_the_kernel(pirola):
     base-fixed codifferential: identity (b) fails and says so."""
     field = pirola.datum.field
     phi = [field.one() if k == 5 else field.zero() for k in range(10)]
-    led = dimension_ledger(pirola.datum, pirola.split, QuadricSpace((phi,)),
+    led = dimension_ledger(pirola.datum,
+                           [decompose_quadric(pirola.split, phi)],
                            pirola.kernel)
     (b,) = [i for i in led["identities"]
             if i["name"] == "quadric_projection_injects"]
@@ -124,7 +146,32 @@ def test_ledger_flags_a_projection_outside_the_kernel(pirola):
 def test_residue_map_kernel_values(all_bundles):
     """The residue-only map has rank n-1 (global residue relation)."""
     for bundle in all_bundles.values():
-        led = dimension_ledger(bundle.datum, bundle.split, bundle.quadrics,
-                               bundle.kernel)
+        led = dimension_ledger(bundle.datum, bundle.decs, bundle.kernel)
         g, n = bundle.datum.genus, bundle.datum.n_ramification
         assert led["dim_kernel_residue_map"] == (3 * g - 3) - (n - 1)
+
+
+def test_analysis_decomposes_each_quadric_once(all_bundles, monkeypatch):
+    """The analysis stages share one decomposition per basis quadric: during
+    analyze_datum with the fixture's action, sym_change_inv multiplies h0
+    vectors, one per quadric, and no more."""
+    trace_split, mul_vec = diffalg.trace_split, Matrix.mul_vec
+    splits, receivers = [], []
+
+    def recording_split(datum):
+        splits.append(trace_split(datum))
+        return splits[-1]
+
+    def recording_mul_vec(self, vec):
+        receivers.append(self)
+        return mul_vec(self, vec)
+    monkeypatch.setattr(diffalg, "trace_split", recording_split)
+    monkeypatch.setattr(Matrix, "mul_vec", recording_mul_vec)
+    counts = {}
+    for name, bundle in all_bundles.items():
+        splits.clear()
+        receivers.clear()
+        analyze_datum(bundle.datum, bundle.action)
+        (split,) = splits
+        counts[name] = sum(r is split.sym_change_inv for r in receivers)
+    assert counts == {"pirola": 1, "bielliptic4": 1, "bielliptic3": 0}

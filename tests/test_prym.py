@@ -56,8 +56,8 @@ def test_gamma_s_equals_nu_exactly(all_bundles):
             for b in range(a, m):
                 phi = symmetric_product(split.minus_basis[a],
                                         split.minus_basis[b])
-                assert nu(datum, phi) == \
-                    cmat.mul_vec(split.minus_coords(phi))[-1]
+                coords = split.sym_change_inv.mul_vec(phi)[datum.genus:]
+                assert nu(datum, phi) == cmat.mul_vec(coords)[-1]
 
 
 def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
@@ -68,7 +68,8 @@ def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
         for b in range(a, 3):
             phi = symmetric_product(split.minus_basis[a],
                                     split.minus_basis[b])
-            gamma_s = cmat.mul_vec(split.minus_coords(phi))[-1]
+            coords = split.sym_change_inv.mul_vec(phi)[datum.genus:]
+            gamma_s = cmat.mul_vec(coords)[-1]
             # invariant tensors pair character 1 with character 2 factors;
             # the fiber slot vanishes unless the characters cancel, which
             # over a single-orbit fiber happens only for the pairs (e1, ei)
@@ -141,12 +142,10 @@ def test_bielliptic_witness_independently_confirmed(biell4):
     """The witness route is confirmed by the geometry route downstream:
     the distinguished point misses the quadric (checked in test_geometry),
     and the witness fiber sum is the negated trace ratio of the mixed part."""
-    from ellprym.geometry import decompose_quadric, evaluate_at_qminus
+    from ellprym.geometry import decompose_quadric
     crit = biell4.criterion
-    G = biell4.quadrics.basis[0]
-    dec = decompose_quadric(biell4.split, G)
-    val = evaluate_at_qminus(biell4.split, G)
-    assert not val.is_zero()
+    dec = decompose_quadric(biell4.split, biell4.quadrics.basis[0])
+    assert not dec.adapted[0].is_zero()
     assert nu(biell4.datum, dec.minus_part) == \
         -biell4.split.trace_ratio(dec.omega)
     assert crit.dimension == "1"

@@ -18,7 +18,9 @@ Q3 = FieldSpec(3)
 
 
 def S(start, coeffs, prec=None, field=Q):
-    return TruncatedSeries.from_coefficients(field, start, coeffs, prec)
+    if prec is None:
+        prec = start + len(coeffs)
+    return TruncatedSeries(field, start, coeffs, prec)
 
 
 def test_product_of_binomials():

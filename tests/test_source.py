@@ -309,10 +309,15 @@ def test_no_fraction_in_the_package():
 @pytest.mark.parametrize("module,closure", [
     ("builder", {"builder", "covering", "errors", "scalars", "series"}),
     ("covering", {"covering", "errors", "scalars", "series"}),
+    ("equivariant", {"equivariant", "covering", "diffalg", "errors",
+                     "scalars", "series"}),
 ])
 def test_input_layer_imports_no_analysis_module(module, closure):
     """The builder and the datum and action formats stand below the
-    analysis: a fresh import of each loads exactly these package modules."""
+    analysis, and the battery reads the quadric decompositions it is given
+    rather than making them: a fresh import of each loads exactly these
+    package modules, so ``equivariant`` loads neither ``geometry`` nor
+    ``prym``."""
     loaded = _fresh_modules(f"ellprym.{module}")
     assert {m[len("ellprym."):] for m in loaded
             if m.startswith("ellprym.")} == closure
