@@ -37,11 +37,11 @@ def analyze_datum(datum, action=None):
             "; ".join(f"{f.name}: {f.detail}" for f in vrep.failures()))
 
     split = diffalg.trace_split(datum)
-    quad = diffalg.quadric_kernel(datum)
+    quadrics = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
     crit = prym.kernel_full(datum, ke)
-    decs = [geometry.decompose_quadric(split, G) for G in quad.basis]
-    checks = geometry.functpoint_check(datum, split, decs)
+    decs = [geometry.decompose_quadric(split, G) for G in quadrics]
+    checks = geometry.functpoint_check(datum, split, decs, ke.codifferential)
     point = geometry.halfgeo_criterion(datum, decs, crit)
     ledger = geometry.dimension_ledger(datum, decs, ke)
 
@@ -59,7 +59,7 @@ def analyze_datum(datum, action=None):
         "dim_primal_identity": "always 1 for non-hyperelliptic covers",
     }
     report["quadrics"] = {
-        "h0": quad.dimension,
+        "h0": len(quadrics),
         "h0_identity": f"(g-2)(g-3)/2 = {(g - 2) * (g - 3) // 2}",
         "dual_route_checks": checks,
     }

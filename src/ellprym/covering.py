@@ -130,24 +130,23 @@ class CoveringDatum(_DatumFields):
         fiber = Matrix(fld, [[r[i] * r[j] for i, j in pairs]
                              for r in self.fiber.ratios])
         return MultiplicationTable(
-            tuple(charts), Matrix(fld, residues), fiber,
+            Matrix.stack([*charts, fiber]), Matrix(fld, residues),
             Matrix(fld, [[1] * self.degree]).matmul(fiber))
 
 
 class MultiplicationTable(NamedTuple):
     """The multiplication map on the basis eta_i . eta_j, i <= j, in lex order.
 
-    Column p of every matrix belongs to the p-th pair (i, j).  ``charts``
-    holds one matrix per chart: row e is the coefficient of u^e in f_i f_j,
-    for e below the chart window.  Row c of ``residues`` is the residue of
-    f_i f_j over the alpha pullback of chart c; row k of ``fiber`` is the
-    value r_i r_j at fiber point k; the single row of ``fiber_sum`` sums the
+    Column p of every matrix belongs to the p-th pair (i, j).  ``multiply``
+    has, chart by chart, one row per coefficient of u^e in f_i f_j for e
+    below the chart window, then one row per fiber point k with the value
+    r_i r_j there.  Row c of ``residues`` is the residue of f_i f_j over the
+    alpha pullback of chart c; the single row of ``fiber_sum`` sums the
     fiber.  Every slot is linear in the tensor, so the image of a tensor is
     the product of one of these matrices with its lex coordinates.
     """
-    charts: tuple
+    multiply: Matrix
     residues: Matrix
-    fiber: Matrix
     fiber_sum: Matrix
 
 

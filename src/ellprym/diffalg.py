@@ -6,11 +6,12 @@ at the base point.  Its kernel is the trace-zero subspace, the tangent space
 of the Prym variety, and the pullback line is a canonical complement.
 
 The multiplication map sends a symmetric 2-tensor of 1-forms to a quadratic
-differential, realized here as the rows of ``multiply_matrix``: the chart
-coefficients, chart by chart, then the values at the fiber points.  Its
-kernel is the space of quadrics through the canonically embedded cover; for
-non-hyperelliptic covers that space has dimension (g-2)(g-3)/2 and the map
-has rank 3g-3 (classical projective normality), both asserted exactly.
+differential, realized as the rows of the multiplication table's
+``multiply`` matrix: the chart coefficients, chart by chart, then the values
+at the fiber points.  Its kernel is the space of quadrics through the
+canonically embedded cover; for non-hyperelliptic covers that space has
+dimension (g-2)(g-3)/2 and the map has rank 3g-3 (classical projective
+normality), both asserted exactly.
 
 A symmetric 2-tensor is the list of its lex coordinates: the coefficients
 c_ij of sum c_ij f_i f_j over the pairs i <= j in lexicographic order, where
@@ -77,13 +78,13 @@ class TraceSplit(NamedTuple):
     """The canonical splitting of the form space.
 
     ``tau`` lists the trace ratios of the basis forms at the fiber base
-    point; ``minus_basis`` spans its kernel (the trace-zero forms) and
-    ``alpha_coords`` locates the pulled-back base form, which spans a
-    complement because its trace equals the covering degree.
+    point and ``alpha_coords`` locates the pulled-back base form, which
+    spans a complement of the kernel of tau (the trace-zero forms) because
+    its trace equals the covering degree.
 
-    ``change`` has the adapted basis, the pullback form and then the
-    trace-zero basis, as columns; ``change_inv`` maps form coordinates to
-    adapted ones.  In adapted coordinates the distinguished point is
+    ``change`` has the adapted basis, the pullback form and then a basis of
+    the trace-zero forms, as columns; ``change_inv`` maps form coordinates
+    to adapted ones.  In adapted coordinates the distinguished point is
     (1:0:...:0) and the distinguished hyperplane is the zero locus of the
     zeroth coordinate.  ``sym_change`` and ``sym_change_inv`` are the maps
     they induce on tensors; ``geometry.decompose_quadric`` alone applies
@@ -91,10 +92,11 @@ class TraceSplit(NamedTuple):
     a tensor, the first g belong to the pairs (0, j): they are the pullback
     part alpha . omega, and the zeroth is the value at the distinguished
     point.  The rest, pairs (i, j) with 1 <= i <= j, are the lex coordinates
-    over the symmetric square of the trace-zero basis.
+    over the symmetric square of the trace-zero basis, the coordinates that
+    ``prym.codifferential_matrix`` reads; the columns of ``sym_change``
+    from g on take them back to the lex coordinates of the tensor.
     """
     tau: tuple
-    minus_basis: tuple
     alpha_coords: tuple
     change: Matrix
     change_inv: Matrix
@@ -110,15 +112,11 @@ class TraceSplit(NamedTuple):
         return sum((t * v for t, v in zip(self.tau, vec)),
                    self.change.field.zero())
 
-    def minus_tensor(self, coords):
-        """The tensor with these coordinates over the symmetric square of
-        the trace-zero basis."""
-        return self.sym_change[:, self.genus:].mul_vec(coords)
-
 
 def trace_split(datum):
-    """Compute the trace vector, the trace-zero basis, the alpha coordinates,
-    the adapted change of basis with its inverse, and their tensor maps."""
+    """Compute the trace vector, the alpha coordinates, the adapted change
+    of basis (the pullback form, then a trace-zero basis) with its inverse,
+    and their tensor maps."""
     require_valid(datum)
     field = datum.field
     g, d = datum.genus, datum.degree
@@ -149,8 +147,7 @@ def trace_split(datum):
     except ValueError:
         raise IdentityViolated(
             "pullback form lies in the trace-zero space") from None
-    return TraceSplit(tuple(tau), tuple(tuple(v) for v in minus),
-                      tuple(alpha), change, change_inv,
+    return TraceSplit(tuple(tau), tuple(alpha), change, change_inv,
                       sym_square_matrix(change), sym_square_matrix(change_inv))
 
 
@@ -175,36 +172,17 @@ def _solve_alpha_coords(datum):
 # multiplication map
 # ---------------------------------------------------------------------------
 
-class QuadricSpace(NamedTuple):
-    """Basis of the space of quadrics through the canonical model, as lex
-    coordinate vectors."""
-    basis: tuple
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-
-def multiply_matrix(datum):
-    """Matrix of the multiplication map on the full symmetric square.
-
-    Columns follow the lexicographic tensor basis; rows are the certified
-    chart coefficients followed by the fiber values.
-    """
-    table = datum.multiplication_table
-    return Matrix.stack([*table.charts, table.fiber])
-
-
 def quadric_kernel(datum):
-    """Exact kernel of the multiplication map, certified by the zero-counting bound."""
+    """Exact kernel of the multiplication map, certified by the zero-counting
+    bound: the basis of the quadrics through the canonical model, as a tuple
+    of lex coordinate vectors."""
     report = require_valid(datum)
     g = datum.genus
     if not report.quadric_certified:
         raise InsufficientPrecision(
             f"coefficient budget {report.coefficient_budget} below the "
             f"quadric certification bound {report.quadric_bound}")
-    M = multiply_matrix(datum)
-    kernel = M.kernel_basis()
+    kernel = datum.multiplication_table.multiply.kernel_basis()
     expected = (g - 2) * (g - 3) // 2
     if len(kernel) != expected:
         raise DimensionMismatch(
@@ -214,4 +192,4 @@ def quadric_kernel(datum):
     if rank != 3 * g - 3:
         raise DimensionMismatch(
             f"multiplication map has rank {rank}, expected {3 * g - 3}")
-    return QuadricSpace(tuple(kernel))
+    return tuple(kernel)

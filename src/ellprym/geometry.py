@@ -12,25 +12,26 @@ the distinguished point lies on every quadric through the cover decides,
 one way, that the period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
-the fiber-sum route evaluates the trace-zero part of a quadric over the
-fiber, the coefficient route reads off the pure pullback coefficient in
-adapted coordinates.  Both must vanish together; the proof-level identity
-(fiber sum = minus the trace ratio of the mixed component) is asserted
-exactly as well.
+the fiber-sum route applies the fiber-sum row of the codifferential to the
+trace-zero part ``adapted[g:]`` of a quadric, the coefficient route reads
+off the pure pullback coefficient ``adapted[0]``.  Both must vanish
+together; the proof-level identity (fiber sum = minus the trace ratio of
+the mixed component) is asserted exactly as well.
 
 The dimension ledger's identity (b) reads the residue rows of the
-multiplication table: the trace-zero part of a quadric lies in the kernel
-of the base-fixed codifferential exactly when those rows annihilate it.
+codifferential: the trace-zero part ``adapted[g:]`` of a quadric lies in
+the kernel of the base-fixed codifferential exactly when those rows
+annihilate it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diffalg import multiply_matrix, symmetric_product
+from .diffalg import symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
-from .prym import nu
+from .prym import codifferential_matrix
 from .scalars import Matrix
 
 
@@ -38,7 +39,6 @@ class QuadricDecomposition(NamedTuple):
     """G = G_minus + alpha . omega under the direct sum decomposition."""
     tensor: list  # lex coordinates of G
     adapted: list  # lex coordinates of G over the adapted basis
-    minus_part: list  # lex coordinates of the trace-zero part
     omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
@@ -51,35 +51,42 @@ def decompose_quadric(split, G):
     adapted = split.sym_change_inv.mul_vec(G)
     g = split.genus
     omega = split.change.mul_vec(adapted[:g])
-    minus_part = split.minus_tensor(adapted[g:])
     # exact reconstruction check
+    minus_part = split.sym_change[:, g:].mul_vec(adapted[g:])
     alpha_sym = symmetric_product(list(split.alpha_coords), omega)
     if any(not (m + a - x).is_zero()
            for m, a, x in zip(minus_part, alpha_sym, G)):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(G, adapted, minus_part, tuple(omega))
+    return QuadricDecomposition(G, adapted, tuple(omega))
 
 
-def functpoint_check(datum, split, decs):
+def functpoint_check(datum, split, decs, codifferential=None):
     """Dual-route vanishing check for every basis quadric, given by its
     `decompose_quadric`; returns the report's list of checks.
 
-    Each entry holds the fiber route (fiber sum of the trace-zero part),
-    the coefficient route (value at the distinguished point), whether both
+    Each entry holds the fiber route (the last row of ``codifferential``,
+    the `codifferential_matrix` of the split, on ``adapted[g:]``), the
+    coefficient route (value at the distinguished point), whether both
     vanish together (``agree``) and whether the fiber sum is minus the trace
-    ratio of the mixed part (``trace_identity``).  Precondition: each tensor
-    actually lies in the kernel of the multiplication map (verified here:
-    ``multiply_matrix``, the certified coefficient model, annihilates it).
-    The equivalence of the two routes is unconditional, so any disagreement
-    raises EquivalenceViolated.
+    ratio of the mixed part (``trace_identity``).  The analysis passes the
+    kernel report's codifferential; without one it is formed here.
+    Precondition: each tensor actually lies in the kernel of the
+    multiplication map (verified here: the table's ``multiply``, the
+    certified coefficient model, annihilates it).  The equivalence of the
+    two routes is unconditional, so any disagreement raises
+    EquivalenceViolated.
     """
-    M = multiply_matrix(datum)
+    if codifferential is None:
+        codifferential = codifferential_matrix(datum, split)
+    M = datum.multiplication_table.multiply
+    fiber_sum = codifferential[datum.n_ramification:, :]
+    g = split.genus
     results = []
     for idx, dec in enumerate(decs):
         if not M.annihilates(dec.tensor):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
-        lhs = nu(datum, dec.minus_part)
+        lhs = fiber_sum.mul_vec(dec.adapted[g:])[0]
         rhs = dec.adapted[0]
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
@@ -139,7 +146,8 @@ def dimension_ledger(datum, decs, kernel_report):
         excess (2g-2) - n;
     (b) projecting each basis quadric to the trace-zero square lands in the
         kernel and the projections, read as ``adapted[g:]``, stay
-        independent;
+        independent: the residue rows of the kernel report's codifferential
+        annihilate each;
     (c) dim Ker(base-fixed codifferential) = h0(quadrics)
         + dim Ker(residue-only map on all quadratic differentials) - g.
 
@@ -163,14 +171,10 @@ def dimension_ledger(datum, decs, kernel_report):
         f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}")
 
     # (b) quadric projections inject into the kernel
-    residues = datum.multiplication_table.residues
-    proj_rows = []
-    inside = True
-    for dec in decs:
-        if not residues.annihilates(dec.minus_part):
-            inside = False
-        proj_rows.append(dec.adapted[g:])
-    rank = Matrix(field, proj_rows).rank()
+    residues = kernel_report.codifferential[:datum.n_ramification, :]
+    projections = [dec.adapted[g:] for dec in decs]
+    inside = all(residues.annihilates(p) for p in projections)
+    rank = Matrix(field, projections).rank()
     add("quadric_projection_injects", inside and rank == h0,
         f"projections {'lie' if inside else 'do not lie'} in the kernel; "
         f"rank {rank} of {h0}")

@@ -7,8 +7,11 @@ rows of ``codifferential_matrix``:
     slot t_j : residue at a_j of (product differential / base pullback)
     slot s   : sum over the fiber of (product differential / base pullback^2)
 
-The ``residues`` and ``fiber_sum`` rows of the multiplication table are the
-same slots on the lex coordinates of any tensor.
+It is the one place the analysis reads these slots of a trace-zero tensor:
+it applies the ``residues`` and ``fiber_sum`` rows of the multiplication
+table once, to the trace-zero square, and every later stage applies its
+first n rows or its last row to trace-zero coordinates (``adapted[g:]`` of
+a quadric decomposition, or a kernel vector).
 
 The 2*pi*i normalization that appears in some residue formulations is
 dropped throughout; kernels and ranks are scaling invariant, so every
@@ -29,11 +32,6 @@ from .errors import IdentityViolated
 from .scalars import Matrix
 
 
-def nu(datum, beta):
-    """The fiber sum: the s-slot of the covector, defined for any tensor."""
-    return datum.multiplication_table.fiber_sum.mul_vec(beta)[0]
-
-
 def codifferential_matrix(datum, split):
     """Rows: the residue slots t_1..t_n, then s; columns: the lex basis of
     the symmetric square of the trace-zero space."""
@@ -46,8 +44,8 @@ class KernelEReport(NamedTuple):
     """Kernel data of the base-fixed codifferential."""
     dim_dual: int            # dim Ker over the tensor space
     dim_primal: int          # dim Ker of the map on tangent vectors
-    basis: tuple             # lex coordinates of tensors spanning the kernel
-    basis_minus_coords: tuple  # same vectors in minus-tensor coordinates
+    codifferential: Matrix   # the codifferential_matrix it was read from
+    basis_minus_coords: tuple  # kernel basis over the trace-zero square
 
 
 def kernel_E(datum, split):
@@ -58,7 +56,8 @@ def kernel_E(datum, split):
     the identity is unconditional for non-hyperelliptic covers.
     """
     g, n = datum.genus, datum.n_ramification
-    gam = codifferential_matrix(datum, split)[:n, :]
+    cmat = codifferential_matrix(datum, split)
+    gam = cmat[:n, :]
     kernel = gam.kernel_basis()
     rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
@@ -71,8 +70,7 @@ def kernel_E(datum, split):
         raise IdentityViolated(
             f"dim Ker of the base-fixed differential is {dim_primal}, "
             "the identity requires 1")
-    basis = tuple(split.minus_tensor(vec) for vec in kernel)
-    return KernelEReport(len(kernel), dim_primal, basis,
+    return KernelEReport(len(kernel), dim_primal, cmat,
                          tuple(tuple(v) for v in kernel))
 
 
@@ -106,8 +104,11 @@ class CriterionReport(NamedTuple):
 
 
 def kernel_full(datum, kernel_report):
-    """Scan the base-fixed kernel for a tensor with nonzero fiber sum."""
-    nu_basis = tuple(nu(datum, b) for b in kernel_report.basis)
+    """Scan the base-fixed kernel for a tensor with nonzero fiber sum, read
+    by the last row of the codifferential."""
+    fiber_sum = kernel_report.codifferential[datum.n_ramification:, :]
+    nu_basis = tuple(fiber_sum.mul_vec(v)[0]
+                     for v in kernel_report.basis_minus_coords)
     dim = kernel_report.dim_dual
     witness_nu = next((val for val in nu_basis if not val.is_zero()), None)
     if witness_nu is not None:

@@ -219,12 +219,6 @@ class TruncatedSeries:
             g = g - g * (unit * g - 1)
         return g.shift(-self.valuation)
 
-    def __truediv__(self, other):
-        self._check_field(other)
-        if other.is_zero():
-            raise DivisionByZeroSeries("division by the zero series")
-        return self * other.inverse()
-
     def derivative(self):
         v, d = self.valuation, self.field.degree
         return TruncatedSeries._make(self.field, v - 1, [

@@ -17,7 +17,7 @@ class Bundle:
         self.split = trace_split(self.datum)
         self.quadrics = quadric_kernel(self.datum)
         self.decs = [decompose_quadric(self.split, G)
-                     for G in self.quadrics.basis]
+                     for G in self.quadrics]
         self.kernel = kernel_E(self.datum, self.split)
         self.criterion = kernel_full(self.datum, self.kernel)
 

@@ -71,15 +71,17 @@ def test_multiplication_table_columns_follow_lex_pairs(pirola):
     pairs = lex_pairs(datum.genus)
     assert pairs == sorted(pairs) and len(pairs) == len(set(pairs)) == \
         datum.genus * (datum.genus + 1) // 2
-    table = datum.multiplication_table
-    for row, r in zip(table.fiber.rows, datum.fiber.ratios):
-        assert list(row) == [r[i] * r[j] for i, j in pairs]
-    for matrix, chart in zip(table.charts, datum.charts):
+    rows, start = datum.multiplication_table.multiply.rows, 0
+    for chart in datum.charts:
         f, w = chart.forms, chart.window()
         for p, (i, j) in enumerate(pairs):
             product = (f[i] * f[j]).truncate(w)
-            assert [row[p] for row in matrix.rows] == \
+            assert [row[p] for row in rows[start:start + w]] == \
                 [product.coefficient(e) for e in range(w)]
+        start += w
+    assert len(rows) == start + datum.degree
+    for row, r in zip(rows[start:], datum.fiber.ratios):
+        assert list(row) == [r[i] * r[j] for i, j in pairs]
 
 
 def test_validation_on_built_fixture(pirola):

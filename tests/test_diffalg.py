@@ -5,11 +5,12 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
 from ellprym.covering import lex_pairs, reparametrized
-from ellprym.diffalg import (gram, multiply_matrix, quadric_kernel, sym_dim,
-                             sym_square_matrix, symmetric_product, trace_split)
+from ellprym.diffalg import (gram, quadric_kernel, sym_dim, sym_square_matrix,
+                             symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.scalars import FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
+from test_prym import minus_basis
 from test_scalars import reference_mul_vec
 
 
@@ -21,7 +22,7 @@ def alpha_tensor(bundle):
 def test_trace_split_dimensions(pirola):
     split = pirola.split
     g = pirola.datum.genus
-    assert len(split.minus_basis) == g - 1
+    assert len(minus_basis(split)) == g - 1
     assert split.trace_ratio(split.alpha_coords) == \
         pirola.datum.field.scalar(pirola.datum.degree)
 
@@ -54,9 +55,9 @@ def test_alpha_coords_solved_without_hint(pirola):
 
 def image(datum, phi):
     """The image of phi under the multiplication map, read off the rows of
-    multiply_matrix: one du^2-coefficient series per chart, cut at the
-    chart windows, then the fiber values."""
-    values = multiply_matrix(datum).mul_vec(phi)
+    the table's multiply matrix: one du^2-coefficient series per chart, cut
+    at the chart windows, then the fiber values."""
+    values = datum.multiplication_table.multiply.mul_vec(phi)
     charts, start = [], 0
     for c in datum.charts:
         w = c.window()
@@ -110,17 +111,18 @@ def dense_datum(datum, seed):
 
 
 def test_multiply_matches_scalar_reference(all_bundles):
-    """multiply_matrix against the Scalar-row reference on the three
-    fixtures and the seed-1 dense datum, for the quadric, alpha . alpha and
-    random tensors with zeros; annihilates agrees with the image."""
+    """The table's multiply matrix against the Scalar-row reference on the
+    three fixtures and the seed-1 dense datum, for the quadric, alpha .
+    alpha and random tensors with zeros; annihilates agrees with the
+    image."""
     rng = random.Random(17)
     datums = [b.datum for b in all_bundles.values()]
     datums.append(dense_datum(all_bundles["bielliptic4"].datum, 1))
     for datum in datums:
         field, size = datum.field, sym_dim(datum.genus)
-        M = multiply_matrix(datum)
+        M = datum.multiplication_table.multiply
         split = trace_split(datum)
-        tensors = [list(q) for q in quadric_kernel(datum).basis]
+        tensors = [list(q) for q in quadric_kernel(datum)]
         tensors.append(symmetric_product(list(split.alpha_coords),
                                          list(split.alpha_coords)))
         for _ in range(3):
@@ -141,8 +143,8 @@ def test_multiply_refuses_a_tensor_of_the_wrong_length(biell4):
     is refused, not cut to the table's width (which reported a zero image
     for the quadric with a 7 appended)."""
     datum = dense_datum(biell4.datum, 1)
-    quadric = list(biell4.quadrics.basis[0])
-    M = multiply_matrix(datum)
+    quadric = list(biell4.quadrics[0])
+    M = datum.multiplication_table.multiply
     assert M.annihilates(quadric)
     for phi in (quadric + [datum.field.scalar(7)], quadric[:-1]):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -166,20 +168,20 @@ def test_table_and_multiply_box_no_chart_coefficient(monkeypatch):
         phi = [datum.field.scalar(F(i + 1, 2)) for i in range(sym_dim(4))]
         counts.append(0)
         monkeypatch.setattr(Scalar, "_make", classmethod(counting))
-        multiply_matrix(datum).annihilates(phi)
+        datum.multiplication_table.multiply.annihilates(phi)
         monkeypatch.undo()
     assert counts[0] == counts[1]
 
 
 def test_multiply_zero(pirola):
-    assert multiply_matrix(pirola.datum).annihilates(
+    assert pirola.datum.multiplication_table.multiply.annihilates(
         [pirola.datum.field.zero()] * 10)
 
 
 def test_multiply_bilinear(pirola):
     field = pirola.datum.field
     a = alpha_tensor(pirola)
-    b = pirola.quadrics.basis[0]
+    b = pirola.quadrics[0]
     charts, fiber = image(pirola.datum, [x + y for x, y in zip(a, b)])
     charts_a, fiber_a = image(pirola.datum, a)
     charts_b, fiber_b = image(pirola.datum, b)
@@ -192,8 +194,8 @@ def test_multiply_bilinear(pirola):
 
 def test_unique_quadric_maps_to_zero(pirola):
     """The single quadric through the genus-4 model kills all data."""
-    assert pirola.quadrics.dimension == 1
-    charts, fiber = image(pirola.datum, pirola.quadrics.basis[0])
+    assert len(pirola.quadrics) == 1
+    charts, fiber = image(pirola.datum, pirola.quadrics[0])
     assert all(s.is_zero() for s in charts)
     assert all(x.is_zero() for x in fiber)
 
@@ -202,16 +204,16 @@ def test_quadric_dimensions(all_bundles):
     expected = {"pirola": 1, "bielliptic4": 1, "bielliptic3": 0}
     for name, bundle in all_bundles.items():
         g = bundle.datum.genus
-        assert bundle.quadrics.dimension == expected[name]
-        assert bundle.quadrics.dimension == (g - 2) * (g - 3) // 2
+        assert len(bundle.quadrics) == expected[name]
+        assert len(bundle.quadrics) == (g - 2) * (g - 3) // 2
 
 
 def test_multiplication_rank_is_projective_normality(all_bundles):
     for bundle in all_bundles.values():
         g = bundle.datum.genus
-        M = multiply_matrix(bundle.datum)
+        M = bundle.datum.multiplication_table.multiply
         assert M.rank() == 3 * g - 3
-        assert sym_dim(g) - M.rank() == bundle.quadrics.dimension
+        assert sym_dim(g) - M.rank() == len(bundle.quadrics)
 
 
 def test_quadric_kernel_requires_certificate():
@@ -242,7 +244,7 @@ def test_hyperelliptic_cover_caught_by_quadric_certificate():
 def test_pirola_quadric_structure(pirola):
     """The kernel element is (w^-1 alpha)^2 - alpha . (w^-2 alpha)."""
     field = pirola.datum.field
-    G = gram(field, 4, pirola.quadrics.basis[0])
+    G = gram(field, 4, pirola.quadrics[0])
     e11 = G.rows[1][1]
     assert not e11.is_zero()
     normalized = Matrix(field, [[x * e11.inverse() for x in row]

@@ -1,13 +1,14 @@
 import pytest
 
 from ellprym.covering import CyclicAction
-from ellprym.diffalg import sym_square_matrix, symmetric_product
+from ellprym.diffalg import sym_square_matrix
 from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
                                  sym2_eigenspaces, validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
 from ellprym.series import TruncatedSeries, compose_all, transform_form
 from test_diffalg import image
+from test_prym import fiber_sum, minus_tensor
 
 Q3 = FieldSpec(3)
 _Z = Q3.zeta()
@@ -165,8 +166,9 @@ def test_multiply_equivariance(pirola):
     fiber values are permuted.
     """
     action = pirola.action
-    for phi in (pirola.quadrics.basis[0], pirola.kernel.basis[0],
-                pirola.kernel.basis[2]):
+    kernel = pirola.kernel.basis_minus_coords
+    for phi in (pirola.quadrics[0], minus_tensor(pirola.split, kernel[0]),
+                minus_tensor(pirola.split, kernel[2])):
         lhs, lhs_fiber = image(pirola.datum,
                                sym_square_matrix(action.matrix).mul_vec(phi))
         charts, fiber = image(pirola.datum, phi)
@@ -223,21 +225,11 @@ def test_battery_preconditions(biell4, pirola):
 def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):
     """Single-orbit fiber: orbit sums kill the fiber slot on nontrivial
     characters of the trace-zero square."""
-    from ellprym.prym import nu
-    field = pirola.datum.field
     s2 = _sym2(pirola)
     for exponent in (1, 2):
         for coords in s2.minus.bases[exponent]:
-            # rebuild the tensor from minus-square coordinates
-            m = len(pirola.split.minus_basis)
-            pairs = [(a, b) for a in range(m) for b in range(a, m)]
-            elem = [field.zero()] * 10
-            for coef, (a, b) in zip(coords, pairs):
-                if not coef.is_zero():
-                    elem = [e + coef * t for e, t in zip(elem, symmetric_product(
-                        list(pirola.split.minus_basis[a]),
-                        list(pirola.split.minus_basis[b])))]
-            assert nu(pirola.datum, elem).is_zero()
+            elem = minus_tensor(pirola.split, coords)
+            assert fiber_sum(pirola.datum, elem).is_zero()
 
 
 def test_squared_generator_report_matches_stock(pirola):

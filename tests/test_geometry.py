@@ -9,6 +9,7 @@ from ellprym.geometry import (decompose_quadric, dimension_ledger,
                               functpoint_check, halfgeo_criterion)
 from ellprym.prym import kernel_full
 from ellprym.scalars import Matrix
+from test_prym import minus_basis, minus_tensor
 
 
 def alpha_sq(bundle):
@@ -17,21 +18,21 @@ def alpha_sq(bundle):
 
 
 def minus_elem(bundle):
-    m = list(bundle.split.minus_basis[0])
+    m = list(minus_basis(bundle.split)[0])
     return symmetric_product(m, m)
 
 
 def test_decomposition_of_minus_tensor(pirola):
     phi = minus_elem(pirola)
     dec = decompose_quadric(pirola.split, phi)
-    assert dec.minus_part == phi
+    assert minus_tensor(pirola.split, dec.adapted[pirola.datum.genus:]) == phi
     assert all(x.is_zero() for x in dec.omega)
 
 
 def test_decomposition_of_alpha_squared(pirola):
     phi = alpha_sq(pirola)
     dec = decompose_quadric(pirola.split, phi)
-    assert all(x.is_zero() for x in dec.minus_part)
+    assert all(x.is_zero() for x in dec.adapted[pirola.datum.genus:])
     assert list(dec.omega) == list(pirola.split.alpha_coords)
 
 
@@ -40,7 +41,8 @@ def test_decomposition_reconstructs_any_tensor(pirola):
     phi = [a + m * field.scalar(7)
            for a, m in zip(alpha_sq(pirola), minus_elem(pirola))]
     dec = decompose_quadric(pirola.split, phi)
-    rebuilt = [m + a for m, a in zip(dec.minus_part, symmetric_product(
+    minus = minus_tensor(pirola.split, dec.adapted[pirola.datum.genus:])
+    rebuilt = [m + a for m, a in zip(minus, symmetric_product(
         list(pirola.split.alpha_coords), list(dec.omega)))]
     assert rebuilt == phi
 
@@ -52,7 +54,7 @@ def test_decomposition_refuses_a_wrong_inverse(pirola):
     split = pirola.split._replace(sym_change_inv=Matrix(
         inv.field, [[x + x for x in row] for row in inv.rows]))
     with pytest.raises(AssertionError, match="failed to reconstruct"):
-        decompose_quadric(split, pirola.quadrics.basis[0])
+        decompose_quadric(split, pirola.quadrics[0])
 
 
 def test_evaluate_at_distinguished_point(pirola):
@@ -64,15 +66,20 @@ def test_evaluate_at_distinguished_point(pirola):
 
 def test_pirola_quadric_contains_point(pirola):
     """The mixed part of the unique quadric has no pure pullback component."""
-    G = pirola.quadrics.basis[0]
+    G = pirola.quadrics[0]
     dec = decompose_quadric(pirola.split, G)
     assert pirola.split.trace_ratio(dec.omega).is_zero()
     assert dec.adapted[0].is_zero()
 
 
 def test_dual_route_equivalence(all_bundles):
+    """The checks hold, and read the same from the kernel report's
+    codifferential as from one formed by functpoint_check itself."""
     for bundle in all_bundles.values():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs,
+                                  bundle.kernel.codifferential)
+        assert checks == functpoint_check(bundle.datum, bundle.split,
+                                          bundle.decs)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
 

@@ -215,6 +215,31 @@ def test_shared_method_names_are_all_reached(tmp_path, capsys):
                   if code not in called and defn not in referenced) == []
 
 
+def _record_fields(tree):
+    """``Class.field`` for each field of a NamedTuple class in the tree."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "NamedTuple"
+                for b in cls.bases):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    yield f"{cls.name}.{stmt.target.id}"
+
+
+def test_record_fields_are_read():
+    """Every field of a NamedTuple record of the input and analysis layers
+    is read by package code, as an attribute load of its name: a field that
+    only tests read is carried by every run for nothing."""
+    trees = _package_trees()
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert [f"{module}.py: {field}"
+            for module in ("covering", "diffalg", "prym", "geometry",
+                           "equivariant")
+            for field in _record_fields(trees[f"{module}.py"])
+            if field.split(".")[1] not in loaded] == []
+
+
 def _unused_parameters(tree):
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
