@@ -39,9 +39,9 @@ def analyze_datum(datum, action=None):
     split = diffalg.trace_split(datum)
     quadrics = diffalg.quadric_kernel(datum)
     ke = prym.kernel_E(datum, split)
-    crit = prym.kernel_full(datum, ke)
+    crit = prym.kernel_full(ke)
     decs = [geometry.decompose_quadric(split, G) for G in quadrics]
-    checks = geometry.functpoint_check(datum, split, decs, ke.codifferential)
+    checks = geometry.functpoint_check(datum, split, decs, ke)
     point = geometry.halfgeo_criterion(datum, decs, crit)
     ledger = geometry.dimension_ledger(datum, decs, ke)
 

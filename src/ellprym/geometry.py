@@ -12,15 +12,15 @@ the distinguished point lies on every quadric through the cover decides,
 one way, that the period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
-the fiber-sum route applies the fiber-sum row of the codifferential to the
-trace-zero part ``adapted[g:]`` of a quadric, the coefficient route reads
-off the pure pullback coefficient ``adapted[0]``.  Both must vanish
-together; the proof-level identity (fiber sum = minus the trace ratio of
-the mixed component) is asserted exactly as well.
+the fiber-sum route applies the kernel report's fiber-sum row of the
+codifferential to the trace-zero part ``adapted[g:]`` of a quadric, the
+coefficient route reads off the pure pullback coefficient ``adapted[0]``.
+Both must vanish together; the proof-level identity (fiber sum = minus the
+trace ratio of the mixed component) is asserted exactly as well.
 
-The dimension ledger's identity (b) reads the residue rows of the
-codifferential: the trace-zero part ``adapted[g:]`` of a quadric lies in
-the kernel of the base-fixed codifferential exactly when those rows
+The dimension ledger's identity (b) reads the kernel report's residue rows
+of the codifferential: the trace-zero part ``adapted[g:]`` of a quadric
+lies in the kernel of the base-fixed codifferential exactly when those rows
 annihilate it.
 """
 
@@ -31,7 +31,6 @@ from typing import NamedTuple
 from .diffalg import symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
-from .prym import codifferential_matrix
 from .scalars import Matrix
 
 
@@ -60,33 +59,28 @@ def decompose_quadric(split, G):
     return QuadricDecomposition(G, adapted, tuple(omega))
 
 
-def functpoint_check(datum, split, decs, codifferential=None):
+def functpoint_check(datum, split, decs, kernel_report):
     """Dual-route vanishing check for every basis quadric, given by its
     `decompose_quadric`; returns the report's list of checks.
 
-    Each entry holds the fiber route (the last row of ``codifferential``,
-    the `codifferential_matrix` of the split, on ``adapted[g:]``), the
-    coefficient route (value at the distinguished point), whether both
-    vanish together (``agree``) and whether the fiber sum is minus the trace
-    ratio of the mixed part (``trace_identity``).  The analysis passes the
-    kernel report's codifferential; without one it is formed here.
+    Each entry holds the fiber route (the kernel report's ``fiber_sum`` row
+    on ``adapted[g:]``), the coefficient route (value at the distinguished
+    point), whether both vanish together (``agree``) and whether the fiber
+    sum is minus the trace ratio of the mixed part (``trace_identity``).
     Precondition: each tensor actually lies in the kernel of the
     multiplication map (verified here: the table's ``multiply``, the
     certified coefficient model, annihilates it).  The equivalence of the
     two routes is unconditional, so any disagreement raises
     EquivalenceViolated.
     """
-    if codifferential is None:
-        codifferential = codifferential_matrix(datum, split)
     M = datum.multiplication_table.multiply
-    fiber_sum = codifferential[datum.n_ramification:, :]
     g = split.genus
     results = []
     for idx, dec in enumerate(decs):
         if not M.annihilates(dec.tensor):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
-        lhs = fiber_sum.mul_vec(dec.adapted[g:])[0]
+        lhs = kernel_report.fiber_sum.mul_vec(dec.adapted[g:])[0]
         rhs = dec.adapted[0]
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
@@ -146,8 +140,7 @@ def dimension_ledger(datum, decs, kernel_report):
         excess (2g-2) - n;
     (b) projecting each basis quadric to the trace-zero square lands in the
         kernel and the projections, read as ``adapted[g:]``, stay
-        independent: the residue rows of the kernel report's codifferential
-        annihilate each;
+        independent: the kernel report's ``residues`` rows annihilate each;
     (c) dim Ker(base-fixed codifferential) = h0(quadrics)
         + dim Ker(residue-only map on all quadratic differentials) - g.
 
@@ -171,9 +164,8 @@ def dimension_ledger(datum, decs, kernel_report):
         f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}")
 
     # (b) quadric projections inject into the kernel
-    residues = kernel_report.codifferential[:datum.n_ramification, :]
     projections = [dec.adapted[g:] for dec in decs]
-    inside = all(residues.annihilates(p) for p in projections)
+    inside = all(kernel_report.residues.annihilates(p) for p in projections)
     rank = Matrix(field, projections).rank()
     add("quadric_projection_injects", inside and rank == h0,
         f"projections {'lie' if inside else 'do not lie'} in the kernel; "

@@ -9,9 +9,10 @@ rows of ``codifferential_matrix``:
 
 It is the one place the analysis reads these slots of a trace-zero tensor:
 it applies the ``residues`` and ``fiber_sum`` rows of the multiplication
-table once, to the trace-zero square, and every later stage applies its
-first n rows or its last row to trace-zero coordinates (``adapted[g:]`` of
-a quadric decomposition, or a kernel vector).
+table once, to the trace-zero square.  `kernel_E` keeps its two blocks in
+its report, as ``residues`` and ``fiber_sum``, and every later stage applies
+them to trace-zero coordinates (``adapted[g:]`` of a quadric decomposition,
+or a kernel vector).
 
 The 2*pi*i normalization that appears in some residue formulations is
 dropped throughout; kernels and ranks are scaling invariant, so every
@@ -44,7 +45,8 @@ class KernelEReport(NamedTuple):
     """Kernel data of the base-fixed codifferential."""
     dim_dual: int            # dim Ker over the tensor space
     dim_primal: int          # dim Ker of the map on tangent vectors
-    codifferential: Matrix   # the codifferential_matrix it was read from
+    residues: Matrix         # the residue rows of codifferential_matrix
+    fiber_sum: Matrix        # its fiber-sum row
     basis_minus_coords: tuple  # kernel basis over the trace-zero square
 
 
@@ -70,7 +72,7 @@ def kernel_E(datum, split):
         raise IdentityViolated(
             f"dim Ker of the base-fixed differential is {dim_primal}, "
             "the identity requires 1")
-    return KernelEReport(len(kernel), dim_primal, cmat,
+    return KernelEReport(len(kernel), dim_primal, gam, cmat[n:, :],
                          tuple(tuple(v) for v in kernel))
 
 
@@ -103,11 +105,10 @@ class CriterionReport(NamedTuple):
         }
 
 
-def kernel_full(datum, kernel_report):
+def kernel_full(kernel_report):
     """Scan the base-fixed kernel for a tensor with nonzero fiber sum, read
-    by the last row of the codifferential."""
-    fiber_sum = kernel_report.codifferential[datum.n_ramification:, :]
-    nu_basis = tuple(fiber_sum.mul_vec(v)[0]
+    by the kernel report's fiber-sum row."""
+    nu_basis = tuple(kernel_report.fiber_sum.mul_vec(v)[0]
                      for v in kernel_report.basis_minus_coords)
     dim = kernel_report.dim_dual
     witness_nu = next((val for val in nu_basis if not val.is_zero()), None)

@@ -19,7 +19,7 @@ class Bundle:
         self.decs = [decompose_quadric(self.split, G)
                      for G in self.quadrics]
         self.kernel = kernel_E(self.datum, self.split)
-        self.criterion = kernel_full(self.datum, self.kernel)
+        self.criterion = kernel_full(self.kernel)
 
 
 @pytest.fixture(scope="session")

@@ -85,7 +85,8 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
     """Both vanishing routes agree and the trace identity holds exactly."""
     count = 0
     for name, bundle in all_bundles.items():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs)
+        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs,
+                                  bundle.kernel)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
             count += 1
@@ -141,7 +142,7 @@ def test_criterion_6_property_suites(all_bundles, pirola):
         split = trace_split(datum)
         quad = quadric_kernel(datum)
         ke = kernel_E(datum, split)
-        crit = kernel_full(datum, ke)
+        crit = kernel_full(ke)
         return (len(quad), ke.dim_dual, ke.dim_primal, crit.dimension)
 
     baseline = (len(pirola.quadrics), pirola.kernel.dim_dual,

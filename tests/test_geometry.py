@@ -73,13 +73,9 @@ def test_pirola_quadric_contains_point(pirola):
 
 
 def test_dual_route_equivalence(all_bundles):
-    """The checks hold, and read the same from the kernel report's
-    codifferential as from one formed by functpoint_check itself."""
     for bundle in all_bundles.values():
         checks = functpoint_check(bundle.datum, bundle.split, bundle.decs,
-                                  bundle.kernel.codifferential)
-        assert checks == functpoint_check(bundle.datum, bundle.split,
-                                          bundle.decs)
+                                  bundle.kernel)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
 
@@ -87,7 +83,7 @@ def test_dual_route_equivalence(all_bundles):
 def test_functpoint_rejects_non_kernel_input(pirola):
     fake = [decompose_quadric(pirola.split, alpha_sq(pirola))]
     with pytest.raises(InputError):
-        functpoint_check(pirola.datum, pirola.split, fake)
+        functpoint_check(pirola.datum, pirola.split, fake, pirola.kernel)
 
 
 def test_functpoint_refuses_routes_that_disagree(pirola):
@@ -96,7 +92,7 @@ def test_functpoint_refuses_routes_that_disagree(pirola):
     dec = pirola.decs[0]
     forged = dec._replace(adapted=[pirola.datum.field.one()] + dec.adapted[1:])
     with pytest.raises(EquivalenceViolated):
-        functpoint_check(pirola.datum, pirola.split, [forged])
+        functpoint_check(pirola.datum, pirola.split, [forged], pirola.kernel)
 
 
 def test_halfgeo_verdicts(all_bundles):
@@ -113,7 +109,7 @@ def test_halfgeo_verdicts(all_bundles):
 
 def test_halfgeo_consistency_guard(biell4):
     """A contradicting criterion report trips the consistency check."""
-    fake = kernel_full(biell4.datum, biell4.kernel)
+    fake = kernel_full(biell4.kernel)
     forged = fake._replace(dimension=">=2", witness_nu=None,
                            dim_kernel_full_dual=fake.dim_kernel_E_dual)
     with pytest.raises(ConsistencyViolated):

@@ -1,4 +1,4 @@
-from ellprym import geometry, prym
+from ellprym import prym
 from ellprym.cli import analyze_datum
 from ellprym.covering import lex_pairs
 from ellprym.diffalg import sym_dim, symmetric_product
@@ -211,9 +211,8 @@ def test_analysis_reads_the_slots_in_the_trace_zero_frame(all_bundles,
     def recording_annihilates(self, vec):
         shapes.append((self.nrows, self.ncols))
         return annihilates(self, vec)
-    for module in (prym, geometry):
-        monkeypatch.setattr(module, "codifferential_matrix",
-                            recording_codifferential)
+    monkeypatch.setattr(prym, "codifferential_matrix",
+                        recording_codifferential)
     monkeypatch.setattr(Matrix, "mul_vec", recording_mul_vec)
     monkeypatch.setattr(Matrix, "annihilates", recording_annihilates)
     counts = {}
