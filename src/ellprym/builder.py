@@ -419,11 +419,7 @@ class CyclicCoverSpec(NamedTuple):
 class BuildResult(NamedTuple):
     datum: CoveringDatum
     action: CyclicAction
-    spec: CyclicCoverSpec
     base_point: Point
-    root_value: Scalar               # designated N-th root of h(c)
-    basis_plan: tuple                # (k, CurveFunction) per basis form
-    eigen_dims: tuple                # dim L(D_k) per character exponent k
 
 
 def _fiber_rows(plans, point, root, N):
@@ -521,8 +517,7 @@ def build_cover(spec):
     perm = tuple((kk + 1) % N for kk in range(N))
     action = CyclicAction(N, matrix, tuple(moves), perm)
 
-    return BuildResult(datum, action, spec, c, root, tuple(plans),
-                       tuple(eigen_dims))
+    return BuildResult(datum, action, c)
 
 
 def _fn_name(fn):

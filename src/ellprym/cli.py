@@ -28,13 +28,8 @@ CONVENTIONS = {
 
 def analyze_datum(datum, action=None):
     """Full analysis pipeline; returns the report dict."""
-    report = {"conventions": CONVENTIONS}
-    vrep = datum.validation
-    report["validation"] = vrep.to_json()
-    if not vrep.ok:
-        raise InputError(
-            "datum failed validation: " +
-            "; ".join(f"{f.name}: {f.detail}" for f in vrep.failures()))
+    report = {"conventions": CONVENTIONS,
+              "validation": covering.require_valid(datum).to_json()}
 
     split = diffalg.trace_split(datum)
     quadrics = diffalg.quadric_kernel(datum)

@@ -323,11 +323,13 @@ def trace_vector(datum):
 
 
 def require_valid(datum):
-    """The cached validation report of a datum; raises unless it passes."""
+    """The cached validation report of a datum; unless it passes, raises
+    ValidationFailed naming each failure with its detail."""
     report = datum.validation
     if not report.ok:
-        names = ", ".join(f.name for f in report.failures())
-        raise ValidationFailed(f"datum failed validation: {names}")
+        raise ValidationFailed(
+            "datum failed validation: " +
+            "; ".join(f"{f.name}: {f.detail}" for f in report.failures()))
     return report
 
 

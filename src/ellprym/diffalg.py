@@ -10,8 +10,8 @@ differential, realized as the rows of the multiplication table's
 ``multiply`` matrix: the chart coefficients, chart by chart, then the values
 at the fiber points.  Its kernel is the space of quadrics through the
 canonically embedded cover; for non-hyperelliptic covers that space has
-dimension (g-2)(g-3)/2 and the map has rank 3g-3 (classical projective
-normality), both asserted exactly.
+dimension (g-2)(g-3)/2, asserted exactly, so the map has rank 3g-3
+(classical projective normality).
 
 A symmetric 2-tensor is the list of its lex coordinates: the coefficients
 c_ij of sum c_ij f_i f_j over the pairs i <= j in lexicographic order, where
@@ -34,10 +34,6 @@ from .scalars import Matrix
 # ---------------------------------------------------------------------------
 # symmetric 2-tensors
 # ---------------------------------------------------------------------------
-
-def sym_dim(size):
-    return size * (size + 1) // 2
-
 
 def symmetric_product(u, v):
     """Lex coordinates of u . v = (u (x) v + v (x) u) / 2."""
@@ -86,21 +82,16 @@ class TraceSplit(NamedTuple):
     the trace-zero forms, as columns; ``change_inv`` maps form coordinates
     to adapted ones.  In adapted coordinates the distinguished point is
     (1:0:...:0) and the distinguished hyperplane is the zero locus of the
-    zeroth coordinate.  ``sym_change`` and ``sym_change_inv`` are the maps
-    they induce on tensors; ``geometry.decompose_quadric`` alone applies
-    ``sym_change_inv``, once per quadric.  Of the adapted lex coordinates of
-    a tensor, the first g belong to the pairs (0, j): they are the pullback
-    part alpha . omega, and the zeroth is the value at the distinguished
-    point.  The rest, pairs (i, j) with 1 <= i <= j, are the lex coordinates
-    over the symmetric square of the trace-zero basis, the coordinates that
-    ``prym.codifferential_matrix`` reads; the columns of ``sym_change``
-    from g on take them back to the lex coordinates of the tensor.
+    zeroth coordinate.  ``sym_change_inv`` is the map ``change_inv`` induces
+    on tensors; ``geometry.decompose_quadric`` alone applies it, once per
+    quadric.  ``sym_minus`` takes lex coordinates over the symmetric square
+    of the trace-zero basis to the lex coordinates of the tensor.
     """
     tau: tuple
     alpha_coords: tuple
     change: Matrix
     change_inv: Matrix
-    sym_change: Matrix
+    sym_minus: Matrix
     sym_change_inv: Matrix
 
     @property
@@ -116,7 +107,7 @@ class TraceSplit(NamedTuple):
 def trace_split(datum):
     """Compute the trace vector, the alpha coordinates, the adapted change
     of basis (the pullback form, then a trace-zero basis) with its inverse,
-    and their tensor maps."""
+    and the tensor maps of the inverse and of the trace-zero columns."""
     require_valid(datum)
     field = datum.field
     g, d = datum.genus, datum.degree
@@ -148,7 +139,8 @@ def trace_split(datum):
         raise IdentityViolated(
             "pullback form lies in the trace-zero space") from None
     return TraceSplit(tuple(tau), tuple(alpha), change, change_inv,
-                      sym_square_matrix(change), sym_square_matrix(change_inv))
+                      sym_square_matrix(change[:, 1:]),
+                      sym_square_matrix(change_inv))
 
 
 def _solve_alpha_coords(datum):
@@ -188,8 +180,4 @@ def quadric_kernel(datum):
         raise DimensionMismatch(
             f"quadric space has dimension {len(kernel)}, expected {expected} "
             "(hyperelliptic or under-resolved input)")
-    rank = sym_dim(g) - len(kernel)
-    if rank != 3 * g - 3:
-        raise DimensionMismatch(
-            f"multiplication map has rank {rank}, expected {3 * g - 3}")
     return tuple(kernel)

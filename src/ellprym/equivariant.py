@@ -148,7 +148,7 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     returns the report's ``battery`` dict, whose ``checks`` list holds one
     name, verdict and detail line per check and whose ``ok`` says all pass.
     ``decs`` holds the `geometry.decompose_quadric` of each basis quadric;
-    check (2) reads ``adapted[0]`` and check (4) ``adapted[g:]``.
+    check (2) reads its ``point_value`` and check (4) its ``minus``.
 
     Preconditions, checked here: genus 4, degree 3, an action of order 3
     whose fiber permutation is a single 3-cycle (Galois cover of degree 3).
@@ -191,7 +191,7 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
 
     # (2) the quadric passes through the distinguished point
     if len(decs) == 1:
-        val = decs[0].adapted[0]
+        val = decs[0].point_value
         add("quadric_contains_distinguished_point", val.is_zero(),
             f"coefficient of squared pullback = {val}")
     else:
@@ -212,7 +212,7 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
             f"vertex off known curve points: {off_curve}")
         # (4) tangency: restriction to the distinguished hyperplane has rank 1
-        block_rank = gram(field, g - 1, decs[0].adapted[g:]).rank()
+        block_rank = gram(field, g - 1, decs[0].minus).rank()
         add("hyperplane_restriction_rank_one", block_rank == 1,
             f"restricted gram rank {block_rank} "
             "(double line: tangent hyperplane, collinear ramification)")

@@ -4,23 +4,21 @@ the dual-route vanishing equivalence and the dimension bookkeeping.
 Linear forms on the canonical space are 1-forms; the hyperplanes defined by
 all trace-zero forms meet in a single distinguished point, and the pullback
 form cuts the distinguished hyperplane.  `decompose_quadric` takes each
-quadric once to the adapted coordinates of the trace split, where the point
-is (1:0:...:0) and the hyperplane is the zero locus of the zeroth
-coordinate; the later stages read ``adapted[0]``, the value at the point,
-and ``adapted[g:]``, the coordinates over the trace-zero square.  Whether
-the distinguished point lies on every quadric through the cover decides,
-one way, that the period-map kernel is minimal.
+quadric once to the adapted frame of the trace split and names the two
+parts the later stages read: ``point_value``, the value at the
+distinguished point, and ``minus``, the coordinates over the trace-zero
+square.  Whether the distinguished point lies on every quadric through the
+cover decides, one way, that the period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
 the fiber-sum route applies the kernel report's fiber-sum row of the
-codifferential to the trace-zero part ``adapted[g:]`` of a quadric, the
-coefficient route reads off the pure pullback coefficient ``adapted[0]``.
+codifferential to ``minus``, the coefficient route reads ``point_value``.
 Both must vanish together; the proof-level identity (fiber sum = minus the
 trace ratio of the mixed component) is asserted exactly as well.
 
 The dimension ledger's identity (b) reads the kernel report's residue rows
-of the codifferential: the trace-zero part ``adapted[g:]`` of a quadric
-lies in the kernel of the base-fixed codifferential exactly when those rows
+of the codifferential: the trace-zero part ``minus`` of a quadric lies in
+the kernel of the base-fixed codifferential exactly when those rows
 annihilate it.
 """
 
@@ -31,32 +29,35 @@ from typing import NamedTuple
 from .diffalg import symmetric_product
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
-from .scalars import Matrix
+from .scalars import Matrix, Scalar
 
 
 class QuadricDecomposition(NamedTuple):
     """G = G_minus + alpha . omega under the direct sum decomposition."""
     tensor: list  # lex coordinates of G
-    adapted: list  # lex coordinates of G over the adapted basis
+    point_value: Scalar  # the value of G at the distinguished point
+    minus: list  # lex coordinates of G_minus over the trace-zero square
     omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
 def decompose_quadric(split, G):
     """Unique decomposition of a tensor into trace-zero plus mixed parts.
 
-    The package's one change of a tensor to adapted coordinates: the first
-    g give omega, led by the value at the distinguished point, and the rest
-    are the trace-zero part over the trace-zero square."""
-    adapted = split.sym_change_inv.mul_vec(G)
+    The package's one reading of the adapted lex layout: of the adapted
+    coordinates, the first g belong to the pairs (0, j) and give omega, led
+    by the value at the distinguished point, and the rest, pairs (i, j) with
+    1 <= i <= j, are the trace-zero part over the trace-zero square."""
+    coords = split.sym_change_inv.mul_vec(G)
     g = split.genus
-    omega = split.change.mul_vec(adapted[:g])
+    minus = coords[g:]
+    omega = split.change.mul_vec(coords[:g])
     # exact reconstruction check
-    minus_part = split.sym_change[:, g:].mul_vec(adapted[g:])
+    minus_part = split.sym_minus.mul_vec(minus)
     alpha_sym = symmetric_product(list(split.alpha_coords), omega)
     if any(not (m + a - x).is_zero()
            for m, a, x in zip(minus_part, alpha_sym, G)):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(G, adapted, tuple(omega))
+    return QuadricDecomposition(G, coords[0], minus, tuple(omega))
 
 
 def functpoint_check(datum, split, decs, kernel_report):
@@ -64,9 +65,9 @@ def functpoint_check(datum, split, decs, kernel_report):
     `decompose_quadric`; returns the report's list of checks.
 
     Each entry holds the fiber route (the kernel report's ``fiber_sum`` row
-    on ``adapted[g:]``), the coefficient route (value at the distinguished
-    point), whether both vanish together (``agree``) and whether the fiber
-    sum is minus the trace ratio of the mixed part (``trace_identity``).
+    on ``minus``), the coefficient route (``point_value``), whether both
+    vanish together (``agree``) and whether the fiber sum is minus the
+    trace ratio of the mixed part (``trace_identity``).
     Precondition: each tensor actually lies in the kernel of the
     multiplication map (verified here: the table's ``multiply``, the
     certified coefficient model, annihilates it).  The equivalence of the
@@ -74,14 +75,13 @@ def functpoint_check(datum, split, decs, kernel_report):
     EquivalenceViolated.
     """
     M = datum.multiplication_table.multiply
-    g = split.genus
     results = []
     for idx, dec in enumerate(decs):
         if not M.annihilates(dec.tensor):
             raise InputError(
                 f"tensor {idx} is not in the kernel of the multiplication map")
-        lhs = kernel_report.fiber_sum.mul_vec(dec.adapted[g:])[0]
-        rhs = dec.adapted[0]
+        lhs = kernel_report.fiber_sum.mul_vec(dec.minus)[0]
+        rhs = dec.point_value
         trace_omega = split.trace_ratio(dec.omega)
         proof_ok = (lhs == -trace_omega)
         agree = (lhs.is_zero() == rhs.is_zero())
@@ -105,9 +105,9 @@ def halfgeo_criterion(datum, decs, criterion_report):
     kernel scan.  When the point lies on every quadric no conclusion is
     drawn (the converse is open for general ramification; for covers whose
     ramification indices are all 2 the converse holds and is surfaced as an
-    informational note only).  The value at the point is ``adapted[0]``.
+    informational note only).
     """
-    qminus_in_all = all(dec.adapted[0].is_zero() for dec in decs)
+    qminus_in_all = all(dec.point_value.is_zero() for dec in decs)
     if not qminus_in_all and criterion_report.dimension != "1":
         raise ConsistencyViolated(
             "distinguished point avoids a quadric but the kernel scan "
@@ -139,8 +139,8 @@ def dimension_ledger(datum, decs, kernel_report):
     (a) dim Ker(base-fixed codifferential) - h0(quadrics) equals the branch
         excess (2g-2) - n;
     (b) projecting each basis quadric to the trace-zero square lands in the
-        kernel and the projections, read as ``adapted[g:]``, stay
-        independent: the kernel report's ``residues`` rows annihilate each;
+        kernel and the projections, read as ``minus``, stay independent:
+        the kernel report's ``residues`` rows annihilate each;
     (c) dim Ker(base-fixed codifferential) = h0(quadrics)
         + dim Ker(residue-only map on all quadratic differentials) - g.
 
@@ -164,7 +164,7 @@ def dimension_ledger(datum, decs, kernel_report):
         f"{kernel_report.dim_dual} - {h0} = {lhs}, excess = {excess}")
 
     # (b) quadric projections inject into the kernel
-    projections = [dec.adapted[g:] for dec in decs]
+    projections = [dec.minus for dec in decs]
     inside = all(kernel_report.residues.annihilates(p) for p in projections)
     rank = Matrix(field, projections).rank()
     add("quadric_projection_injects", inside and rank == h0,

@@ -9,17 +9,18 @@ rows of ``codifferential_matrix``:
 
 It is the one place the analysis reads these slots of a trace-zero tensor:
 it applies the ``residues`` and ``fiber_sum`` rows of the multiplication
-table once, to the trace-zero square.  `kernel_E` keeps its two blocks in
-its report, as ``residues`` and ``fiber_sum``, and every later stage applies
-them to trace-zero coordinates (``adapted[g:]`` of a quadric decomposition,
-or a kernel vector).
+table once, to the trace split's ``sym_minus``.  `kernel_E` keeps its two
+blocks in its report, as ``residues`` and ``fiber_sum``, and every later
+stage applies them to trace-zero coordinates (the ``minus`` part of a
+quadric decomposition, or a kernel vector).
 
 The 2*pi*i normalization that appears in some residue formulations is
 dropped throughout; kernels and ranks are scaling invariant, so every
 reported dimension is unaffected.  Reports record the convention.
 
-Two unconditional identities are enforced (they are theorems for
-non-hyperelliptic covers and act as corruption detectors):
+Two unconditional identities hold (they are theorems for non-hyperelliptic
+covers); the first is enforced as a corruption detector, and the second
+follows from it because the residue slots act on g(g-1)/2 coordinates:
 
     dim Ker(base-fixed codifferential) = g(g-1)/2 - n + 1
     dim Ker(base-fixed differential)   = 1
@@ -38,7 +39,7 @@ def codifferential_matrix(datum, split):
     the symmetric square of the trace-zero space."""
     table = datum.multiplication_table
     return Matrix.stack([table.residues, table.fiber_sum]).matmul(
-        split.sym_change[:, split.genus:])
+        split.sym_minus)
 
 
 class KernelEReport(NamedTuple):
@@ -53,9 +54,10 @@ class KernelEReport(NamedTuple):
 def kernel_E(datum, split):
     """Kernel of the residue slots on the trace-zero symmetric square.
 
-    Asserts the exact dimension identity g(g-1)/2 - n + 1 and the dual count
-    dim Ker = 1 on the tangent side; failure signals corrupt input because
-    the identity is unconditional for non-hyperelliptic covers.
+    Asserts the exact dimension identity g(g-1)/2 - n + 1; failure signals
+    corrupt input because the identity is unconditional for
+    non-hyperelliptic covers.  The dual count dim Ker = 1 on the tangent
+    side, n minus the rank, then holds identically.
     """
     g, n = datum.genus, datum.n_ramification
     cmat = codifferential_matrix(datum, split)
@@ -67,12 +69,7 @@ def kernel_E(datum, split):
         raise IdentityViolated(
             f"dim Ker of the base-fixed codifferential is {len(kernel)}, "
             f"the identity requires g(g-1)/2 - n + 1 = {expected}")
-    dim_primal = n - rank
-    if dim_primal != 1:
-        raise IdentityViolated(
-            f"dim Ker of the base-fixed differential is {dim_primal}, "
-            "the identity requires 1")
-    return KernelEReport(len(kernel), dim_primal, gam, cmat[n:, :],
+    return KernelEReport(len(kernel), n - rank, gam, cmat[n:, :],
                          tuple(tuple(v) for v in kernel))
 
 

@@ -92,9 +92,8 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
             count += 1
         for G in bundle.quadrics:
             dec = decompose_quadric(bundle.split, G)
-            g = bundle.datum.genus
             lhs = fiber_sum(bundle.datum,
-                            minus_tensor(bundle.split, dec.adapted[g:]))
+                            minus_tensor(bundle.split, dec.minus))
             assert lhs == -bundle.split.trace_ratio(dec.omega)
     _report(4, f"fiber route and coefficient route agree on {count} quadrics; "
                "trace identity exact")

@@ -228,15 +228,28 @@ def test_rr_negative_degree_empty():
 
 # -- cover construction -------------------------------------------------------
 
+def eigen_dims(result):
+    """dim L(D_k) per character exponent k, read off the built action: the
+    generator is diagonal and scales the forms of exponent k by zeta^-k."""
+    M = result.action.matrix
+    N, zeta = result.action.order, M.field.root_of_unity(result.action.order)
+    assert all(x.is_zero() for i, row in enumerate(M.rows)
+               for j, x in enumerate(row) if i != j)
+    return tuple(sum(1 for i in range(M.nrows) if M.rows[i][i] == zeta ** -k)
+                 for k in range(N))
+
+
 def test_pirola_fixture_shape(pirola):
     datum = pirola.datum
     assert datum.genus == 4 and datum.degree == 3
     assert datum.n_ramification == 3
     assert all(c.index == 3 for c in datum.charts)
-    assert pirola.result.eigen_dims == (1, 1, 2)
+    assert eigen_dims(pirola.result) == (1, 1, 2)
     assert datum.basis_names[0] == "alpha"
     assert pirola.result.base_point == Point(Q3.zero(), Q3.scalar(-1))
-    assert pirola.result.root_value == Q3.one()
+    # the designated cube root of h at the base point
+    assert pirola.spec.h.evaluate(pirola.result.base_point) \
+        .nth_root_rational(3) == Q3.one()
 
 
 def test_pirola_charts_prove_holomorphy(pirola):
@@ -346,8 +359,8 @@ def test_bielliptic_genus_counts(biell4, biell3):
     assert biell4.datum.genus == 4 and biell4.datum.n_ramification == 6
     assert biell3.datum.genus == 3 and biell3.datum.n_ramification == 4
     assert all(c.index == 2 for c in biell4.datum.charts)
-    assert biell4.result.eigen_dims == (1, 3)
-    assert biell3.result.eigen_dims == (1, 2)
+    assert eigen_dims(biell4.result) == (1, 3)
+    assert eigen_dims(biell3.result) == (1, 2)
 
 
 def test_nonprime_order_rejected():
@@ -397,12 +410,15 @@ def test_base_point_must_be_admissible():
 
 
 def test_probe_fiber_second_point(biell4):
-    """A disjoint probe fiber for brute-force re-evaluation of quadrics."""
-    curve, h = biell4.spec.curve, biell4.spec.h
+    """A disjoint probe fiber for brute-force re-evaluation of quadrics: the
+    same cover built over another base point has the same basis forms, and
+    its fiber rows lie on the quadric found from the first build."""
+    curve = biell4.spec.curve
     point = curve.point(6, -15)
-    probe = builder._fiber_rows(biell4.result.basis_plan, point,
-                                h.evaluate(point).nth_root_rational(2), 2)
-    assert len(probe) == 2
+    other = build_cover(biell4.spec._replace(base_point=point)).datum
+    assert other.basis_names == biell4.datum.basis_names
+    probe = other.fiber.ratios
+    assert len(probe) == 2 and probe != biell4.datum.fiber.ratios
     G = gram(curve.field, 4, biell4.quadrics[0])
     for row in probe:
         acc = curve.field.zero()

@@ -5,12 +5,12 @@ import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
 from ellprym.covering import lex_pairs, reparametrized
-from ellprym.diffalg import (gram, quadric_kernel, sym_dim, sym_square_matrix,
+from ellprym.diffalg import (gram, quadric_kernel, sym_square_matrix,
                              symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.scalars import FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
-from test_prym import minus_basis
+from test_prym import minus_basis, sym_dim
 from test_scalars import reference_mul_vec
 
 
@@ -45,6 +45,16 @@ def test_eigenforms_have_zero_trace(pirola):
             direct = direct + row[i]
         assert direct.is_zero()
         assert pirola.split.tau[i].is_zero()
+
+
+def test_sym_minus_is_the_trace_zero_block_of_the_full_square(all_bundles):
+    """The split's map from the trace-zero square equals the columns of the
+    full square's map S(change) on the pairs (i, j) with 1 <= i <= j, which
+    follow the g pairs (0, j) in lex order."""
+    for bundle in all_bundles.values():
+        split = bundle.split
+        assert split.sym_minus == \
+            sym_square_matrix(split.change)[:, split.genus:]
 
 
 def test_alpha_coords_solved_without_hint(pirola):

@@ -25,14 +25,14 @@ def minus_elem(bundle):
 def test_decomposition_of_minus_tensor(pirola):
     phi = minus_elem(pirola)
     dec = decompose_quadric(pirola.split, phi)
-    assert minus_tensor(pirola.split, dec.adapted[pirola.datum.genus:]) == phi
+    assert minus_tensor(pirola.split, dec.minus) == phi
     assert all(x.is_zero() for x in dec.omega)
 
 
 def test_decomposition_of_alpha_squared(pirola):
     phi = alpha_sq(pirola)
     dec = decompose_quadric(pirola.split, phi)
-    assert all(x.is_zero() for x in dec.adapted[pirola.datum.genus:])
+    assert all(x.is_zero() for x in dec.minus)
     assert list(dec.omega) == list(pirola.split.alpha_coords)
 
 
@@ -41,15 +41,29 @@ def test_decomposition_reconstructs_any_tensor(pirola):
     phi = [a + m * field.scalar(7)
            for a, m in zip(alpha_sq(pirola), minus_elem(pirola))]
     dec = decompose_quadric(pirola.split, phi)
-    minus = minus_tensor(pirola.split, dec.adapted[pirola.datum.genus:])
+    minus = minus_tensor(pirola.split, dec.minus)
     rebuilt = [m + a for m, a in zip(minus, symmetric_product(
         list(pirola.split.alpha_coords), list(dec.omega)))]
     assert rebuilt == phi
 
 
+def test_decomposition_parts_are_the_adapted_slices(all_bundles):
+    """The two named parts are the adapted lex coordinates of the full
+    square, S(change)^-1 G: the zeroth, and those from g on.  Checked on the
+    basis quadrics, alpha . alpha, a trace-zero square and their sum."""
+    for bundle in all_bundles.values():
+        split, g = bundle.split, bundle.datum.genus
+        mixed = [a + m for a, m in zip(alpha_sq(bundle), minus_elem(bundle))]
+        for G in list(bundle.quadrics) + [alpha_sq(bundle), minus_elem(bundle),
+                                          mixed]:
+            adapted = split.sym_change_inv.mul_vec(G)
+            dec = decompose_quadric(split, G)
+            assert (dec.point_value, dec.minus) == (adapted[0], adapted[g:])
+
+
 def test_decomposition_refuses_a_wrong_inverse(pirola):
     """The exact reconstruction check catches a tensor inverse that does not
-    invert sym_change: twice the true one rebuilds 2G."""
+    invert S(change): twice the true one rebuilds 2G."""
     inv = pirola.split.sym_change_inv
     split = pirola.split._replace(sym_change_inv=Matrix(
         inv.field, [[x + x for x in row] for row in inv.rows]))
@@ -59,9 +73,9 @@ def test_decomposition_refuses_a_wrong_inverse(pirola):
 
 def test_evaluate_at_distinguished_point(pirola):
     one = pirola.datum.field.one()
-    assert decompose_quadric(pirola.split, alpha_sq(pirola)).adapted[0] == one
+    assert decompose_quadric(pirola.split, alpha_sq(pirola)).point_value == one
     assert decompose_quadric(pirola.split,
-                             minus_elem(pirola)).adapted[0].is_zero()
+                             minus_elem(pirola)).point_value.is_zero()
 
 
 def test_pirola_quadric_contains_point(pirola):
@@ -69,7 +83,7 @@ def test_pirola_quadric_contains_point(pirola):
     G = pirola.quadrics[0]
     dec = decompose_quadric(pirola.split, G)
     assert pirola.split.trace_ratio(dec.omega).is_zero()
-    assert dec.adapted[0].is_zero()
+    assert dec.point_value.is_zero()
 
 
 def test_dual_route_equivalence(all_bundles):
@@ -90,7 +104,7 @@ def test_functpoint_refuses_routes_that_disagree(pirola):
     """A decomposition whose value at the distinguished point is nonzero
     while its fiber sum vanishes trips the dual-route check."""
     dec = pirola.decs[0]
-    forged = dec._replace(adapted=[pirola.datum.field.one()] + dec.adapted[1:])
+    forged = dec._replace(point_value=pirola.datum.field.one())
     with pytest.raises(EquivalenceViolated):
         functpoint_check(pirola.datum, pirola.split, [forged], pirola.kernel)
 

@@ -227,15 +227,15 @@ def _record_fields(tree):
 
 
 def test_record_fields_are_read():
-    """Every field of a NamedTuple record of the input and analysis layers
-    is read by package code, as an attribute load of its name: a field that
-    only tests read is carried by every run for nothing."""
+    """Every field of a NamedTuple record of the builder, input and analysis
+    layers is read by package code, as an attribute load of its name: a
+    field that only tests read is carried by every run for nothing."""
     trees = _package_trees()
     loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     assert [f"{module}.py: {field}"
-            for module in ("covering", "diffalg", "prym", "geometry",
-                           "equivariant")
+            for module in ("builder", "covering", "diffalg", "prym",
+                           "geometry", "equivariant")
             for field in _record_fields(trees[f"{module}.py"])
             if field.split(".")[1] not in loaded] == []
 
