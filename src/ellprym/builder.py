@@ -176,11 +176,9 @@ class CurveFunction(NamedTuple):
     def is_zero(self):
         return not self.P and not self.Q
 
-    def evaluate(self, pt):
-        return peval(self.P, pt.x) + pt.y * peval(self.Q, pt.x)
-
-    def series_from_xy(self, x_series, y_series):
-        return peval(self.P, x_series) + peval(self.Q, x_series) * y_series
+    def at(self, x, y):
+        """P(x) + Q(x) y at scalars (a point's coordinates) or at series."""
+        return peval(self.P, x) + peval(self.Q, x) * y
 
     def __repr__(self):
         def fmt(poly):
@@ -228,7 +226,7 @@ def lift(curve, place, fn, prec):
     for known in _widths(prec):
         X, Y = _rewindow(X, known), _rewindow(Y, known)
         F1 = Y * Y - peval(rhs, X)
-        F2 = fn.series_from_xy(X, Y) - v.truncate(known)
+        F2 = fn.at(X, Y) - v.truncate(known)
         X, Y = ((X + inv * (fy * F1 - (Y * F2).scale(2))).truncate(known),
                 (Y - inv * (fx * F1 + rx * F2)).truncate(known))
         fx, fy, rx, e = jacobian(X, Y)
@@ -236,7 +234,7 @@ def lift(curve, place, fn, prec):
         inv = inv - inv * (e * inv - 1)
     D = inv.scale(2)
     if not ((Y * Y - peval(rhs, X)).is_zero() and
-            (fn.series_from_xy(X, Y) - v).is_zero() and
+            (fn.at(X, Y) - v).is_zero() and
             (e * D - 2).is_zero()):
         raise AssertionError("lift verification failed")
     return X, Y, D
@@ -266,10 +264,10 @@ def valuation_at(fn, place):
     pole = max(2 * len(fn.P) - 2, 2 * len(fn.Q) + 1 if fn.Q else 0)
     if place is INFINITY:
         return -pole
-    if fn.evaluate(place):
+    if fn.at(*place):
         return 0
     x, y = base_series(fn.curve, place, pole + 1)
-    return fn.series_from_xy(x, y).valuation
+    return fn.at(x, y).valuation
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def riemann_roch_basis(curve, divisor):
         if place is INFINITY or not mult:
             continue
         x, y = base_series(curve, place, -mult)
-        series = [m.series_from_xy(x, y) for m in monomials]
+        series = [m.at(x, y) for m in monomials]
         for e in range(-mult):
             constraints.append([s.coefficient(e) for s in series])
     # the monomials come in pole order, so x^i and y x^i in ascending i
@@ -425,7 +423,7 @@ class BuildResult(NamedTuple):
 def _fiber_rows(plans, point, root, N):
     """Ratio rows f * w^-k of ``plans`` at the points w = zeta^kk * root."""
     zeta = root.field.root_of_unity(N)
-    values = [(k, fn.evaluate(point)) for k, fn in plans]
+    values = [(k, fn.at(*point)) for k, fn in plans]
     return tuple(tuple(f * (zeta ** kk * root) ** (-k) for k, f in values)
                  for kk in range(N))
 
@@ -563,7 +561,7 @@ def _fiber_root(spec, divisor, c):
     fiber base point: off the divisor, h(c) != 0 and an exact N-th power."""
     if c in divisor:
         raise InputError(f"base point {c} is a branch point")
-    value = spec.h.evaluate(c)
+    value = spec.h.at(*c)
     if value.is_zero():
         raise InputError("cover function vanishes at the base point")
     try:
@@ -609,7 +607,7 @@ def _build_chart(curve, h, place, N, window, plans):
             f" at {place}, expected {N - 1}")
     forms = []
     for k, fn in plans:
-        f_v = fn.series_from_xy(x_v, y_v)
+        f_v = fn.at(x_v, y_v)
         form_v = f_v * alpha_v
         s = expand(form_v, N - 1 - k, window)
         if not s.is_zero() and s.valuation < 0:

@@ -120,13 +120,15 @@ class CoveringDatum(_DatumFields):
             # column p holds the coefficients of product p below u^w
             charts.append(Matrix._make(fld, [(s.ints_in(0, w), s.den)
                                              for s in products]).transpose())
-            # 1/alpha starts at u^-v, so only the terms of f_i f_j below u^v
-            # reach the residue, and they meet only u^-v..u^-1 of 1/alpha:
-            # the v terms that alpha's own first v terms, u^v..u^(2v-1),
-            # determine
+            # 1/alpha starts at u^-v, so the residue of f_i f_j / alpha sums
+            # the coefficient of u^e in f_i f_j times that of u^(-1-e) in
+            # 1/alpha over e < v: each product's first v coefficients meet
+            # u^-1..u^-v of 1/alpha, which alpha's own first v terms,
+            # u^v..u^(2v-1), determine
             inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
-            residues.append([(s.truncate(v) * inv_alpha).residue()
-                             for s in products])
+            residues.append(Matrix._make(fld, [(s.ints_in(0, v), s.den)
+                                               for s in products]).mul_vec(
+                inv_alpha.coefficients_in(-v, 0)[::-1]))
         fiber = Matrix(fld, [[r[i] * r[j] for i, j in pairs]
                              for r in self.fiber.ratios])
         return MultiplicationTable(
@@ -141,7 +143,8 @@ class MultiplicationTable(NamedTuple):
     has, chart by chart, one row per coefficient of u^e in f_i f_j for e
     below the chart window, then one row per fiber point k with the value
     r_i r_j there.  Row c of ``residues`` is the residue of f_i f_j over the
-    alpha pullback of chart c; the single row of ``fiber_sum`` sums the
+    alpha pullback of chart c, read from the first index - 1 coefficients of
+    the products on that chart; the single row of ``fiber_sum`` sums the
     fiber.  Every slot is linear in the tensor, so the image of a tensor is
     the product of one of these matrices with its lex coordinates.
     """
@@ -210,30 +213,24 @@ def validate(datum):
 
     # (2) chart valuation rules
     for j, c in enumerate(datum.charts):
-        ok = True
         msgs = []
         if c.index < 2:
-            ok = False
             msgs.append(f"index {c.index} < 2 is not a ramification point")
         if c.index > d:
-            ok = False
             msgs.append(f"index {c.index} > degree {d}")
         if c.alpha_pullback.is_zero() or \
                 c.alpha_pullback.valuation != c.index - 1:
-            ok = False
             msgs.append(
                 f"alpha pullback valuation {c.alpha_pullback.valuation} != "
                 f"index-1 = {c.index - 1}")
         for i, s in enumerate(c.forms):
             if s.valuation < 0:     # for a zero series, prec < 0
-                ok = False
                 msgs.append(f"form {i} is not known below exponent 0"
                             if s.is_zero() else
                             f"form {i} has a pole (valuation {s.valuation})")
         if len(c.forms) != g:
-            ok = False
             msgs.append(f"{len(c.forms)} form expansions, expected g = {g}")
-        add(f"chart_valuations[{j}]", ok, "; ".join(msgs) or "ok")
+        add(f"chart_valuations[{j}]", not msgs, "; ".join(msgs) or "ok")
 
     # fiber shape
     shape_ok = len(datum.fiber.ratios) == d and \

@@ -86,9 +86,6 @@ def eigenspaces(action):
     squares and the battery use that generator.
     """
     M = action.matrix
-    if not M.field.contains_root_of_unity(action.order):
-        raise FieldError(
-            f"field lacks a primitive {action.order}-th root of unity")
     dec = _decompose(M, action.order, False)
     if action.order == 3 and dec.dims[1] < dec.dims[2]:
         dec = _decompose(M.matmul(M), action.order, True)

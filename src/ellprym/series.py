@@ -225,17 +225,6 @@ class TruncatedSeries:
             x * (v + i // d) for i, x in enumerate(self.num)], self.den,
             self.prec - 1)
 
-    # -- analytic operations ------------------------------------------------------
-
-    def residue(self):
-        """Coefficient of z^(-1), interpreting the series as a 1-form coefficient."""
-        if self.prec <= -1:
-            raise InsufficientPrecision(
-                f"window [{self.valuation}, {self.prec}) does not reach exponent -1")
-        if self.valuation > -1:
-            return self.field.zero()
-        return self.coefficient(-1)
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and
                 self.field is other.field and

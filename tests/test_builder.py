@@ -183,7 +183,7 @@ def test_valuation_at_against_expansion_and_norm(field):
         norm = psub(pmul(fn.P, fn.P), pmul(E.rhs(), pmul(fn.Q, fn.Q)))
         assert valuation_at(fn, INFINITY) == -(len(norm) - 1), fn
         for place in points:
-            expect = fn.series_from_xy(*local[place]).valuation
+            expect = fn.at(*local[place]).valuation
             assert expect < 30 and valuation_at(fn, place) == expect, \
                 (fn, place)
 
@@ -248,7 +248,7 @@ def test_pirola_fixture_shape(pirola):
     assert datum.basis_names[0] == "alpha"
     assert pirola.result.base_point == Point(Q3.zero(), Q3.scalar(-1))
     # the designated cube root of h at the base point
-    assert pirola.spec.h.evaluate(pirola.result.base_point) \
+    assert pirola.spec.h.at(*pirola.result.base_point) \
         .nth_root_rational(3) == Q3.one()
 
 

@@ -241,6 +241,26 @@ def test_analyze_oversized_scalar_exits_2(tmp_path, capsys, pirola_datum_obj):
         assert message in err
 
 
+def test_chart_window_below_the_residue_terms_exits_2(tmp_path, capsys,
+                                                      pirola_datum_obj):
+    """A valid datum whose chart window is below the v = index - 1 product
+    terms its residues read is refused with exit 2, not a traceback."""
+    def edit(obj):
+        for form in obj["charts"][0]["forms"]:
+            form["coeffs"] = form["coeffs"][:max(0, 1 - form["valuation"])]
+            form["valuation"] = min(form["valuation"], 1)
+            form["prec"] = 1
+    obj = copy.deepcopy(pirola_datum_obj)
+    edit(obj)
+    datum = covering.datum_from_json(obj)
+    assert datum.charts[0].window() == 1 < datum.charts[0].index - 1
+    assert covering.validate(datum).ok
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InsufficientPrecision: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path", [
     ("genus",), ("degree",), ("field", "cyclotomic_order"),
     ("charts", 0, "index"), ("charts", 0, "alpha_pullback", "valuation"),

@@ -1,16 +1,19 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ellprym import covering
+from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
                               _series_to_json, datum_from_json, datum_to_json, lex_pairs,
-                              load, save, validate)
+                              load, reparametrized, save, validate)
 from ellprym.errors import SchemaError, ValuationError
-from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Scalar
+from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
+from test_properties import _random_unit_substitution
 
 Q = FieldSpec(1)
 
@@ -82,6 +85,71 @@ def test_multiplication_table_columns_follow_lex_pairs(pirola):
     assert len(rows) == start + datum.degree
     for row, r in zip(rows[start:], datum.fiber.ratios):
         assert list(row) == [r[i] * r[j] for i, j in pairs]
+
+
+def _residues_by_series_products(datum):
+    """The residue rows of the multiplication table, each residue of
+    f_i f_j / alpha read off a series product by 1/alpha: only the terms
+    of f_i f_j below u^v reach u^-1, and they meet only the v terms of
+    1/alpha that alpha's first v terms determine."""
+    rows = []
+    for c in datum.charts:
+        w, v = c.window(), c.alpha_pullback.valuation
+        inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
+        rows.append([((c.forms[i] * c.forms[j]).truncate(w).truncate(v) *
+                      inv_alpha).coefficient(-1)
+                     for i, j in lex_pairs(datum.genus)])
+    return Matrix(datum.field, rows)
+
+
+@pytest.mark.parametrize("window", [13, 80])
+@pytest.mark.parametrize("spec", [pirola_spec, lambda precision:
+                                  bielliptic_spec(4, precision),
+                                  lambda precision:
+                                  bielliptic_spec(3, precision)],
+                         ids=["pirola", "bielliptic4", "bielliptic3"])
+def test_residue_rows_match_series_products(spec, window):
+    """The table reads each residue row from its chart's first v product
+    coefficients; dividing every product by alpha gives the same rows, on
+    the stock fixtures and on a copy with every chart reparametrized."""
+    datum = build_cover(spec(precision=window)).datum
+    copies = [datum]
+    if window == 13:
+        rng = random.Random(2718)
+        copies.append(reparametrized(datum, {
+            j: _random_unit_substitution(datum.field, rng, 14)
+            for j in range(datum.n_ramification)}))
+    for d in copies:
+        assert validate(d).ok
+        assert d.multiplication_table.residues == \
+            _residues_by_series_products(d)
+
+
+def test_table_forms_each_chart_product_once(all_bundles, monkeypatch):
+    """Building the table takes g(g+1)/2 series products per chart, the
+    products f_i f_j themselves: none more to reach the residues (the
+    products inside the inverse of each alpha pullback are not counted)."""
+    counts, inside = [0], [0]
+    mul, inverse = TruncatedSeries.__mul__, TruncatedSeries.inverse
+
+    def counted_mul(self, other):
+        counts[0] += not inside[0]
+        return mul(self, other)
+
+    def counted_inverse(self):
+        inside[0] += 1
+        try:
+            return inverse(self)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+    for bundle in all_bundles.values():
+        datum, g = bundle.datum._replace(), bundle.datum.genus
+        counts[0] = 0
+        datum.multiplication_table   # a fresh datum builds its table
+        assert counts[0] == datum.n_ramification * g * (g + 1) // 2
 
 
 def test_validation_on_built_fixture(pirola):

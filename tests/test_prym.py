@@ -68,8 +68,8 @@ def test_residues_match_base_curve_oracle(pirola):
     ram = [p for p, v in div.items() if abs(v) == 1]
     for gamma, b in zip(gammas, ram):
         x_t, y_t = base_series(spec.curve, b, 12)
-        h_t = spec.h.series_from_xy(x_t, y_t)
-        base_res = (x_t.derivative() * (y_t * h_t).inverse()).residue()
+        h_t = spec.h.at(x_t, y_t)
+        base_res = (x_t.derivative() * (y_t * h_t).inverse()).coefficient(-1)
         assert gamma == base_res * 3
     assert [g.to_string() for g in gammas] == ["-4", "6", "-2"]
 

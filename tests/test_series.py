@@ -80,17 +80,19 @@ def test_zero_series_tracks_precision():
 
 
 def test_residue_examples():
-    assert S(-1, [1, 2, 1], 5).residue() == Q.one()
-    assert S(-2, [1], 5).residue() == Q.zero()   # window includes -1
+    # the residue of s(z) dz is the coefficient of z^-1
+    assert S(-1, [1, 2, 1], 5).coefficient(-1) == Q.one()
+    assert S(-2, [1], 5).coefficient(-1) == Q.zero()   # window includes -1
+    assert S(0, [1], 5).coefficient(-1) == Q.zero()    # above the valuation
     # (z^2 u)/(z^3) with u = 3 + z
     f = S(2, [1], 12) * S(0, [3, 1], 12) * S(3, [1], 12).inverse()
-    assert f.residue() == Q.scalar(3)
+    assert f.coefficient(-1) == Q.scalar(3)
 
 
 def test_residue_requires_window():
     bad = S(-4, [1, 1], -1)
     with pytest.raises(InsufficientPrecision):
-        bad.residue()
+        bad.coefficient(-1)
 
 
 def test_coefficient_outside_window():
@@ -191,7 +193,7 @@ def reference_chart(curve, h, place, prec):
     """(x, y) in v = h below v^prec at a simple zero of h: the expansions in
     t one coefficient further, composed with the reversion of h(t)."""
     x_t, y_t = reference_base_series(curve, place, prec + 1)
-    h_t = h.series_from_xy(x_t, y_t)
+    h_t = h.at(x_t, y_t)
     return [s.truncate(prec) for s in compose_all([x_t, y_t], reversion(h_t))]
 
 
@@ -286,7 +288,7 @@ def test_residue_reparametrization_invariance():
         moved = transform_form([f.shift(-pole)], phi)[0]
         for _ in range(-pole):
             moved = moved * phi.inverse()
-        assert moved.residue() == f.residue()
+        assert moved.coefficient(-1) == f.coefficient(-1)
 
 
 def test_series_json_round_trip():
