@@ -71,8 +71,8 @@ def analyze_datum(datum, action=None):
         report["equivariant"] = {
             "order": action.order,
             "eigendims": list(eig.dims),
-            "sym2_eigendims": list(s2.full.dims),
-            "sym2_minus_eigendims": list(s2.minus.dims),
+            "sym2_eigendims": [len(b) for b in s2.full],
+            "sym2_minus_eigendims": [len(b) for b in s2.minus],
             "generator_relabeled": eig.relabeled,
         }
         if datum.genus == 4 and action.order == 3 and datum.degree == 3:

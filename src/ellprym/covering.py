@@ -31,17 +31,17 @@ from .series import TruncatedSeries, transform_form
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
 # window a cover is built to.  The stock fixtures use 10 to 80.  On one core
-# of a 2-CPU Intel Xeon host, building the degree-3 Galois fixture took 16 s
-# at window 200 and did not finish in 120 s at window 500.
+# of a 2-CPU Intel Xeon host, building the degree-3 Galois fixture takes
+# 0.12 s of CPU at window 200, and 1.0 s at window 500 with the cap raised.
 MAX_WINDOW = 200
 
 # Largest genus and degree taken from a datum file, and most coefficients of
 # h.P and h.Q in a cover spec.  The fixtures have genus 3 and 4, degree 2
 # and 3, and at most 4 coefficients.  The multiplication table forms
 # g(g+1)/2 series products on each of up to 2g-2 charts, so its cost grows as
-# g^3: 0.39 s at genus 4 on 6 charts at window 40 (one core of a 2-CPU Intel
-# Xeon host), about 70 times that at genus 16.  The builder makes covers of
-# prime degree up to 13; 8 coefficients give h up to 17 zeros.
+# g^3: 12 ms of CPU at genus 4 on 6 charts at window 40 (one core of a 2-CPU
+# Intel Xeon host), about 70 times that at genus 16.  The builder makes
+# covers of prime degree up to 13; 8 coefficients give h up to 17 zeros.
 MAX_GENUS = 16
 MAX_DEGREE = 16
 MAX_FUNCTION_TERMS = 8
@@ -230,6 +230,8 @@ def validate(datum):
                             f"form {i} has a pole (valuation {s.valuation})")
         if len(c.forms) != g:
             msgs.append(f"{len(c.forms)} form expansions, expected g = {g}")
+        if c.window() < c.index - 1:    # the terms the residue rows read
+            msgs.append(f"window {c.window()} < index-1 = {c.index - 1}")
         add(f"chart_valuations[{j}]", not msgs, "; ".join(msgs) or "ok")
 
     # fiber shape

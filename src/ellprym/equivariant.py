@@ -11,6 +11,10 @@ replacing it with its square if necessary) so that the eigenspace of the
 designated primitive root has the larger dimension.  `eigenspaces` decides
 this once and returns the generator it used, which the symmetric squares and
 the battery take from it.  Reports note when the relabeling fired.
+
+The symmetric squares need no linear algebra of their own: Sym^2 of a sum of
+eigenspaces V_c is the sum of the V_a . V_b, so the products of eigenvectors
+of exponents a and b span the eigenspace of exponent a + b (mod N).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .covering import change_basis
-from .diffalg import gram, sym_square_matrix
+from .diffalg import gram, symmetric_product
 from .errors import FieldError, IdentityViolated, InputError
 from .scalars import Matrix
 from .series import transform_form
@@ -83,56 +87,76 @@ def eigenspaces(action):
     larger nontrivial eigenspace: when it does not, the generator is
     replaced by its square.  This is the one place that decides; the result
     carries the generator it decomposed and the flag, and the symmetric
-    squares and the battery use that generator.
+    squares and the battery use that generator.  The dims must sum to g,
+    making the bases one basis of the forms, as `sym2_eigenspaces` needs;
+    after `validate_action` (M^N = I, zeta_N in the field) they do.
     """
-    M = action.matrix
-    dec = _decompose(M, action.order, False)
-    if action.order == 3 and dec.dims[1] < dec.dims[2]:
-        dec = _decompose(M.matmul(M), action.order, True)
-    if sum(dec.dims) != M.nrows:
+    M, N = action.matrix, action.order
+    bases = _eigenbases(M, N)
+    relabeled = N == 3 and len(bases[1]) < len(bases[2])
+    if relabeled:
+        M = M.matmul(M)
+        bases = _eigenbases(M, N)
+    dims = tuple(len(b) for b in bases)
+    if sum(dims) != M.nrows:
         raise IdentityViolated(
-            f"eigenspace dimensions {dec.dims} do not sum to {M.nrows}")
-    return dec
+            f"eigenspace dimensions {dims} do not sum to {M.nrows}")
+    return EigenDecomposition(N, dims, bases, relabeled, M)
 
 
-def _decompose(M, order, relabeled):
-    field = M.field
-    zeta = field.root_of_unity(order)
-    bases = []
-    for c in range(order):
-        ev = zeta ** c
-        shifted = Matrix(field, [[x - ev if i == j else x
-                                  for j, x in enumerate(row)]
-                                 for i, row in enumerate(M.rows)])
-        bases.append(tuple(tuple(v) for v in shifted.kernel_basis()))
-    return EigenDecomposition(order, tuple(len(b) for b in bases),
-                              tuple(bases), relabeled, M)
+def _eigenbases(M, order):
+    """Per exponent c, a basis of the kernel of M - zeta^c."""
+    zeta = M.field.root_of_unity(order)
+    shifted = ([[x - zeta ** c if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(M.rows)] for c in range(order))
+    return tuple(tuple(tuple(v) for v in Matrix(M.field, rows).kernel_basis())
+                 for rows in shifted)
 
 
 class SymSquareEigen(NamedTuple):
-    full: EigenDecomposition
-    minus: EigenDecomposition
+    """Per exponent, a basis of the eigenspace on the full square (lex
+    coordinates) and on the trace-zero square (over the trace-zero basis)."""
+    full: tuple
+    minus: tuple
 
 
 def sym2_eigenspaces(split, eig):
-    """Eigen-decomposition of the induced action on both symmetric squares.
+    """Eigenspaces of the induced action on both symmetric squares, as
+    products of eigenvectors: on the full square of ``eig.bases``, on the
+    trace-zero square of the eigenvectors of the lower block of conj, the
+    generator ``eig`` carries conjugated into the adapted frame.
 
-    ``eig`` is the decomposition from `eigenspaces`; its generator, squared
-    there when relabeled, is the one induced here, so the labels agree.
+    Preconditions, established by the caller: the action passed
+    `validate_action`, whose fiber check r[sigma(k)] = r[k] M summed over k
+    gives tau M = tau, so row 0 of conj (tau/d) vanishes off the corner; and
+    it fixes the pullback form (`action_fixes_alpha`), so column 0 does.
+    The block is then the generator on the trace-zero forms, and
+    diagonalizable, so its eigenvectors' products are a basis there too.
     """
-    M = eig.generator
-    full = _decompose(sym_square_matrix(M), eig.order, eig.relabeled)
-    # restriction to the trace-zero square: conjugate the generator into the
-    # adapted frame of the split and take the lower block
-    conj = split.change_inv.matmul(M).matmul(split.change)
-    rows = conj.rows
-    for i in range(1, split.genus):
-        if not rows[0][i].is_zero() or not rows[i][0].is_zero():
-            raise IdentityViolated(
-                "action does not preserve the trace splitting")
-    minus_mat = conj[1:, 1:]
-    minus = _decompose(sym_square_matrix(minus_mat), eig.order, eig.relabeled)
-    return SymSquareEigen(full, minus)
+    N = eig.order
+    conj = split.change_inv.matmul(eig.generator).matmul(split.change)
+    return SymSquareEigen(_products(eig.bases, N),
+                          _products(_eigenbases(conj[1:, 1:], N), N))
+
+
+def tensor_characters(field, full, tensor):
+    """The exponents of a tensor's nonzero components, read from its
+    coordinates over ``full``, the product basis of the full square."""
+    chars = [c for c, basis in enumerate(full) for _ in basis]
+    coords = Matrix(field, [v for basis in full for v in basis]
+                    ).transpose().solve(list(tensor))
+    return sorted({c for c, x in zip(chars, coords) if x})
+
+
+def _products(bases, order):
+    """Per exponent, the products u_i . u_j, i <= j, of the eigenvectors
+    in order, whose exponents sum to it modulo ``order``."""
+    vecs = [(c, v) for c, basis in enumerate(bases) for v in basis]
+    out = [[] for _ in range(order)]
+    for i, (a, u) in enumerate(vecs):
+        for b, v in vecs[i:]:
+            out[(a + b) % order].append(tuple(symmetric_product(u, v)))
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +176,9 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     Preconditions the caller has established: the action passed
     `validate_action` and fixes the pullback form, ``eig`` is its
     `eigenspaces` decomposition and ``sym2`` is `sym2_eigenspaces` of
-    ``eig``; the character checks use the generator ``eig`` carries.
+    ``eig``.  Check (1) reads the quadric's characters from its coordinates
+    over the product basis of the full square, and check (5) compares the
+    kernel with the products of exponents 1 and 2 on the trace-zero square.
     """
     field = datum.field
     g = datum.genus
@@ -161,11 +187,7 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     if action.order != 3 or datum.degree != 3:
         raise InputError("battery requires a degree-3 action of order 3")
     perm = action.fiber_permutation
-    k, seen = 0, [0]
-    for _ in range(2):
-        k = perm[k]
-        seen.append(k)
-    if sorted(seen) != [0, 1, 2]:
+    if {0, perm[0], perm[perm[0]]} != {0, 1, 2}:
         raise InputError("fiber is not a single orbit of the action")
 
     checks = []
@@ -177,33 +199,23 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     iso_detail = []
     single_char_ok = len(decs) == 1
     if single_char_ok:
-        G = decs[0].tensor
-        comps = _character_components(G, sym2.full.generator, eig.order)
-        nonzero = [c for c in range(3)
-                   if not all(x.is_zero() for x in comps[c])]
+        nonzero = tensor_characters(field, sym2.full, decs[0].tensor)
         single_char_ok = nonzero in ([1], [2])
         iso_detail.append(f"character components nonzero at exponents {nonzero}")
     add("unique_quadric_single_nontrivial_character", single_char_ok,
         f"h0 = {len(decs)}; " + "; ".join(iso_detail))
 
-    # (2) the quadric passes through the distinguished point
     if len(decs) == 1:
+        # (2) the quadric passes through the distinguished point
         val = decs[0].point_value
         add("quadric_contains_distinguished_point", val.is_zero(),
             f"coefficient of squared pullback = {val}")
-    else:
-        add("quadric_contains_distinguished_point", False, "no unique quadric")
-
-    # (3) cone of rank 3 with vertex off the known curve points
-    if len(decs) == 1:
-        G = decs[0].tensor
-        vertex = gram(field, g, G).kernel_basis()
+        # (3) cone of rank 3 with vertex off the known curve points
+        vertex = gram(field, g, decs[0].tensor).kernel_basis()
         rank = g - len(vertex)
-        off_curve = True
-        if len(vertex) == 1:
-            for pt in _known_point_functionals(datum):
-                if _proportional(vertex[0], pt):
-                    off_curve = False
+        off_curve = len(vertex) != 1 or not any(
+            _proportional(vertex[0], pt)
+            for pt in _known_point_functionals(datum))
         add("quadric_is_cone_with_vertex_off_curve",
             rank == 3 and len(vertex) == 1 and off_curve,
             f"gram rank {rank}, vertex dimension {len(vertex)}, "
@@ -214,21 +226,21 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
             f"restricted gram rank {block_rank} "
             "(double line: tangent hyperplane, collinear ramification)")
     else:
-        add("quadric_is_cone_with_vertex_off_curve", False, "no unique quadric")
-        add("hyperplane_restriction_rank_one", False, "no unique quadric")
+        for name in ("quadric_contains_distinguished_point",
+                     "quadric_is_cone_with_vertex_off_curve",
+                     "hyperplane_restriction_rank_one"):
+            add(name, False, "no unique quadric")
 
     # (5) kernel = nontrivial-character part of the trace-zero square
-    minus_eigen = sym2.minus
+    # both row sets are bases by construction: a kernel basis, and products
+    # of an eigenbasis; so equal lengths 4 and joint rank 4 mean one space
     kernel_rows = [list(v) for v in kernel_report.basis_minus_coords]
-    eigen_rows = [list(v) for v in minus_eigen.bases[1] + minus_eigen.bases[2]]
+    eigen_rows = [list(v) for v in sym2.minus[1] + sym2.minus[2]]
     joint_rank = Matrix(field, kernel_rows + eigen_rows).rank()
-    same_space = (len(kernel_rows) == 4 and len(eigen_rows) == 4 and
-                  Matrix(field, kernel_rows).rank() == 4 and
-                  Matrix(field, eigen_rows).rank() == 4 and
-                  joint_rank == 4)
+    same_space = len(kernel_rows) == len(eigen_rows) == joint_rank == 4
     add("kernel_is_nontrivial_character_part", same_space,
         f"kernel dim {len(kernel_rows)}, eigen dims "
-        f"{minus_eigen.dims[1]}+{minus_eigen.dims[2]}, joint rank {joint_rank}")
+        f"{len(sym2.minus[1])}+{len(sym2.minus[2])}, joint rank {joint_rank}")
 
     # (6) fiber sums vanish identically on the kernel (finite certificate)
     vanish = all(x.is_zero() for x in criterion_report.nu_on_basis) and \
@@ -244,21 +256,6 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
             "generator_relabeled": eig.relabeled, "checks": checks,
             "context": "these covers move in a three-parameter family; the "
                        "family itself is background and never computed here"}
-
-
-def _character_components(G, sym_M, N):
-    """Projections of a tensor onto the N character spaces of the generator
-    whose symmetric square is sym_M."""
-    field = sym_M.field
-    zeta = field.root_of_unity(N)
-    inv_N = field.scalar(N).inverse()
-    # (g^k)* G, for k = 0..N-1
-    images = [list(G)]
-    while len(images) < N:
-        images.append(sym_M.mul_vec(images[-1]))
-    return [[inv_N * sum((zeta ** ((-c * k) % N) * img[p]
-                          for k, img in enumerate(images)), field.zero())
-             for p in range(len(G))] for c in range(N)]
 
 
 def _known_point_functionals(datum):

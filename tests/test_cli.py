@@ -12,6 +12,7 @@ from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
                               MAX_WINDOW, CyclicAction)
+from ellprym.errors import ValidationFailed
 from ellprym.scalars import MAX_SCALAR_LENGTH, Scalar
 
 
@@ -243,8 +244,9 @@ def test_analyze_oversized_scalar_exits_2(tmp_path, capsys, pirola_datum_obj):
 
 def test_chart_window_below_the_residue_terms_exits_2(tmp_path, capsys,
                                                       pirola_datum_obj):
-    """A valid datum whose chart window is below the v = index - 1 product
-    terms its residues read is refused with exit 2, not a traceback."""
+    """A datum whose chart window is below the v = index - 1 product terms
+    its residues read fails validation, which names the chart, and the
+    analysis exits 2 with that failure, not a traceback."""
     def edit(obj):
         for form in obj["charts"][0]["forms"]:
             form["coeffs"] = form["coeffs"][:max(0, 1 - form["valuation"])]
@@ -254,10 +256,15 @@ def test_chart_window_below_the_residue_terms_exits_2(tmp_path, capsys,
     edit(obj)
     datum = covering.datum_from_json(obj)
     assert datum.charts[0].window() == 1 < datum.charts[0].index - 1
-    assert covering.validate(datum).ok
+    failed = [f.name for f in covering.validate(datum).failures()]
+    assert failed == ["chart_valuations[0]"]
+    with pytest.raises(ValidationFailed, match=r"chart_valuations\[0\]: "
+                       "window 1 < index-1 = 2"):
+        covering.require_valid(datum)
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: InsufficientPrecision: ")
+    assert err.startswith("error: ValidationFailed: ")
+    assert "chart_valuations[0]: window 1 < index-1 = 2" in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,11 @@
 import pytest
 
-from ellprym.covering import CyclicAction
-from ellprym.diffalg import sym_square_matrix
+from ellprym.covering import CyclicAction, change_basis
+from ellprym.diffalg import (quadric_kernel, sym_square_matrix,
+                             symmetric_product, trace_split)
 from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
-                                 sym2_eigenspaces, validate_action)
+                                 sym2_eigenspaces, tensor_characters,
+                                 validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
 from ellprym.series import TruncatedSeries, compose_all, transform_form
@@ -152,8 +154,123 @@ def _sym2(bundle):
 
 def test_sym2_eigendims(pirola):
     s2 = _sym2(pirola)
-    assert s2.full.dims == (3, 3, 4)
-    assert s2.minus.dims == (2, 1, 3)
+    assert tuple(map(len, s2.full)) == (3, 3, 4)
+    assert tuple(map(len, s2.minus)) == (2, 1, 3)
+
+
+def _unimodular(field, g):
+    """B with ones on the diagonal and the superdiagonal."""
+    return Matrix(field, [[int(j - i in (0, 1)) for j in range(g)]
+                          for i in range(g)])
+
+
+def _sym2_cases(all_bundles):
+    """(name, datum, split, action) on which the products are checked: the
+    three stock fixtures, pirola in the basis B with the action B^-1 M B
+    (a generator that is not diagonal, and an alpha that is solved), and
+    pirola with the squared generator (which `eigenspaces` relabels)."""
+    cases = [(name, b.datum, b.split, b.action)
+             for name, b in all_bundles.items()]
+    pirola = all_bundles["pirola"]
+    M = pirola.action.matrix
+    B = _unimodular(M.field, 4)
+    datum = change_basis(pirola.datum, B)
+    moved = pirola.action._replace(matrix=B.inverse().matmul(M).matmul(B))
+    assert validate_action(datum, moved)
+    cases.append(("pirola_basis_B", datum, trace_split(datum), moved))
+    cases.append(("pirola_squared", pirola.datum, pirola.split,
+                  pirola.action._replace(matrix=M.matmul(M))))
+    return cases
+
+
+def _shifted_kernels(S, order):
+    """Per exponent c, the kernel of S - zeta^c."""
+    zeta = S.field.root_of_unity(order)
+    return [Matrix(S.field, [[x - zeta ** c if i == j else x
+                              for j, x in enumerate(row)]
+                             for i, row in enumerate(S.rows)]).kernel_basis()
+            for c in range(order)]
+
+
+def _character_components(G, sym_M, N):
+    """Projections of a tensor onto the N character spaces of the generator
+    whose symmetric square is sym_M: the averages of zeta^-ck (g^k)* G."""
+    field = sym_M.field
+    zeta = field.root_of_unity(N)
+    inv_N = field.scalar(N).inverse()
+    images = [list(G)]
+    while len(images) < N:
+        images.append(sym_M.mul_vec(images[-1]))
+    return [[inv_N * sum((zeta ** ((-c * k) % N) * img[p]
+                          for k, img in enumerate(images)), field.zero())
+             for p in range(len(G))] for c in range(N)]
+
+
+def _same_span(field, basis, reference):
+    if len(basis) != len(reference):
+        return False
+    return not basis or (
+        Matrix(field, [list(v) for v in basis]).rank() == len(basis) and
+        Matrix(field, [list(v) for v in basis] + reference).rank() ==
+        len(basis))
+
+
+def test_sym2_products_span_the_induced_kernels(all_bundles):
+    """Oracle: on both squares, character by character, the products of
+    eigenvectors span the kernel of S(A) - zeta^c, with A the generator on
+    the full square and its lower block in the adapted frame on the
+    trace-zero square."""
+    for name, datum, split, action in _sym2_cases(all_bundles):
+        eig = eigenspaces(action)
+        s2 = sym2_eigenspaces(split, eig)
+        conj = split.change_inv.matmul(eig.generator).matmul(split.change)
+        for got, A in ((s2.full, eig.generator), (s2.minus, conj[1:, 1:])):
+            want = _shifted_kernels(sym_square_matrix(A), eig.order)
+            assert all(_same_span(datum.field, b, r)
+                       for b, r in zip(got, want)), name
+        assert eig.relabeled is (name == "pirola_squared")
+
+
+def test_tensor_characters_match_projections(all_bundles):
+    """Oracle: the characters read from coordinates over the products are
+    those where the averaged projections are nonzero, on each quadric, on
+    alpha . omega and on a tensor with several characters."""
+    seen = set()
+    for name, datum, split, action in _sym2_cases(all_bundles):
+        eig = eigenspaces(action)
+        full = sym2_eigenspaces(split, eig).full
+        field, g = datum.field, datum.genus
+        alpha = list(split.alpha_coords)
+        omega = list(split.change.transpose().rows[1])
+        ramp = [field.scalar(i + 1) for i in range(g)]
+        mixed = [a + b for a, b in zip(symmetric_product(ramp, ramp),
+                                       symmetric_product(alpha, omega))]
+        tensors = [*quadric_kernel(datum), symmetric_product(alpha, omega),
+                   mixed]
+        S = sym_square_matrix(eig.generator)
+        for T in tensors:
+            comps = _character_components(T, S, eig.order)
+            want = [c for c in range(eig.order)
+                    if not all(x.is_zero() for x in comps[c])]
+            got = tensor_characters(field, full, T)
+            assert got == want, name
+            seen.add(len(want))
+    assert {1, 2} <= seen
+
+
+def test_sym2_takes_three_small_kernels(pirola, monkeypatch):
+    """On pirola the squares take no kernel of their own: the only kernels
+    are the three of the 3 x 3 trace-zero block, one per character."""
+    eig = eigenspaces(pirola.action)
+    shapes = []
+    kernel_basis = Matrix.kernel_basis
+
+    def counted(self):
+        shapes.append((self.nrows, self.ncols))
+        return kernel_basis(self)
+    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    sym2_eigenspaces(pirola.split, eig)
+    assert shapes == [(3, 3)] * 3
 
 
 def test_multiply_equivariance(pirola):
@@ -227,7 +344,7 @@ def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):
     characters of the trace-zero square."""
     s2 = _sym2(pirola)
     for exponent in (1, 2):
-        for coords in s2.minus.bases[exponent]:
+        for coords in s2.minus[exponent]:
             elem = minus_tensor(pirola.split, coords)
             assert fiber_sum(pirola.datum, elem).is_zero()
 
