@@ -5,7 +5,8 @@ theorem-mandated identity on otherwise valid input.  Reports embed the
 normalization conventions (no 2*pi*i on residue slots, base differential
 dx/y, character relabeling) so results are interpretable on their own.
 JSON output is deterministic: two runs on identical inputs are
-byte-identical.
+byte-identical.  Each subcommand imports the layers it runs, so ``build``
+loads no analysis module and a plain ``analyze`` no builder.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import builder, covering, diffalg, equivariant, geometry, prym
+from . import covering
 from .errors import IdentityError, InputError
 
 CONVENTIONS = {
@@ -28,6 +29,7 @@ CONVENTIONS = {
 
 def analyze_datum(datum, action=None):
     """Full analysis pipeline; returns the report dict."""
+    from . import diffalg, geometry, prym
     report = {"conventions": CONVENTIONS,
               "validation": covering.require_valid(datum).to_json()}
 
@@ -63,6 +65,7 @@ def analyze_datum(datum, action=None):
     report["criterion"] = crit.to_json()
 
     if action is not None:
+        from . import equivariant
         equivariant.validate_action(datum, action)
         if not equivariant.action_fixes_alpha(split, action):
             raise IdentityError("action does not fix the pullback form line")
@@ -112,6 +115,7 @@ def _render_text(report, lines, prefix=""):
 
 
 def cmd_build(args):
+    from . import builder
     spec = builder.spec_from_json(covering.read_json(args.spec))
     if args.precision is not None:
         spec = spec._replace(precision=args.precision)
@@ -138,6 +142,7 @@ def cmd_analyze(args):
 
 
 def cmd_demo(args):
+    from . import builder
     precision = args.precision if args.precision is not None else 40
     result = builder.build_cover(builder.pirola_spec(precision))
     report = analyze_datum(result.datum, result.action)

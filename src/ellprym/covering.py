@@ -24,7 +24,8 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import FieldError, ParseError, SchemaError, ValidationFailed
+from .errors import (FieldError, InsufficientPrecision, ParseError,
+                     SchemaError, ValidationFailed)
 from .scalars import FieldSpec, Matrix, Scalar, _over_lcm
 from .series import TruncatedSeries, transform_form
 
@@ -113,7 +114,7 @@ class CoveringDatum(_DatumFields):
         """
         fld, pairs = self.field, lex_pairs(self.genus)
         charts, residues = [], []
-        for c in self.charts:
+        for k, c in enumerate(self.charts):
             w, v = c.window(), c.alpha_pullback.valuation
             products = [(c.forms[i] * c.forms[j]).truncate(w)
                         for i, j in pairs]
@@ -125,6 +126,11 @@ class CoveringDatum(_DatumFields):
             # 1/alpha over e < v: each product's first v coefficients meet
             # u^-1..u^-v of 1/alpha, which alpha's own first v terms,
             # u^v..u^(2v-1), determine
+            if c.alpha_pullback.prec < 2 * v:
+                raise InsufficientPrecision(
+                    f"chart {k} ({c.label}): alpha pullback prec "
+                    f"{c.alpha_pullback.prec} < 2(index-1) = {2 * v}, the "
+                    "terms that 1/alpha is read from")
             inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
             residues.append(Matrix._make(fld, [(s.ints_in(0, v), s.den)
                                                for s in products]).mul_vec(

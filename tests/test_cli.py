@@ -268,6 +268,31 @@ def test_chart_window_below_the_residue_terms_exits_2(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_alpha_pullback_below_the_residue_terms_exits_2(tmp_path, capsys,
+                                                        pirola_datum_obj):
+    """1/alpha is read from alpha's first index - 1 terms, so the residue
+    rows need each alpha pullback known below u^(2(index-1)).  A datum whose
+    chart 0 alpha is known only below u^3 still passes validation (the
+    builder's own short windows do too), and the analysis exits 2 where the
+    table reads 1/alpha, naming the chart, its alpha precision and the 4 it
+    needs, not a traceback."""
+    def edit(obj):
+        alpha = obj["charts"][0]["alpha_pullback"]
+        alpha["coeffs"] = alpha["coeffs"][:3 - alpha["valuation"]]
+        alpha["prec"] = 3
+    obj = copy.deepcopy(pirola_datum_obj)
+    edit(obj)
+    datum = covering.datum_from_json(obj)
+    assert datum.charts[0].index == 3
+    assert covering.validate(datum).ok
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    err = capsys.readouterr().err
+    label = pirola_datum_obj["charts"][0]["label"]
+    assert err == (f"error: InsufficientPrecision: chart 0 ({label}): alpha "
+                   "pullback prec 3 < 2(index-1) = 4, the terms that "
+                   "1/alpha is read from\n")
+
+
 @pytest.mark.parametrize("path", [
     ("genus",), ("degree",), ("field", "cyclotomic_order"),
     ("charts", 0, "index"), ("charts", 0, "alpha_pullback", "valuation"),

@@ -300,20 +300,27 @@ def test_analysis_layer_uses_only_public_names():
     assert found == []
 
 
-def _fresh_modules(module):
-    """The names in ``sys.modules`` after ``import module`` in a fresh
-    interpreter."""
+def _fresh_modules(source, *args):
+    """The names in ``sys.modules`` after source has run, with args as
+    ``sys.argv[1:]``, in a fresh interpreter; its exit status must be 0."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+        [sys.executable, "-c", f"{source}\nimport sys; print(*sys.modules)",
+         *args],
         env=env, capture_output=True, text=True, check=True).stdout
-    return set(out.split())
+    return set(out.splitlines()[-1].split())
+
+
+def _package_modules(loaded):
+    return {m[len("ellprym."):] for m in loaded if m.startswith("ellprym.")}
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     """Records are NamedTuples, so a fresh ``import ellprym.cli`` pulls in
-    neither ``dataclasses`` nor the ``inspect`` it imports."""
-    assert {"dataclasses", "inspect"} & _fresh_modules("ellprym.cli") == set()
+    neither ``dataclasses`` nor the ``inspect`` it imports.  The bare import
+    loads no analysis module; the demo run below checks every layer."""
+    assert {"dataclasses", "inspect"} & \
+        _fresh_modules("import ellprym.cli") == set()
 
 
 @pytest.mark.parametrize("module", ["cli", "builder", "covering"])
@@ -321,7 +328,61 @@ def test_import_leaves_out_fractions(module):
     """Scalar is the package's one rational type, so a fresh import loads
     neither ``fractions`` nor the ``decimal`` and ``numbers`` it imports."""
     assert {"fractions", "decimal", "numbers"} & \
-        _fresh_modules(f"ellprym.{module}") == set()
+        _fresh_modules(f"import ellprym.{module}") == set()
+
+
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """{command: the names in ``sys.modules``} after ``main`` runs it in a
+    fresh interpreter: ``analyze`` of the window-10 genus-4 double cover,
+    with and without its action, ``build`` of the window-10 genus-3 double
+    cover's spec, and ``demo-pirola`` at window 13."""
+    tmp = tmp_path_factory.mktemp("commands")
+    spec, datum, action = (tmp / name for name in
+                           ("spec.json", "datum.json", "action.json"))
+    spec.write_text(json.dumps(
+        builder.spec_to_json(builder.bielliptic_spec(3, 10))))
+    result = builder.build_cover(builder.bielliptic_spec(4, 10))
+    covering.save(result.datum, datum)
+    action.write_text(covering.json_text(result.action.to_json()))
+    runs = {
+        "analyze": ["analyze", str(datum)],
+        "analyze --action": ["analyze", str(datum), "--action", str(action)],
+        "build": ["build", str(spec), "--out", str(tmp / "built.json")],
+        "demo-pirola": ["demo-pirola", "--precision", "13"],
+    }
+    return {command: _fresh_modules(
+        "import sys; from ellprym.cli import main\n"
+        "assert main(sys.argv[1:]) == 0", *argv)
+        for command, argv in runs.items()}
+
+
+ANALYSIS = {"cli", "covering", "diffalg", "errors", "geometry", "prym",
+            "scalars", "series"}
+
+
+@pytest.mark.parametrize("command,closure", [
+    ("analyze", ANALYSIS),
+    ("analyze --action", ANALYSIS | {"equivariant"}),
+    ("build", {"builder", "cli", "covering", "errors", "scalars", "series"}),
+    ("demo-pirola", {path.stem for path in PACKAGE.glob("*.py")
+                     if path.name != "__init__.py"}),
+])
+def test_command_loads_only_its_layers(command_modules, command, closure):
+    """Each subcommand imports the layers it runs: ``build`` compiles no
+    analysis module, a plain ``analyze`` neither the builder nor the
+    battery, ``analyze --action`` adds only the battery, and the demo,
+    which builds and runs the battery, loads every module."""
+    assert _package_modules(command_modules[command]) == closure
+
+
+def test_demo_run_leaves_out_dataclasses_inspect_and_fractions(
+        command_modules):
+    """The two guards above on a run that loads every layer: after the demo,
+    none of ``dataclasses``, ``inspect``, ``fractions``, ``decimal`` and
+    ``numbers`` is loaded."""
+    assert {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & \
+        command_modules["demo-pirola"] == set()
 
 
 def test_no_fraction_in_the_package():
@@ -336,13 +397,14 @@ def test_no_fraction_in_the_package():
     ("covering", {"covering", "errors", "scalars", "series"}),
     ("equivariant", {"equivariant", "covering", "diffalg", "errors",
                      "scalars", "series"}),
+    ("cli", {"cli", "covering", "errors", "scalars", "series"}),
 ])
 def test_input_layer_imports_no_analysis_module(module, closure):
     """The builder and the datum and action formats stand below the
-    analysis, and the battery reads the quadric decompositions it is given
+    analysis, the CLI imports its other layers inside the subcommands that
+    run them, and the battery reads the quadric decompositions it is given
     rather than making them: a fresh import of each loads exactly these
     package modules, so ``equivariant`` loads neither ``geometry`` nor
     ``prym``."""
-    loaded = _fresh_modules(f"ellprym.{module}")
-    assert {m[len("ellprym."):] for m in loaded
-            if m.startswith("ellprym.")} == closure
+    assert _package_modules(_fresh_modules(f"import ellprym.{module}")) \
+        == closure
