@@ -35,8 +35,7 @@ from .errors import (BuilderError, DimensionMismatch, FieldError,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
                      SingularJacobian, UnsupportedOrder,
                      UnsupportedRamification)
-from .scalars import (FieldSpec, Matrix, Scalar, _over_lcm, pdivmod, peval,
-                      pmul, psub, ptrim)
+from .scalars import FieldSpec, Matrix, Scalar, ptrim
 from .series import TruncatedSeries, _rewindow, _widths
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
@@ -54,6 +53,53 @@ MAX_ROOT_SEARCH_STEPS = 50_000
 # ---------------------------------------------------------------------------
 # polynomial helpers the scalar layer does not provide
 # ---------------------------------------------------------------------------
+
+def peval(p, x):
+    """Value of p at x, by Horner's rule from the leading coefficient.  An
+    empty or constant p starts from x - x, so that its value at a series is
+    a series."""
+    if len(p) < 2:
+        acc = x - x
+        return acc * x + p[0] if p else acc
+    acc = p[-1] * x + p[-2]
+    for c in reversed(p[:-2]):
+        acc = acc * x + c
+    return acc
+
+
+def integer_nth_root(n, k):
+    """Floor of the k-th root of a nonnegative integer, by integer Newton."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n == 0:
+        return 0
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def nth_root_rational(value, k):
+    """Designated k-th root of a Scalar: the real rational root of a
+    rational element.
+
+    Deterministic by construction: for odd k the sign passes to the root.
+    Elements outside the rational subfield (or without a rational real
+    root, as a negative one for even k) raise NotAnNthPower, instructing
+    the caller to extend the field or rescale.
+    """
+    if not value.is_rational():
+        raise NotAnNthPower(
+            f"{value} is not in the rational subfield; no designated root")
+    p, q = value.num[0], value.den
+    a, b = integer_nth_root(abs(p), k), integer_nth_root(q, k)
+    if p < 0 and k % 2 == 0 or a ** k != abs(p) or b ** k != q:
+        raise NotAnNthPower(f"{value} has no rational {k}-th root")
+    return Scalar._make(value.field, (-a if p < 0 else a,) + value.num[1:],
+                        b, lowest=True)
+
 
 def _rational_roots(poly):
     """The distinct rational roots of a list of ints, in ascending order,
@@ -301,22 +347,25 @@ def divisor_of(curve, fn):
 def _collect_affine(curve, fn, div, outside):
     """Enter the affine zeros of a curve function into div.  They lie over
     the rational roots of the norm N = P^2 - rhs * Q^2, which are roots of
-    each coordinate N_k in Q[x] of N: the first nonzero N_k is searched."""
+    each coordinate N_k in Q[x] of N: the first nonzero N_k is searched.
+    N is formed as series in x, P*P - rhs*Q*Q, at the window
+    L = 2 max(len P, len Q + 2), past its degree max(2 len P - 2,
+    2 len Q + 1), so N is exact; a root x0's multiplicity is the valuation
+    of N(x0 + t)."""
     f, d = curve.field, curve.field.degree
-    norm = psub(pmul(fn.P, fn.P), pmul(curve.rhs(), pmul(fn.Q, fn.Q)))
-    if not norm:
+    L = 2 * max(len(fn.P), len(fn.Q) + 2)
+    P, Q, R = (TruncatedSeries(f, 0, poly, L)
+               for poly in (fn.P, fn.Q, curve.rhs()))
+    N = P * P - R * Q * Q
+    if N.is_zero():
         raise BuilderError("norm polynomial vanished; function is degenerate")
-    num, _ = _over_lcm([(c.num, c.den) for c in norm])
+    num = N.ints_in(0, L)
     work = next(filter(any, (num[k::d] for k in range(d))))
+    norm = N.coefficients_in(0, N.valuation + len(N.num) // d)
     leftover_degree = len(norm) - 1
     for p, q in _rational_roots(work):
         x0 = Scalar._make(f, (p,) + (0,) * (d - 1), q, lowest=True)
-        mult, probe = 0, norm
-        while True:
-            probe, rem = pdivmod(probe, [-x0, f.one()])
-            if rem:
-                break
-            mult += 1
+        mult = peval(norm, TruncatedSeries(f, 0, [x0, f.one()], L)).valuation
         if not mult:
             continue  # root of N_k only
         leftover_degree -= mult
@@ -344,7 +393,7 @@ def _collect_affine(curve, fn, div, outside):
 def _points_over(curve, x):
     """The curve points with abscissa x: one at 2-torsion, two otherwise.
     NotAnNthPower if their ordinate has no designated root in the field."""
-    y = peval(curve.rhs(), x).nth_root_rational(2)
+    y = nth_root_rational(peval(curve.rhs(), x), 2)
     return [Point(x, y)] if y.is_zero() else [Point(x, y), Point(x, -y)]
 
 
@@ -565,7 +614,7 @@ def _fiber_root(spec, divisor, c):
     if value.is_zero():
         raise InputError("cover function vanishes at the base point")
     try:
-        return value.nth_root_rational(spec.order)
+        return nth_root_rational(value, spec.order)
     except NotAnNthPower as exc:
         raise FieldTooSmall(
             f"h(c) = {value} is not an exact {spec.order}-th power; rescale "

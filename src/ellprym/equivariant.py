@@ -87,7 +87,8 @@ def eigenspaces(action):
     larger nontrivial eigenspace: when it does not, the generator is
     replaced by its square.  This is the one place that decides; the result
     carries the generator it decomposed and the flag, and the symmetric
-    squares and the battery use that generator.  The dims must sum to g,
+    squares and the battery use that generator; its eigenspaces are those of
+    the given one, exponents 1 and 2 swapped.  The dims must sum to g,
     making the bases one basis of the forms, as `sym2_eigenspaces` needs;
     after `validate_action` (M^N = I, zeta_N in the field) they do.
     """
@@ -95,8 +96,8 @@ def eigenspaces(action):
     bases = _eigenbases(M, N)
     relabeled = N == 3 and len(bases[1]) < len(bases[2])
     if relabeled:
-        M = M.matmul(M)
-        bases = _eigenbases(M, N)
+        # the eigenspace of zeta^c under M^2 is that of zeta^(2c) under M
+        M, bases = M.matmul(M), (bases[0], bases[2], bases[1])
     dims = tuple(len(b) for b in bases)
     if sum(dims) != M.nrows:
         raise IdentityViolated(

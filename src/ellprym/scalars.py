@@ -6,9 +6,9 @@ z^(phi(N)-1), z = zeta_N, over one integer ``den`` > 0 with gcd(den, *num) = 1
 Products reduce by a per-field integer table of z^m mod Phi_N (Phi_N is monic).
 Inverses go through the norm: with P the product of the conjugates z -> z^a,
 a != 1 a unit mod N, num*P is an integer and x^-1 = den*P / (num*P).
-The dense polynomial helpers (ptrim, padd, psub, pmul, peval, pdivmod) are the
-package's only polynomial code, used over int for Phi_N and over Scalar;
-pdivmod divides by monic polynomials only.
+Two dense polynomial helpers stay here, ptrim and pdivmod (monic divisors
+only): over int they give Phi_N and the table of z^m mod Phi_N.  Polynomials
+over the field are the builder's, which multiplies them as series.
 
 A scalar string is what ``to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``: terms
 ``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by ``*z``
@@ -50,8 +50,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
-from .errors import (DivisionByZero, FieldError, NotAnNthPower, ParseError,
-                     ScalarTooLong)
+from .errors import DivisionByZero, FieldError, ParseError, ScalarTooLong
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 
@@ -88,45 +87,6 @@ def ptrim(p):
     return p
 
 
-def padd(a, b):
-    out = list(a)
-    for i, c in enumerate(b):
-        if i < len(out):
-            out[i] = out[i] + c
-        else:
-            out.append(c)
-    return ptrim(out)
-
-
-def psub(a, b):
-    return padd(a, [-c for c in b])
-
-
-def pmul(a, b):
-    if not a or not b:
-        return []
-    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return ptrim(out)
-
-
-def peval(p, x):
-    """Value of p at x, by Horner's rule from the leading coefficient.  An
-    empty or constant p starts from x - x, so that its value at a series is
-    a series."""
-    if len(p) < 2:
-        acc = x - x
-        return acc * x + p[0] if p else acc
-    acc = p[-1] * x + p[-2]
-    for c in reversed(p[:-2]):
-        acc = acc * x + c
-    return acc
-
-
 def pdivmod(a, b):
     """(q, r) with a = q*b + r and deg r < deg b, for a monic b."""
     r = ptrim(list(a))
@@ -152,20 +112,6 @@ def _cyclotomic(n):
     return poly
 
 
-def integer_nth_root(n, k):
-    """Floor of the k-th root of a nonnegative integer, by integer Newton."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 # ---------------------------------------------------------------------------
 # field specification
 # ---------------------------------------------------------------------------
@@ -188,11 +134,9 @@ class FieldSpec:
         self.minimal_polynomial = mod = tuple(_cyclotomic(n))
         self.degree = deg = len(mod) - 1
         # z^m mod Phi_N for 0 <= m < N (all powers, as z^N = 1), as rows (j, c)
-        self._powers, row = [], [1] + [0] * (deg - 1)
-        for _ in range(n):
-            self._powers.append(tuple((j, c) for j, c in enumerate(row) if c))
-            top, row = row[-1], [0] + row[:-1]
-            row = [r - top * c for r, c in zip(row, mod)]
+        self._powers = [tuple((j, c) for j, c in
+                              enumerate(pdivmod([0] * m + [1], mod)[1]) if c)
+                        for m in range(n)]
         # (Z/N)^* is cyclic, generated by g.  Step i of the norm in
         # Scalar.inverse multiplies in the conjugates z -> z^a, a in _tower[i],
         # going from the fixed field of <g^(s*q)> to that of <g^s>, q prime.
@@ -410,24 +354,6 @@ class Scalar:
 
     def is_rational(self):
         return not any(self.num[1:])
-
-    def nth_root_rational(self, k):
-        """Designated k-th root: the real rational root of a rational element.
-
-        Deterministic by construction: for odd k the sign passes to the
-        root.  Elements outside the rational subfield (or without a rational
-        real root, as a negative one for even k) raise NotAnNthPower,
-        instructing the caller to extend the field or rescale.
-        """
-        if not self.is_rational():
-            raise NotAnNthPower(
-                f"{self} is not in the rational subfield; no designated root")
-        p, q = self.num[0], self.den
-        a, b = integer_nth_root(abs(p), k), integer_nth_root(q, k)
-        if p < 0 and k % 2 == 0 or a ** k != abs(p) or b ** k != q:
-            raise NotAnNthPower(f"{self} has no rational {k}-th root")
-        return Scalar._make(self.field, (-a if p < 0 else a,) + self.num[1:],
-                            b, lowest=True)
 
     def galois(self, a):
         """Image under the Galois automorphism z -> z^a (gcd(a, N) = 1)."""

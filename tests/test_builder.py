@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction as F
+from math import isqrt, lcm
 
 import pytest
 
 from ellprym import builder
 from ellprym.builder import (INFINITY, CurveFunction, CyclicCoverSpec,
-                             EllipticCurve, Point, base_series,
-                             bielliptic_spec, build_cover, divisor_of,
-                             pirola_spec, riemann_roch_basis, spec_from_json,
-                             spec_to_json, valuation_at)
+                             EllipticCurve, Point, _rational_roots,
+                             base_series, bielliptic_spec, build_cover,
+                             divisor_of, nth_root_rational, pirola_spec,
+                             riemann_roch_basis, spec_from_json, spec_to_json,
+                             valuation_at)
 from ellprym.covering import validate
 from ellprym.diffalg import gram
-from ellprym.errors import (FieldTooSmall, InputError, PointOutsideField,
-                            PrecisionUnreachable, UnsupportedOrder,
-                            UnsupportedRamification)
-from ellprym.scalars import FieldSpec, Scalar, padd, pmul, psub
+from ellprym.errors import (BuilderError, FieldTooSmall, InputError,
+                            PointOutsideField, PrecisionUnreachable,
+                            UnsupportedOrder, UnsupportedRamification)
+from ellprym.scalars import FieldSpec, Scalar, pdivmod
 from ellprym.series import TruncatedSeries
+from test_scalars import padd, pmul, psub
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -188,6 +191,103 @@ def test_valuation_at_against_expansion_and_norm(field):
                 (fn, place)
 
 
+def _schoolbook_norm(fn):
+    """Reference: P^2 - rhs * Q^2 by the schoolbook product."""
+    return psub(pmul(fn.P, fn.P), pmul(fn.curve.rhs(), pmul(fn.Q, fn.Q)))
+
+
+def _affine_divisor_oracle(fn):
+    """Reference for the affine part of `divisor_of`, from the schoolbook
+    norm: a rational root's multiplicity by repeated division by x - x0,
+    the points above it by an integer square root, their valuations by one
+    expansion to precision 40.  Returns (divisor, the messages that
+    PointOutsideField should carry)."""
+    E, field, d = fn.curve, fn.curve.field, fn.curve.field.degree
+    norm = _schoolbook_norm(fn)
+    den = lcm(*(c.den for c in norm))
+    ints = [x * (den // c.den) for c in norm for x in c.num]
+    div, outside, leftover = {}, [], len(norm) - 1
+    for p, q in _rational_roots(next(filter(any, (ints[k::d]
+                                                  for k in range(d))))):
+        x0 = field.scalar(F(p, q))
+        mult, probe = -1, (norm, [])
+        while not probe[1]:
+            probe = pdivmod(probe[0], [-x0, field.one()])
+            mult += 1
+        if not mult:
+            continue
+        leftover -= mult
+        fx = sum((c * x0 ** i for i, c in enumerate(E.rhs())), field.zero())
+        a, b = fx.num[0], fx.den
+        if a < 0 or isqrt(a) ** 2 != a or isqrt(b) ** 2 != b:
+            outside.append(f"y^2 - ({fx.to_string()}) at x = {x0}")
+            continue
+        y0 = field.scalar(F(isqrt(a), isqrt(b)))
+        for pt in {Point(x0, y0), Point(x0, -y0)}:
+            v = fn.at(*base_series(E, pt, 40)).valuation
+            if v:
+                div[pt] = v
+    if leftover:
+        outside.append(
+            f"unresolved factor of degree {leftover} in norm polynomial "
+            f"[{', '.join(c.to_string() for c in norm)}]")
+    return div, outside
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_divisor_of_against_the_schoolbook_norm(field):
+    """Seeded random P + yQ on y^2 = x^3 + 1, a third of them constants,
+    times (x - x0)^k for x0 in {-1, 0, 2}, then times an irreducible
+    quadratic factor.  Oracle: the schoolbook norm (`_affine_divisor_oracle`).
+    Where it leaves nothing outside the field, `divisor_of` returns its
+    divisor plus the pole of order deg N at infinity; otherwise it raises
+    PointOutsideField with the same messages, among them the leftover
+    degree and the schoolbook norm's coefficients; a refused root search
+    is refused alike."""
+    rng = random.Random(20261020 + field.degree)
+    E = EllipticCurve(field, field.zero(), field.one())
+
+    def poly(n):
+        return [Scalar(field, [F(rng.choice((0, rng.randint(1, 4),
+                                             rng.randint(-4, -1))),
+                                 rng.randint(1, 3))
+                               for _ in range(field.degree)])
+                for _ in range(n)]
+
+    outcomes = []
+    for trial in range(30):
+        base = CurveFunction.make(E, poly(rng.randint(1, 3)),
+                                  poly(rng.randint(0, 2)) if trial % 3 else [])
+        if base.is_zero():
+            continue
+        fn = base
+        x0 = field.scalar(rng.choice((-1, 0, 2)))
+        for _ in range(rng.randint(0, 3)):
+            fn = _times(fn, [-x0, field.one()])
+        quadratic = [field.scalar(c) for c in rng.choice(([-2, 0, 1],
+                                                          [1, 0, 1]))]
+        for h in (fn, _times(fn, quadratic)):
+            try:
+                div, outside = _affine_divisor_oracle(h)
+            except BuilderError as exc:
+                with pytest.raises(BuilderError) as err:
+                    divisor_of(E, h)
+                assert str(err.value) == str(exc)
+                outcomes.append("refused")
+                continue
+            if outside:
+                with pytest.raises(PointOutsideField) as err:
+                    divisor_of(E, h)
+                assert err.value.factors == outside, h
+                outcomes.append("outside")
+            else:
+                degree = len(_schoolbook_norm(h)) - 1
+                assert divisor_of(E, h) == \
+                    {**div, **({INFINITY: -degree} if degree else {})}, h
+                outcomes.append("divisor")
+    assert {"divisor", "outside"} <= set(outcomes)
+
+
 # -- Riemann-Roch -------------------------------------------------------------
 
 def test_rr_basis_of_2O():
@@ -248,8 +348,8 @@ def test_pirola_fixture_shape(pirola):
     assert datum.basis_names[0] == "alpha"
     assert pirola.result.base_point == Point(Q3.zero(), Q3.scalar(-1))
     # the designated cube root of h at the base point
-    assert pirola.spec.h.at(*pirola.result.base_point) \
-        .nth_root_rational(3) == Q3.one()
+    assert nth_root_rational(pirola.spec.h.at(*pirola.result.base_point),
+                             3) == Q3.one()
 
 
 def test_pirola_charts_prove_holomorphy(pirola):

@@ -125,6 +125,27 @@ def test_eigenspace_relabeling_normalization(pirola):
     assert dec.relabeled
 
 
+def test_relabeling_decomposes_the_generator_once(pirola, monkeypatch):
+    """The squared generator is relabeled from its own three kernels, one
+    per exponent, with exponents 1 and 2 swapped: its square is not
+    decomposed again, and the bases are exactly the kernels of
+    (M^2)^2 - zeta^c."""
+    M = pirola.action.matrix
+    sq = CyclicAction(3, M.matmul(M), pirola.action.chart_moves, (2, 0, 1))
+    M4 = sq.matrix.matmul(sq.matrix)
+    want = tuple(tuple(tuple(v) for v in k) for k in _shifted_kernels(M4, 3))
+    shapes = []
+    kernel_basis = Matrix.kernel_basis
+
+    def counted(self):
+        shapes.append((self.nrows, self.ncols))
+        return kernel_basis(self)
+    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    dec = eigenspaces(sq)
+    assert dec.relabeled and shapes == [(4, 4)] * 3
+    assert dec.generator == M4 and dec.bases == want
+
+
 def test_trivial_action_single_eigenspace(biell4):
     field = biell4.datum.field
     ident = CyclicAction(

@@ -8,12 +8,13 @@ from math import gcd, lcm
 
 import pytest
 
-from ellprym.builder import _rational_roots
+from ellprym.builder import (_rational_roots, integer_nth_root,
+                             nth_root_rational, peval)
 from ellprym.errors import (DivisionByZero, FieldError, NotAnNthPower,
                             ParseError, ScalarTooLong)
 from ellprym.scalars import (MAX_SCALAR_LENGTH, PRIME, SUPPORTED_ORDERS,
-                             FieldSpec, Matrix, Scalar, integer_nth_root,
-                             padd, pdivmod, peval, pmul, psub, ptrim)
+                             FieldSpec, Matrix, Scalar, pdivmod, ptrim)
+from ellprym.series import TruncatedSeries
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)
@@ -114,21 +115,21 @@ def test_parse_error_carries_token():
 
 
 def test_rational_nth_root():
-    assert Q.scalar(F(8, 27)).nth_root_rational(3) == Q.scalar(F(2, 3))
-    assert Q.scalar(-8).nth_root_rational(3) == Q.scalar(-2)
+    assert nth_root_rational(Q.scalar(F(8, 27)), 3) == Q.scalar(F(2, 3))
+    assert nth_root_rational(Q.scalar(-8), 3) == Q.scalar(-2)
     for value, message in ((2, "2 has no rational 2-th root"),
                            (-4, "-4 has no rational 2-th root")):
         with pytest.raises(NotAnNthPower, match=message):
-            Q.scalar(value).nth_root_rational(2)
+            nth_root_rational(Q.scalar(value), 2)
     assert integer_nth_root(10 ** 12, 2) == 10 ** 6
 
 
 def test_designated_root_errors():
     with pytest.raises(NotAnNthPower):
-        Q3.zeta().nth_root_rational(3)
+        nth_root_rational(Q3.zeta(), 3)
     with pytest.raises(NotAnNthPower):
-        Q3.scalar(2).nth_root_rational(3)
-    assert Q3.scalar(-8).nth_root_rational(3) == Q3.scalar(-2)
+        nth_root_rational(Q3.scalar(2), 3)
+    assert nth_root_rational(Q3.scalar(-8), 3) == Q3.scalar(-2)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -620,6 +621,36 @@ def test_prime_maps_every_supported_field():
 
 
 # -- polynomial helpers -------------------------------------------------------
+#
+# padd, psub and pmul are the schoolbook reference for the package's one
+# polynomial product, the series product: for TruncatedSeries.__mul__ below,
+# and for the builder's norm and test_builder._times.
+
+def padd(a, b):
+    out = list(a)
+    for i, c in enumerate(b):
+        if i < len(out):
+            out[i] = out[i] + c
+        else:
+            out.append(c)
+    return ptrim(out)
+
+
+def psub(a, b):
+    return padd(a, [-c for c in b])
+
+
+def pmul(a, b):
+    if not a or not b:
+        return []
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return ptrim(out)
+
 
 def _random_coefficient(rng, field):
     """A Fraction over Q (the helpers are coefficient-generic), a Scalar
@@ -678,6 +709,13 @@ def test_pmul_peval_match_sympy(field):
         same(sa * sb, pmul(a, b))
         same(sa.subs(x, _sympy_poly(sympy, [value], x, z)),
              [peval(a, value)])
+        # the series product at a window past the degree is pmul
+        n = len(a) + len(b)
+        product = TruncatedSeries(field, 0, a, n) * \
+            TruncatedSeries(field, 0, b, n)
+        want = [field.scalar(c) for c in pmul(a, b)]
+        assert product.coefficients_in(0, n - 1) == \
+            want + [field.zero()] * (n - 1 - len(want))
 
 
 def test_rational_roots_match_sympy():

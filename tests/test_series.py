@@ -5,11 +5,11 @@ import pytest
 
 from ellprym.builder import (INFINITY, CurveFunction, EllipticCurve,
                              base_series, bielliptic_spec, divisor_of, lift,
-                             pirola_spec)
+                             peval, pirola_spec)
 from ellprym.covering import _parse_series, _series_to_json
 from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
                             SingularJacobian, ValuationError)
-from ellprym.scalars import FieldSpec, Scalar, peval
+from ellprym.scalars import FieldSpec, Scalar
 from ellprym.series import (TruncatedSeries, _rewindow, compose_all,
                             transform_form)
 

@@ -85,23 +85,25 @@ def _package_trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _count(refs, defn):
+    """References to a definition in a Counter of references: a method
+    counts by its bare name, or qualified by its own class."""
+    return refs[defn] + (refs[defn.split(".")[1]] if "." in defn else 0)
+
+
 def _unreferenced(definitions):
     """``file:line: name`` of each definition, given per module tree as
     (name, node) with a method named ``Class.method``, that the package
-    references only inside its own body.  A method counts as referenced by
-    its bare name, or qualified by its own class."""
+    references only inside its own body."""
     trees = _package_trees()
     classes = _class_names(trees)
     total = Counter(ref for tree in trees.values()
                     for ref in _references(tree, classes))
-
-    def count(refs, defn):
-        return refs[defn] + (refs[defn.split(".")[1]] if "." in defn else 0)
     return [f"{name}:{node.lineno}: {defn}"
             for name, tree in trees.items()
             for defn, node in definitions(tree)
-            if count(total, defn) ==
-            count(Counter(_references(node, classes)), defn)]
+            if _count(total, defn) ==
+            _count(Counter(_references(node, classes)), defn)]
 
 
 def test_no_dead_private_definitions():
@@ -110,16 +112,22 @@ def test_no_dead_private_definitions():
     assert _unreferenced(_private_definitions) == []
 
 
-def _public_definitions(tree):
-    """Functions, methods and classes, at any depth, not named ``_...``;
-    a method as ``Class.method``."""
+def _definitions(tree, kinds=(ast.FunctionDef, ast.ClassDef)):
+    """Definitions of these kinds, at any depth; a method as
+    ``Class.method``."""
     methods = {id(m): f"{c.name}.{m.name}" for c in ast.walk(tree)
                if isinstance(c, ast.ClassDef) for m in c.body
                if isinstance(m, ast.FunctionDef)}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("_"):
+        if isinstance(node, kinds):
             yield methods.get(id(node), node.name), node
+
+
+def _public_definitions(tree):
+    """Functions, methods and classes, at any depth, not named ``_...``;
+    a method as ``Class.method``."""
+    return ((defn, node) for defn, node in _definitions(tree)
+            if not node.name.startswith("_"))
 
 
 def test_no_test_only_public_definitions():
@@ -138,6 +146,27 @@ def test_no_test_only_public_definitions():
         return bare in bench and ("." not in defn or methods[bare] == 1)
     assert [entry for entry in _unreferenced(_public_definitions)
             if not exempt(entry.rsplit(" ", 1)[1])] == []
+
+
+def test_lower_layers_keep_nothing_only_the_builder_uses():
+    """A function or method that ``scalars``, ``series`` or ``covering``
+    defines, and that package code outside its own body references only
+    from ``builder.py``, belongs in the builder: a command that never
+    builds would compile it for nothing.  ``errors`` is exempt, as its
+    exception hierarchy is shared on purpose."""
+    trees = _package_trees()
+    classes = _class_names(trees)
+    refs = {name: Counter(_references(tree, classes))
+            for name, tree in trees.items()}
+    found = []
+    for module in ("scalars.py", "series.py", "covering.py"):
+        for defn, node in _definitions(trees[module], ast.FunctionDef):
+            own = _count(Counter(_references(node, classes)), defn)
+            users = {name for name, r in refs.items()
+                     if _count(r, defn) > (own if name == module else 0)}
+            if users == {"builder.py"}:
+                found.append(f"{module}:{node.lineno}: {defn}")
+    assert found == []
 
 
 def _shared_methods():
