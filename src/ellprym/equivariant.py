@@ -87,8 +87,7 @@ def eigenspaces(action):
     larger nontrivial eigenspace: when it does not, the generator is
     replaced by its square.  This is the one place that decides; the result
     carries the generator it decomposed and the flag, and the symmetric
-    squares and the battery use that generator; its eigenspaces are those of
-    the given one, exponents 1 and 2 swapped.  The dims must sum to g,
+    squares and the battery use that generator.  The dims must sum to g,
     making the bases one basis of the forms, as `sym2_eigenspaces` needs;
     after `validate_action` (M^N = I, zeta_N in the field) they do.
     """

@@ -156,6 +156,11 @@ def _times(fn, P, Q=()):
         padd(pmul(fn.P, Q), pmul(fn.Q, P)))
 
 
+def _schoolbook_norm(fn):
+    """Reference: P^2 - rhs * Q^2 by the schoolbook product."""
+    return psub(pmul(fn.P, fn.P), pmul(fn.curve.rhs(), pmul(fn.Q, fn.Q)))
+
+
 @pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
 def test_valuation_at_against_expansion_and_norm(field):
     """Seeded random P + yQ on y^2 = x^3 + 1, some times x - x0 or y - y0.
@@ -183,17 +188,12 @@ def test_valuation_at_against_expansion_and_norm(field):
         for _ in range(rng.randint(0, 2)):
             fn = _times(fn, *rng.choice((([-pt.x, field.one()],),
                                          ([-pt.y], [field.one()]))))
-        norm = psub(pmul(fn.P, fn.P), pmul(E.rhs(), pmul(fn.Q, fn.Q)))
+        norm = _schoolbook_norm(fn)
         assert valuation_at(fn, INFINITY) == -(len(norm) - 1), fn
         for place in points:
             expect = fn.at(*local[place]).valuation
             assert expect < 30 and valuation_at(fn, place) == expect, \
                 (fn, place)
-
-
-def _schoolbook_norm(fn):
-    """Reference: P^2 - rhs * Q^2 by the schoolbook product."""
-    return psub(pmul(fn.P, fn.P), pmul(fn.curve.rhs(), pmul(fn.Q, fn.Q)))
 
 
 def _affine_divisor_oracle(fn):
@@ -210,10 +210,10 @@ def _affine_divisor_oracle(fn):
     for p, q in _rational_roots(next(filter(any, (ints[k::d]
                                                   for k in range(d))))):
         x0 = field.scalar(F(p, q))
-        mult, probe = -1, (norm, [])
-        while not probe[1]:
-            probe = pdivmod(probe[0], [-x0, field.one()])
+        mult, (quotient, rem) = 0, pdivmod(norm, [-x0, field.one()])
+        while not rem:
             mult += 1
+            quotient, rem = pdivmod(quotient, [-x0, field.one()])
         if not mult:
             continue
         leftover -= mult

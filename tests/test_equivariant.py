@@ -125,6 +125,19 @@ def test_eigenspace_relabeling_normalization(pirola):
     assert dec.relabeled
 
 
+def _kernel_shapes(monkeypatch):
+    """The shapes of the matrices whose ``kernel_basis`` is taken from now
+    on, in a list that grows as they are."""
+    shapes = []
+    kernel_basis = Matrix.kernel_basis
+
+    def counted(self):
+        shapes.append((self.nrows, self.ncols))
+        return kernel_basis(self)
+    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    return shapes
+
+
 def test_relabeling_decomposes_the_generator_once(pirola, monkeypatch):
     """The squared generator is relabeled from its own three kernels, one
     per exponent, with exponents 1 and 2 swapped: its square is not
@@ -134,13 +147,7 @@ def test_relabeling_decomposes_the_generator_once(pirola, monkeypatch):
     sq = CyclicAction(3, M.matmul(M), pirola.action.chart_moves, (2, 0, 1))
     M4 = sq.matrix.matmul(sq.matrix)
     want = tuple(tuple(tuple(v) for v in k) for k in _shifted_kernels(M4, 3))
-    shapes = []
-    kernel_basis = Matrix.kernel_basis
-
-    def counted(self):
-        shapes.append((self.nrows, self.ncols))
-        return kernel_basis(self)
-    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    shapes = _kernel_shapes(monkeypatch)
     dec = eigenspaces(sq)
     assert dec.relabeled and shapes == [(4, 4)] * 3
     assert dec.generator == M4 and dec.bases == want
@@ -283,13 +290,7 @@ def test_sym2_takes_three_small_kernels(pirola, monkeypatch):
     """On pirola the squares take no kernel of their own: the only kernels
     are the three of the 3 x 3 trace-zero block, one per character."""
     eig = eigenspaces(pirola.action)
-    shapes = []
-    kernel_basis = Matrix.kernel_basis
-
-    def counted(self):
-        shapes.append((self.nrows, self.ncols))
-        return kernel_basis(self)
-    monkeypatch.setattr(Matrix, "kernel_basis", counted)
+    shapes = _kernel_shapes(monkeypatch)
     sym2_eigenspaces(pirola.split, eig)
     assert shapes == [(3, 3)] * 3
 
