@@ -38,7 +38,7 @@ def analyze_datum(datum, action=None):
     ke = prym.kernel_E(datum, split)
     crit = prym.kernel_full(ke)
     decs = [geometry.decompose_quadric(split, G) for G in quadrics]
-    checks = geometry.functpoint_check(datum, split, decs, ke)
+    checks = geometry.functpoint_check(datum, decs, ke)
     point = geometry.halfgeo_criterion(datum, decs, crit)
     ledger = geometry.dimension_ledger(datum, decs, ke)
 

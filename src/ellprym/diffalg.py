@@ -98,11 +98,6 @@ class TraceSplit(NamedTuple):
     def genus(self):
         return len(self.tau)
 
-    def trace_ratio(self, vec):
-        """tau applied to a coordinate vector: the trace of the form, over alpha."""
-        return sum((t * v for t, v in zip(self.tau, vec)),
-                   self.change.field.zero())
-
 
 def trace_split(datum):
     """Compute the trace vector, the alpha coordinates, the adapted change

@@ -13,8 +13,11 @@ cover decides, one way, that the period-map kernel is minimal.
 The vanishing equivalence is checked by two genuinely independent routes:
 the fiber-sum route applies the kernel report's fiber-sum row of the
 codifferential to ``minus``, the coefficient route reads ``point_value``.
-Both must vanish together; the proof-level identity (fiber sum = minus the
-trace ratio of the mixed component) is asserted exactly as well.
+Both must vanish together, and the proof-level identity is asserted
+exactly as well: fiber route = -degree x coefficient route.  The fiber sum
+of a quadric is minus the trace ratio tau . omega of its mixed part
+alpha . omega, and tau . omega = d . ``point_value``: omega is
+``point_value`` times alpha plus trace-zero forms, and tau . alpha = d.
 
 The dimension ledger's identity (b) reads the kernel report's residue rows
 of the codifferential: the trace-zero part ``minus`` of a quadric lies in
@@ -37,7 +40,6 @@ class QuadricDecomposition(NamedTuple):
     tensor: list  # lex coordinates of G
     point_value: Scalar  # the value of G at the distinguished point
     minus: list  # lex coordinates of G_minus over the trace-zero square
-    omega: tuple  # coordinates of the 1-form factor in the eta basis
 
 
 def decompose_quadric(split, G):
@@ -57,17 +59,19 @@ def decompose_quadric(split, G):
     if any(not (m + a - x).is_zero()
            for m, a, x in zip(minus_part, alpha_sym, G)):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(G, coords[0], minus, tuple(omega))
+    return QuadricDecomposition(G, coords[0], minus)
 
 
-def functpoint_check(datum, split, decs, kernel_report):
+def functpoint_check(datum, decs, kernel_report):
     """Dual-route vanishing check for every basis quadric, given by its
     `decompose_quadric`; returns the report's list of checks.
 
     Each entry holds the fiber route (the kernel report's ``fiber_sum`` row
     on ``minus``), the coefficient route (``point_value``), whether both
-    vanish together (``agree``) and whether the fiber sum is minus the
-    trace ratio of the mixed part (``trace_identity``).
+    vanish together (``agree``) and whether the fiber route is -degree
+    times the coefficient route (``trace_identity``): the fiber sum is
+    minus the trace ratio of the mixed part alpha . omega, and
+    tau . omega = d . ``point_value``.
     Precondition: each tensor actually lies in the kernel of the
     multiplication map (verified here: the table's ``multiply``, the
     certified coefficient model, annihilates it).  The equivalence of the
@@ -82,8 +86,7 @@ def functpoint_check(datum, split, decs, kernel_report):
                 f"tensor {idx} is not in the kernel of the multiplication map")
         lhs = kernel_report.fiber_sum.mul_vec(dec.minus)[0]
         rhs = dec.point_value
-        trace_omega = split.trace_ratio(dec.omega)
-        proof_ok = (lhs == -trace_omega)
+        proof_ok = (lhs == -datum.degree * rhs)
         agree = (lhs.is_zero() == rhs.is_zero())
         if not agree or not proof_ok:
             raise EquivalenceViolated(

@@ -1,18 +1,17 @@
 """Codifferential of the Prym period map and its kernel dimensions.
 
 For a trace-zero symmetric 2-tensor the codifferential covector has one
-residue slot per ramification point and one fiber-sum slot; they are the
-rows of ``codifferential_matrix``:
+residue slot per ramification point and one fiber-sum slot:
 
     slot t_j : residue at a_j of (product differential / base pullback)
     slot s   : sum over the fiber of (product differential / base pullback^2)
 
-It is the one place the analysis reads these slots of a trace-zero tensor:
-it applies the ``residues`` and ``fiber_sum`` rows of the multiplication
-table once, to the trace split's ``sym_minus``.  `kernel_E` keeps its two
-blocks in its report, as ``residues`` and ``fiber_sum``, and every later
-stage applies them to trace-zero coordinates (the ``minus`` part of a
-quadric decomposition, or a kernel vector).
+The codifferential is two products, formed once by `kernel_E`: the
+multiplication table's ``residues`` rows and its ``fiber_sum`` row, each
+times the trace split's ``sym_minus``.  `kernel_E` keeps the two blocks in
+its report, as ``residues`` and ``fiber_sum``, and every later stage
+applies them to trace-zero coordinates (the ``minus`` part of a quadric
+decomposition, or a kernel vector).
 
 The 2*pi*i normalization that appears in some residue formulations is
 dropped throughout; kernels and ranks are scaling invariant, so every
@@ -34,20 +33,12 @@ from .errors import IdentityViolated
 from .scalars import Matrix
 
 
-def codifferential_matrix(datum, split):
-    """Rows: the residue slots t_1..t_n, then s; columns: the lex basis of
-    the symmetric square of the trace-zero space."""
-    table = datum.multiplication_table
-    return Matrix.stack([table.residues, table.fiber_sum]).matmul(
-        split.sym_minus)
-
-
 class KernelEReport(NamedTuple):
     """Kernel data of the base-fixed codifferential."""
     dim_dual: int            # dim Ker over the tensor space
     dim_primal: int          # dim Ker of the map on tangent vectors
-    residues: Matrix         # the residue rows of codifferential_matrix
-    fiber_sum: Matrix        # its fiber-sum row
+    residues: Matrix         # the residue slots on the trace-zero square
+    fiber_sum: Matrix        # the fiber-sum slot there, one row
     basis_minus_coords: tuple  # kernel basis over the trace-zero square
 
 
@@ -60,8 +51,8 @@ def kernel_E(datum, split):
     side, n minus the rank, then holds identically.
     """
     g, n = datum.genus, datum.n_ramification
-    cmat = codifferential_matrix(datum, split)
-    gam = cmat[:n, :]
+    table = datum.multiplication_table
+    gam = table.residues.matmul(split.sym_minus)
     kernel = gam.kernel_basis()
     rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
@@ -69,7 +60,8 @@ def kernel_E(datum, split):
         raise IdentityViolated(
             f"dim Ker of the base-fixed codifferential is {len(kernel)}, "
             f"the identity requires g(g-1)/2 - n + 1 = {expected}")
-    return KernelEReport(len(kernel), n - rank, gam, cmat[n:, :],
+    return KernelEReport(len(kernel), n - rank, gam,
+                         table.fiber_sum.matmul(split.sym_minus),
                          tuple(tuple(v) for v in kernel))
 
 

@@ -22,7 +22,7 @@ from ellprym.geometry import (decompose_quadric, functpoint_check,
 from ellprym.prym import kernel_E, kernel_full
 from ellprym.scalars import Matrix
 from ellprym.series import TruncatedSeries, transform_form
-from test_prym import fiber_sum, minus_basis, minus_tensor
+from test_prym import fiber_sum, minus_basis, minus_tensor, mixed_part
 
 
 def _report(num, text):
@@ -85,8 +85,7 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
     """Both vanishing routes agree and the trace identity holds exactly."""
     count = 0
     for name, bundle in all_bundles.items():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs,
-                                  bundle.kernel)
+        checks = functpoint_check(bundle.datum, bundle.decs, bundle.kernel)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
             count += 1
@@ -94,7 +93,8 @@ def test_criterion_4_dual_route_equivalence(all_bundles):
             dec = decompose_quadric(bundle.split, G)
             lhs = fiber_sum(bundle.datum,
                             minus_tensor(bundle.split, dec.minus))
-            assert lhs == -bundle.split.trace_ratio(dec.omega)
+            assert lhs == -fiber_sum(bundle.datum,
+                                     mixed_part(bundle.split, dec))
     _report(4, f"fiber route and coefficient route agree on {count} quadrics; "
                "trace identity exact")
 

@@ -233,7 +233,8 @@ def _analyze_edited(tmp_path, obj, edit):
 def test_analyze_oversized_scalar_exits_2(tmp_path, capsys, pirola_datum_obj):
     for text, message in (
             ("7" * 4001, "scalar string longer than 4000 characters"),
-            ("1e999999", "cannot parse scalar token: '1e999999'")):
+            ("1e999999", "cannot parse scalar token: '1e999999'"),
+            ("1*z^2", "zeta power not reduced for this field: '1*z^2'")):
         def edit(obj):
             obj["fiber"]["ratios"][1][0] = text
         assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
@@ -584,8 +585,11 @@ def test_analyze_action_of_lower_order_exits_3(tmp_path, capsys,
      f"/precision: expected at most {MAX_WINDOW}"),
     (_set("h", {"Q": ["1"] * (MAX_FUNCTION_TERMS + 1)}),
      f"/h/Q: expected at most {MAX_FUNCTION_TERMS} coefficients"),
+    (_set("field", {"cyclotomic_order": 8}),
+     "/field/cyclotomic_order: unsupported cyclotomic order 8; supported: "
+     "(1, 2, 3, 4, 5, 6, 7, 11, 13)"),
 ], ids=["N-bool", "precision-bool", "order-bool", "field-list", "h-P-int",
-        "precision-above-limit", "h-Q-above-limit"])
+        "precision-above-limit", "h-Q-above-limit", "order-8"])
 def test_build_malformed_spec_exits_2(tmp_path, capsys, edit, message):
     obj = spec_to_json(pirola_spec(precision=10))
     edit(obj)
@@ -674,6 +678,97 @@ def test_analyze_hint_not_the_pullback_on_charts_exits_2(
     assert (f"trace_consistency: trace vector nonzero; form {k} differs from "
             "the alpha pullback at charts [0, 1, 2]") in \
         capsys.readouterr().err
+
+
+def _ratio_column(k, values):
+    def edit(obj):
+        for row, value in zip(obj["fiber"]["ratios"], values):
+            row[k] = value
+    return edit
+
+
+def _chart0_series(member, key, value):
+    """Set one member of chart 0's alpha pullback or of one of its forms."""
+    def edit(obj):
+        chart = obj["charts"][0]
+        series = chart["alpha_pullback"] if member == "alpha" else \
+            chart["forms"][member]
+        series[key] = value
+    return edit
+
+
+def _unhinted_alpha_coefficient(obj):
+    obj["alpha_index_hint"] = None
+    obj["charts"][0]["alpha_pullback"]["coeffs"][3] = "5"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set("alpha_index_hint", 7), "ValidationFailed: datum failed "
+     "validation: trace_consistency: trace vector nonzero; alpha index 7 out "
+     "of range"),
+    (_set("alpha_index_hint", 1), "ValidationFailed: datum failed "
+     "validation: trace_consistency: trace vector nonzero; trace at alpha "
+     "index = 0, expected 3; form 1 differs from the alpha pullback at "
+     "charts [0, 1, 2]"),
+    (_ratio_column(0, ["2", "0", "1"]), "ValidationFailed: datum failed "
+     "validation: trace_consistency: trace vector nonzero; alpha column of "
+     "ratios is not all ones"),
+    (_chart0_series("alpha", "valuation", 1), "ValidationFailed: datum "
+     "failed validation: chart_valuations[0]: alpha pullback valuation 1 != "
+     "index-1 = 2; trace_consistency: trace vector nonzero; form 0 differs "
+     "from the alpha pullback at charts [0]"),
+    (_chart0_series(1, "valuation", -1), "ValidationFailed: datum failed "
+     "validation: chart_valuations[0]: form 1 has a pole (valuation -1)"),
+    (lambda obj: obj["field"].update(cyclotomic_order=8),
+     "SchemaError: /field/cyclotomic_order: unsupported cyclotomic order 8; "
+     "supported: (1, 2, 3, 4, 5, 6, 7, 11, 13)"),
+    (_unhinted_alpha_coefficient, "ValidationFailed: no basis combination "
+     "matches the alpha pullback data"),
+], ids=["hint-out-of-range", "hint-not-alpha", "alpha-column-not-ones",
+        "alpha-valuation", "form-pole", "field-order-8",
+        "unhinted-alpha-unsolvable"])
+def test_analyze_refused_datum_exits_2(tmp_path, capsys, pirola_datum_obj,
+                                       edit, message):
+    """Each edit of the window-10 pirola datum is refused with exit 2 and
+    one stderr line naming the failure, not a traceback."""
+    assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_analyze_action_order_outside_the_field_exits_2(tmp_path, capsys,
+                                                        pirola_built):
+    """Q(zeta_3) has no primitive 4th root of unity, so the stock action
+    stated with order 4 is refused before its matrix is read as an
+    order-4 generator."""
+    datum_path, action_path = pirola_built
+    obj = json.loads(action_path.read_text())
+    obj["order"] = 4
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(obj))
+    assert main(["analyze", str(datum_path), "--action", str(action)]) == 2
+    assert capsys.readouterr().err == \
+        "error: FieldError: field lacks a primitive 4-th root of unity\n"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({**spec_to_json(pirola_spec(10)), "c": {"x": "1", "y": "1"}},
+     "InputError: point (1, 1) is not on the curve"),
+    ({**spec_to_json(pirola_spec(10)), "h": {"P": ["-1", "-1"], "Q": ["1"]}},
+     "FieldTooSmall: no admissible base point with an exact root found in "
+     "the search range; supply one explicitly or rescale the cover function"),
+    ({"E": {"A": "-1", "B": "0"}, "h": {"P": [], "Q": ["1"]}, "N": 2,
+      "c": "auto", "precision": 10},
+     "UnsupportedRamification: valuation -3 at O: need v = 1 or 2 | v"),
+], ids=["base-point-off-curve", "no-base-point", "ramification-at-O"])
+def test_build_refused_spec_exits_2(tmp_path, capsys, spec, message):
+    """A base point off the curve, a cover function -2 times the pirola
+    one (no rational point searched, off its divisor, has an exact cube
+    root of its value in Q(zeta_3)), and w^2 = y on y^2 = x^3 - x (a pole
+    of order 3 at O, odd for a double cover) each exit 2 with one stderr
+    line."""
+    spec_path = _write_spec(tmp_path / "spec.json", spec)
+    assert main(["build", spec_path, "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["build", "demo"])

@@ -1,15 +1,16 @@
 import pytest
 
 from ellprym import diffalg
+from ellprym.builder import bielliptic_spec, build_cover
 from ellprym.cli import analyze_datum
-from ellprym.diffalg import symmetric_product
+from ellprym.diffalg import quadric_kernel, symmetric_product, trace_split
 from ellprym.errors import (ConsistencyViolated, EquivalenceViolated,
                             InputError)
 from ellprym.geometry import (decompose_quadric, dimension_ledger,
                               functpoint_check, halfgeo_criterion)
-from ellprym.prym import kernel_full
+from ellprym.prym import kernel_E, kernel_full
 from ellprym.scalars import Matrix
-from test_prym import minus_basis, minus_tensor
+from test_prym import fiber_sum, minus_basis, minus_tensor, mixed_part
 
 
 def alpha_sq(bundle):
@@ -26,14 +27,14 @@ def test_decomposition_of_minus_tensor(pirola):
     phi = minus_elem(pirola)
     dec = decompose_quadric(pirola.split, phi)
     assert minus_tensor(pirola.split, dec.minus) == phi
-    assert all(x.is_zero() for x in dec.omega)
+    assert all(x.is_zero() for x in mixed_part(pirola.split, dec))
 
 
 def test_decomposition_of_alpha_squared(pirola):
     phi = alpha_sq(pirola)
     dec = decompose_quadric(pirola.split, phi)
     assert all(x.is_zero() for x in dec.minus)
-    assert list(dec.omega) == list(pirola.split.alpha_coords)
+    assert mixed_part(pirola.split, dec) == phi
 
 
 def test_decomposition_reconstructs_any_tensor(pirola):
@@ -42,8 +43,8 @@ def test_decomposition_reconstructs_any_tensor(pirola):
            for a, m in zip(alpha_sq(pirola), minus_elem(pirola))]
     dec = decompose_quadric(pirola.split, phi)
     minus = minus_tensor(pirola.split, dec.minus)
-    rebuilt = [m + a for m, a in zip(minus, symmetric_product(
-        list(pirola.split.alpha_coords), list(dec.omega)))]
+    assert mixed_part(pirola.split, dec) == alpha_sq(pirola)
+    rebuilt = [m + a for m, a in zip(minus, alpha_sq(pirola))]
     assert rebuilt == phi
 
 
@@ -82,14 +83,13 @@ def test_pirola_quadric_contains_point(pirola):
     """The mixed part of the unique quadric has no pure pullback component."""
     G = pirola.quadrics[0]
     dec = decompose_quadric(pirola.split, G)
-    assert pirola.split.trace_ratio(dec.omega).is_zero()
+    assert fiber_sum(pirola.datum, mixed_part(pirola.split, dec)).is_zero()
     assert dec.point_value.is_zero()
 
 
 def test_dual_route_equivalence(all_bundles):
     for bundle in all_bundles.values():
-        checks = functpoint_check(bundle.datum, bundle.split, bundle.decs,
-                                  bundle.kernel)
+        checks = functpoint_check(bundle.datum, bundle.decs, bundle.kernel)
         for c in checks:
             assert c["agree"] and c["trace_identity"]
 
@@ -97,7 +97,7 @@ def test_dual_route_equivalence(all_bundles):
 def test_functpoint_rejects_non_kernel_input(pirola):
     fake = [decompose_quadric(pirola.split, alpha_sq(pirola))]
     with pytest.raises(InputError):
-        functpoint_check(pirola.datum, pirola.split, fake, pirola.kernel)
+        functpoint_check(pirola.datum, fake, pirola.kernel)
 
 
 def test_functpoint_refuses_routes_that_disagree(pirola):
@@ -106,7 +106,24 @@ def test_functpoint_refuses_routes_that_disagree(pirola):
     dec = pirola.decs[0]
     forged = dec._replace(point_value=pirola.datum.field.one())
     with pytest.raises(EquivalenceViolated):
-        functpoint_check(pirola.datum, pirola.split, [forged], pirola.kernel)
+        functpoint_check(pirola.datum, [forged], pirola.kernel)
+
+
+def test_functpoint_refuses_routes_off_the_degree_ratio():
+    """The fiber route is -degree times the coefficient route.  On the
+    genus-4 double cover at window 13 (fiber route 2, coefficient route -1),
+    a decomposition whose value at the distinguished point is forged to
+    twice its value keeps both routes nonzero, so they still vanish
+    together, yet the identity refuses it."""
+    datum = build_cover(bielliptic_spec(4, 13)).datum
+    split = trace_split(datum)
+    kernel = kernel_E(datum, split)
+    (dec,) = [decompose_quadric(split, G) for G in quadric_kernel(datum)]
+    (check,) = functpoint_check(datum, [dec], kernel)
+    assert (check["fiber_route"], check["coefficient_route"]) == ("2", "-1")
+    forged = dec._replace(point_value=dec.point_value + dec.point_value)
+    with pytest.raises(EquivalenceViolated, match="trace identity violated"):
+        functpoint_check(datum, [forged], kernel)
 
 
 def test_halfgeo_verdicts(all_bundles):

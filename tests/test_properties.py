@@ -3,18 +3,26 @@
 The heavyweight checks rebuild the analysis pipeline on transformed data:
 chart reparametrizations and basis changes must leave every kernel
 dimension unchanged, which is the datum-level form of residue invariance.
+The invariance family runs the whole analysis on relabeled data: the
+report must not depend on the order of the charts or of the fiber points,
+nor on the window beyond what the validation section records.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
-from ellprym.covering import (change_basis, lex_pairs, reparametrized,
-                              validate)
+import pytest
+
+from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
+from ellprym.cli import analyze_datum
+from ellprym.covering import (change_basis, json_text, lex_pairs,
+                              reparametrized, validate)
 from ellprym.diffalg import quadric_kernel, symmetric_product, trace_split
-from ellprym.prym import codifferential_matrix, kernel_E, kernel_full
+from ellprym.prym import kernel_E, kernel_full
 from ellprym.scalars import Matrix
 from ellprym.series import TruncatedSeries
-from test_prym import fiber_sum, minus_basis
+from test_prym import codifferential, fiber_sum, minus_basis
 
 
 def _random_unit_substitution(field, rng, prec):
@@ -122,8 +130,8 @@ def test_nu_polarization_is_bilinear(pirola, biell4):
 
 
 def test_covector_matrix_deterministic(pirola):
-    first = codifferential_matrix(pirola.datum, pirola.split)
-    second = codifferential_matrix(pirola.datum, pirola.split)
+    first = codifferential(kernel_E(pirola.datum, pirola.split))
+    second = codifferential(kernel_E(pirola.datum, pirola.split))
     assert first.rows == second.rows
 
 
@@ -133,3 +141,57 @@ def test_kernel_basis_deterministic_across_runs(pirola):
     assert ke1.basis_minus_coords == ke2.basis_minus_coords
     assert ke1.residues == ke2.residues
     assert ke1.fiber_sum == ke2.fiber_sum
+
+
+STOCK_SPECS = {"pirola": pirola_spec,
+               "double3": functools.partial(bielliptic_spec, 3),
+               "double4": functools.partial(bielliptic_spec, 4)}
+
+
+@functools.lru_cache(maxsize=None)
+def _stock_report(name, window):
+    """The analysis report, with the deck action, of a stock fixture built
+    at this window."""
+    result = build_cover(STOCK_SPECS[name](window))
+    return analyze_datum(result.datum, result.action)
+
+
+def _charts_reversed(datum, action):
+    """The same cover with its chart list in reverse order, and the action
+    with its chart moves renumbered to match."""
+    last = len(datum.charts) - 1
+    moves = tuple((last - target, rho)
+                  for target, rho in reversed(action.chart_moves))
+    return (datum._replace(charts=datum.charts[::-1]),
+            action._replace(chart_moves=moves))
+
+
+def _fiber_reversed(datum, action):
+    """The same cover with its fiber points in reverse order, each label
+    with its ratio row, and the action's fiber permutation renumbered."""
+    last = datum.degree - 1
+    fiber = datum.fiber._replace(labels=datum.fiber.labels[::-1],
+                                 ratios=datum.fiber.ratios[::-1])
+    perm = tuple(last - k for k in reversed(action.fiber_permutation))
+    return (datum._replace(fiber=fiber),
+            action._replace(fiber_permutation=perm))
+
+
+@pytest.mark.parametrize("relabel, window", [
+    (_charts_reversed, 13), (_fiber_reversed, 13), (None, 40), (None, 80)],
+    ids=["charts-reversed", "fiber-reversed", "window-40", "window-80"])
+@pytest.mark.parametrize("name", sorted(STOCK_SPECS))
+def test_report_invariance_family(name, relabel, window):
+    """Against the report of the fixture built at window 13: reversing the
+    charts, or the fiber points with their ratio rows, leaves the report
+    byte-identical; building at window 40 or 80 changes no key but
+    ``validation``, which records the windows."""
+    expected = _stock_report(name, 13)
+    if relabel is None:
+        report = _stock_report(name, window)
+        report, expected = ({k: v for k, v in r.items() if k != "validation"}
+                            for r in (report, expected))
+    else:
+        result = build_cover(STOCK_SPECS[name](window))
+        report = analyze_datum(*relabel(result.datum, result.action))
+    assert json_text(report) == json_text(expected)

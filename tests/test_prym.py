@@ -1,8 +1,7 @@
-from ellprym import prym
+from ellprym import diffalg
 from ellprym.cli import analyze_datum
 from ellprym.covering import lex_pairs
 from ellprym.diffalg import symmetric_product
-from ellprym.prym import codifferential_matrix
 from ellprym.scalars import Matrix
 
 
@@ -37,6 +36,20 @@ def minus_tensor(split, coords):
         total = [t + c * p for t, p in
                  zip(total, symmetric_product(basis[a], basis[b]))]
     return total
+
+
+def mixed_part(split, dec):
+    """The lex coordinates of the mixed part alpha . omega of a decomposed
+    tensor: the tensor minus its trace-zero part.  Its fiber sum is the
+    trace ratio of omega, since the pullback form has ratio 1 at every
+    fiber point."""
+    return [x - m for x, m in zip(dec.tensor, minus_tensor(split, dec.minus))]
+
+
+def codifferential(kernel_report):
+    """The codifferential on the trace-zero square, as one matrix: the
+    kernel report's residue rows, then its fiber-sum row."""
+    return Matrix.stack([kernel_report.residues, kernel_report.fiber_sum])
 
 
 def test_mixed_tensor_has_zero_residues(pirola):
@@ -75,7 +88,7 @@ def test_residues_match_base_curve_oracle(pirola):
 
 
 def test_zero_tensor_maps_to_zero(pirola):
-    cmat = codifferential_matrix(pirola.datum, pirola.split)
+    cmat = codifferential(pirola.kernel)
     assert cmat.annihilates([pirola.datum.field.zero()] * cmat.ncols)
     assert fiber_sum(pirola.datum, [pirola.datum.field.zero()] * 10).is_zero()
 
@@ -83,11 +96,11 @@ def test_zero_tensor_maps_to_zero(pirola):
 def test_gamma_s_equals_nu_exactly(all_bundles):
     """Two routes to the fiber-sum slot of a tensor in the symmetric square
     of the trace-zero forms: the fiber ratios summed on its lex coordinates,
-    and the last row of codifferential_matrix on its coordinates over that
+    and the last row of the codifferential on its coordinates over that
     square."""
     for bundle in all_bundles.values():
         datum, split = bundle.datum, bundle.split
-        cmat = codifferential_matrix(datum, split)
+        cmat = codifferential(bundle.kernel)
         basis = minus_basis(split)
         for a, b in lex_pairs(len(basis)):
             phi = symmetric_product(basis[a], basis[b])
@@ -98,7 +111,7 @@ def test_gamma_s_equals_nu_exactly(all_bundles):
 def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
     """Orbit sums of root-of-unity ratios cancel the fiber slot."""
     datum, split = pirola.datum, pirola.split
-    cmat = codifferential_matrix(datum, split)
+    cmat = codifferential(pirola.kernel)
     basis = minus_basis(split)
     for a, b in lex_pairs(3):
         phi = symmetric_product(basis[a], basis[b])
@@ -136,7 +149,7 @@ def test_global_residue_relation(all_bundles):
     """Residues of a meromorphic 1-form sum to zero: the covector rows do too."""
     for bundle in all_bundles.values():
         field = bundle.datum.field
-        cmat = codifferential_matrix(bundle.datum, bundle.split)
+        cmat = codifferential(bundle.kernel)
         for row in cmat.transpose().rows:
             total = field.zero()
             for x in row[:-1]:
@@ -148,7 +161,7 @@ def test_kernel_chain_codimension(all_bundles):
     """Rank of the full covector matrix exceeds the residue-only rank by <= 1."""
     for bundle in all_bundles.values():
         field = bundle.datum.field
-        cmat = codifferential_matrix(bundle.datum, bundle.split)
+        cmat = codifferential(bundle.kernel)
         n = bundle.datum.n_ramification
         r_gamma = Matrix(field, cmat.rows[:n]).rank()
         r_full = cmat.rank()
@@ -184,7 +197,7 @@ def test_bielliptic_witness_independently_confirmed(biell4):
     assert not dec.point_value.is_zero()
     minus = minus_tensor(biell4.split, dec.minus)
     assert fiber_sum(biell4.datum, minus) == \
-        -biell4.split.trace_ratio(dec.omega)
+        -fiber_sum(biell4.datum, mixed_part(biell4.split, dec))
     assert crit.dimension == "1"
 
 
@@ -196,18 +209,23 @@ def test_genus3_vacuous_verdict(biell3):
 
 def test_analysis_reads_the_slots_in_the_trace_zero_frame(all_bundles,
                                                           monkeypatch):
-    """During analyze_datum with the fixture's action, codifferential_matrix
-    is formed once, and no mul_vec or annihilates call has a receiver of 1
-    or n rows by g(g+1)/2 columns: the shape of the table's fiber-sum and
-    residue rows, which would read the slots on the full symmetric
-    square."""
-    codifferential, mul_vec = prym.codifferential_matrix, Matrix.mul_vec
-    annihilates = Matrix.annihilates
-    formed, shapes = [], []
+    """During analyze_datum with the fixture's action, the codifferential
+    is formed once, as two products by the split's sym_minus (the residue
+    rows and the fiber-sum row), and no mul_vec or annihilates call has a
+    receiver of 1 or n rows by g(g+1)/2 columns: the shape of the table's
+    fiber-sum and residue rows, which would read the slots on the full
+    symmetric square."""
+    trace_split, matmul = diffalg.trace_split, Matrix.matmul
+    mul_vec, annihilates = Matrix.mul_vec, Matrix.annihilates
+    splits, factors, shapes = [], [], []
 
-    def recording_codifferential(datum, split):
-        formed.append(datum)
-        return codifferential(datum, split)
+    def recording_split(datum):
+        splits.append(trace_split(datum))
+        return splits[-1]
+
+    def recording_matmul(self, other):
+        factors.append(other)
+        return matmul(self, other)
 
     def recording_mul_vec(self, vec):
         shapes.append((self.nrows, self.ncols))
@@ -216,18 +234,21 @@ def test_analysis_reads_the_slots_in_the_trace_zero_frame(all_bundles,
     def recording_annihilates(self, vec):
         shapes.append((self.nrows, self.ncols))
         return annihilates(self, vec)
-    monkeypatch.setattr(prym, "codifferential_matrix",
-                        recording_codifferential)
+    monkeypatch.setattr(diffalg, "trace_split", recording_split)
+    monkeypatch.setattr(Matrix, "matmul", recording_matmul)
     monkeypatch.setattr(Matrix, "mul_vec", recording_mul_vec)
     monkeypatch.setattr(Matrix, "annihilates", recording_annihilates)
     counts = {}
     for name, bundle in all_bundles.items():
-        formed.clear()
+        splits.clear()
+        factors.clear()
         shapes.clear()
         analyze_datum(bundle.datum, bundle.action)
+        (split,) = splits
         g, n = bundle.datum.genus, bundle.datum.n_ramification
         full = g * (g + 1) // 2
-        counts[name] = (len(formed), sum(shape in ((1, full), (n, full))
-                                         for shape in shapes))
-    assert counts == {"pirola": (1, 0), "bielliptic4": (1, 0),
-                      "bielliptic3": (1, 0)}
+        counts[name] = (sum(f is split.sym_minus for f in factors),
+                        sum(shape in ((1, full), (n, full))
+                            for shape in shapes))
+    assert counts == {"pirola": (2, 0), "bielliptic4": (2, 0),
+                      "bielliptic3": (2, 0)}
