@@ -166,12 +166,6 @@ class _InfinityPoint:
     def __repr__(self):
         return "O"
 
-    def __eq__(self, other):
-        return isinstance(other, _InfinityPoint)
-
-    def __hash__(self):
-        return hash("_ellprym_point_at_infinity")
-
 
 INFINITY = _InfinityPoint()
 
@@ -195,8 +189,6 @@ class EllipticCurve(NamedTuple):
         return [self.B, self.A, f.zero(), f.one()]
 
     def contains(self, pt):
-        if pt is INFINITY:
-            return True
         return pt.y * pt.y == peval(self.rhs(), pt.x)
 
     def point(self, x, y):

@@ -172,13 +172,17 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     check (2) reads its ``point_value`` and check (4) its ``minus``.
 
     Preconditions, checked here: genus 4, degree 3, an action of order 3
-    whose fiber permutation is a single 3-cycle (Galois cover of degree 3).
-    Preconditions the caller has established: the action passed
-    `validate_action` and fixes the pullback form, ``eig`` is its
-    `eigenspaces` decomposition and ``sym2`` is `sym2_eigenspaces` of
-    ``eig``.  Check (1) reads the quadric's characters from its coordinates
-    over the product basis of the full square, and check (5) compares the
-    kernel with the products of exponents 1 and 2 on the trace-zero square.
+    whose fiber permutation is a single 3-cycle (Galois cover of degree 3),
+    and exactly one decomposition: a canonical genus-4 curve lies on one
+    quadric.  `cli.analyze_datum` never trips the last, because
+    `diffalg.quadric_kernel` refuses a genus-4 kernel of any other dimension
+    before the battery runs.  Preconditions the caller has established:
+    the action passed `validate_action` and fixes the pullback form,
+    ``eig`` is its `eigenspaces` decomposition and ``sym2`` is
+    `sym2_eigenspaces` of ``eig``.  Check (1) reads the quadric's
+    characters from its coordinates over the product basis of the full
+    square, and check (5) compares the kernel with the products of
+    exponents 1 and 2 on the trace-zero square.
     """
     field = datum.field
     g = datum.genus
@@ -189,6 +193,9 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
     perm = action.fiber_permutation
     if {0, perm[0], perm[perm[0]]} != {0, 1, 2}:
         raise InputError("fiber is not a single orbit of the action")
+    if len(decs) != 1:
+        raise InputError(f"battery requires one quadric, got {len(decs)}")
+    dec = decs[0]
 
     checks = []
 
@@ -196,40 +203,29 @@ def run_battery(datum, action, eig, sym2, decs, kernel_report,
         checks.append({"name": name, "passed": passed, "detail": detail})
 
     # (1) a single quadric, concentrated in one nontrivial character
-    iso_detail = []
-    single_char_ok = len(decs) == 1
-    if single_char_ok:
-        nonzero = tensor_characters(field, sym2.full, decs[0].tensor)
-        single_char_ok = nonzero in ([1], [2])
-        iso_detail.append(f"character components nonzero at exponents {nonzero}")
-    add("unique_quadric_single_nontrivial_character", single_char_ok,
-        f"h0 = {len(decs)}; " + "; ".join(iso_detail))
+    nonzero = tensor_characters(field, sym2.full, dec.tensor)
+    add("unique_quadric_single_nontrivial_character", nonzero in ([1], [2]),
+        f"h0 = 1; character components nonzero at exponents {nonzero}")
 
-    if len(decs) == 1:
-        # (2) the quadric passes through the distinguished point
-        val = decs[0].point_value
-        add("quadric_contains_distinguished_point", val.is_zero(),
-            f"coefficient of squared pullback = {val}")
-        # (3) cone of rank 3 with vertex off the known curve points
-        vertex = gram(field, g, decs[0].tensor).kernel_basis()
-        rank = g - len(vertex)
-        off_curve = len(vertex) != 1 or not any(
-            _proportional(vertex[0], pt)
-            for pt in _known_point_functionals(datum))
-        add("quadric_is_cone_with_vertex_off_curve",
-            rank == 3 and len(vertex) == 1 and off_curve,
-            f"gram rank {rank}, vertex dimension {len(vertex)}, "
-            f"vertex off known curve points: {off_curve}")
-        # (4) tangency: restriction to the distinguished hyperplane has rank 1
-        block_rank = gram(field, g - 1, decs[0].minus).rank()
-        add("hyperplane_restriction_rank_one", block_rank == 1,
-            f"restricted gram rank {block_rank} "
-            "(double line: tangent hyperplane, collinear ramification)")
-    else:
-        for name in ("quadric_contains_distinguished_point",
-                     "quadric_is_cone_with_vertex_off_curve",
-                     "hyperplane_restriction_rank_one"):
-            add(name, False, "no unique quadric")
+    # (2) the quadric passes through the distinguished point
+    add("quadric_contains_distinguished_point", dec.point_value.is_zero(),
+        f"coefficient of squared pullback = {dec.point_value}")
+
+    # (3) cone of rank 3 with vertex off the known curve points
+    vertex = gram(field, g, dec.tensor).kernel_basis()
+    rank = g - len(vertex)
+    off_curve = len(vertex) != 1 or not any(
+        _proportional(vertex[0], pt) for pt in _known_point_functionals(datum))
+    add("quadric_is_cone_with_vertex_off_curve",
+        rank == 3 and len(vertex) == 1 and off_curve,
+        f"gram rank {rank}, vertex dimension {len(vertex)}, "
+        f"vertex off known curve points: {off_curve}")
+
+    # (4) tangency: restriction to the distinguished hyperplane has rank 1
+    block_rank = gram(field, g - 1, dec.minus).rank()
+    add("hyperplane_restriction_rank_one", block_rank == 1,
+        f"restricted gram rank {block_rank} "
+        "(double line: tangent hyperplane, collinear ramification)")
 
     # (5) kernel = nontrivial-character part of the trace-zero square
     # both row sets are bases by construction: a kernel basis, and products

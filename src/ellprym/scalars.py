@@ -203,9 +203,8 @@ class FieldSpec:
         return self.scalar(1)
 
     def zeta(self):
-        """The designated generator zeta_N (equal to 1 for N = 1, -1 for N = 2)."""
-        if self.degree == 1:
-            return self.scalar(1 if self.cyclotomic_order == 1 else -1)
+        """The designated generator zeta_N: z reduced mod Phi_N, which is 1
+        for N = 1 and -1 for N = 2."""
         return Scalar(self, [0, 1])
 
     def contains_root_of_unity(self, m):
@@ -294,9 +293,6 @@ class Scalar:
     def __sub__(self, other):
         return self._sum(other, -1)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -331,9 +327,6 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n):
         if n < 0:

@@ -15,8 +15,9 @@ coefficient are nonzero, except in the tracked-precision zero series, whose
 ``num`` is empty, ``den`` 1 and ``valuation == prec``.  Sums, scaling,
 shifts, truncation and the derivative are integer list operations; Scalars
 are made only where coefficients are read (``coefficients_in``,
-``coefficient`` and ``coeffs``, and through them ``repr`` and the JSON
-writer in ``covering``).
+``coefficient`` and ``coeffs``, and through them the JSON writer in
+``covering`` and ``repr``, one line of the valuation, the coefficient
+strings and ``prec`` that pytest prints when a test fails).
 ``ints_in`` reads a window as integers over ``den``, with no Scalars.
 
 Algorithms: a product with a one-term operand is a scaling.  Any other is
@@ -232,18 +233,8 @@ class TruncatedSeries:
                 (other.valuation, other.prec, other.den, other.num))
 
     def __repr__(self):
-        if self.is_zero():
-            return f"O(z^{self.prec})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            e = self.valuation + i
-            cs = c.to_string()
-            if "+" in cs or "*" in cs:
-                cs = f"({cs})"
-            terms.append(cs if e == 0 else f"{cs}*z^{e}")
-        return " + ".join(terms) + f" + O(z^{self.prec})"
+        return (f"TruncatedSeries({self.valuation}, "
+                f"{[c.to_string() for c in self.coeffs]}, {self.prec})")
 
 
 def compose_all(outers, inner):

@@ -359,6 +359,14 @@ def test_battery_preconditions(biell4, pirola):
                                pirola.action.fiber_permutation)
     with pytest.raises(InputError):
         _battery(pirola, wrong_order)
+    # a canonical genus-4 curve lies on one quadric; any other count of
+    # decompositions is refused by name, not reported as a failed battery
+    eig = eigenspaces(pirola.action)
+    sym2 = sym2_eigenspaces(pirola.split, eig)
+    for decs in ([], [pirola.decs[0]] * 2):
+        with pytest.raises(InputError, match=f"one quadric, got {len(decs)}"):
+            run_battery(pirola.datum, pirola.action, eig, sym2, decs,
+                        pirola.kernel, pirola.criterion)
 
 
 def test_nu_vanishes_on_nontrivial_eigenvectors(pirola):

@@ -88,6 +88,14 @@ def test_roots_of_unity_in_field():
     assert zeta6 ** 6 == Q3.one()
     assert zeta6 ** 3 == Q3.scalar(-1)
     assert zeta6 ** 2 != Q3.one()
+    # zeta() is a primitive root of the stated order in every supported field
+    assert Q.zeta() == Q.one()
+    assert FieldSpec(2).zeta() == FieldSpec(2).scalar(-1)
+    for n in SUPPORTED_ORDERS:
+        f = FieldSpec(n)
+        powers = [f.zeta() ** k for k in range(1, n + 1)]
+        assert powers[-1] == f.one()
+        assert f.one() not in powers[:-1]
 
 
 def test_galois_conjugation():

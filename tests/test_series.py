@@ -79,6 +79,16 @@ def test_zero_series_tracks_precision():
     assert (z * S(2, [1], 10)).prec == 8
 
 
+@pytest.mark.parametrize("field, last", [(Q, "2"), (Q3, "1 + 1*z")],
+                         ids=["Q", "Q3"])
+def test_repr_names_valuation_coefficients_and_prec(field, last):
+    """repr is one line: the valuation, each coefficient string and prec."""
+    coeffs = [field.scalar(F(-1, 2)), field.zero(), field.zeta() + 1]
+    assert repr(S(-3, coeffs, 4, field)) == \
+        f"TruncatedSeries(-3, ['-1/2', '0', '{last}'], 4)"
+    assert repr(S(4, [], 4, field)) == "TruncatedSeries(4, [], 4)"
+
+
 def test_residue_examples():
     # the residue of s(z) dz is the coefficient of z^-1
     assert S(-1, [1, 2, 1], 5).coefficient(-1) == Q.one()
