@@ -92,7 +92,7 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _dump(report, json_mode, out=None):
+def _dump(report, json_mode, out):
     if json_mode:
         text = covering.json_text(report)
     else:

@@ -91,9 +91,9 @@ class PointOutsideField(InputError):
     caller can decide to extend the field.
     """
 
-    def __init__(self, factors, message="divisor points outside the field"):
+    def __init__(self, factors):
         self.factors = list(factors)
-        super().__init__(f"{message}: {self.factors}")
+        super().__init__(f"divisor points outside the field: {self.factors}")
 
 
 class BuilderError(InputError):

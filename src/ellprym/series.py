@@ -30,14 +30,13 @@ only inside the result window, over the product of the denominators.
 Composition is a change of local parameter: the inner series is a local
 parameter u = phi(v), of valuation exactly 1, and ``transform_form`` is
 the entry point that moves a list of 1-forms through it, as residues are
-invariant under it.  ``compose_all`` evaluates the outers by Brent-Kung
-baby-step/giant-step (Brent & Kung, "Fast algorithms for manipulating
-formal power series", J. ACM 25(4), 1978): the baby and giant powers of
-phi are formed and packed once for the whole list, and each outer keeps
-its own window; a one-term phi = c*v needs no powers.  Result windows are
-fixed by the inputs' windows alone, never by the evaluation scheme.  Local
-expansions of a curve are not made here: ``builder.lift`` solves for them
-by Newton's method on these operations.
+invariant under it.  ``compose_all`` forms the powers of phi once for the
+whole list, by repeated products, as the columns of one integer matrix
+(`scalars.Matrix`): each outer is that matrix times its coefficients, and
+keeps its own window; a one-term phi = c*v needs no powers.  Result
+windows are fixed by the inputs' windows alone, never by the evaluation
+scheme.  Local expansions of a curve are not made here: ``builder.lift``
+solves for them by Newton's method on these operations.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import operator
 
 from .errors import (DivisionByZeroSeries, FieldError, InsufficientPrecision,
                      ValuationError)
-from .scalars import Scalar, _flat, _lowest, _scalars, _times
+from .scalars import Matrix, Scalar, _flat, _lowest, _scalars, _times
 
 
 class TruncatedSeries:
@@ -241,15 +240,14 @@ def compose_all(outers, inner):
     """[outer(inner) for outer in outers], for a local parameter inner, of
     valuation exactly 1, and outers of valuation >= 0.
 
-    Each outer z^lo * q(z) is q(inner) * inner^lo.  With k = ceil(sqrt(m))
-    for the longest q, of m terms, the baby powers inner^0..inner^(k-1) and
-    the giant step inner^k are formed once, at the widest window any outer
-    needs, and the baby powers packed once over one denominator: each block
-    of k terms of q is one integer dot product, read back as far as its
-    outer's window, and the blocks are joined by Horner in the giant step.
-    A one-term inner c*z needs no powers (`_monomial_compose`).  Each outer
-    keeps its own window, min(outer.prec, inner.prec + outer.valuation - 1),
-    as a term-by-term Horner evaluation would give.
+    The powers inner^0 .. inner^(top-1) that the longest outer needs are
+    formed once, at the widest window any outer needs, and laid out as the
+    columns of one integer `Matrix`: each outer z^lo * q(z), the sum of
+    q_e * inner^(lo+e), is one `Matrix._apply` of its coefficients placed
+    at column lo.  A one-term inner c*z needs no powers
+    (`_monomial_compose`).  Each outer keeps its own window,
+    min(outer.prec, inner.prec + outer.valuation - 1), as a term-by-term
+    Horner evaluation would give.
     """
     for outer in outers:
         outer._check_field(inner)
@@ -261,50 +259,38 @@ def compose_all(outers, inner):
     plans = []
     for outer in outers:
         # error from outer truncation is O(z^outer.prec); error from inner
-        # truncation is O(z^(inner.prec + lo - 1)); q(inner) is needed below
-        # z^(prec - lo)
+        # truncation is O(z^(inner.prec + lo - 1))
         lo = outer.valuation
         prec = min(outer.prec, inner.prec + lo - 1)
         plans.append((prec, lo, outer.num[:max(0, prec - lo) * d], outer.den))
-    widths = [prec - lo for prec, lo, q, _ in plans if q]
-    if widths and len(inner.num) > d:
-        width, m = max(widths), max(len(p[2]) for p in plans) // d
-        k = math.isqrt(m - 1) + 1
-        step = inner.truncate(width)
-        powers = [TruncatedSeries._make(field, 0, [1] + [0] * (d - 1), 1,
-                                        width, True)]
-        while len(powers) < k + (m > k):
-            powers.append((powers[-1] * step).truncate(width))
-        den = math.lcm(*(p.den for p in powers[:k]))
-        baby = [(p.valuation, [x * (den // p.den) for x in p.num])
-                for p in powers[:k]]
-        # B = 8*w bits: both heights, the terms per slot, a sign bit
-        w = (max(max(map(abs, v)).bit_length() for _, v in baby) +
-             max(max(map(abs, q), default=0) for _, _, q, _ in plans
-                 ).bit_length() + (k * d).bit_length() + 8) // 8
-        packed = [_pack(field, v, w) << 8 * w * (2 * d - 1) * e
-                  for e, v in baby]
+    used = [(prec, lo + len(q) // d) for prec, lo, q, _ in plans if q]
+    if used and len(inner.num) > d:
+        width, top = map(max, zip(*used))
+        power = TruncatedSeries._make(field, 0, [1] + [0] * (d - 1), 1,
+                                      width, True)
+        columns = [power]
+        while len(columns) < top:
+            power = power * inner
+            power = power.truncate(min(width, power.prec))
+            columns.append(power)
+        # column j >= 1 is known below inner.prec + j - 1 and zero-padded
+        # past it: an outer of valuation lo weights only columns j >= lo,
+        # known below inner.prec + lo - 1 or further, which is at least its
+        # window, so the padding never reaches a result
+        table = Matrix._make(field, [
+            (p.ints_in(0, p.prec) + [0] * ((width - p.prec) * d), p.den)
+            for p in columns], True).transpose()
     out = []
     for prec, lo, q, qden in plans:
-        if not q or len(inner.num) == d:
-            out.append(_monomial_compose(field, prec, lo, q, qden, inner)
-                       if q else TruncatedSeries.zero(field, prec))
-            continue
-        n = prec - lo
-        giant = powers[k].truncate(n) if len(q) > k * d else None
-        # term j of q as the integer of its d slots
-        cs = q if d == 1 else [_pack(field, q[i:i + d], w)
-                               for i in range(0, len(q), d)]
-        result = None
-        for start in reversed(range(0, len(cs), k)):
-            dot = sum(c * x for c, x in zip(cs[start:start + k], packed) if c)
-            block = TruncatedSeries._make(field, 0, _unpack(field, dot, w, n),
-                                          qden * den, n)
-            result = block if result is None else \
-                (result * giant).truncate(n) + block
-        for _ in range(lo):
-            result = result * inner
-        out.append(result.truncate(min(prec, result.prec)))
+        if not q:
+            out.append(TruncatedSeries.zero(field, prec))
+        elif len(inner.num) == d:
+            out.append(_monomial_compose(field, prec, lo, q, qden, inner))
+        else:
+            v = [0] * (lo * d) + q + [0] * ((top - lo) * d - len(q))
+            num, den = table._apply(v, qden)
+            out.append(TruncatedSeries._make(field, 0, num[:prec * d], den,
+                                             prec))
     return out
 
 

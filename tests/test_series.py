@@ -7,8 +7,9 @@ from ellprym.builder import (INFINITY, CurveFunction, EllipticCurve,
                              base_series, bielliptic_spec, divisor_of, lift,
                              peval, pirola_spec)
 from ellprym.covering import _parse_series, _series_to_json
-from ellprym.errors import (DivisionByZeroSeries, InsufficientPrecision,
-                            SingularJacobian, ValuationError)
+from ellprym.errors import (DivisionByZeroSeries, FieldError,
+                            InsufficientPrecision, SingularJacobian,
+                            ValuationError)
 from ellprym.scalars import FieldSpec, Scalar
 from ellprym.series import (TruncatedSeries, _rewindow, compose_all,
                             transform_form)
@@ -523,8 +524,9 @@ def test_compose_with_a_monomial_inner_series(field):
 
 @pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
 def test_compose_over_different_denominators(field):
-    """Outers over several denominators share one packed power table of an
-    inner over another; long outers make several baby-step blocks."""
+    """Outers over several denominators share one power table of an inner
+    over another, whose powers lie over several denominators; outers up to
+    30 terms long weight many columns of it."""
     rng = random.Random(20261105 + field.degree)
     for den_in in (1, 6, 35):
         inner = over_denominator(rng, field, 8, den_in)
@@ -605,6 +607,64 @@ def test_compose_all_matches_horner_per_outer(field):
             expect = horner_compose(outer, inner)
             assert result == expect, (outer, inner)
             assert result.prec == expect.prec
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_compose_all_forms_each_power_once(field, monkeypatch):
+    """The powers inner^0 .. inner^(top-1) are formed once for the whole
+    list, by top - 1 series products, whatever the outers' valuations: the
+    outer of valuation 4 reaches exponent 10, so top = 11.  Its window, 11,
+    passes inner.prec = 8, where the table's columns are zero-padded."""
+    rng = random.Random(20261107 + field.degree)
+
+    def dense(v, n, prec):
+        """A series of n nonzero coefficients from z^v on."""
+        return TruncatedSeries(field, v, [
+            Scalar(field, [F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))] +
+                   [F(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(field.degree - 1)])
+            for _ in range(n)], prec)
+
+    inner = dense(1, 6, 8)
+    outers = [dense(0, 10, 10), dense(1, 5, 6), dense(2, 9, 12),
+              dense(4, 9, 13), dense(3, 1, 4), TruncatedSeries.zero(field, 5)]
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    got = compose_all(outers, inner)
+    assert len(products) == 10
+    monkeypatch.undo()
+    assert got[3].prec == 11
+    for outer, result in zip(outers, got):
+        expect = horner_compose(outer, inner)
+        assert result == expect, (outer, inner)
+        assert result.prec == expect.prec
+
+
+def test_compose_all_refuses_an_outer_of_another_field():
+    """An outer over another field than the inner's is refused before any
+    power is formed, also beside outers of the inner's field."""
+    inner = S(1, [1, 3], 6)
+    for outers in ([S(0, [1, 2], 4, Q3)], [S(0, [1, 2], 4), S(2, [1], 5, Q3)]):
+        with pytest.raises(FieldError,
+                           match=r"^mixed-field series arithmetic$"):
+            compose_all(outers, inner)
+
+
+def test_constructor_refuses_coefficients_past_the_window():
+    """Coefficients from z^v on reach z^(v + len - 1), which must lie below
+    prec."""
+    for field in (Q, Q3):
+        for start, coeffs, prec in ((2, [1, 2, 3], 4), (-3, [1], -3),
+                                    (0, [0, 0], 1)):
+            with pytest.raises(ValueError, match=r"^coefficients extend "
+                               r"beyond the stated precision$"):
+                TruncatedSeries(field, start, coeffs, prec)
 
 
 def test_compose_all_refuses_outer_with_pole():
