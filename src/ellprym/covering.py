@@ -26,8 +26,9 @@ from typing import NamedTuple, Optional
 
 from .errors import (FieldError, InsufficientPrecision, ParseError,
                      SchemaError, ValidationFailed)
-from .scalars import FieldSpec, Matrix, Scalar, _over_lcm
-from .series import TruncatedSeries, transform_form
+from .scalars import (FieldSpec, Matrix, Scalar, _flat, _over_lcm, _parse,
+                      _times, _to_json)
+from .series import TruncatedSeries, _products, transform_form
 
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
@@ -109,18 +110,28 @@ class CoveringDatum(_DatumFields):
     def multiplication_table(self):
         """The multiplication map on the lexicographic basis, built once.
 
-        This is the only place where chart products f_i f_j and fiber
-        products r_i r_j are formed.
+        Chart products f_i f_j are formed only here and, past the table's
+        rows, in `tail_rows`, both through `_chart_products`; fiber
+        products r_i r_j only here.
         """
-        fld, pairs = self.field, lex_pairs(self.genus)
-        charts, residues = [], []
+        fld, d, pairs = self.field, self.field.degree, lex_pairs(self.genus)
+        # a quadratic differential has 4g-4 zeros, so one that vanishes to
+        # order k_c on each chart and at the fiber's points, with sum k_c +
+        # degree >= 4g-3, is zero: every chart keeps the v = index - 1
+        # terms its residue row reads, and the first charts take the rest
+        # up to their windows (all of every window when the budget falls
+        # short)
+        short = 4 * self.genus - 3 - self.degree - sum(
+            c.alpha_pullback.valuation for c in self.charts)
+        charts, residues, orders = [], [], []
         for k, c in enumerate(self.charts):
-            w, v = c.window(), c.alpha_pullback.valuation
-            products = [(c.forms[i] * c.forms[j]).truncate(w)
-                        for i, j in pairs]
-            # column p holds the coefficients of product p below u^w
-            charts.append(Matrix._make(fld, [(s.ints_in(0, w), s.den)
-                                             for s in products]).transpose())
+            v = c.alpha_pullback.valuation
+            n = min(c.window(), v + max(short, 0))
+            short -= n - v
+            orders.append(n)
+            # column p of the chart's block holds product p below u^n
+            products = _chart_products(fld, c.forms, n)
+            charts.append(Matrix._make(fld, products).transpose())
             # 1/alpha starts at u^-v, so the residue of f_i f_j / alpha sums
             # the coefficient of u^e in f_i f_j times that of u^(-1-e) in
             # 1/alpha over e < v: each product's first v coefficients meet
@@ -132,14 +143,14 @@ class CoveringDatum(_DatumFields):
                     f"{c.alpha_pullback.prec} < 2(index-1) = {2 * v}, the "
                     "terms that 1/alpha is read from")
             inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
-            residues.append(Matrix._make(fld, [(s.ints_in(0, v), s.den)
-                                               for s in products]).mul_vec(
+            residues.append(Matrix._make(fld, [(p[:v * d], e)
+                                               for p, e in products]).mul_vec(
                 inv_alpha.coefficients_in(-v, 0)[::-1]))
         fiber = Matrix(fld, [[r[i] * r[j] for i, j in pairs]
                              for r in self.fiber.ratios])
         return MultiplicationTable(
             Matrix.stack([*charts, fiber]), Matrix(fld, residues),
-            Matrix(fld, [[1] * self.degree]).matmul(fiber))
+            Matrix(fld, [[1] * self.degree]).matmul(fiber), tuple(orders))
 
 
 class MultiplicationTable(NamedTuple):
@@ -147,16 +158,74 @@ class MultiplicationTable(NamedTuple):
 
     Column p of every matrix belongs to the p-th pair (i, j).  ``multiply``
     has, chart by chart, one row per coefficient of u^e in f_i f_j for e
-    below the chart window, then one row per fiber point k with the value
-    r_i r_j there.  Row c of ``residues`` is the residue of f_i f_j over the
-    alpha pullback of chart c, read from the first index - 1 coefficients of
-    the products on that chart; the single row of ``fiber_sum`` sums the
-    fiber.  Every slot is linear in the tensor, so the image of a tensor is
-    the product of one of these matrices with its lex coordinates.
+    below the chart's entry k_c of ``orders``, then one row per fiber point
+    k with the value r_i r_j there.  The rows run to the quadric
+    certificate, sum k_c + d >= 4g - 3, not to the chart windows: a
+    quadratic differential with that many zeros is zero, so on the data of
+    a curve the kernel is that of the map to the whole windows, which
+    `tails_vanish` checks.  Row c of ``residues`` is the residue of f_i f_j
+    over the alpha pullback of chart c, read from the first index - 1
+    coefficients of the products on that chart; the single row of
+    ``fiber_sum`` sums the fiber.  Every slot is linear in the tensor, so
+    the image of a tensor is the product of one of these matrices with its
+    lex coordinates.
     """
     multiply: Matrix
     residues: Matrix
     fiber_sum: Matrix
+    orders: tuple
+
+
+def tails_vanish(datum, tensors):
+    """Whether each tensor, by its lex coordinates c, gives sum c_ij f_i f_j
+    = 0 below each chart's whole window, past the rows of the
+    multiplication table too.  On a chart, with h_i the sum of c_ij f_j
+    over j >= i, that is sum_i f_i h_i: at most g products, one per nonzero
+    h_i, on the forms' ints over their lcm and the tensor's over its own,
+    since no denominator changes whether the sum is zero.  The first chart
+    and tensor whose sum is not zero end the check."""
+    field, g, d = datum.field, datum.genus, datum.field.degree
+    # per tensor, (i, j, c_ij) for each nonzero c_ij
+    terms = [[(i, j, c[p * d:p * d + d]) for p, (i, j) in
+              enumerate(lex_pairs(g)) if any(c[p * d:p * d + d])]
+             for c in (_flat(field, t)[0] for t in tensors)]
+    for chart in datum.charts:
+        w = chart.window()
+        f = _over_lcm([(s.ints_in(0, w), s.den) for s in chart.forms])[0]
+        f = [f[i * w * d:(i + 1) * w * d] for i in range(g)]
+        for t in terms:
+            parts, pairs = list(f), []
+            for i in range(g):
+                h = [_times(field, f[j], x) for a, j, x in t if a == i]
+                if h:
+                    pairs.append((i, len(parts)))
+                    parts.append(list(map(sum, zip(*h))))
+            if any(_products(field, parts, [pairs], w)[0]):
+                return False
+    return True
+
+
+def tail_rows(datum):
+    """The rows of the map to the whole chart windows that the
+    multiplication table leaves out: on each chart, the coefficients of
+    u^k..u^(w-1) of every f_i f_j, k the chart's order in the table and w
+    its window.  Stacked with the table's ``multiply`` they give that map,
+    for `diffalg.quadric_kernel` when a tail does not vanish."""
+    fld, d = datum.field, datum.field.degree
+    return Matrix.stack([Matrix._make(fld, [
+        (p[k * d:], e) for p, e in _chart_products(fld, c.forms, c.window())
+    ]).transpose() for c, k in zip(datum.charts,
+                                   datum.multiplication_table.orders)])
+
+
+def _chart_products(field, forms, stop):
+    """The products f_i f_j of a chart's forms below u^stop, for the lex
+    pairs (i, j), each as flat ints over its denominator: one `_products`
+    call, which packs each form once."""
+    pairs = lex_pairs(len(forms))
+    return [(p, forms[i].den * forms[j].den) for p, (i, j) in zip(
+        _products(field, [s.ints_in(0, stop) for s in forms],
+                   [[p] for p in pairs], stop), pairs)]
 
 
 class Finding(NamedTuple):
@@ -366,14 +435,20 @@ def _expect_strings(obj, key, count, pointer):
     return tuple(vals)
 
 
-def _parse_scalar(field, text, pointer):
+def _parse_scalar(field, text, pointer, flat=False):
+    """The Scalar that the scalar string at this JSON pointer denotes, or
+    with ``flat`` its ints over a denominator (`scalars._parse`, the one
+    grammar); a string it refuses raises SchemaError there."""
     try:
-        return Scalar.from_string(field, text)
+        return _parse(field, text) if flat else \
+            Scalar.from_string(field, text)
     except ParseError as exc:
         raise SchemaError(pointer, str(exc)) from None
 
 
 def _parse_series(field, obj, pointer):
+    """The series of a JSON object that `_series_to_json` writes: each
+    coefficient string read straight into ints, all put over one lcm."""
     v = _expect(obj, "valuation", int, pointer)
     p = _expect(obj, "prec", int, pointer)
     for key, val in (("valuation", v), ("prec", p)):
@@ -384,16 +459,19 @@ def _parse_series(field, obj, pointer):
     if v + len(raw) > p:
         raise SchemaError(pointer,
                           "coefficients extend beyond the stated precision")
-    return TruncatedSeries(field, v, [
-        _parse_scalar(field, s, f"{pointer}/coeffs/{i}")
-        for i, s in enumerate(raw)], p)
+    return TruncatedSeries._make(field, v, *_over_lcm([
+        _parse_scalar(field, s, f"{pointer}/coeffs/{i}", True)
+        for i, s in enumerate(raw)]), p)
 
 
 def _series_to_json(s):
     """The JSON object of a series that `_parse_series` reads: its valuation,
-    its precision and its coefficients from the valuation on."""
+    its precision and its coefficients from the valuation on, each written
+    from the series' ints over its denominator."""
+    d = s.field.degree
     return {"valuation": s.valuation, "prec": s.prec,
-            "coeffs": [c.to_json() for c in s.coeffs]}
+            "coeffs": [_to_json(s.num[i:i + d], s.den)
+                       for i in range(0, len(s.num), d)]}
 
 
 def datum_to_json(datum):

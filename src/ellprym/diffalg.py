@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .covering import (form_coefficients, lex_pairs, require_valid,
-                       trace_vector)
+                       tail_rows, tails_vanish, trace_vector)
 from .errors import (DimensionMismatch, InsufficientPrecision,
                      ValidationFailed)
 from .scalars import Matrix
@@ -151,7 +151,15 @@ def quadric_kernel(datum):
         raise InsufficientPrecision(
             f"coefficient budget {report.coefficient_budget} below the "
             f"quadric certification bound {report.quadric_bound}")
-    kernel = datum.multiplication_table.multiply.kernel_basis()
+    table = datum.multiplication_table
+    kernel = table.multiply.kernel_basis()
+    # the table's chart rows stop at the certificate, so its kernel is
+    # exact only for the data of a curve: the rest of every window must
+    # vanish on it too, and if it does not, the kernel is taken with those
+    # rows, as the map to the whole windows
+    if kernel and not tails_vanish(datum, kernel):
+        kernel = Matrix.stack([table.multiply, tail_rows(datum)]
+                              ).kernel_basis()
     expected = (g - 2) * (g - 3) // 2
     if len(kernel) != expected:
         raise DimensionMismatch(

@@ -10,11 +10,13 @@ Two dense polynomial helpers stay here, ptrim and pdivmod (monic divisors
 only): over int they give Phi_N and the table of z^m mod Phi_N.  Polynomials
 over the field are the builder's, which multiplies them as series.
 
-A scalar string is what ``to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``: terms
-``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by ``*z``
-or ``*z^k``, joined by ``+`` with spaces allowed only around the ``+``.
-``from_string`` reads that grammar only, with int, refusing any string longer
-than MAX_SCALAR_LENGTH before parsing; ``to_json`` refuses to write one.
+A scalar string is what ``_to_string`` writes, e.g. ``"1/2 + -1/3*z^2"``:
+terms ``-?D`` or ``-?D/D`` over ASCII digits D, each optionally followed by
+``*z`` or ``*z^k``, joined by ``+`` with spaces allowed only around the
+``+``.  ``_parse`` reads that grammar only, with int, refusing any string
+longer than MAX_SCALAR_LENGTH before parsing; ``_to_json`` refuses to write
+one.  ``Scalar.from_string``, ``to_string`` and ``to_json`` go through them,
+and so do the series coefficients that ``covering`` reads and writes.
 
 The linear algebra is deterministic.  A Matrix keeps each row in the same
 layout as a Scalar: the power-basis integers of all its entries in one flat
@@ -54,7 +56,7 @@ from .errors import DivisionByZero, FieldError, ParseError, ScalarTooLong
 
 SUPPORTED_ORDERS = (1, 2, 3, 4, 5, 6, 7, 11, 13)
 
-# Longest scalar string, in characters, that Scalar.from_string reads; it is
+# Longest scalar string, in characters, that _parse reads; it is
 # checked before any parsing.  Every integer in an accepted string then stays
 # below Python's 4300-digit limit on int <-> str conversion, and the common
 # denominator, hence the cost of an inverse, is bounded too.
@@ -379,56 +381,81 @@ class Scalar:
     # -- serialization ------------------------------------------------------------
 
     def to_string(self):
-        """Each nonzero coordinate p/q in lowest terms (p alone for q = 1)
-        times z^k, joined by " + "; "0" for zero."""
-        terms = []
-        for k, x in enumerate(self.num):
-            if not x:
-                continue
-            g = gcd(x, self.den)
-            c = f"{x // g}" if g == self.den else f"{x // g}/{self.den // g}"
-            terms.append(c if k == 0 else f"{c}*z" if k == 1 else f"{c}*z^{k}")
-        return " + ".join(terms) if terms else "0"
+        """The element's scalar string (`_to_string`)."""
+        return _to_string(self.num, self.den)
 
     def to_json(self):
-        """to_string, refused (ScalarTooLong) where from_string would be."""
-        text = self.to_string()
-        if len(text) > MAX_SCALAR_LENGTH:
-            raise ScalarTooLong(f"scalar string of {len(text)} characters "
-                                f"({text[:20]}...) is over {MAX_SCALAR_LENGTH}")
-        return text
+        """to_string, refused where from_string would be (`_to_json`)."""
+        return _to_json(self.num, self.den)
 
     @staticmethod
     def from_string(field, text):
-        """The element a scalar string denotes (the grammar is in the module
-        docstring; k in z^k is below the field degree).  Anything else, and
-        any string longer than MAX_SCALAR_LENGTH, raises ParseError."""
-        if not isinstance(text, str):
-            raise ParseError(text, "scalar must be a string")
-        if len(text) > MAX_SCALAR_LENGTH:
-            raise ParseError(text[:20] + "...", f"scalar string longer than "
-                             f"{MAX_SCALAR_LENGTH} characters")
-        terms = []
-        for term in _TERM_SEP.split(text):
-            m = _TERM.fullmatch(term)
-            if m is None:
-                raise ParseError(term)
-            p, q, z, k = m.groups()
-            power = 0 if z is None else 1 if k is None else int(k)
-            if power >= field.degree:
-                raise ParseError(term, "zeta power not reduced for this field")
-            q = 1 if q is None else int(q)
-            if not q:
-                raise ParseError(term, "zero denominator")
-            terms.append((int(p), q, power))
-        den = lcm(*(q for _, q, _ in terms))
-        num = [0] * field.degree
-        for p, q, power in terms:
-            num[power] += p * (den // q)
-        return Scalar._make(field, num, den)
+        """The element a scalar string denotes (`_parse`)."""
+        return Scalar._make(field, *_parse(field, text))
 
     def __repr__(self):
         return self.to_string()
+
+
+# ---------------------------------------------------------------------------
+# scalar strings
+#
+# One codec for every scalar string the package reads or writes: a Scalar's
+# and, in ``covering``, each coefficient of a series, read into and written
+# from the same flat ints over a denominator.
+# ---------------------------------------------------------------------------
+
+def _to_string(num, den):
+    """The string of the power-basis ints num over den: each nonzero
+    coordinate p/q in lowest terms (p alone for q = 1) times z^k, joined by
+    " + "; "0" for zero."""
+    terms = []
+    for k, x in enumerate(num):
+        if not x:
+            continue
+        g = gcd(x, den)
+        c = f"{x // g}" if g == den else f"{x // g}/{den // g}"
+        terms.append(c if k == 0 else f"{c}*z" if k == 1 else f"{c}*z^{k}")
+    return " + ".join(terms) if terms else "0"
+
+
+def _to_json(num, den):
+    """_to_string, refused (ScalarTooLong) where _parse would be."""
+    text = _to_string(num, den)
+    if len(text) > MAX_SCALAR_LENGTH:
+        raise ScalarTooLong(f"scalar string of {len(text)} characters "
+                            f"({text[:20]}...) is over {MAX_SCALAR_LENGTH}")
+    return text
+
+
+def _parse(field, text):
+    """The power-basis ints and a denominator, not in lowest terms, of the
+    element a scalar string denotes (the grammar is in the module
+    docstring; k in z^k is below the field degree).  Anything else, and any
+    string longer than MAX_SCALAR_LENGTH, raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(text, "scalar must be a string")
+    if len(text) > MAX_SCALAR_LENGTH:
+        raise ParseError(text[:20] + "...", f"scalar string longer than "
+                         f"{MAX_SCALAR_LENGTH} characters")
+    num, den = [0] * field.degree, 1
+    # split only a string with a "+": most are one term
+    for term in _TERM_SEP.split(text) if "+" in text else (text,):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            raise ParseError(term)
+        p, q, z, k = m.groups()
+        power = 0 if z is None else 1 if k is None else int(k)
+        if power >= field.degree:
+            raise ParseError(term, "zeta power not reduced for this field")
+        q = 1 if q is None else int(q)
+        if not q:
+            raise ParseError(term, "zero denominator")
+        if den % q:     # den is the lcm of the denominators so far
+            g = lcm(den, q)
+            num, den = [x * (g // den) for x in num], g
+        num[power] += int(p) * (den // q)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

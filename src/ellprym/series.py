@@ -15,16 +15,19 @@ coefficient are nonzero, except in the tracked-precision zero series, whose
 ``num`` is empty, ``den`` 1 and ``valuation == prec``.  Sums, scaling,
 shifts, truncation and the derivative are integer list operations; Scalars
 are made only where coefficients are read (``coefficients_in``,
-``coefficient`` and ``coeffs``, and through them the JSON writer in
-``covering`` and ``repr``, one line of the valuation, the coefficient
-strings and ``prec`` that pytest prints when a test fails).
-``ints_in`` reads a window as integers over ``den``, with no Scalars.
+``coefficient`` and ``coeffs``, and through them ``repr``, one line of the
+valuation, the coefficient strings and ``prec`` that pytest prints when a
+test fails).  ``ints_in`` reads a window as integers over ``den``, with no
+Scalars; the JSON reader and writer in ``covering`` work on ``num`` and
+``den`` too.
 
 Algorithms: a product with a one-term operand is a scaling.  Any other is
 one big-integer product by Kronecker substitution (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 44(10), 2009) of the two packed ``num`` lists, read back
 only inside the result window, over the product of the denominators.
+``_products`` packs each operand once for a whole list of products, as
+the multiplication table's on one chart.
 ``inverse`` is Newton iteration g <- g*(2 - u*g) at doubling widths.
 
 Composition is a change of local parameter: the inner series is a local
@@ -352,6 +355,26 @@ def _kronecker(field, a, b, n):
     w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() +
          min(len(a), len(b)).bit_length() + 8) // 8
     return _unpack(field, _pack(field, a, w) * _pack(field, b, w), w, n)
+
+
+def _products(field, parts, sums, n):
+    """`_kronecker` for many products of a few lists: for each list of index
+    pairs (i, j) in ``sums``, the first n coefficients, flat, of the sum of
+    the integer products parts[i] * parts[j] of the flat coefficient lists
+    ``parts`` (numerators: a sum is that of the values only when its parts
+    share a denominator).  Each part is packed once, at one slot width for
+    all, and the products of a sum add up slot by slot.  A single product
+    takes `_kronecker`, which has none of this bookkeeping."""
+    # B = 8*w bits: the two heights of a product, the terms that a slot of
+    # the sum adds up (a product has at most the shorter length of them),
+    # and a sign bit
+    bits = [max(map(abs, p), default=0).bit_length() for p in parts]
+    w = (max(bits[i] + bits[j] + (len(s) * min(len(parts[i]),
+                                               len(parts[j]))).bit_length()
+             for s in sums for i, j in s) + 8) // 8
+    packed = [_pack(field, p, w) for p in parts]
+    return [_unpack(field, sum(packed[i] * packed[j] for i, j in s), w, n)
+            for s in sums]
 
 
 def _widths(prec):

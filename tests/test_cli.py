@@ -135,19 +135,27 @@ def test_analyze_under_truncated_is_precision_error(tmp_path, capsys):
     assert "InsufficientPrecision" in capsys.readouterr().err
 
 
-def test_analyze_identity_violation_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("exponent", [4, 6],
+                         ids=["certified-rows", "past-certified-rows"])
+def test_analyze_identity_violation_exits_3(tmp_path, capsys, exponent):
     """A structurally valid datum with corrupted series data trips an
-    unconditional identity, which is the exit-3 contract."""
+    unconditional identity, which is the exit-3 contract: the coefficient
+    of u^exponent of form 2 on chart 0 is changed inside the rows of the
+    multiplication table, which stop at the quadric certificate (chart 0
+    keeps 6, tests/test_covering.py), or past them, where only the check
+    of each chart's whole window sees it."""
     spec_path = _write_spec(tmp_path / "spec.json",
                             spec_to_json(pirola_spec(precision=10)))
     datum_path = tmp_path / "datum.json"
     assert main(["build", spec_path, "--out", str(datum_path)]) == 0
     obj = json.loads(datum_path.read_text())
-    obj["charts"][0]["forms"][2]["coeffs"][4] = "7/2"
+    assert obj["charts"][0]["forms"][2]["valuation"] == 0
+    obj["charts"][0]["forms"][2]["coeffs"][exponent] = "7/2"
     datum_path.write_text(json.dumps(obj))
     code = main(["analyze", str(datum_path)])
     assert code == 3
-    assert "DimensionMismatch" in capsys.readouterr().err
+    assert "DimensionMismatch: quadric space has dimension 0, expected 1" \
+        in capsys.readouterr().err
 
 
 def test_analyze_reports_byte_identical(tmp_path):
@@ -380,15 +388,20 @@ SENTINEL = "31/37"
 def test_analyze_oversized_list_is_refused_before_parsing(
         tmp_path, capsys, monkeypatch, pirola_datum_obj, edit, message):
     """Each list is refused by its length before any element is parsed: no
-    SENTINEL string reaches Scalar.from_string.  A series too long for its
-    precision is refused so even when it also holds a malformed string."""
+    SENTINEL string reaches Scalar.from_string or the series loader's
+    parser.  A series too long for its precision is refused so even when
+    it also holds a malformed string."""
     assert SENTINEL not in json.dumps(pirola_datum_obj)
-    parsed, from_string = [], Scalar.from_string
+    parsed, from_string, parse = [], Scalar.from_string, covering._parse
 
-    def counting(field, text):
-        parsed.append(text)
-        return from_string(field, text)
-    monkeypatch.setattr(Scalar, "from_string", staticmethod(counting))
+    def counting(read):
+        def wrapper(field, text):
+            parsed.append(text)
+            return read(field, text)
+        return wrapper
+    monkeypatch.setattr(Scalar, "from_string",
+                        staticmethod(counting(from_string)))
+    monkeypatch.setattr(covering, "_parse", counting(parse))
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
     assert f"SchemaError: {message}" in capsys.readouterr().err
     assert SENTINEL not in parsed

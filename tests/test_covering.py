@@ -1,18 +1,24 @@
 import json
+import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from ellprym import covering
+from ellprym import covering, series
 from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
                               RamificationChart, _parse_series,
                               _series_to_json, datum_from_json, datum_to_json, lex_pairs,
-                              load, reparametrized, save, validate)
-from ellprym.errors import SchemaError, ValuationError
+                              load, reparametrized, save, tail_rows,
+                              validate)
+from ellprym.diffalg import quadric_kernel
+from ellprym.errors import ParseError, SchemaError, ValuationError
 from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
+from test_diffalg import dense_datum
 from test_properties import _random_unit_substitution
 
 Q = FieldSpec(1)
@@ -69,20 +75,23 @@ def test_validate_never_aborts_early():
 
 def test_multiplication_table_columns_follow_lex_pairs(pirola):
     """Column p of the table is the product of the p-th pair of
-    ``lex_pairs``, the order ``diffalg`` reads tensors in."""
+    ``lex_pairs``, the order ``diffalg`` reads tensors in: in ``multiply``
+    below each chart's order, in ``tail_rows`` from there to the window."""
     datum = pirola.datum
     pairs = lex_pairs(datum.genus)
     assert pairs == sorted(pairs) and len(pairs) == len(set(pairs)) == \
         datum.genus * (datum.genus + 1) // 2
-    rows, start = datum.multiplication_table.multiply.rows, 0
-    for chart in datum.charts:
+    table = datum.multiplication_table
+    rows, tail, start, rest = table.multiply.rows, tail_rows(datum).rows, 0, 0
+    for chart, k in zip(datum.charts, table.orders):
         f, w = chart.forms, chart.window()
         for p, (i, j) in enumerate(pairs):
             product = (f[i] * f[j]).truncate(w)
-            assert [row[p] for row in rows[start:start + w]] == \
+            assert [row[p] for row in rows[start:start + k]] + \
+                [row[p] for row in tail[rest:rest + w - k]] == \
                 [product.coefficient(e) for e in range(w)]
-        start += w
-    assert len(rows) == start + datum.degree
+        start, rest = start + k, rest + w - k
+    assert len(rows) == start + datum.degree and len(tail) == rest
     for row, r in zip(rows[start:], datum.fiber.ratios):
         assert list(row) == [r[i] * r[j] for i, j in pairs]
 
@@ -126,14 +135,119 @@ def test_residue_rows_match_series_products(spec, window):
 
 
 def test_table_forms_each_chart_product_once(all_bundles, monkeypatch):
-    """Building the table takes g(g+1)/2 series products per chart, the
-    products f_i f_j themselves: none more to reach the residues (the
-    products inside the inverse of each alpha pullback are not counted)."""
-    counts, inside = [0], [0]
-    mul, inverse = TruncatedSeries.__mul__, TruncatedSeries.inverse
+    """Building the table takes g(g+1)/2 products per chart, the products
+    f_i f_j themselves, and packs each of the g forms once per chart: none
+    more to reach the residues, and no series product (the products inside
+    the inverse of each alpha pullback are not counted)."""
+    counts, inside = Counter(), [0]
+    inverse = TruncatedSeries.inverse
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += not inside[0]
+            return fn(*args)
+        return wrapper
+
+    def counted_inverse(self):
+        inside[0] += 1
+        try:
+            return inverse(self)
+        finally:
+            inside[0] -= 1
+
+    for name in ("_pack", "_unpack"):
+        monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+    monkeypatch.setattr(TruncatedSeries, "__mul__",
+                        counted("__mul__", TruncatedSeries.__mul__))
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+    for bundle in all_bundles.values():
+        datum, g = bundle.datum._replace(), bundle.datum.genus
+        counts.clear()
+        datum.multiplication_table   # a fresh datum builds its table
+        n = datum.n_ramification
+        assert counts == Counter(_pack=n * g, _unpack=n * g * (g + 1) // 2,
+                                 __mul__=0)
+
+
+def full_window_table(datum):
+    """The multiplication map to the whole chart windows, as the table was
+    built before its rows stopped at the quadric certificate: on each chart
+    every f_i f_j below the window by one series product, then the fiber
+    rows."""
+    field, pairs = datum.field, lex_pairs(datum.genus)
+    return Matrix.stack([Matrix(field, list(zip(*(
+        (c.forms[i] * c.forms[j]).coefficients_in(0, c.window())
+        for i, j in pairs)))) for c in datum.charts] + [Matrix(field, [
+            [r[i] * r[j] for i, j in pairs] for r in datum.fiber.ratios])])
+
+
+def _check_certified_table(datum):
+    """The table's rows stop at the certificate: each chart keeps its v
+    residue terms and no more than its window, and the orders with the d
+    fiber points reach 4g - 3 exactly.  Its kernel, and the quadric
+    kernel, are those of the full-window map."""
+    table, g, d = datum.multiplication_table, datum.genus, datum.degree
+    assert all(c.alpha_pullback.valuation <= k <= c.window()
+               for c, k in zip(datum.charts, table.orders))
+    assert sum(table.orders) + d == 4 * g - 3
+    assert table.multiply.nrows == sum(table.orders) + d
+    kernel = full_window_table(datum).kernel_basis()
+    assert table.multiply.kernel_basis() == kernel
+    assert list(quadric_kernel(datum)) == kernel
+
+
+@pytest.mark.parametrize("window", [13, 40, 80])
+@pytest.mark.parametrize("spec", [pirola_spec, lambda precision:
+                                  bielliptic_spec(4, precision),
+                                  lambda precision:
+                                  bielliptic_spec(3, precision)],
+                         ids=["pirola", "bielliptic4", "bielliptic3"])
+def test_certified_table_kernel_matches_full_window_table(spec, window):
+    """On the stock fixtures the table at the certificate's size has the
+    kernel of the full-window table that it replaced."""
+    _check_certified_table(build_cover(spec(precision=window)).datum)
+
+
+@pytest.fixture(scope="module")
+def double4_at_10():
+    return build_cover(bielliptic_spec(4, 10)).datum
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_certified_table_kernel_matches_full_window_table_dense(
+        double4_at_10, seed):
+    """So on each of the 20 seed classes of the dense benchmark input at
+    window 10, whose every chart coefficient is nonzero."""
+    _check_certified_table(dense_datum(double4_at_10, seed))
+
+
+def test_orders_of_the_window_10_pirola_datum():
+    """Chart 0 of the window-10 pirola datum keeps 6 coefficients and the
+    others their v = 2: tests/test_cli.py corrupts form 2 on chart 0 at
+    u^4, inside the table's rows, and at u^6, past them."""
+    datum = build_cover(pirola_spec(precision=10)).datum
+    assert datum.multiplication_table.orders == (6, 2, 2)
+
+
+def test_quadric_kernel_forms_g_products_per_quadric_past_the_table(
+        all_bundles, monkeypatch):
+    """A fresh datum's quadric kernel forms the table's g(g+1)/2 products
+    per chart to the chart's order, then, for the tail check, one product
+    f_i h_i over the whole window per chart, basis quadric and nonzero h_i
+    (at most g), and no series product (the rows past the certificate are
+    not formed on the data of a curve); the products inside the inverse of
+    each alpha pullback are not counted."""
+    products, series_products, inside = Counter(), [0], [0]
+    batch, mul, inverse = covering._products, TruncatedSeries.__mul__, \
+        TruncatedSeries.inverse
+
+    def counted_batch(field, parts, sums, n):
+        if not inside[0]:
+            products[n] += sum(map(len, sums))
+        return batch(field, parts, sums, n)
 
     def counted_mul(self, other):
-        counts[0] += not inside[0]
+        series_products[0] += not inside[0]
         return mul(self, other)
 
     def counted_inverse(self):
@@ -143,13 +257,20 @@ def test_table_forms_each_chart_product_once(all_bundles, monkeypatch):
         finally:
             inside[0] -= 1
 
+    monkeypatch.setattr(covering, "_products", counted_batch)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
     for bundle in all_bundles.values():
         datum, g = bundle.datum._replace(), bundle.datum.genus
-        counts[0] = 0
-        datum.multiplication_table   # a fresh datum builds its table
-        assert counts[0] == datum.n_ramification * g * (g + 1) // 2
+        products.clear()
+        series_products[0] = 0
+        nonzero_h = sum(len({i for (i, _), x in zip(lex_pairs(g), q) if x})
+                        for q in quadric_kernel(datum))
+        expected = Counter()
+        for c, k in zip(datum.charts, datum.multiplication_table.orders):
+            expected[k] += g * (g + 1) // 2
+            expected[c.window()] += nonzero_h
+        assert products == expected and series_products[0] == 0
 
 
 def test_validation_on_built_fixture(pirola):
@@ -224,6 +345,94 @@ def test_series_common_denominator_is_not_limited():
     assert _parse_series(Q, _series_to_json(s), "/s") == s
 
 
+def reference_from_string(field, text):
+    """Scalar.from_string as it was before the series loader shared its
+    parser: every term read first, then put over the lcm of their
+    denominators."""
+    if not isinstance(text, str):
+        raise ParseError(text, "scalar must be a string")
+    if len(text) > MAX_SCALAR_LENGTH:
+        raise ParseError(text[:20] + "...", f"scalar string longer than "
+                         f"{MAX_SCALAR_LENGTH} characters")
+    terms = []
+    for term in re.split(r" *\+ *", text):
+        m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?(\*z(?:\^([0-9]+))?)?",
+                         term)
+        if m is None:
+            raise ParseError(term)
+        p, q, z, k = m.groups()
+        power = 0 if z is None else 1 if k is None else int(k)
+        if power >= field.degree:
+            raise ParseError(term, "zeta power not reduced for this field")
+        q = 1 if q is None else int(q)
+        if not q:
+            raise ParseError(term, "zero denominator")
+        terms.append((int(p), q, power))
+    den = math.lcm(*(q for _, q, _ in terms))
+    num = [0] * field.degree
+    for p, q, power in terms:
+        num[power] += p * (den // q)
+    return Scalar._make(field, num, den)
+
+
+def reference_parse_series(field, obj, pointer):
+    """The series loader's coefficients as they were read: one Scalar per
+    string, its refusal a SchemaError at that string's pointer, and the
+    constructor over the lcm of the Scalars' denominators."""
+    coeffs = []
+    for i, text in enumerate(obj["coeffs"]):
+        try:
+            coeffs.append(reference_from_string(field, text))
+        except ParseError as exc:
+            raise SchemaError(f"{pointer}/coeffs/{i}", str(exc)) from None
+    return TruncatedSeries(field, obj["valuation"], coeffs, obj["prec"])
+
+
+def _series_objects(datum):
+    """(pointer, JSON object) of every series in a datum's JSON."""
+    for j, c in enumerate(datum_to_json(datum)["charts"]):
+        yield f"/charts/{j}/alpha_pullback", c["alpha_pullback"]
+        for i, f in enumerate(c["forms"]):
+            yield f"/charts/{j}/forms/{i}", f
+
+
+def _outcome(parse, field, obj, pointer):
+    try:
+        return parse(field, obj, pointer)
+    except SchemaError as exc:
+        return type(exc), str(exc), exc.pointer
+
+
+def test_series_loader_matches_scalar_reference(all_bundles, double4_at_10):
+    """The flat-int loader reads every series of the stock data, of a dense
+    datum and of the pirola action as one Scalar per string and the
+    constructor did, and the writer gives back each object; on malformed
+    strings both refuse with the same type, message and pointer."""
+    datums = [b.datum for b in all_bundles.values()]
+    datums.append(dense_datum(double4_at_10, 1))
+    objects = [(d.field, ptr, obj) for d in datums
+               for ptr, obj in _series_objects(d)]
+    pirola = all_bundles["pirola"]
+    objects += [(pirola.datum.field, f"/charts/{j}/reparam", move["reparam"])
+                for j, move in enumerate(pirola.action.to_json()["charts"])]
+    for field, ptr, obj in objects:
+        s = _parse_series(field, obj, ptr)
+        assert s == reference_parse_series(field, obj, ptr)
+        assert _series_to_json(s) == obj == {
+            "valuation": s.valuation, "prec": s.prec,
+            "coeffs": [c.to_json() for c in s.coeffs]}
+    Q3 = pirola.datum.field
+    obj = datum_to_json(pirola.datum)["charts"][1]["forms"][2]
+    for bad in ["1/2 + huh*z", "1 + 2*z^2", "-3/0*z", "2/4 + 1/0",
+                "1" * (MAX_SCALAR_LENGTH + 1), 7, None, ["1"],
+                "1/6 + 5/4*z + -1/8", " 3", "1_000", "\u0663"]:
+        for k in (0, len(obj["coeffs"]) - 1):
+            edited = dict(obj, coeffs=obj["coeffs"][:k] + [bad] +
+                          obj["coeffs"][k + 1:])
+            want = _outcome(reference_parse_series, Q3, edited, "/s")
+            assert _outcome(_parse_series, Q3, edited, "/s") == want
+
+
 def test_load_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -237,8 +446,9 @@ def _fail(*_):
 
 @pytest.mark.parametrize("patch", [
     lambda mp: mp.setattr(Scalar, "from_string", staticmethod(_fail)),
+    lambda mp: mp.setattr(covering, "_parse", _fail),
     lambda mp: mp.setattr(covering, "FieldSpec", _fail),
-], ids=["scalar", "field"])
+], ids=["scalar", "series", "field"])
 def test_internal_fault_while_loading_is_not_a_schema_error(pirola,
                                                             monkeypatch,
                                                             patch):

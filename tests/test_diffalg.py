@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
-from ellprym.covering import lex_pairs, reparametrized
+from ellprym.covering import lex_pairs, reparametrized, tail_rows
 from ellprym.diffalg import (gram, quadric_kernel, sym_square_matrix,
                              symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
@@ -71,16 +71,18 @@ def test_alpha_coords_solved_without_hint(pirola):
 
 def image(datum, phi):
     """The image of phi under the multiplication map, read off the rows of
-    the table's multiply matrix: one du^2-coefficient series per chart, cut
-    at the chart windows, then the fiber values."""
-    values = datum.multiplication_table.multiply.mul_vec(phi)
-    charts, start = [], 0
-    for c in datum.charts:
+    the table's multiply matrix, to each chart's order, and past it off the
+    rows of ``tail_rows``: one du^2-coefficient series per chart, cut at the
+    chart windows, then the fiber values."""
+    table = datum.multiplication_table
+    values = Matrix.stack([table.multiply, tail_rows(datum)]).mul_vec(phi)
+    charts, start, tail = [], 0, table.multiply.nrows
+    for c, k in zip(datum.charts, table.orders):
         w = c.window()
-        charts.append(TruncatedSeries(datum.field, 0,
-                                      values[start:start + w], w))
-        start += w
-    return charts, values[start:]
+        charts.append(TruncatedSeries(datum.field, 0, values[start:start + k] +
+                                      values[tail:tail + w - k], w))
+        start, tail = start + k, tail + w - k
+    return charts, values[start:table.multiply.nrows]
 
 
 def test_multiply_alpha_squared(pirola):
