@@ -35,7 +35,7 @@ from .errors import (BuilderError, DimensionMismatch, FieldError,
                      PointOutsideField, PrecisionUnreachable, SchemaError,
                      SingularJacobian, UnsupportedOrder,
                      UnsupportedRamification)
-from .scalars import FieldSpec, Matrix, Scalar, ptrim
+from .scalars import FieldSpec, Matrix, Scalar, pdivmod, ptrim
 from .series import TruncatedSeries, _rewindow, _widths
 
 SUPPORTED_COVER_ORDERS = (2, 3, 5, 7, 11, 13)
@@ -236,25 +236,19 @@ def lift(curve, place, fn, prec):
     fn = P(x) + y Q(x) (the implicit function theorem; von zur Gathen &
     Gerhard, "Modern Computer Algebra", ch. 9), from the place, on
     `_widths`: X and Y correct below v^good are correct below v^known after
-    one round.  Up to sign the Jacobian's determinant is e = 2y fn_x +
-    rhs'(x) fn_y, the derivative of fn along the tangent (2y, rhs'(x)), a
-    unit exactly when fn is a uniformizer at the place; otherwise
-    SingularJacobian is raised.  As known - good <= good, a round needs the
-    Jacobian and 1/e only below v^good, so each round ends by forming them
-    at the width just reached, 1/e by one Newton step.  Differentiating
+    one round.  Up to sign the Jacobian's determinant (`_jacobian`) is
+    e = 2y fn_x + rhs'(x) fn_y, the derivative of fn along the tangent
+    (2y, rhs'(x)), a unit exactly when fn is a uniformizer at the place;
+    otherwise SingularJacobian is raised.  As known - good <= good, a round
+    needs the Jacobian and 1/e only below v^good, so each round ends by
+    forming them at the width just reached, 1/e by one Newton step.
+    Differentiating
     F = 0 in v gives dX/dv = 2Y/e, so D = 2/e.  F = 0 and e D = 2 are
     checked exactly at full width.
     """
     field = curve.field
-    rhs, P, Q = curve.rhs(), fn.P, fn.Q
-    drhs, dP, dQ = ([c * k for k, c in enumerate(p)][1:] for p in (rhs, P, Q))
-
-    def jacobian(X, Y):
-        """fn_x, fn_y and rhs' at (X, Y), and e."""
-        fx = peval(dP, X) + Y * peval(dQ, X)
-        fy, rx = peval(Q, X), peval(drhs, X)
-        return fx, fy, rx, (Y * fx).scale(2) + rx * fy
-
+    rhs = curve.rhs()
+    jacobian = _jacobian(curve, fn)
     X, Y = (TruncatedSeries(field, 0, [c], 1) for c in (place.x, place.y))
     fx, fy, rx, e = jacobian(X, Y)
     if e.valuation:
@@ -276,6 +270,21 @@ def lift(curve, place, fn, prec):
             (e * D - 2).is_zero()):
         raise AssertionError("lift verification failed")
     return X, Y, D
+
+
+def _jacobian(curve, fn):
+    """The map (X, Y) -> (fn_x, fn_y, rhs'(X), e) at scalars (a point's
+    coordinates) or at series, for e = 2Y fn_x + rhs'(X) fn_y, the
+    derivative of fn along the tangent (2y, rhs'(x)): at a zero of fn, e is
+    nonzero exactly when fn is a uniformizer there."""
+    drhs, dP, dQ = ([c * k for k, c in enumerate(p)][1:]
+                    for p in (curve.rhs(), fn.P, fn.Q))
+
+    def at(X, Y):
+        fx = peval(dP, X) + Y * peval(dQ, X)
+        fy, rx = peval(fn.Q, X), peval(drhs, X)
+        return fx, fy, rx, 2 * (Y * fx) + rx * fy
+    return at
 
 
 def base_series(curve, place, prec):
@@ -315,6 +324,11 @@ def valuation_at(fn, place):
 def divisor_of(curve, fn):
     """The exact divisor of a nonzero curve function, infinity included.
 
+    The valuations at the affine zeros are read from the multiplicities of
+    the roots of the norm P^2 - rhs Q^2 (`_collect_affine`), each checked
+    on its own by at most two scalar evaluations, or by one expansion where
+    a zero is not simple once the common factor of P and Q is divided out;
+    the pole at infinity from the degrees of P and Q (`valuation_at`).
     Points whose coordinates do not lie in the field are reported through
     PointOutsideField together with their defining polynomials, so the
     caller may extend the field.  Degrees always sum to zero (checked).
@@ -342,8 +356,10 @@ def _collect_affine(curve, fn, div, outside):
     each coordinate N_k in Q[x] of N: the first nonzero N_k is searched.
     N is formed as series in x, P*P - rhs*Q*Q, at the window
     L = 2 max(len P, len Q + 2), past its degree max(2 len P - 2,
-    2 len Q + 1), so N is exact; a root x0's multiplicity is the valuation
-    of N(x0 + t)."""
+    2 len Q + 1), so N is exact; a root x0's multiplicity m is the
+    valuation of N(x0 + t), and `_valuations_over` turns m into the
+    valuations at the points over x0, in ascending y; a zero one is not
+    entered."""
     f, d = curve.field, curve.field.degree
     L = 2 * max(len(fn.P), len(fn.Q) + 2)
     P, Q, R = (TruncatedSeries(f, 0, poly, L)
@@ -367,19 +383,50 @@ def _collect_affine(curve, fn, div, outside):
             fx = peval(curve.rhs(), x0)
             outside.append(f"y^2 - ({fx.to_string()}) at x = {x0}")
             continue
-        for pt in reversed(points):     # ascending y, as y0 > 0
-            v = valuation_at(fn, pt)
+        # ascending y, as y0 > 0
+        for pt, v in _valuations_over(curve, fn, points[::-1], mult):
             if v:
                 div[pt] = v
-            mult -= v
-        if mult != 0:
-            raise BuilderError(
-                f"valuations at x = {x0} inconsistent with norm multiplicity")
     if leftover_degree > 0:
         outside.append(
             "unresolved factor of degree "
             f"{leftover_degree} in norm polynomial "
             f"[{', '.join(c.to_string() for c in norm)}]")
+
+
+def _valuations_over(curve, fn, points, m):
+    """(point, valuation of fn) for the points over a root x0 of the norm
+    of multiplicity m: one point at 2-torsion, two otherwise.
+
+    Let k be how often x - x0 divides both P and Q, and h1 = P1 + y Q1 the
+    quotient fn / (x - x0)^k.  x - x0 has valuation 1 at each of two
+    points, 2 at a 2-torsion one, and h1 has valuation m - 2k at the point
+    where it vanishes, if there is one: it cannot vanish at both of two
+    points (x0, +-y0), for then P1 and Q1 would both vanish at x0.  So at
+    2-torsion the point takes m; otherwise the point where h1 vanishes
+    takes m - k and the other k.  Each valuation is checked on its own: h1
+    must not vanish at a point that takes only the common factor; where h1
+    vanishes to order m - 2k = 1 it must be a uniformizer (the nonzero
+    tangent derivative that `lift` needs); to a higher order, one
+    expansion (`valuation_at`) must agree.
+    """
+    line, k, P, Q = [-points[0].x, curve.field.one()], 0, fn.P, fn.Q
+    while True:
+        (P1, rp), (Q1, rq) = pdivmod(P, line), pdivmod(Q, line)
+        if rp or rq:
+            break
+        k, P, Q = k + 1, P1, Q1
+    h1, rest = fn._replace(P=tuple(P), Q=tuple(Q)), m - 2 * k
+    # h1 vanishes at one point exactly when m > 2k, to order m - 2k there
+    zeros = [pt for pt in points if not h1.at(*pt)]
+    if rest < 0 or len(zeros) != (rest > 0) or zeros and not (
+            _jacobian(curve, h1)(*zeros[0])[3] if rest == 1 else
+            valuation_at(h1, zeros[0]) == rest):
+        raise BuilderError(
+            f"valuations at x = {points[0].x} inconsistent with norm "
+            "multiplicity")
+    return [(pt, (3 - len(points)) * k + (rest if pt in zeros else 0))
+            for pt in points]
 
 
 def _points_over(curve, x):

@@ -5,8 +5,14 @@ theorem-mandated identity on otherwise valid input.  Reports embed the
 normalization conventions (no 2*pi*i on residue slots, base differential
 dx/y, character relabeling) so results are interpretable on their own.
 JSON output is deterministic: two runs on identical inputs are
-byte-identical.  Each subcommand imports the layers it runs, so ``build``
-loads no analysis module and a plain ``analyze`` no builder.
+byte-identical.  Each subcommand imports the layers it runs, on top of what
+every command loads (this module, ``covering``, ``scalars``, ``series`` and
+``errors``): ``build`` adds only ``builder``; ``analyze`` adds the reader
+of its files and the analysis (``reader``, ``table``, ``diffalg``,
+``prym``, ``geometry``), and with ``--action`` the battery and the change
+of local parameter it moves forms by (``equivariant``, ``compose``);
+``demo-pirola`` builds and runs the battery, so it loads every module but
+``reader``.
 """
 
 from __future__ import annotations

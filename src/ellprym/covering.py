@@ -14,8 +14,17 @@ of the square of the canonical bundle has degree 4g-4, so if the known
 coefficient budget exceeds that bound, vanishing of all known data forces
 the section to vanish identically.
 
-The deck action of a cyclic cover is read and written here too, beside the
-datum it acts on: ``CyclicAction`` and its JSON format.
+The deck action of a cyclic cover is written here too, beside the datum it
+acts on: ``CyclicAction`` and its JSON format.
+
+This module holds what every command uses: the records, the validator, the
+writer and the checked JSON members that the spec reader in ``builder``
+shares.  The rest lives where only its users load it: the multiplication
+table and its tail check in ``table`` (the analysis), the datum and action
+readers in ``reader`` (``analyze``) and the change of local parameter in
+``compose``.  ``load``, ``CyclicAction.from_json``, ``reparametrized`` and
+the cached ``CoveringDatum.multiplication_table`` import their module
+inside the call.
 """
 
 from __future__ import annotations
@@ -24,11 +33,9 @@ import json
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import (FieldError, InsufficientPrecision, ParseError,
-                     SchemaError, ValidationFailed)
-from .scalars import (FieldSpec, Matrix, Scalar, _flat, _over_lcm, _parse,
-                      _times, _to_json)
-from .series import TruncatedSeries, _products, transform_form
+from .errors import ParseError, SchemaError, ValidationFailed
+from .scalars import FieldSpec, Matrix, Scalar, _over_lcm, _to_json
+from .series import TruncatedSeries
 
 # Largest chart window taken from untrusted input: it bounds the valuation
 # and precision of every series read from a datum or action file and the
@@ -51,7 +58,7 @@ MAX_FUNCTION_TERMS = 8
 
 def lex_pairs(size):
     """The pairs i <= j < size in lexicographic order: the coordinate order
-    of every symmetric 2-tensor, here and in ``diffalg``."""
+    of every symmetric 2-tensor, in ``table`` and in ``diffalg``."""
     return [(i, j) for i in range(size) for j in range(i, size)]
 
 
@@ -108,124 +115,10 @@ class CoveringDatum(_DatumFields):
 
     @cached_property
     def multiplication_table(self):
-        """The multiplication map on the lexicographic basis, built once.
-
-        Chart products f_i f_j are formed only here and, past the table's
-        rows, in `tail_rows`, both through `_chart_products`; fiber
-        products r_i r_j only here.
-        """
-        fld, d, pairs = self.field, self.field.degree, lex_pairs(self.genus)
-        # a quadratic differential has 4g-4 zeros, so one that vanishes to
-        # order k_c on each chart and at the fiber's points, with sum k_c +
-        # degree >= 4g-3, is zero: every chart keeps the v = index - 1
-        # terms its residue row reads, and the first charts take the rest
-        # up to their windows (all of every window when the budget falls
-        # short)
-        short = 4 * self.genus - 3 - self.degree - sum(
-            c.alpha_pullback.valuation for c in self.charts)
-        charts, residues, orders = [], [], []
-        for k, c in enumerate(self.charts):
-            v = c.alpha_pullback.valuation
-            n = min(c.window(), v + max(short, 0))
-            short -= n - v
-            orders.append(n)
-            # column p of the chart's block holds product p below u^n
-            products = _chart_products(fld, c.forms, n)
-            charts.append(Matrix._make(fld, products).transpose())
-            # 1/alpha starts at u^-v, so the residue of f_i f_j / alpha sums
-            # the coefficient of u^e in f_i f_j times that of u^(-1-e) in
-            # 1/alpha over e < v: each product's first v coefficients meet
-            # u^-1..u^-v of 1/alpha, which alpha's own first v terms,
-            # u^v..u^(2v-1), determine
-            if c.alpha_pullback.prec < 2 * v:
-                raise InsufficientPrecision(
-                    f"chart {k} ({c.label}): alpha pullback prec "
-                    f"{c.alpha_pullback.prec} < 2(index-1) = {2 * v}, the "
-                    "terms that 1/alpha is read from")
-            inv_alpha = c.alpha_pullback.truncate(2 * v).inverse()
-            residues.append(Matrix._make(fld, [(p[:v * d], e)
-                                               for p, e in products]).mul_vec(
-                inv_alpha.coefficients_in(-v, 0)[::-1]))
-        fiber = Matrix(fld, [[r[i] * r[j] for i, j in pairs]
-                             for r in self.fiber.ratios])
-        return MultiplicationTable(
-            Matrix.stack([*charts, fiber]), Matrix(fld, residues),
-            Matrix(fld, [[1] * self.degree]).matmul(fiber), tuple(orders))
-
-
-class MultiplicationTable(NamedTuple):
-    """The multiplication map on the basis eta_i . eta_j, i <= j, in lex order.
-
-    Column p of every matrix belongs to the p-th pair (i, j).  ``multiply``
-    has, chart by chart, one row per coefficient of u^e in f_i f_j for e
-    below the chart's entry k_c of ``orders``, then one row per fiber point
-    k with the value r_i r_j there.  The rows run to the quadric
-    certificate, sum k_c + d >= 4g - 3, not to the chart windows: a
-    quadratic differential with that many zeros is zero, so on the data of
-    a curve the kernel is that of the map to the whole windows, which
-    `tails_vanish` checks.  Row c of ``residues`` is the residue of f_i f_j
-    over the alpha pullback of chart c, read from the first index - 1
-    coefficients of the products on that chart; the single row of
-    ``fiber_sum`` sums the fiber.  Every slot is linear in the tensor, so
-    the image of a tensor is the product of one of these matrices with its
-    lex coordinates.
-    """
-    multiply: Matrix
-    residues: Matrix
-    fiber_sum: Matrix
-    orders: tuple
-
-
-def tails_vanish(datum, tensors):
-    """Whether each tensor, by its lex coordinates c, gives sum c_ij f_i f_j
-    = 0 below each chart's whole window, past the rows of the
-    multiplication table too.  On a chart, with h_i the sum of c_ij f_j
-    over j >= i, that is sum_i f_i h_i: at most g products, one per nonzero
-    h_i, on the forms' ints over their lcm and the tensor's over its own,
-    since no denominator changes whether the sum is zero.  The first chart
-    and tensor whose sum is not zero end the check."""
-    field, g, d = datum.field, datum.genus, datum.field.degree
-    # per tensor, (i, j, c_ij) for each nonzero c_ij
-    terms = [[(i, j, c[p * d:p * d + d]) for p, (i, j) in
-              enumerate(lex_pairs(g)) if any(c[p * d:p * d + d])]
-             for c in (_flat(field, t)[0] for t in tensors)]
-    for chart in datum.charts:
-        w = chart.window()
-        f = _over_lcm([(s.ints_in(0, w), s.den) for s in chart.forms])[0]
-        f = [f[i * w * d:(i + 1) * w * d] for i in range(g)]
-        for t in terms:
-            parts, pairs = list(f), []
-            for i in range(g):
-                h = [_times(field, f[j], x) for a, j, x in t if a == i]
-                if h:
-                    pairs.append((i, len(parts)))
-                    parts.append(list(map(sum, zip(*h))))
-            if any(_products(field, parts, [pairs], w)[0]):
-                return False
-    return True
-
-
-def tail_rows(datum):
-    """The rows of the map to the whole chart windows that the
-    multiplication table leaves out: on each chart, the coefficients of
-    u^k..u^(w-1) of every f_i f_j, k the chart's order in the table and w
-    its window.  Stacked with the table's ``multiply`` they give that map,
-    for `diffalg.quadric_kernel` when a tail does not vanish."""
-    fld, d = datum.field, datum.field.degree
-    return Matrix.stack([Matrix._make(fld, [
-        (p[k * d:], e) for p, e in _chart_products(fld, c.forms, c.window())
-    ]).transpose() for c, k in zip(datum.charts,
-                                   datum.multiplication_table.orders)])
-
-
-def _chart_products(field, forms, stop):
-    """The products f_i f_j of a chart's forms below u^stop, for the lex
-    pairs (i, j), each as flat ints over its denominator: one `_products`
-    call, which packs each form once."""
-    pairs = lex_pairs(len(forms))
-    return [(p, forms[i].den * forms[j].den) for p, (i, j) in zip(
-        _products(field, [s.ints_in(0, stop) for s in forms],
-                   [[p] for p in pairs], stop), pairs)]
+        """The multiplication map on the lexicographic basis, built once
+        (`table.multiplication_table`)."""
+        from .table import multiplication_table
+        return multiplication_table(self)
 
 
 class Finding(NamedTuple):
@@ -428,46 +321,20 @@ def _optional(obj, key, kind, pointer):
     return None if obj.get(key) is None else _expect(obj, key, kind, pointer)
 
 
-def _expect_strings(obj, key, count, pointer):
-    vals = _expect(obj, key, list, pointer)
-    if len(vals) != count or not all(isinstance(v, str) for v in vals):
-        raise SchemaError(f"{pointer}/{key}", f"expected {count} strings")
-    return tuple(vals)
-
-
-def _parse_scalar(field, text, pointer, flat=False):
-    """The Scalar that the scalar string at this JSON pointer denotes, or
-    with ``flat`` its ints over a denominator (`scalars._parse`, the one
-    grammar); a string it refuses raises SchemaError there."""
+def _parse_scalar(field, text, pointer):
+    """The Scalar that the scalar string at this JSON pointer denotes
+    (`scalars._parse`, the one grammar); a string it refuses raises
+    SchemaError there."""
     try:
-        return _parse(field, text) if flat else \
-            Scalar.from_string(field, text)
+        return Scalar.from_string(field, text)
     except ParseError as exc:
         raise SchemaError(pointer, str(exc)) from None
 
 
-def _parse_series(field, obj, pointer):
-    """The series of a JSON object that `_series_to_json` writes: each
-    coefficient string read straight into ints, all put over one lcm."""
-    v = _expect(obj, "valuation", int, pointer)
-    p = _expect(obj, "prec", int, pointer)
-    for key, val in (("valuation", v), ("prec", p)):
-        if abs(val) > MAX_WINDOW:
-            raise SchemaError(f"{pointer}/{key}",
-                              f"expected absolute value at most {MAX_WINDOW}")
-    raw = _expect(obj, "coeffs", list, pointer)
-    if v + len(raw) > p:
-        raise SchemaError(pointer,
-                          "coefficients extend beyond the stated precision")
-    return TruncatedSeries._make(field, v, *_over_lcm([
-        _parse_scalar(field, s, f"{pointer}/coeffs/{i}", True)
-        for i, s in enumerate(raw)]), p)
-
-
 def _series_to_json(s):
-    """The JSON object of a series that `_parse_series` reads: its valuation,
-    its precision and its coefficients from the valuation on, each written
-    from the series' ints over its denominator."""
+    """The JSON object of a series that `reader._parse_series` reads: its
+    valuation, its precision and its coefficients from the valuation on,
+    each written from the series' ints over its denominator."""
     d = s.field.degree
     return {"valuation": s.valuation, "prec": s.prec,
             "coeffs": [_to_json(s.num[i:i + d], s.den)
@@ -496,62 +363,6 @@ def datum_to_json(datum):
     }
 
 
-def datum_from_json(obj):
-    fobj = _expect(obj, "field", dict, "")
-    order = _expect(fobj, "cyclotomic_order", int, "/field")
-    try:
-        fld = FieldSpec(order)
-    except FieldError as exc:
-        raise SchemaError("/field/cyclotomic_order", str(exc)) from None
-    genus = _expect(obj, "genus", int, "")
-    degree = _expect(obj, "degree", int, "")
-    for key, val, cap in (("genus", genus, MAX_GENUS),
-                          ("degree", degree, MAX_DEGREE)):
-        if val < 0:
-            raise SchemaError(f"/{key}", "expected at least 0")
-        if val > cap:
-            raise SchemaError(f"/{key}", f"expected at most {cap}")
-    names = _expect_strings(obj, "basis_names", genus, "")
-    hint = _optional(obj, "alpha_index_hint", int, "")
-    charts_raw = _expect(obj, "charts", list, "")
-    # every chart has index >= 2, so Riemann-Hurwitz allows 2g - 2 of them
-    if len(charts_raw) > 2 * MAX_GENUS - 2:
-        raise SchemaError("/charts", f"expected at most {2 * MAX_GENUS - 2} "
-                          "charts")
-    charts = []
-    for j, cobj in enumerate(charts_raw):
-        ptr = f"/charts/{j}"
-        label = _expect(cobj, "label", str, ptr)
-        index = _expect(cobj, "index", int, ptr)
-        alpha = _parse_series(fld, _expect(cobj, "alpha_pullback", dict, ptr),
-                              f"{ptr}/alpha_pullback")
-        forms_raw = _expect(cobj, "forms", list, ptr)
-        if len(forms_raw) > MAX_GENUS:
-            raise SchemaError(f"{ptr}/forms",
-                              f"expected at most {MAX_GENUS} forms")
-        forms = tuple(_parse_series(fld, s, f"{ptr}/forms/{i}")
-                      for i, s in enumerate(forms_raw))
-        charts.append(RamificationChart(label, index, alpha, forms))
-    fobj2 = _expect(obj, "fiber", dict, "")
-    labels = _expect_strings(fobj2, "labels", degree, "/fiber")
-    ratios_raw = _expect(fobj2, "ratios", list, "/fiber")
-    if len(ratios_raw) > MAX_DEGREE:
-        raise SchemaError("/fiber/ratios",
-                          f"expected at most {MAX_DEGREE} rows")
-    for k, row in enumerate(ratios_raw):
-        if not isinstance(row, list):
-            raise SchemaError(f"/fiber/ratios/{k}", "expected list")
-        if len(row) > MAX_GENUS:
-            raise SchemaError(f"/fiber/ratios/{k}",
-                              f"expected at most {MAX_GENUS} entries")
-    ratios = tuple(
-        tuple(_parse_scalar(fld, s, f"/fiber/ratios/{k}/{i}")
-              for i, s in enumerate(row))
-        for k, row in enumerate(ratios_raw))
-    return CoveringDatum(fld, genus, degree, tuple(charts),
-                         FiberChart(labels, ratios), names, hint)
-
-
 def json_text(obj):
     """The one JSON text format of every file and report the package
     writes: sorted keys, two-space indent, a final newline."""
@@ -576,6 +387,8 @@ def read_json(path):
 
 
 def load(path):
+    """The datum in a file (`reader.datum_from_json`)."""
+    from .reader import datum_from_json
     return datum_from_json(read_json(path))
 
 
@@ -587,6 +400,7 @@ def reparametrized(datum, substitutions):
     other); chart series s(u) du become s(phi(v)) phi'(v) dv.  Kernel
     dimensions computed downstream are invariant under this operation.
     """
+    from .compose import transform_form
     charts = list(datum.charts)
     for j, phi in substitutions.items():
         c = charts[j]
@@ -639,44 +453,7 @@ class CyclicAction(NamedTuple):
 
     @classmethod
     def from_json(cls, datum, obj):
-        """Parse an action, checking its shape against the datum it acts on:
-        a g x g matrix, one move per chart with a target chart index and a
-        reparametrization of valuation 1 known to the chart's window, and a
-        permutation of the fiber."""
-        field, g, n = datum.field, datum.genus, len(datum.charts)
-        order = _expect(obj, "order", int, "")
-        if order < 2:
-            raise SchemaError("/order", "expected int >= 2")
-        rows = _expect(obj, "matrix", list, "")
-        if len(rows) != g or not all(
-                isinstance(row, list) and len(row) == g for row in rows):
-            raise SchemaError("/matrix", f"expected {g} x {g} strings")
-        matrix = Matrix(field, [[_parse_scalar(field, s, f"/matrix/{i}/{j}")
-                                 for j, s in enumerate(row)]
-                                for i, row in enumerate(rows)])
-        charts = _expect(obj, "charts", list, "")
-        if len(charts) != n:
-            raise SchemaError("/charts", f"expected {n} chart moves")
-        moves = []
-        for j, move in enumerate(charts):
-            ptr = f"/charts/{j}"
-            target = _expect(move, "target", int, ptr)
-            if not 0 <= target < n:
-                raise SchemaError(f"{ptr}/target",
-                                  f"expected a chart index below {n}")
-            rho = _parse_series(field, _expect(move, "reparam", dict, ptr),
-                                f"{ptr}/reparam")
-            # a local parameter known as far as the chart's forms are
-            window = datum.charts[j].window()
-            if rho.is_zero() or rho.valuation != 1 or rho.prec < window:
-                raise SchemaError(f"{ptr}/reparam", "expected valuation 1 and "
-                                  f"prec at least the chart window {window}")
-            moves.append((target, rho))
-        perm = _expect(obj, "fiber_permutation", list, "")
-        if len(perm) != datum.degree or \
-                not all(type(k) is int for k in perm) or \
-                sorted(perm) != list(range(datum.degree)):
-            raise SchemaError(
-                "/fiber_permutation",
-                f"expected a permutation of 0..{datum.degree - 1}")
-        return cls(order, matrix, tuple(moves), tuple(perm))
+        """The action of a JSON object, checked against the datum it acts
+        on (`reader.action_from_json`)."""
+        from .reader import action_from_json
+        return action_from_json(datum, obj)

@@ -25,10 +25,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .covering import (form_coefficients, lex_pairs, require_valid,
-                       tail_rows, tails_vanish, trace_vector)
+                       trace_vector)
 from .errors import (DimensionMismatch, InsufficientPrecision,
                      ValidationFailed)
 from .scalars import Matrix
+from .table import tail_rows, tails_vanish
 
 
 # ---------------------------------------------------------------------------

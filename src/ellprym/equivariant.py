@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .compose import transform_form
 from .covering import change_basis
 from .diffalg import gram, symmetric_product
 from .errors import FieldError, IdentityViolated, InputError
 from .scalars import Matrix
-from .series import transform_form
 
 
 def validate_action(datum, action):

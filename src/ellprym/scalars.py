@@ -391,7 +391,7 @@ class Scalar:
     @staticmethod
     def from_string(field, text):
         """The element a scalar string denotes (`_parse`)."""
-        return Scalar._make(field, *_parse(field, text))
+        return Scalar._make(field, *_parse(field, text), lowest=True)
 
     def __repr__(self):
         return self.to_string()
@@ -429,10 +429,13 @@ def _to_json(num, den):
 
 
 def _parse(field, text):
-    """The power-basis ints and a denominator, not in lowest terms, of the
+    """The power-basis ints and a denominator, in lowest terms, of the
     element a scalar string denotes (the grammar is in the module
     docstring; k in z^k is below the field degree).  Anything else, and any
-    string longer than MAX_SCALAR_LENGTH, raises ParseError."""
+    string longer than MAX_SCALAR_LENGTH, raises ParseError.  Only a string
+    with a denominator takes a gcd, one of its own d ints, so a caller that
+    puts many elements over the lcm of their denominators has them in
+    lowest terms with no gcd of the whole."""
     if not isinstance(text, str):
         raise ParseError(text, "scalar must be a string")
     if len(text) > MAX_SCALAR_LENGTH:
@@ -448,13 +451,24 @@ def _parse(field, text):
         power = 0 if z is None else 1 if k is None else int(k)
         if power >= field.degree:
             raise ParseError(term, "zeta power not reduced for this field")
-        q = 1 if q is None else int(q)
-        if not q:
-            raise ParseError(term, "zero denominator")
-        if den % q:     # den is the lcm of the denominators so far
-            g = lcm(den, q)
-            num, den = [x * (g // den) for x in num], g
-        num[power] += int(p) * (den // q)
+        p = int(p)
+        if q is None:
+            p *= den
+        else:
+            q = int(q)
+            if not q:
+                raise ParseError(term, "zero denominator")
+            if den % q:     # den is the lcm of the denominators so far
+                g = lcm(den, q)
+                if any(num):
+                    num = [x * (g // den) for x in num]
+                den = g
+            p *= den // q
+        num[power] += p
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
     return num, den
 
 
@@ -481,10 +495,10 @@ def _lowest(num, den):
 def _over_lcm(parts):
     """The (num, den) parts as one flat list over the lcm of their
     denominators: (num, den), in lowest terms when every part is."""
-    den = lcm(*(e for _, e in parts))
+    den = lcm(*[e for _, e in parts])
     num = []
     for n, e in parts:
-        num += n if e == den else [x * (den // e) for x in n]
+        num += n if e == den else map((den // e).__mul__, n)
     return num, den
 
 

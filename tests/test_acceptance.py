@@ -13,6 +13,7 @@ import pytest
 
 from ellprym.builder import build_cover, pirola_spec
 from ellprym.cli import analyze_datum
+from ellprym.compose import transform_form
 from ellprym.covering import change_basis, load, reparametrized, save, validate
 from ellprym.covering import lex_pairs
 from ellprym.diffalg import quadric_kernel, symmetric_product, trace_split
@@ -21,7 +22,7 @@ from ellprym.geometry import (decompose_quadric, functpoint_check,
                               halfgeo_criterion)
 from ellprym.prym import kernel_E, kernel_full
 from ellprym.scalars import Matrix
-from ellprym.series import TruncatedSeries, transform_form
+from ellprym.series import TruncatedSeries
 from test_prym import fiber_sum, minus_basis, minus_tensor, mixed_part
 
 

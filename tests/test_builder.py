@@ -1,6 +1,9 @@
+import json
 import random
+import re
 from fractions import Fraction as F
 from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 
@@ -161,17 +164,14 @@ def _schoolbook_norm(fn):
     return psub(pmul(fn.P, fn.P), pmul(fn.curve.rhs(), pmul(fn.Q, fn.Q)))
 
 
-@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
-def test_valuation_at_against_expansion_and_norm(field):
-    """Seeded random P + yQ on y^2 = x^3 + 1, some times x - x0 or y - y0.
-    At (-1, 0) (2-torsion), (0, +-1) and (2, +-3) the oracle is one
-    expansion to precision 30, far past any pole order here; at infinity
-    it is -deg(P^2 - (x^3 + 1) Q^2)."""
+def _valuation_functions(field):
+    """The curve y^2 = x^3 + 1, its points (-1, 0) (2-torsion), (0, +-1)
+    and (2, +-3), and seeded random P + yQ on it, some times x - x0 or
+    y - y0 for one of those points."""
     rng = random.Random(20261101 + field.degree)
     E = EllipticCurve(field, field.zero(), field.one())
     points = [E.point(-1, 0), E.point(0, 1), E.point(0, -1), E.point(2, 3),
               E.point(2, -3)]
-    local = {pt: base_series(E, pt, 30) for pt in points}
 
     def poly(n):
         return [Scalar(field, [F(rng.choice((0, rng.randint(-5, 5))),
@@ -179,6 +179,7 @@ def test_valuation_at_against_expansion_and_norm(field):
                                for _ in range(field.degree)])
                 for _ in range(n)]
 
+    functions = []
     for _ in range(40):
         fn = CurveFunction.make(E, poly(rng.randint(0, 5)),
                                 poly(rng.randint(0, 5)))
@@ -188,6 +189,19 @@ def test_valuation_at_against_expansion_and_norm(field):
         for _ in range(rng.randint(0, 2)):
             fn = _times(fn, *rng.choice((([-pt.x, field.one()],),
                                          ([-pt.y], [field.one()]))))
+        functions.append(fn)
+    return E, points, functions
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_valuation_at_against_expansion_and_norm(field):
+    """Seeded random P + yQ on y^2 = x^3 + 1 (`_valuation_functions`).
+    At (-1, 0) (2-torsion), (0, +-1) and (2, +-3) the oracle is one
+    expansion to precision 30, far past any pole order here; at infinity
+    it is -deg(P^2 - (x^3 + 1) Q^2)."""
+    E, points, functions = _valuation_functions(field)
+    local = {pt: base_series(E, pt, 30) for pt in points}
+    for fn in functions:
         norm = _schoolbook_norm(fn)
         assert valuation_at(fn, INFINITY) == -(len(norm) - 1), fn
         for place in points:
@@ -196,12 +210,13 @@ def test_valuation_at_against_expansion_and_norm(field):
                 (fn, place)
 
 
-def _affine_divisor_oracle(fn):
+def _affine_divisor_oracle(fn, valuation=None):
     """Reference for the affine part of `divisor_of`, from the schoolbook
     norm: a rational root's multiplicity by repeated division by x - x0,
-    the points above it by an integer square root, their valuations by one
-    expansion to precision 40.  Returns (divisor, the messages that
-    PointOutsideField should carry)."""
+    the points above it by an integer square root, in ascending y, their
+    valuations by one expansion to precision 40, or by ``valuation`` at
+    each point, and then they must sum to the multiplicity.  Returns
+    (divisor, the messages that PointOutsideField should carry)."""
     E, field, d = fn.curve, fn.curve.field, fn.curve.field.degree
     norm = _schoolbook_norm(fn)
     den = lcm(*(c.den for c in norm))
@@ -223,10 +238,12 @@ def _affine_divisor_oracle(fn):
             outside.append(f"y^2 - ({fx.to_string()}) at x = {x0}")
             continue
         y0 = field.scalar(F(isqrt(a), isqrt(b)))
-        for pt in {Point(x0, y0), Point(x0, -y0)}:
-            v = fn.at(*base_series(E, pt, 40)).valuation
-            if v:
-                div[pt] = v
+        points = [Point(x0, -y0), Point(x0, y0)] if a else [Point(x0, y0)]
+        values = [fn.at(*base_series(E, pt, 40)).valuation
+                  if valuation is None else valuation(fn, pt)
+                  for pt in points]
+        assert valuation is None or sum(values) == mult, (fn, x0)
+        div.update((pt, v) for pt, v in zip(points, values) if v)
     if leftover:
         outside.append(
             f"unresolved factor of degree {leftover} in norm polynomial "
@@ -286,6 +303,119 @@ def test_divisor_of_against_the_schoolbook_norm(field):
                     {**div, **({INFINITY: -degree} if degree else {})}, h
                 outcomes.append("divisor")
     assert {"divisor", "outside"} <= set(outcomes)
+
+
+def _per_point_route(fn):
+    """`divisor_of` against the route it took before it read valuations
+    from the norm: `valuation_at`, which expands at every point that the
+    function vanishes at, over every rational root of the schoolbook norm,
+    the valuations summed against the root's multiplicity.  The places
+    must come in the same order, infinity last, or PointOutsideField must
+    carry the same messages."""
+    div, outside = _affine_divisor_oracle(fn, valuation_at)
+    if outside:
+        with pytest.raises(PointOutsideField) as err:
+            divisor_of(fn.curve, fn)
+        assert err.value.factors == outside, fn
+        return "outside"
+    pole = valuation_at(fn, INFINITY)
+    assert list(divisor_of(fn.curve, fn).items()) == \
+        list(div.items()) + ([(INFINITY, pole)] if pole else []), fn
+    return "divisor"
+
+
+def _readme_spec():
+    """The cover spec of the README's build example."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return spec_from_json(json.loads(re.search(
+        r"cat > cover.json <<.EOF.\n(.*?)\nEOF\n", text, re.S).group(1)))
+
+
+@pytest.mark.parametrize("make", [
+    pirola_spec, lambda: bielliptic_spec(3), lambda: bielliptic_spec(4),
+    _readme_spec], ids=["pirola", "double3", "double4", "readme"])
+def test_divisor_of_the_fixtures_against_the_per_point_route(make):
+    """The stock covers, whose zeros are all simple (on the genus-4
+    double cover, both points over each root), and the README's."""
+    spec = make()
+    assert _per_point_route(spec.h) == "divisor"
+
+
+@pytest.mark.parametrize("field", [Q, Q3], ids=["Q", "Q3"])
+def test_divisor_of_against_the_per_point_route(field):
+    """The random functions of
+    `test_valuation_at_against_expansion_and_norm`."""
+    outcomes = {_per_point_route(fn)
+                for fn in _valuation_functions(field)[2]}
+    assert outcomes == {"divisor", "outside"}
+
+
+def _norm_rule_cases():
+    """(function, its divisor) on y^2 = x^3 + 1 and y^2 = x^3 - x over Q,
+    one per branch of the norm rule (`builder._valuations_over`), x0 the
+    root the branch is read at, m its multiplicity, k the power of
+    x - x0 in P and Q:
+    (x - 2)^2 (1 + y): x0 = 2, k = 2, h1 = 1 + y vanishes at neither
+    point, so both take k; x0 = 0, m = 3 at the flex (0, -1), one
+    expansion.
+    (x - 2)(x + 1 - y): x0 = 2, k = 1, m = 3, so (2, 3), where h1 vanishes,
+    takes m - k = 2 by the tangent test and (2, -3) takes k; the 2-torsion
+    (-1, 0) takes m = 1 by the tangent test.
+    y - 2x + 1, the tangent line at (2, 3): m - 2k = 2 there, one
+    expansion.
+    y on y^2 = x^3 - x: three 2-torsion zeros, each by the tangent test.
+    y (x - 1) there: x0 = 1, P = 0, k = 1, and the 2-torsion point takes
+    m = 3."""
+    E1 = EllipticCurve(Q, Q.zero(), Q.one())
+    E2 = EllipticCurve(Q, Q.scalar(-1), Q.zero())
+    return [
+        (CurveFunction.make(E1, [4, -4, 1], [4, -4, 1]),
+         {E1.point(0, -1): 3, E1.point(2, -3): 2, E1.point(2, 3): 2,
+          INFINITY: -7}),
+        (CurveFunction.make(E1, [-2, -1, 1], [2, -1]),
+         {E1.point(-1, 0): 1, E1.point(0, 1): 1, E1.point(2, -3): 1,
+          E1.point(2, 3): 2, INFINITY: -5}),
+        (CurveFunction.make(E1, [1, -2], [1]),
+         {E1.point(0, -1): 1, E1.point(2, 3): 2, INFINITY: -3}),
+        (CurveFunction.make(E2, [], [1]),
+         {E2.point(-1, 0): 1, E2.point(0, 0): 1, E2.point(1, 0): 1,
+          INFINITY: -3}),
+        (CurveFunction.make(E2, [], [-1, 1]),
+         {E2.point(-1, 0): 1, E2.point(0, 0): 1, E2.point(1, 0): 3,
+          INFINITY: -5}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "common-square", "common-line", "tangent-line", "y-at-2-torsion",
+    "y-times-common-line"])
+def test_divisor_of_each_branch_of_the_norm_rule(case):
+    fn, expected = _norm_rule_cases()[case]
+    assert divisor_of(fn.curve, fn) == expected
+    assert _per_point_route(fn) == "divisor"
+
+
+@pytest.mark.parametrize("case,x0,m", [
+    (2, 2, 1), (2, 0, 2), (1, 2, 2), (1, 2, 4), (0, 2, 3), (3, 0, 2)],
+    ids=["tangent-as-simple", "simple-as-double", "zero-where-only-k",
+         "h1-simple-as-double", "below-2k", "2-torsion-as-double"])
+def test_each_valuation_read_from_the_norm_is_checked(case, x0, m):
+    """Given the multiplicity of x0 in the norm, which is the sum of the
+    valuations over x0, the norm rule gives those valuations; given a
+    wrong one, it is refused by its own check of a valuation it reads: the
+    tangent test where h1 would be a uniformizer, one expansion where it
+    would vanish to order 2 or more, h1 != 0 where a point would take only
+    the common factor, and m >= 2k."""
+    fn, expected = _norm_rule_cases()[case]
+    points = builder._points_over(fn.curve, Q.scalar(x0))[::-1]
+    right = sum(expected.get(pt, 0) for pt in points)
+    assert builder._valuations_over(fn.curve, fn, points, right) == \
+        [(pt, expected.get(pt, 0)) for pt in points]
+    assert m != right
+    with pytest.raises(BuilderError, match=f"^valuations at x = {x0} "
+                       "inconsistent with norm multiplicity$"):
+        builder._valuations_over(fn.curve, fn, points, m)
 
 
 # -- Riemann-Roch -------------------------------------------------------------

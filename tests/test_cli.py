@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellprym import builder, covering
+from ellprym import builder, covering, reader
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
@@ -263,7 +263,7 @@ def test_chart_window_below_the_residue_terms_exits_2(tmp_path, capsys,
             form["prec"] = 1
     obj = copy.deepcopy(pirola_datum_obj)
     edit(obj)
-    datum = covering.datum_from_json(obj)
+    datum = reader.datum_from_json(obj)
     assert datum.charts[0].window() == 1 < datum.charts[0].index - 1
     failed = [f.name for f in covering.validate(datum).failures()]
     assert failed == ["chart_valuations[0]"]
@@ -291,7 +291,7 @@ def test_alpha_pullback_below_the_residue_terms_exits_2(tmp_path, capsys,
         alpha["prec"] = 3
     obj = copy.deepcopy(pirola_datum_obj)
     edit(obj)
-    datum = covering.datum_from_json(obj)
+    datum = reader.datum_from_json(obj)
     assert datum.charts[0].index == 3
     assert covering.validate(datum).ok
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
@@ -392,7 +392,7 @@ def test_analyze_oversized_list_is_refused_before_parsing(
     parser.  A series too long for its precision is refused so even when
     it also holds a malformed string."""
     assert SENTINEL not in json.dumps(pirola_datum_obj)
-    parsed, from_string, parse = [], Scalar.from_string, covering._parse
+    parsed, from_string, parse = [], Scalar.from_string, reader._parse
 
     def counting(read):
         def wrapper(field, text):
@@ -401,7 +401,7 @@ def test_analyze_oversized_list_is_refused_before_parsing(
         return wrapper
     monkeypatch.setattr(Scalar, "from_string",
                         staticmethod(counting(from_string)))
-    monkeypatch.setattr(covering, "_parse", counting(parse))
+    monkeypatch.setattr(reader, "_parse", counting(parse))
     assert _analyze_edited(tmp_path, pirola_datum_obj, edit) == 2
     assert f"SchemaError: {message}" in capsys.readouterr().err
     assert SENTINEL not in parsed

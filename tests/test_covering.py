@@ -7,17 +7,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellprym import covering, series
+from ellprym import covering, reader, table
 from ellprym.builder import bielliptic_spec, build_cover, pirola_spec
 from ellprym.covering import (MAX_WINDOW, CoveringDatum, FiberChart,
-                              RamificationChart, _parse_series,
-                              _series_to_json, datum_from_json, datum_to_json, lex_pairs,
-                              load, reparametrized, save, tail_rows,
-                              validate)
+                              RamificationChart, _series_to_json,
+                              datum_to_json, lex_pairs, load, reparametrized,
+                              save, validate)
 from ellprym.diffalg import quadric_kernel
 from ellprym.errors import ParseError, SchemaError, ValuationError
+from ellprym.reader import _parse_series, datum_from_json
 from ellprym.scalars import MAX_SCALAR_LENGTH, FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
+from ellprym.table import tail_rows
 from test_diffalg import dense_datum
 from test_properties import _random_unit_substitution
 
@@ -156,7 +157,7 @@ def test_table_forms_each_chart_product_once(all_bundles, monkeypatch):
             inside[0] -= 1
 
     for name in ("_pack", "_unpack"):
-        monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+        monkeypatch.setattr(table, name, counted(name, getattr(table, name)))
     monkeypatch.setattr(TruncatedSeries, "__mul__",
                         counted("__mul__", TruncatedSeries.__mul__))
     monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
@@ -238,7 +239,7 @@ def test_quadric_kernel_forms_g_products_per_quadric_past_the_table(
     not formed on the data of a curve); the products inside the inverse of
     each alpha pullback are not counted."""
     products, series_products, inside = Counter(), [0], [0]
-    batch, mul, inverse = covering._products, TruncatedSeries.__mul__, \
+    batch, mul, inverse = table._products, TruncatedSeries.__mul__, \
         TruncatedSeries.inverse
 
     def counted_batch(field, parts, sums, n):
@@ -257,7 +258,7 @@ def test_quadric_kernel_forms_g_products_per_quadric_past_the_table(
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(covering, "_products", counted_batch)
+    monkeypatch.setattr(table, "_products", counted_batch)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
     for bundle in all_bundles.values():
@@ -422,6 +423,21 @@ def test_series_loader_matches_scalar_reference(all_bundles, double4_at_10):
             "valuation": s.valuation, "prec": s.prec,
             "coeffs": [c.to_json() for c in s.coeffs]}
     Q3 = pirola.datum.field
+    # the lcm cliff in small, coefficients 1/D over distinct 400-digit D,
+    # and strings the writer never writes: terms not in lowest terms, a
+    # power of z named twice, zero coefficients at both ends and inside
+    rng = random.Random(20261022)
+    for field, obj in [
+        (Q, {"valuation": 1, "prec": 13, "coeffs": [
+            f"{rng.choice((-1, 1))}/{rng.randrange(10 ** 399, 10 ** 400)}"
+            for _ in range(12)]}),
+        (Q3, {"valuation": -2, "prec": 9, "coeffs": [
+            "0/7", "0*z + 0", "6/4 + 3/9*z", "1/2 + -1/2", "5/10*z", "0",
+            "-4/8 + 2/4*z + 1/4*z", "0/3 + 0/5*z"]}),
+        (Q3, {"valuation": 0, "prec": 4, "coeffs": ["0/2", "1/3 + -2/6"]})]:
+        s = _parse_series(field, obj, "/s")
+        assert s == reference_parse_series(field, obj, "/s")
+        assert _parse_series(field, _series_to_json(s), "/s") == s
     obj = datum_to_json(pirola.datum)["charts"][1]["forms"][2]
     for bad in ["1/2 + huh*z", "1 + 2*z^2", "-3/0*z", "2/4 + 1/0",
                 "1" * (MAX_SCALAR_LENGTH + 1), 7, None, ["1"],
@@ -446,8 +462,8 @@ def _fail(*_):
 
 @pytest.mark.parametrize("patch", [
     lambda mp: mp.setattr(Scalar, "from_string", staticmethod(_fail)),
-    lambda mp: mp.setattr(covering, "_parse", _fail),
-    lambda mp: mp.setattr(covering, "FieldSpec", _fail),
+    lambda mp: mp.setattr(reader, "_parse", _fail),
+    lambda mp: mp.setattr(reader, "FieldSpec", _fail),
 ], ids=["scalar", "series", "field"])
 def test_internal_fault_while_loading_is_not_a_schema_error(pirola,
                                                             monkeypatch,

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
-from ellprym.covering import lex_pairs, reparametrized, tail_rows
+from ellprym.covering import lex_pairs, reparametrized
 from ellprym.diffalg import (gram, quadric_kernel, sym_square_matrix,
                              symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.scalars import FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
+from ellprym.table import tail_rows
 from test_prym import minus_basis, sym_dim
 from test_scalars import reference_mul_vec
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ellprym.compose import compose_all, transform_form
 from ellprym.covering import CyclicAction, change_basis
 from ellprym.diffalg import (quadric_kernel, sym_square_matrix,
                              symmetric_product, trace_split)
@@ -8,7 +9,7 @@ from ellprym.equivariant import (_proportional, eigenspaces, run_battery,
                                  validate_action)
 from ellprym.errors import FieldError, IdentityViolated, InputError
 from ellprym.scalars import FieldSpec, Matrix
-from ellprym.series import TruncatedSeries, compose_all, transform_form
+from ellprym.series import TruncatedSeries
 from test_diffalg import image
 from test_prym import fiber_sum, minus_tensor
 

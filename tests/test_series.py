@@ -6,13 +6,14 @@ import pytest
 from ellprym.builder import (INFINITY, CurveFunction, EllipticCurve,
                              base_series, bielliptic_spec, divisor_of, lift,
                              peval, pirola_spec)
-from ellprym.covering import _parse_series, _series_to_json
+from ellprym.compose import compose_all, transform_form
+from ellprym.covering import _series_to_json
 from ellprym.errors import (DivisionByZeroSeries, FieldError,
                             InsufficientPrecision, SingularJacobian,
                             ValuationError)
+from ellprym.reader import _parse_series
 from ellprym.scalars import FieldSpec, Scalar
-from ellprym.series import (TruncatedSeries, _rewindow, compose_all,
-                            transform_form)
+from ellprym.series import TruncatedSeries, _rewindow
 
 Q = FieldSpec(1)
 Q3 = FieldSpec(3)

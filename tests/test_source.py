@@ -263,8 +263,8 @@ def test_record_fields_are_read():
     loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     assert [f"{module}.py: {field}"
-            for module in ("builder", "covering", "diffalg", "prym",
-                           "geometry", "equivariant")
+            for module in ("builder", "covering", "table", "diffalg",
+                           "prym", "geometry", "equivariant")
             for field in _record_fields(trees[f"{module}.py"])
             if field.split(".")[1] not in loaded] == []
 
@@ -387,22 +387,40 @@ def command_modules(tmp_path_factory):
 
 
 ANALYSIS = {"cli", "covering", "diffalg", "errors", "geometry", "prym",
-            "scalars", "series"}
+            "reader", "scalars", "series", "table"}
 
 
 @pytest.mark.parametrize("command,closure", [
     ("analyze", ANALYSIS),
-    ("analyze --action", ANALYSIS | {"equivariant"}),
+    ("analyze --action", ANALYSIS | {"compose", "equivariant"}),
     ("build", {"builder", "cli", "covering", "errors", "scalars", "series"}),
     ("demo-pirola", {path.stem for path in PACKAGE.glob("*.py")
-                     if path.name != "__init__.py"}),
+                     if path.name not in ("__init__.py", "reader.py")}),
 ])
 def test_command_loads_only_its_layers(command_modules, command, closure):
     """Each subcommand imports the layers it runs: ``build`` compiles no
-    analysis module, a plain ``analyze`` neither the builder nor the
-    battery, ``analyze --action`` adds only the battery, and the demo,
-    which builds and runs the battery, loads every module."""
+    analysis module, no reader and no composition, a plain ``analyze``
+    neither the builder nor the battery nor the composition it uses,
+    ``analyze --action`` adds only the battery and its composition, and
+    the demo, which builds and runs the battery on data it never reads
+    from a file, loads every module but the reader."""
     assert _package_modules(command_modules[command]) == closure
+
+
+# AST nodes that a fresh ``import ellprym.cli`` may load from package
+# modules: every command compiles them when no bytecode cache is written
+CLI_IMPORT_NODES = 12_000
+
+
+def test_cli_import_compiles_at_most_its_node_budget():
+    """Every command loads what a bare ``import ellprym.cli`` loads, so the
+    package modules of that import hold at most CLI_IMPORT_NODES AST
+    nodes, counted as ``tools/reach.py`` counts them."""
+    nodes = sum(sum(1 for _ in ast.walk(ast.parse(
+        (PACKAGE / f"{name}.py").read_text(encoding="utf-8"))))
+        for name in _package_modules(_fresh_modules("import ellprym.cli"))
+        | {"__init__"})
+    assert nodes <= CLI_IMPORT_NODES
 
 
 def test_demo_run_leaves_out_dataclasses_inspect_and_fractions(
@@ -424,16 +442,18 @@ def test_no_fraction_in_the_package():
 @pytest.mark.parametrize("module,closure", [
     ("builder", {"builder", "covering", "errors", "scalars", "series"}),
     ("covering", {"covering", "errors", "scalars", "series"}),
-    ("equivariant", {"equivariant", "covering", "diffalg", "errors",
-                     "scalars", "series"}),
+    ("equivariant", {"equivariant", "compose", "covering", "diffalg",
+                     "errors", "scalars", "series", "table"}),
     ("cli", {"cli", "covering", "errors", "scalars", "series"}),
 ])
 def test_input_layer_imports_no_analysis_module(module, closure):
     """The builder and the datum and action formats stand below the
     analysis, the CLI imports its other layers inside the subcommands that
-    run them, and the battery reads the quadric decompositions it is given
-    rather than making them: a fresh import of each loads exactly these
-    package modules, so ``equivariant`` loads neither ``geometry`` nor
-    ``prym``."""
+    run them, ``covering`` imports the table, the readers and the
+    composition inside the calls that use them, and the battery reads the
+    quadric decompositions it is given rather than making them: a fresh
+    import of each loads exactly these package modules, so ``equivariant``
+    loads neither ``geometry`` nor ``prym``, and none of the others loads
+    ``table``, ``reader`` or ``compose``."""
     assert _package_modules(_fresh_modules(f"import ellprym.{module}")) \
         == closure
