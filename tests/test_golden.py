@@ -4,7 +4,9 @@ Each digest is the sha256 of ``json.dumps(analyze_datum(datum, action),
 indent=2, sort_keys=True) + "\\n"`` for a stock fixture at its default chart
 windows.  Any change to the analysis layer must reproduce them exactly.
 ``DATUMS`` pins the builder's output at windows the reports do not reach:
-13 (odd, and 1 mod 3) and 80.
+13 (odd, and 1 mod 3) and 80.  ``MOVED`` pins the reports on two window-13
+data whose forms a non-diagonal B has moved, the only reports whose alpha
+is solved rather than read from the hint.
 """
 
 import hashlib
@@ -27,6 +29,14 @@ GOLDEN = {
                           "8c50c03a1f60fded844e0d707cbff30c"),
     "bielliptic4_no_action": (3805, "386cc9de8acba6a796aacc5127083b9d"
                                     "f58afdd42d97678ce929e82b26036c28"),
+}
+
+# the `moved_frames` fixtures, analyzed with their actions (none for double4)
+MOVED = {
+    "double4": (3811, "5ce8085f6c0dc2d93fabd9a4117279fe"
+                      "48d2440e9ed2e9b14be80175b571e0c9"),
+    "pirola": (5204, "6989c60d6665336d4840e8cd4426e5ef"
+                     "4349514bd18e169e774e351e1a06422d"),
 }
 
 # (name, window): the byte length and sha256 of the datum JSON as
@@ -77,6 +87,11 @@ def _digest(datum, action):
 def test_stock_reports_match_golden(all_bundles):
     for name, bundle in all_bundles.items():
         assert _digest(bundle.datum, bundle.action) == GOLDEN[name], name
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_frame_reports_match_golden(moved_frames, name):
+    assert _digest(*moved_frames[name]) == MOVED[name]
 
 
 def test_reparametrized_report_matches_stock(biell4):
