@@ -141,8 +141,8 @@ def cmd_analyze(args):
     datum = covering.load(args.datum)
     action = None
     if args.action:
-        action = covering.CyclicAction.from_json(
-            datum, covering.read_json(args.action))
+        from .reader import action_from_json
+        action = action_from_json(datum, covering.read_json(args.action))
     _dump(analyze_datum(datum, action), args.json, args.out)
     return 0
 

@@ -22,9 +22,9 @@ writer and the checked JSON members that the spec reader in ``builder``
 shares.  The rest lives where only its users load it: the multiplication
 table and its tail check in ``table`` (the analysis), the datum and action
 readers in ``reader`` (``analyze``) and the change of local parameter in
-``compose``.  ``load``, ``CyclicAction.from_json``, ``reparametrized`` and
-the cached ``CoveringDatum.multiplication_table`` import their module
-inside the call.
+``compose``.  ``load``, ``reparametrized`` and the cached
+``CoveringDatum.multiplication_table`` import their module inside the
+call.
 """
 
 from __future__ import annotations
@@ -450,10 +450,3 @@ class CyclicAction(NamedTuple):
                        for (t, s) in self.chart_moves],
             "fiber_permutation": list(self.fiber_permutation),
         }
-
-    @classmethod
-    def from_json(cls, datum, obj):
-        """The action of a JSON object, checked against the datum it acts
-        on (`reader.action_from_json`)."""
-        from .reader import action_from_json
-        return action_from_json(datum, obj)

@@ -17,7 +17,9 @@ A symmetric 2-tensor is the list of its lex coordinates: the coefficients
 c_ij of sum c_ij f_i f_j over the pairs i <= j in lexicographic order, where
 f_i f_j = (f_i (x) f_j + f_j (x) f_i) / 2.  The coefficient array Phi of the
 tensor (``gram``) has Phi_ii = c_ii and, off the diagonal, c_ij = 2 Phi_ij.
-A linear map on forms acts on tensors through ``sym_square_matrix`` alone.
+A tensor changes frame by congruence, Phi -> B Phi B^T (``congruent``); a
+functional on tensors changes frame through the induced matrix
+``sym_square_matrix``, which `prym.kernel_E` alone forms.
 """
 
 from __future__ import annotations
@@ -54,6 +56,16 @@ def gram(field, size, coords):
     return Matrix(field, rows)
 
 
+def congruent(B, coords):
+    """Lex coordinates of B gram(coords) B^T: diagonal entries as they are,
+    each off-diagonal pair i < j as a_ij + a_ji.  This is
+    ``sym_square_matrix(B).mul_vec(coords)`` without forming S(B)."""
+    rows = B.matmul(gram(B.field, B.ncols, coords)).matmul(
+        B.transpose()).rows
+    return [rows[i][i] if i == j else rows[i][j] + rows[j][i]
+            for i, j in lex_pairs(B.nrows)]
+
+
 def sym_square_matrix(A):
     """The map induced by A on symmetric 2-tensors, f_i f_j -> (A f_i)(A f_j).
 
@@ -72,38 +84,29 @@ def sym_square_matrix(A):
 # ---------------------------------------------------------------------------
 
 class TraceSplit(NamedTuple):
-    """The canonical splitting of the form space.
+    """The canonical splitting of the form space: the adapted frame.
 
-    ``tau`` lists the trace ratios of the basis forms at the fiber base
-    point and ``alpha_coords`` locates the pulled-back base form, which
-    spans a complement of the kernel of tau (the trace-zero forms) because
-    its trace equals the covering degree.
-
-    ``change`` has the adapted basis, the pullback form and then a basis of
-    the trace-zero forms, as columns; ``change_inv`` maps form coordinates
-    to adapted ones.  In adapted coordinates the distinguished point is
-    (1:0:...:0) and the distinguished hyperplane is the zero locus of the
-    zeroth coordinate.  ``sym_change_inv`` is the map ``change_inv`` induces
-    on tensors; ``geometry.decompose_quadric`` alone applies it, once per
-    quadric.  ``sym_minus`` takes lex coordinates over the symmetric square
-    of the trace-zero basis to the lex coordinates of the tensor.
+    ``alpha_coords`` locates the pulled-back base form, which spans a
+    complement of the trace-zero forms because its trace equals the
+    covering degree.  ``change`` has the adapted basis, the pullback form
+    and then a basis of the trace-zero forms, as columns; ``change_inv``
+    maps form coordinates to adapted ones.  In adapted coordinates the
+    distinguished point is (1:0:...:0) and the distinguished hyperplane is
+    the zero locus of the zeroth coordinate.
     """
-    tau: tuple
     alpha_coords: tuple
     change: Matrix
     change_inv: Matrix
-    sym_minus: Matrix
-    sym_change_inv: Matrix
 
     @property
     def genus(self):
-        return len(self.tau)
+        return len(self.alpha_coords)
 
 
 def trace_split(datum):
-    """Compute the trace vector, the alpha coordinates, the adapted change
-    of basis (the pullback form, then a trace-zero basis) with its inverse,
-    and the tensor maps of the inverse and of the trace-zero columns."""
+    """Compute the alpha coordinates and the adapted change of basis (the
+    pullback form, then a basis of the kernel of the trace vector) with its
+    inverse."""
     require_valid(datum)
     field, g = datum.field, datum.genus
     tau = trace_vector(datum)
@@ -115,10 +118,7 @@ def trace_split(datum):
         alpha = _solve_alpha_coords(datum)
     change = Matrix(field, [alpha] + minus).transpose()
     # tau . alpha = d != 0 puts alpha outside ker tau, so change is invertible
-    change_inv = change.inverse()
-    return TraceSplit(tuple(tau), tuple(alpha), change, change_inv,
-                      sym_square_matrix(change[:, 1:]),
-                      sym_square_matrix(change_inv))
+    return TraceSplit(tuple(alpha), change, change.inverse())
 
 
 def _solve_alpha_coords(datum):

@@ -4,11 +4,12 @@ the dual-route vanishing equivalence and the dimension bookkeeping.
 Linear forms on the canonical space are 1-forms; the hyperplanes defined by
 all trace-zero forms meet in a single distinguished point, and the pullback
 form cuts the distinguished hyperplane.  `decompose_quadric` takes each
-quadric once to the adapted frame of the trace split and names the two
-parts the later stages read: ``point_value``, the value at the
-distinguished point, and ``minus``, the coordinates over the trace-zero
-square.  Whether the distinguished point lies on every quadric through the
-cover decides, one way, that the period-map kernel is minimal.
+quadric once to the adapted frame of the trace split, by congruence with
+``change_inv``, and names the two parts the later stages read:
+``point_value``, the value at the distinguished point, and ``minus``, the
+coordinates over the trace-zero square.  Whether the distinguished point
+lies on every quadric through the cover decides, one way, that the
+period-map kernel is minimal.
 
 The vanishing equivalence is checked by two genuinely independent routes:
 the fiber-sum route applies the kernel report's fiber-sum row of the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diffalg import symmetric_product
+from .diffalg import congruent
 from .errors import (ConsistencyViolated, EquivalenceViolated,
                      InputError)
 from .scalars import Matrix, Scalar
@@ -46,20 +47,15 @@ def decompose_quadric(split, G):
     """Unique decomposition of a tensor into trace-zero plus mixed parts.
 
     The package's one reading of the adapted lex layout: of the adapted
-    coordinates, the first g belong to the pairs (0, j) and give omega, led
-    by the value at the distinguished point, and the rest, pairs (i, j) with
-    1 <= i <= j, are the trace-zero part over the trace-zero square."""
-    coords = split.sym_change_inv.mul_vec(G)
-    g = split.genus
-    minus = coords[g:]
-    omega = split.change.mul_vec(coords[:g])
-    # exact reconstruction check
-    minus_part = split.sym_minus.mul_vec(minus)
-    alpha_sym = symmetric_product(list(split.alpha_coords), omega)
-    if any(not (m + a - x).is_zero()
-           for m, a, x in zip(minus_part, alpha_sym, G)):
+    coordinates, the first g belong to the pairs (0, j), the mixed part
+    alpha . omega, led by the value at the distinguished point, and the
+    rest, pairs (i, j) with 1 <= i <= j, are the trace-zero part over the
+    trace-zero square.  Moving the adapted coordinates back by ``change``
+    must give G again."""
+    adapted = congruent(split.change_inv, G)
+    if congruent(split.change, adapted) != list(G):
         raise AssertionError("quadric decomposition failed to reconstruct")
-    return QuadricDecomposition(G, coords[0], minus)
+    return QuadricDecomposition(G, adapted[0], adapted[split.genus:])
 
 
 def functpoint_check(datum, decs, kernel_report):

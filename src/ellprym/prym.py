@@ -8,9 +8,11 @@ residue slot per ramification point and one fiber-sum slot:
 
 The codifferential is two products, formed once by `kernel_E`: the
 multiplication table's ``residues`` rows and its ``fiber_sum`` row, each
-times the trace split's ``sym_minus``.  `kernel_E` keeps the two blocks in
-its report, as ``residues`` and ``fiber_sum``, and every later stage
-applies them to trace-zero coordinates (the ``minus`` part of a quadric
+times the map S(C) that the trace-zero columns C of the trace split's
+``change`` induce from the trace-zero square into the full square, the
+package's one induced sym^2 matrix.  `kernel_E` keeps the two blocks in its
+report, as ``residues`` and ``fiber_sum``, and every later stage applies
+them to trace-zero coordinates (the ``minus`` part of a quadric
 decomposition, or a kernel vector).
 
 The 2*pi*i normalization that appears in some residue formulations is
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .diffalg import sym_square_matrix
 from .errors import IdentityViolated
 from .scalars import Matrix
 
@@ -52,7 +55,8 @@ def kernel_E(datum, split):
     """
     g, n = datum.genus, datum.n_ramification
     table = datum.multiplication_table
-    gam = table.residues.matmul(split.sym_minus)
+    sym_minus = sym_square_matrix(split.change[:, 1:])
+    gam = table.residues.matmul(sym_minus)
     kernel = gam.kernel_basis()
     rank = gam.ncols - len(kernel)
     expected = g * (g - 1) // 2 - n + 1
@@ -61,7 +65,7 @@ def kernel_E(datum, split):
             f"dim Ker of the base-fixed codifferential is {len(kernel)}, "
             f"the identity requires g(g-1)/2 - n + 1 = {expected}")
     return KernelEReport(len(kernel), n - rank, gam,
-                         table.fiber_sum.matmul(split.sym_minus),
+                         table.fiber_sum.matmul(sym_minus),
                          tuple(tuple(v) for v in kernel))
 
 

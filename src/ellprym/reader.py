@@ -1,11 +1,11 @@
 """Readers of the datum and deck-action files that ``covering`` writes.
 
-``covering.load`` and ``covering.CyclicAction.from_json`` import this
-module inside the call, so only a command that reads a datum or an action,
-``analyze``, loads it.  Every member is checked for its type and against
-the caps in ``covering`` before any element of a list is parsed; a scalar
-string is read by the one grammar of ``scalars``, each coefficient of a
-series straight into ints.
+``covering.load`` and ``cli.cmd_analyze``'s ``--action`` branch import
+this module inside the call, so only a command that reads a datum or an
+action, ``analyze``, loads it.  Every member is checked for its type and
+against the caps in ``covering`` before any element of a list is parsed; a
+scalar string is read by the one grammar of ``scalars``, each coefficient of
+a series straight into ints.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def datum_from_json(obj):
 
 
 def action_from_json(datum, obj):
-    """The action that ``CyclicAction.from_json`` reads, checked for its
-    shape against the datum it acts on: a g x g matrix, one move per chart
+    """The ``CyclicAction`` of a JSON object, checked for its shape
+    against the datum it acts on: a g x g matrix, one move per chart
     with a target chart index and a reparametrization of valuation 1 known
     to the chart's window, and a permutation of the fiber."""
     field, g, n = datum.field, datum.genus, len(datum.charts)

@@ -11,7 +11,7 @@ from ellprym import builder, covering, reader
 from ellprym.builder import bielliptic_spec, pirola_spec, spec_to_json
 from ellprym.cli import main
 from ellprym.covering import (MAX_DEGREE, MAX_FUNCTION_TERMS, MAX_GENUS,
-                              MAX_WINDOW, CyclicAction)
+                              MAX_WINDOW)
 from ellprym.errors import ValidationFailed
 from ellprym.scalars import MAX_SCALAR_LENGTH, Scalar
 
@@ -36,7 +36,7 @@ def test_build_writes_datum(tmp_path):
     result = builder.build_cover(pirola_spec(precision=10))
     datum = covering.load(out)
     assert datum == result.datum
-    assert CyclicAction.from_json(
+    assert reader.action_from_json(
         datum, json.loads(action_out.read_text())) == result.action
 
 

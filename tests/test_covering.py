@@ -280,7 +280,7 @@ def test_validation_on_built_fixture(pirola):
     assert report.quadric_certified
     assert report.coefficient_budget > report.independence_bound
     # trace of the pullback form equals the degree
-    tau = pirola.split.tau
+    tau = covering.trace_vector(pirola.datum)
     assert tau[0] == pirola.datum.field.scalar(3)
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from ellprym.builder import bielliptic_spec, build_cover
-from ellprym.covering import lex_pairs, reparametrized
-from ellprym.diffalg import (gram, quadric_kernel, sym_square_matrix,
-                             symmetric_product, trace_split)
+from ellprym.covering import lex_pairs, reparametrized, trace_vector
+from ellprym.diffalg import (congruent, gram, quadric_kernel,
+                             sym_square_matrix, symmetric_product, trace_split)
 from ellprym.errors import InsufficientPrecision
 from ellprym.scalars import FieldSpec, Matrix, Scalar
 from ellprym.series import TruncatedSeries
@@ -15,10 +15,10 @@ from test_prym import minus_basis, sym_dim
 from test_scalars import reference_mul_vec
 
 
-def trace_ratio(split, vec):
+def trace_ratio(datum, vec):
     """tau applied to a coordinate vector: the trace of the form, over
     alpha."""
-    return Matrix(split.change.field, [list(split.tau)]).mul_vec(vec)[0]
+    return Matrix(datum.field, [trace_vector(datum)]).mul_vec(vec)[0]
 
 
 def alpha_tensor(bundle):
@@ -30,14 +30,14 @@ def test_trace_split_dimensions(pirola):
     split = pirola.split
     g = pirola.datum.genus
     assert len(minus_basis(split)) == g - 1
-    assert trace_ratio(split, split.alpha_coords) == \
+    assert trace_ratio(pirola.datum, split.alpha_coords) == \
         pirola.datum.field.scalar(pirola.datum.degree)
 
 
 def test_trace_of_pullback_is_degree(all_bundles):
     for bundle in all_bundles.values():
         d = bundle.datum.degree
-        assert trace_ratio(bundle.split, bundle.split.alpha_coords) == \
+        assert trace_ratio(bundle.datum, bundle.split.alpha_coords) == \
             bundle.datum.field.scalar(d)
 
 
@@ -51,17 +51,21 @@ def test_eigenforms_have_zero_trace(pirola):
         for row in datum.fiber.ratios:
             direct = direct + row[i]
         assert direct.is_zero()
-        assert pirola.split.tau[i].is_zero()
+        assert trace_vector(datum)[i].is_zero()
 
 
 def test_sym_minus_is_the_trace_zero_block_of_the_full_square(all_bundles):
-    """The split's map from the trace-zero square equals the columns of the
-    full square's map S(change) on the pairs (i, j) with 1 <= i <= j, which
-    follow the g pairs (0, j) in lex order."""
+    """The map from the trace-zero square that kernel_E forms, S of the
+    trace-zero columns of change, equals the columns of the full square's
+    map S(change) on the pairs (i, j) with 1 <= i <= j, which follow the g
+    pairs (0, j) in lex order; the kernel report's two blocks are the
+    table's rows times that block."""
     for bundle in all_bundles.values():
-        split = bundle.split
-        assert split.sym_minus == \
-            sym_square_matrix(split.change)[:, split.genus:]
+        split, table = bundle.split, bundle.datum.multiplication_table
+        block = sym_square_matrix(split.change)[:, split.genus:]
+        assert sym_square_matrix(split.change[:, 1:]) == block
+        assert bundle.kernel.residues == table.residues.matmul(block)
+        assert bundle.kernel.fiber_sum == table.fiber_sum.matmul(block)
 
 
 def test_alpha_coords_solved_without_hint(pirola):
@@ -286,10 +290,11 @@ def _random_matrix(rng, field, nrows, ncols):
 @pytest.mark.parametrize("field", [FieldSpec(1), FieldSpec(3)],
                          ids=["Q", "Q3"])
 def test_sym_square_matrix_matches_congruence(field):
-    """Oracle for the one induced map S(A): on lex coordinates it is the
-    congruence Phi -> A Phi A^T of coefficient arrays, for square and
-    rectangular A; S(AB) = S(A) S(B) and S(I) = I; and symmetric_product
-    has the array (u v^T + v u^T) / 2."""
+    """Oracle for the induced map S(A) and for congruent: on lex
+    coordinates S(A) is the congruence Phi -> A Phi A^T of coefficient
+    arrays, which congruent(A, c) applies without forming S(A), for square
+    and rectangular A; S(AB) = S(A) S(B) and S(I) = I; and
+    symmetric_product has the array (u v^T + v u^T) / 2."""
     rng = random.Random(7 + field.degree)
     half = field.scalar(F(1, 2))
     for g in (2, 3, 4):
@@ -302,6 +307,9 @@ def test_sym_square_matrix_matches_congruence(field):
             image = sym_square_matrix(B).mul_vec(c)
             assert gram(field, g, image) == \
                 B.matmul(gram(field, cols, c)).matmul(B.transpose())
+            assert congruent(B, c) == image
+            full = _random_matrix(rng, field, 1, sym_dim(g)).rows[0]
+            assert congruent(A, full) == sym_square_matrix(A).mul_vec(full)
             assert sym_square_matrix(A.matmul(B)) == \
                 sym_square_matrix(A).matmul(sym_square_matrix(B))
         u, v = _random_matrix(rng, field, 2, g).rows

@@ -1,9 +1,10 @@
 import pytest
 
-from ellprym import diffalg
+from ellprym import diffalg, geometry
 from ellprym.builder import bielliptic_spec, build_cover
 from ellprym.cli import analyze_datum
-from ellprym.diffalg import quadric_kernel, symmetric_product, trace_split
+from ellprym.diffalg import (quadric_kernel, sym_square_matrix,
+                             symmetric_product, trace_split)
 from ellprym.errors import (ConsistencyViolated, EquivalenceViolated,
                             InputError)
 from ellprym.geometry import (decompose_quadric, dimension_ledger,
@@ -48,25 +49,41 @@ def test_decomposition_reconstructs_any_tensor(pirola):
     assert rebuilt == phi
 
 
-def test_decomposition_parts_are_the_adapted_slices(all_bundles):
+def test_decomposition_parts_are_the_adapted_slices(all_bundles,
+                                                    moved_frames):
     """The two named parts are the adapted lex coordinates of the full
-    square, S(change)^-1 G: the zeroth, and those from g on.  Checked on the
-    basis quadrics, alpha . alpha, a trace-zero square and their sum."""
-    for bundle in all_bundles.values():
-        split, g = bundle.split, bundle.datum.genus
-        mixed = [a + m for a, m in zip(alpha_sq(bundle), minus_elem(bundle))]
-        for G in list(bundle.quadrics) + [alpha_sq(bundle), minus_elem(bundle),
-                                          mixed]:
-            adapted = split.sym_change_inv.mul_vec(G)
+    square by the induced matrix, S(change_inv) G: the zeroth, and those
+    from g on; and S(change[:, 1:]) minus + alpha . omega rebuilds G, with
+    omega = change times the first g.  Checked on the basis quadrics,
+    alpha . alpha, a trace-zero square and their sum of every fixture, and
+    on the basis quadrics of the two moved frames, whose alpha is
+    solved."""
+    cases = [(bundle.split, list(bundle.quadrics)
+              + [alpha_sq(bundle), minus_elem(bundle),
+                 [a + m for a, m in zip(alpha_sq(bundle),
+                                        minus_elem(bundle))]])
+             for bundle in all_bundles.values()]
+    cases += [(trace_split(datum), list(quadric_kernel(datum)))
+              for datum, _ in moved_frames.values()]
+    for split, tensors in cases:
+        g, alpha = split.genus, list(split.alpha_coords)
+        to_adapted = sym_square_matrix(split.change_inv)
+        from_minus = sym_square_matrix(split.change[:, 1:])
+        for G in tensors:
+            adapted = to_adapted.mul_vec(G)
             dec = decompose_quadric(split, G)
             assert (dec.point_value, dec.minus) == (adapted[0], adapted[g:])
+            omega = split.change.mul_vec(adapted[:g])
+            assert [m + a for m, a in zip(
+                from_minus.mul_vec(dec.minus),
+                symmetric_product(alpha, omega))] == list(G)
 
 
 def test_decomposition_refuses_a_wrong_inverse(pirola):
-    """The exact reconstruction check catches a tensor inverse that does not
-    invert S(change): twice the true one rebuilds 2G."""
-    inv = pirola.split.sym_change_inv
-    split = pirola.split._replace(sym_change_inv=Matrix(
+    """The exact reconstruction check, through change, catches a change_inv
+    that does not invert change: twice the true one rebuilds 4G."""
+    inv = pirola.split.change_inv
+    split = pirola.split._replace(change_inv=Matrix(
         inv.field, [[x + x for x in row] for row in inv.rows]))
     with pytest.raises(AssertionError, match="failed to reconstruct"):
         decompose_quadric(split, pirola.quadrics[0])
@@ -187,25 +204,29 @@ def test_residue_map_kernel_values(all_bundles):
 
 def test_analysis_decomposes_each_quadric_once(all_bundles, monkeypatch):
     """The analysis stages share one decomposition per basis quadric: during
-    analyze_datum with the fixture's action, sym_change_inv multiplies h0
-    vectors, one per quadric, and no more."""
-    trace_split, mul_vec = diffalg.trace_split, Matrix.mul_vec
-    splits, receivers = [], []
+    analyze_datum with the fixture's action, the decompositions make two
+    congruences per quadric, h0 by change_inv into the adapted frame and h0
+    by change back, and no more."""
+    trace_split, congruent = diffalg.trace_split, geometry.congruent
+    splits, factors = [], []
 
     def recording_split(datum):
         splits.append(trace_split(datum))
         return splits[-1]
 
-    def recording_mul_vec(self, vec):
-        receivers.append(self)
-        return mul_vec(self, vec)
+    def recording_congruent(B, coords):
+        factors.append(B)
+        return congruent(B, coords)
     monkeypatch.setattr(diffalg, "trace_split", recording_split)
-    monkeypatch.setattr(Matrix, "mul_vec", recording_mul_vec)
+    monkeypatch.setattr(geometry, "congruent", recording_congruent)
     counts = {}
     for name, bundle in all_bundles.items():
         splits.clear()
-        receivers.clear()
+        factors.clear()
         analyze_datum(bundle.datum, bundle.action)
         (split,) = splits
-        counts[name] = sum(r is split.sym_change_inv for r in receivers)
-    assert counts == {"pirola": 1, "bielliptic4": 1, "bielliptic3": 0}
+        counts[name] = (len(factors),
+                        sum(B is split.change_inv for B in factors),
+                        sum(B is split.change for B in factors))
+    assert counts == {"pirola": (2, 1, 1), "bielliptic4": (2, 1, 1),
+                      "bielliptic3": (0, 0, 0)}

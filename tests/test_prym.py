@@ -1,3 +1,5 @@
+import sys
+
 from ellprym import diffalg
 from ellprym.cli import analyze_datum
 from ellprym.covering import lex_pairs
@@ -36,6 +38,14 @@ def minus_tensor(split, coords):
         total = [t + c * p for t, p in
                  zip(total, symmetric_product(basis[a], basis[b]))]
     return total
+
+
+def unit_coords(split, a, b):
+    """The coordinates over the symmetric square of the trace-zero basis of
+    the product of its forms a and b: one at the lex pair (a, b)."""
+    field = split.change.field
+    return [field.one() if pair == (a, b) else field.zero()
+            for pair in lex_pairs(split.genus - 1)]
 
 
 def mixed_part(split, dec):
@@ -97,14 +107,14 @@ def test_gamma_s_equals_nu_exactly(all_bundles):
     """Two routes to the fiber-sum slot of a tensor in the symmetric square
     of the trace-zero forms: the fiber ratios summed on its lex coordinates,
     and the last row of the codifferential on its coordinates over that
-    square."""
+    square, a unit vector for the product of two trace-zero basis forms."""
     for bundle in all_bundles.values():
         datum, split = bundle.datum, bundle.split
         cmat = codifferential(bundle.kernel)
         basis = minus_basis(split)
         for a, b in lex_pairs(len(basis)):
             phi = symmetric_product(basis[a], basis[b])
-            coords = split.sym_change_inv.mul_vec(phi)[datum.genus:]
+            coords = unit_coords(split, a, b)
             assert fiber_sum(datum, phi) == cmat.mul_vec(coords)[-1]
 
 
@@ -115,7 +125,7 @@ def test_fiber_slot_vanishes_on_nontrivial_characters(pirola):
     basis = minus_basis(split)
     for a, b in lex_pairs(3):
         phi = symmetric_product(basis[a], basis[b])
-        coords = split.sym_change_inv.mul_vec(phi)[datum.genus:]
+        coords = unit_coords(split, a, b)
         gamma_s = cmat.mul_vec(coords)[-1]
         # invariant tensors pair character 1 with character 2 factors;
         # the fiber slot vanishes unless the characters cancel, which
@@ -209,19 +219,19 @@ def test_genus3_vacuous_verdict(biell3):
 
 def test_analysis_reads_the_slots_in_the_trace_zero_frame(all_bundles,
                                                           monkeypatch):
-    """During analyze_datum with the fixture's action, the codifferential
-    is formed once, as two products by the split's sym_minus (the residue
-    rows and the fiber-sum row), and no mul_vec or annihilates call has a
-    receiver of 1 or n rows by g(g+1)/2 columns: the shape of the table's
-    fiber-sum and residue rows, which would read the slots on the full
-    symmetric square."""
-    trace_split, matmul = diffalg.trace_split, Matrix.matmul
+    """During analyze_datum with the fixture's action, the package forms
+    one induced sym^2 matrix, and the codifferential is formed once, as two
+    products by it (the residue rows and the fiber-sum row), and no mul_vec
+    or annihilates call has a receiver of 1 or n rows by g(g+1)/2 columns:
+    the shape of the table's fiber-sum and residue rows, which would read
+    the slots on the full symmetric square."""
+    sym_square_matrix, matmul = diffalg.sym_square_matrix, Matrix.matmul
     mul_vec, annihilates = Matrix.mul_vec, Matrix.annihilates
-    splits, factors, shapes = [], [], []
+    induced, factors, shapes = [], [], []
 
-    def recording_split(datum):
-        splits.append(trace_split(datum))
-        return splits[-1]
+    def recording_sym_square_matrix(A):
+        induced.append(sym_square_matrix(A))
+        return induced[-1]
 
     def recording_matmul(self, other):
         factors.append(other)
@@ -234,20 +244,24 @@ def test_analysis_reads_the_slots_in_the_trace_zero_frame(all_bundles,
     def recording_annihilates(self, vec):
         shapes.append((self.nrows, self.ncols))
         return annihilates(self, vec)
-    monkeypatch.setattr(diffalg, "trace_split", recording_split)
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("ellprym.")
+                   and hasattr(m, "sym_square_matrix")]:
+        monkeypatch.setattr(module, "sym_square_matrix",
+                            recording_sym_square_matrix)
     monkeypatch.setattr(Matrix, "matmul", recording_matmul)
     monkeypatch.setattr(Matrix, "mul_vec", recording_mul_vec)
     monkeypatch.setattr(Matrix, "annihilates", recording_annihilates)
     counts = {}
     for name, bundle in all_bundles.items():
-        splits.clear()
+        induced.clear()
         factors.clear()
         shapes.clear()
         analyze_datum(bundle.datum, bundle.action)
-        (split,) = splits
+        (sym_minus,) = induced
         g, n = bundle.datum.genus, bundle.datum.n_ramification
         full = g * (g + 1) // 2
-        counts[name] = (sum(f is split.sym_minus for f in factors),
+        counts[name] = (sum(f is sym_minus for f in factors),
                         sum(shape in ((1, full), (n, full))
                             for shape in shapes))
     assert counts == {"pirola": (2, 0), "bielliptic4": (2, 0),
